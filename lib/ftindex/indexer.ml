@@ -19,42 +19,44 @@ let add_document ?config (index : Inverted.t) ~uri root =
   Hashtbl.iter
     (fun w toks ->
       let score = Stats.score stats ~doc:uri w in
-      let entries =
-        List.rev_map (fun tok -> Posting.make ~score ~doc:uri tok) toks
+      (* tokens arrive in ascending position: the run is already sorted *)
+      let run =
+        Array.of_list (List.rev_map (fun tok -> Posting.make ~score ~doc:uri tok) toks)
       in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt postings w) in
-      (* documents are appended in indexing order; positions within a
-         document are already ascending *)
-      Hashtbl.replace postings w (prev @ entries))
+      let runs =
+        Option.value ~default:Inverted.Doc_map.empty (Hashtbl.find_opt postings w)
+      in
+      Hashtbl.replace postings w (Inverted.Doc_map.add uri run runs))
     by_word;
   let doc_tokens = Hashtbl.copy index.Inverted.doc_tokens in
   Hashtbl.replace doc_tokens uri (Array.of_list tokens);
-  {
-    Inverted.documents = index.Inverted.documents @ [ (uri, root) ];
-    postings;
-    doc_tokens;
-    stats;
-    total_postings = index.Inverted.total_postings + List.length tokens;
-  }
+  Inverted.make
+    ~documents:(index.Inverted.documents @ [ (uri, root) ])
+    ~postings ~doc_tokens ~stats
+    ~total_postings:(index.Inverted.total_postings + List.length tokens)
 
 (* Scores depend on corpus-wide idf: recompute every posting's score from
    the index's current statistics.  Score depends only on stats, so applying
    this after each incremental add/remove yields the same index as applying
-   it once after the last one. *)
+   it once after the last one.  A score is a function of (document, word),
+   so it is computed once per run. *)
 let rescore (index : Inverted.t) =
   let stats = index.Inverted.stats in
   let postings = Hashtbl.create (max 16 (Hashtbl.length index.Inverted.postings)) in
   Hashtbl.iter
-    (fun w entries ->
+    (fun w runs ->
       let rescored =
-        List.map
-          (fun (p : Posting.t) ->
-            { p with Posting.score = Stats.score stats ~doc:p.Posting.doc w })
-          entries
+        Inverted.Doc_map.mapi
+          (fun doc run ->
+            let score = Stats.score stats ~doc w in
+            Array.map (fun (p : Posting.t) -> { p with Posting.score }) run)
+          runs
       in
       Hashtbl.replace postings w rescored)
     index.Inverted.postings;
-  { index with Inverted.postings }
+  Inverted.make ~documents:index.Inverted.documents ~postings
+    ~doc_tokens:index.Inverted.doc_tokens ~stats
+    ~total_postings:index.Inverted.total_postings
 
 let index_documents ?config docs =
   rescore

@@ -1,14 +1,33 @@
-(** Corpus-level inverted index: word -> positions (TokenInfo) across all
-    indexed documents, plus the distinct-word list used by match-option
-    expansion. *)
+(** Corpus-level inverted index: word -> document -> positions (TokenInfo),
+    plus the distinct-word list used by match-option expansion. *)
 
-type t = {
+module Doc_map : Map.S with type key = string
+
+type run = Posting.t array
+(** One word's positions inside one document, ascending by absolute
+    position.  Runs are shared between index versions: never mutate one. *)
+
+type t = private {
   documents : (string * Xmlkit.Node.t) list;
-  postings : (string, Posting.t list) Hashtbl.t;
+  roots : (int, string * Xmlkit.Node.t) Hashtbl.t;
+  postings : (string, run Doc_map.t) Hashtbl.t;
   doc_tokens : (string, Tokenize.Token.t array) Hashtbl.t;
   stats : Stats.t;
   total_postings : int;
 }
+
+val make :
+  documents:(string * Xmlkit.Node.t) list ->
+  postings:(string, run Doc_map.t) Hashtbl.t ->
+  doc_tokens:(string, Tokenize.Token.t array) Hashtbl.t ->
+  stats:Stats.t ->
+  total_postings:int ->
+  t
+(** Assemble an index from its parts; derives the node -> document table
+    from [documents].  Every run must be non-empty and ascending. *)
+
+val runs_of_postings : Posting.t list -> run Doc_map.t
+(** Group one word's postings, in any order, into per-document runs. *)
 
 val empty : unit -> t
 (** A fresh empty index (internal tables are not shared). *)
@@ -20,18 +39,27 @@ val total_postings : t -> int
 (** Total number of tokens indexed (corpus word count). *)
 
 val remove_document : t -> uri:string -> t
-(** Remove one document with exact postings reclamation: its entries leave
-    every posting list (surviving order preserved), words with no remaining
-    postings leave the distinct-word list, its token stream and statistics
-    are forgotten.  Posting {e scores} of the surviving documents still
-    reflect the old corpus; run [Indexer.rescore] to restore exactness
+(** Remove one document with exact postings reclamation: its run leaves
+    each of its own words (no other word is visited), words with no
+    remaining postings leave the distinct-word list, its token stream and
+    statistics are forgotten.  Posting {e scores} of the surviving documents
+    still reflect the old corpus; run [Indexer.rescore] to restore exactness
     against a from-scratch index.  No-op for an unknown uri. *)
 
 val document_root : t -> string -> Xmlkit.Node.t option
 
 val postings : t -> string -> Posting.t list
 (** All positions of a word (case-folded before lookup), sorted by
-    (document, absolute position). *)
+    (document, absolute position) — documents in uri order, whatever order
+    they were indexed in. *)
+
+val postings_of_doc : t -> doc:string -> string -> run
+(** One document's run of a word (case-folded before lookup), read without
+    touching any other document; [[||]] when the word does not occur. *)
+
+val run_within : run -> Xmlkit.Dewey.t list -> Posting.t list
+(** The entries of a run inside any of the given nodes of its document, each
+    once, in position order: one binary search per node. *)
 
 val distinct_words : t -> string list
 (** Sorted distinct-word list ("list_distinct_words.xml" in the paper). *)
@@ -45,12 +73,15 @@ val position_in_node :
 val postings_in :
   t -> doc:string -> node_dewey:Xmlkit.Dewey.t -> string -> Posting.t list
 (** The paper's [getPositions]: positions of a word inside one context
-    node. *)
+    node, read from that document's run alone. *)
 
 val doc_of_node : t -> Xmlkit.Node.t -> string option
-(** Recover the indexed document a node belongs to (by tree identity). *)
+(** Recover the indexed document a node belongs to (by tree identity), in
+    time independent of the number of documents.  [None] for nodes of
+    constructed trees and of roots no longer indexed. *)
 
 val fold_words : (string -> Posting.t list -> 'a -> 'a) -> t -> 'a -> 'a
+(** Every word with its {!postings}. *)
 
 val tokens_of_doc : t -> doc:string -> Tokenize.Token.t array
 (** The full token stream of one document in position order. *)

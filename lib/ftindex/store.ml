@@ -1057,14 +1057,17 @@ let load_manifest ~io ~governor ~sources ~dir m =
   end;
   let doc_tokens_tbl = Hashtbl.create 16 in
   List.iter (fun (uri, tokens) -> Hashtbl.replace doc_tokens_tbl uri tokens) docs_tokens;
+  (* snapshots list a word's postings in any document order (older ones in
+     indexing order): regroup them into the index's per-document runs *)
+  let runs = Hashtbl.create (Hashtbl.length postings) in
+  Hashtbl.iter
+    (fun w ps -> Hashtbl.replace runs w (Inverted.runs_of_postings ps))
+    postings;
   let index =
-    {
-      Inverted.documents = List.map (fun (uri, root, _) -> (uri, root)) docs;
-      postings;
-      doc_tokens = doc_tokens_tbl;
-      stats;
-      total_postings = total_tokens;
-    }
+    Inverted.make
+      ~documents:(List.map (fun (uri, root, _) -> (uri, root)) docs)
+      ~postings:runs ~doc_tokens:doc_tokens_tbl ~stats
+      ~total_postings:total_tokens
   in
   {
     index;

@@ -32,31 +32,56 @@ let clamp_score s = if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else
    paper's getTokenInfo, positions outside every context node are dropped at
    the source — they could never satisfy an FTContains/ft:score over that
    context, so this is semantics-preserving and avoids materializing
-   irrelevant matches. *)
-let in_context within (p : Ftindex.Posting.t) =
-  match within with
-  | None -> true
-  | Some nodes ->
-      List.exists
-        (fun (doc, dewey) ->
-          p.Ftindex.Posting.doc = doc
-          && Xmlkit.Dewey.contains dewey (Ftindex.Posting.node p))
-        nodes
+   irrelevant matches.  Only the context documents' runs are read, and each
+   entry is checked against its own document's context nodes alone. *)
+let context_by_doc nodes =
+  List.stable_sort (fun (a, _) (b, _) -> String.compare a b) nodes
+  |> List.fold_left
+       (fun acc (doc, dewey) ->
+         match acc with
+         | (d, deweys) :: rest when d = doc -> (d, dewey :: deweys) :: rest
+         | _ -> (doc, [ dewey ]) :: acc)
+       []
+  |> List.rev
 
 let posting_entries ?g ?within env expansion =
   let index = Env.index env in
-  let all =
-    List.concat_map (fun key -> Ftindex.Inverted.postings index key) expansion.Match_options.keys
+  let keys = expansion.Match_options.keys in
+  let read = ref 0 in
+  let by_position = function
+    | [] -> []
+    | [ one ] -> one
+    | several -> List.stable_sort Ftindex.Posting.compare_pos (List.concat several)
   in
-  (* the observability hook: every inverted-list entry this leaf pulled,
-     counted before context/option filtering — the paper's IO-side cost *)
+  let entries =
+    match within with
+    | None ->
+        by_position
+          (List.map
+             (fun key ->
+               let ps = Ftindex.Inverted.postings index key in
+               read := !read + List.length ps;
+               ps)
+             keys)
+    | Some nodes ->
+        List.concat_map
+          (fun (doc, deweys) ->
+            by_position
+              (List.map
+                 (fun key ->
+                   let run = Ftindex.Inverted.postings_of_doc index ~doc key in
+                   read := !read + Array.length run;
+                   Ftindex.Inverted.run_within run deweys)
+                 keys))
+          (context_by_doc nodes)
+  in
+  (* the observability hook: every entry of the runs this leaf read (the
+     context documents' runs, or whole lists without a context), counted
+     before node/option filtering — the paper's IO-side cost *)
   (match g with
-  | Some g -> Xquery.Limits.count_postings g (List.length all)
+  | Some g -> Xquery.Limits.count_postings g !read
   | None -> ());
-  List.filter
-    (fun p -> expansion.Match_options.accept p && in_context within p)
-    all
-  |> List.sort Ftindex.Posting.compare_pos
+  List.filter expansion.Match_options.accept entries
 
 (* Occurrences of a phrase: tokens must appear consecutively; tokens that
    are stop words (under the active stop-word list) are dropped and allow a

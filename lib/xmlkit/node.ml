@@ -93,6 +93,7 @@ let compare_order a b =
   else compare a.order b.order
 
 let equal a b = a == b
+let tree_id n = n.tree_id
 let dewey n = n.dewey
 
 let rec string_value n =

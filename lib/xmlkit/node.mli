@@ -57,6 +57,10 @@ val compare_order : t -> t -> int
 val equal : t -> t -> bool
 (** Physical node identity. *)
 
+val tree_id : t -> int
+(** The identifier {!seal} stamped on every node of the tree; distinct
+    sealed trees carry distinct ids, unsealed nodes carry -1. *)
+
 val dewey : t -> Dewey.t
 
 val find_by_dewey : t -> Dewey.t -> t option

@@ -40,7 +40,9 @@ type counters = {
       (** materialized strategy: sum of AllMatches sizes at every operator
           output; pipelined strategy: matches pulled through the pipeline —
           the two sides of the paper's Section 4 comparison, in one unit *)
-  mutable postings_read : int;  (** inverted-list entries read at the leaves *)
+  mutable postings_read : int;
+      (** inverted-list entries read at the leaves: the context documents'
+          runs of each word, before node and option filtering *)
   mutable pushdown_fired : int;  (** Figure 6(a) rewrites that changed the plan *)
   mutable or_short_circuit_fired : int;
       (** Figure 6(b) rewrites that changed the plan *)

@@ -36,7 +36,9 @@ type counters = {
           One unit for both, so the paper's Section 4 claim (pipelined <=
           materialized) is directly comparable — and property-tested. *)
   mutable postings_read : int;
-      (** inverted-list entries read at FTWords leaves *)
+      (** inverted-list entries read at FTWords leaves: every entry of the
+          context documents' runs of each word (the whole list without a
+          context), counted before node and option filtering *)
   mutable pushdown_fired : int;
       (** Figure 6(a) pushdown rewrites that changed the plan *)
   mutable or_short_circuit_fired : int;

@@ -182,6 +182,177 @@ let prop_extent_consistent =
                ps)
         idx true)
 
+(* --- per-document layout --- *)
+
+let sorted_by_pos ps = List.sort Posting.compare_pos ps = ps
+
+(* Postings are ordered by (document uri, position), not by indexing order:
+   d10.xml sorts between d1.xml and d2.xml, and a document added later
+   through the log under a smaller uri comes first. *)
+let test_postings_order () =
+  let idx =
+    Indexer.index_strings
+      (List.init 12 (fun i ->
+           ( Printf.sprintf "d%d.xml" (i + 1),
+             Printf.sprintf "<doc><p>alpha %s beta</p><p>alpha</p></doc>"
+               (String.concat " " (List.init (i mod 3) (fun _ -> "gamma"))) )))
+  in
+  let idx =
+    Wal.apply idx
+      (Wal.Add_doc { uri = "a0.xml"; source = "<doc><p>beta alpha</p></doc>" })
+  in
+  List.iter
+    (fun w ->
+      check Alcotest.bool
+        (w ^ " sorted by (document, position)")
+        true
+        (sorted_by_pos (Inverted.postings idx w)))
+    (Inverted.distinct_words idx);
+  let by_uri =
+    List.sort compare (List.init 12 (fun i -> Printf.sprintf "d%d.xml" (i + 1)))
+  in
+  check (Alcotest.list Alcotest.string) "alpha in document uri order"
+    ("a0.xml" :: List.concat_map (fun d -> [ d; d ]) by_uri)
+    (List.map (fun p -> p.Posting.doc) (Inverted.postings idx "alpha"))
+
+(* the definition [doc_of_node] had before the root table: a scan of the
+   document list by root identity *)
+let linear_doc_of_node idx node =
+  let root = Xmlkit.Node.root node in
+  List.find_map
+    (fun (uri, r) -> if Xmlkit.Node.equal r root then Some uri else None)
+    (Inverted.documents idx)
+
+let gen_doc_source =
+  let open QCheck2.Gen in
+  let text =
+    list_size (int_range 1 4) (oneofl [ "alpha"; "beta"; "Gamma"; "delta"; "the" ])
+    >|= String.concat " "
+  in
+  (* mixed content: text and elements interleave at every level *)
+  let rec element depth =
+    let* name = oneofl [ "a"; "b"; "c" ] in
+    let* kids =
+      if depth = 0 then map (fun t -> [ t ]) text
+      else
+        list_size (int_range 1 3)
+          (frequency [ (2, text); (1, element (depth - 1)) ])
+    in
+    return (Printf.sprintf "<%s>%s</%s>" name (String.concat " " kids) name)
+  in
+  int_range 0 3 >>= element
+
+let gen_layout_case =
+  let open QCheck2.Gen in
+  let uri = oneofl [ "a.xml"; "b.xml"; "d10.xml"; "d9.xml" ] in
+  let op =
+    let* uri = uri in
+    frequency
+      [
+        (3, map (fun source -> Wal.Add_doc { uri; source }) gen_doc_source);
+        (1, return (Wal.Remove_doc uri));
+      ]
+  in
+  pair
+    (list_size (int_range 1 4) (pair uri gen_doc_source))
+    (list_size (int_range 0 8) op)
+
+let print_layout_case (docs, ops) =
+  String.concat "\n"
+    (List.map (fun (u, s) -> u ^ ": " ^ s) docs
+    @ List.map
+        (function
+          | Wal.Add_doc { uri; source } -> "add " ^ uri ^ ": " ^ source
+          | Wal.Remove_doc uri -> "remove " ^ uri)
+        ops)
+
+(* Per-document access agrees with filtering the whole list through
+   containsPos for every (document, node, word), and the root table agrees
+   with the linear scan, across random corpora and random log updates. *)
+let prop_per_document_access =
+  QCheck2.Test.make ~name:"per-document runs and doc_of_node match their definitions"
+    ~count:60 ~print:print_layout_case gen_layout_case (fun (docs, ops) ->
+      let docs = List.sort_uniq (fun (a, _) (b, _) -> compare a b) docs in
+      let idx = Indexer.index_strings docs in
+      (* roots that leave the index through a replace or a remove *)
+      let retired = ref [] in
+      let idx =
+        List.fold_left
+          (fun idx op ->
+            let uri =
+              match op with Wal.Add_doc { uri; _ } | Wal.Remove_doc uri -> uri
+            in
+            Option.iter
+              (fun r -> retired := r :: !retired)
+              (Inverted.document_root idx uri);
+            Wal.apply idx op)
+          idx ops
+      in
+      let words = "nosuchword" :: Inverted.distinct_words idx in
+      let constructed = Xmlkit.Parser.parse_document "<a>alpha</a>" in
+      List.for_all
+        (fun w ->
+          let all = Inverted.postings idx w in
+          (* snapshots may list a word's postings in another order (older
+             ones in indexing order): any order regroups into the same runs *)
+          let shuffled =
+            List.stable_sort
+              (fun a b -> compare (Posting.abs_pos b) (Posting.abs_pos a))
+              all
+          in
+          sorted_by_pos all
+          && List.concat_map
+               (fun (_, run) -> Array.to_list run)
+               (Inverted.Doc_map.bindings (Inverted.runs_of_postings shuffled))
+             = all)
+        words
+      && List.for_all
+           (fun (doc, root) ->
+             let nodes = Xmlkit.Node.descendants_or_self root in
+             List.for_all
+               (fun node ->
+                 let node_dewey = Xmlkit.Node.dewey node in
+                 linear_doc_of_node idx node = Inverted.doc_of_node idx node
+                 && List.for_all
+                      (fun w ->
+                        let all = Inverted.postings idx w in
+                        Inverted.postings_in idx ~doc ~node_dewey w
+                        = List.filter
+                            (fun p -> Inverted.position_in_node idx p ~doc ~node_dewey)
+                            all
+                        && Array.to_list (Inverted.postings_of_doc idx ~doc w)
+                           = List.filter (fun p -> p.Posting.doc = doc) all)
+                      words)
+               nodes
+             (* several context nodes at once: nested, repeated (the
+                document node and its element share a label) and adjacent
+                (sibling texts) *)
+             && List.for_all
+                  (fun group ->
+                    let deweys = List.map Xmlkit.Node.dewey group in
+                    List.for_all
+                      (fun w ->
+                        let run = Inverted.postings_of_doc idx ~doc w in
+                        Inverted.run_within run deweys
+                        = List.filter
+                            (fun p ->
+                              List.exists
+                                (fun d -> Xmlkit.Dewey.contains d (Posting.node p))
+                                deweys)
+                            (Array.to_list run))
+                      words)
+                  [ nodes; List.filter Xmlkit.Node.is_text nodes ])
+           (Inverted.documents idx)
+      && List.for_all
+           (fun n -> Inverted.doc_of_node idx n = None)
+           (Xmlkit.Node.descendants_or_self constructed)
+      && List.for_all
+           (fun r ->
+             List.for_all
+               (fun n -> Inverted.doc_of_node idx n = None)
+               (Xmlkit.Node.descendants_or_self r))
+           !retired)
+
 let tests =
   [
     Alcotest.test_case "postings" `Quick test_postings;
@@ -198,4 +369,7 @@ let tests =
     Alcotest.test_case "distinct words document" `Quick test_distinct_words_document;
     Alcotest.test_case "posting validation" `Quick test_posting_validation;
     QCheck_alcotest.to_alcotest prop_extent_consistent;
+    Alcotest.test_case "postings ordered by (document, position)" `Quick
+      test_postings_order;
+    QCheck_alcotest.to_alcotest prop_per_document_access;
   ]

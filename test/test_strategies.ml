@@ -88,6 +88,31 @@ let test_postings_read_stable () =
           "all optimizations read more postings (%d > %d) on %s" all plain src)
     fixed_queries
 
+(* A context node reads only its own document's postings, so scanning
+   every book of a corpus reads postings in proportion to the corpus, not
+   to its square (one whole-corpus list per book).  4x the documents may
+   read at most 5x the postings. *)
+let test_postings_read_scales () =
+  let word = Corpus.Vocab.word_for_rank 0 in
+  let read doc_count =
+    let eng =
+      Engine.create
+        (Corpus.Generator.books
+           { Corpus.Generator.default_profile with Corpus.Generator.doc_count })
+    in
+    let report =
+      Engine.run_report eng ~strategy:Engine.Native_materialized
+        (Printf.sprintf {|count(collection()//book[. ftcontains "%s"])|} word)
+    in
+    report.Engine.counters.Xquery.Limits.postings_read
+  in
+  let small = read 50 and large = read 200 in
+  if small <= 0 then Alcotest.failf "no postings read at 50 documents";
+  if large > 5 * small then
+    Alcotest.failf "postings_read grew %d -> %d (%.1fx) from 50 to 200 documents"
+      small large
+      (float_of_int large /. float_of_int small)
+
 (* --- randomized cross-strategy agreement --- *)
 
 let vocab =
@@ -177,6 +202,8 @@ let tests =
     Alcotest.test_case "fixed query battery" `Slow test_fixed_queries;
     Alcotest.test_case "optimizations keep postings_read honest" `Slow
       test_postings_read_stable;
+    Alcotest.test_case "postings_read grows linearly with the corpus" `Quick
+      test_postings_read_scales;
     QCheck_alcotest.to_alcotest prop_strategies_agree;
     QCheck_alcotest.to_alcotest prop_scores_agree;
   ]

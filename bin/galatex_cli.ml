@@ -710,17 +710,35 @@ let client_io_timeout_arg default =
               instead of hanging (default %g)."
              default))
 
+(* The shared body of [serve] and [route]: log to stderr, [start] the
+   process, map SIGHUP to [reload] and SIGTERM / SIGINT to [shutdown],
+   then block in [wait].  The handlers only flip atomics
+   (async-signal-safe); the serving loops notice within one tick. *)
+let serve_until_signalled ~quiet ~start ~reload ~shutdown ~wait =
+  handle_errors (fun () ->
+      Logs.set_reporter
+        (Logs_threaded.enable ();
+         Logs_fmt.reporter ~dst:Format.err_formatter ());
+      Logs.set_level (Some (if quiet then Logs.Warning else Logs.Info));
+      let t = start () in
+      Sys.set_signal Sys.sighup (Sys.Signal_handle (fun _ -> reload t));
+      let stop _ = shutdown t in
+      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+      wait t;
+      `Ok ())
+
 let run_serve docs index_dir socket workers queue_limit watch follow
     follow_timeout io_timeout idle_timeout breaker_threshold breaker_cooldown
     slow_threshold slowlog_capacity quiet =
   match index_dir with
   | None -> `Error (false, "--index DIR is required")
   | Some index_dir ->
-      handle_errors (fun () ->
-          Logs.set_reporter
-            (Logs_threaded.enable ();
-             Logs_fmt.reporter ~dst:Format.err_formatter ());
-          Logs.set_level (Some (if quiet then Logs.Warning else Logs.Info));
+      serve_until_signalled ~quiet
+        ~reload:Galatex_server.Server.request_reload
+        ~shutdown:Galatex_server.Server.request_shutdown
+        ~wait:Galatex_server.Server.wait
+        ~start:(fun () ->
           let sources =
             List.map (fun p -> (Filename.basename p, read_file p)) docs
           in
@@ -743,17 +761,7 @@ let run_serve docs index_dir socket workers queue_limit watch follow
               slowlog_capacity;
             }
           in
-          let t = Galatex_server.Server.start cfg in
-          (* handlers only flip atomics (async-signal-safe); the accept
-             loop notices within one select tick *)
-          Sys.set_signal Sys.sighup
-            (Sys.Signal_handle
-               (fun _ -> Galatex_server.Server.request_reload t));
-          let stop _ = Galatex_server.Server.request_shutdown t in
-          Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-          Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-          Galatex_server.Server.wait t;
-          `Ok ())
+          Galatex_server.Server.start cfg)
 
 let serve_cmd =
   let doc =
@@ -836,11 +844,12 @@ let failover_ticks_arg =
 let run_route shards socket workers queue_limit retries max_lag
     primary_failover failover_ticks deadline io_timeout idle_timeout
     breaker_threshold breaker_cooldown quiet =
-  handle_errors (fun () ->
-      Logs.set_reporter
-        (Logs_threaded.enable ();
-         Logs_fmt.reporter ~dst:Format.err_formatter ());
-      Logs.set_level (Some (if quiet then Logs.Warning else Logs.Info));
+  (* SIGHUP becomes a rolling reload across the shards, one at a time *)
+  serve_until_signalled ~quiet
+    ~reload:Galatex_cluster.Router.request_reload
+    ~shutdown:Galatex_cluster.Router.request_shutdown
+    ~wait:Galatex_cluster.Router.wait
+    ~start:(fun () ->
       let endpoints =
         List.map
           (fun spec ->
@@ -870,16 +879,7 @@ let run_route shards socket workers queue_limit retries max_lag
           breaker_cooldown;
         }
       in
-      let t = Galatex_cluster.Router.start cfg in
-      (* handlers only flip atomics (async-signal-safe); SIGHUP becomes a
-         rolling reload across the shards, one at a time *)
-      Sys.set_signal Sys.sighup
-        (Sys.Signal_handle (fun _ -> Galatex_cluster.Router.request_reload t));
-      let stop _ = Galatex_cluster.Router.request_shutdown t in
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-      Galatex_cluster.Router.wait t;
-      `Ok ())
+      Galatex_cluster.Router.start cfg)
 
 let route_cmd =
   let doc =

@@ -1,14 +1,15 @@
 (* The document-sharded cluster router (see router.mli for the contract).
 
-   Thread architecture mirrors the single daemon (server.ml):
+   Connection handling — accept loop, admission queue, worker pool,
+   maintenance ticker and drain — is the serving core the single daemon
+   uses too (Galatex_server.Serving).  This module supplies its two parts:
 
-     accept thread   select/accept loop, admission control (bounded queue,
-                     GTLX0009 shedding), shutdown drain.
-     ticker thread   polls the rolling-reload flag so a SIGHUP on an idle
-                     router still rolls the shards.
-     worker pool     one framed request per connection; a query worker
-                     scatters to the shards on short-lived per-shard
-                     threads and joins them before replying.
+     [handle]        one framed request to one response; a query scatters
+                     to the shards on short-lived per-shard threads and
+                     joins them before replying.
+     [tick]          the maintenance pass: runs a requested rolling reload
+                     (so a SIGHUP on an idle router still rolls the shards)
+                     and the failover sweep.
 
    The router holds no engine and no locks around shard I/O: all cluster
    state is the breaker registry (thread-safe) and atomic counters, so a
@@ -21,6 +22,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 module Protocol = Galatex_server.Protocol
 module Client = Galatex_server.Client
 module Breaker = Galatex_server.Breaker
+module Serving = Galatex_server.Serving
 
 type endpoint = { primary : string; replicas : string list }
 
@@ -74,15 +76,8 @@ let default_config ~shards ~socket_path =
 type t = {
   cfg : config;
   shards : endpoint array;
-  listen_fd : Unix.file_descr;
-  lock : Mutex.t;
-  nonempty : Condition.t;
-  queue : Unix.file_descr Queue.t;
-  mutable draining : bool;
-  mutable stopped : bool;
-  done_cond : Condition.t;
+  core : Serving.t;
   reload_flag : bool Atomic.t;
-  stop_flag : bool Atomic.t;
   breakers : Breaker.t;  (** keyed by endpoint socket path *)
   shard_up : int Atomic.t array;  (** 1 after last contact succeeded *)
   state_lock : Mutex.t;  (** guards [latest] and [ep_fresh] *)
@@ -106,15 +101,10 @@ type t = {
       (** per shard: consecutive ticker probes of the current primary
           that went unanswered (ticker thread only) *)
   (* counters *)
-  accepted : int Atomic.t;
-  served : int Atomic.t;
+  served : int Atomic.t;  (** queries answered with a value, full or partial *)
   queries : int Atomic.t;
   partials : int Atomic.t;
   failed : int Atomic.t;
-  shed : int Atomic.t;
-  shed_shutdown : int Atomic.t;
-  client_errors : int Atomic.t;
-  slow_client_disconnects : int Atomic.t;
   shard_attempts : int Atomic.t;
   shard_errors : int Atomic.t;
   shard_bypassed : int Atomic.t;
@@ -132,39 +122,7 @@ type t = {
   mutable last_failover_sweep : float;
       (** ticker thread only: when the last failover probe sweep ran, so
           sweeps pace at the probe timescale, not every flag-poll tick *)
-  mutable accept_thread : Thread.t option;
-  mutable ticker_thread : Thread.t option;
 }
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-(* Per-connection I/O bounds, mirroring the daemon's: one framed read or
-   write finishes within [recv_timeout] with progress at least every
-   [idle_timeout] seconds, or the connection is dropped. *)
-let conn_limits t =
-  Galatex_server.Netio.within ~idle:t.cfg.idle_timeout t.cfg.recv_timeout
-
-let send_response t fd resp =
-  try Protocol.write_frame ~limits:(conn_limits t) fd (Protocol.encode_response resp)
-  with
-  | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.ESHUTDOWN), _, _) ->
-      Atomic.incr t.client_errors
-  | Xquery.Errors.Error { code = Xquery.Errors.GTLX0014; _ } ->
-      Atomic.incr t.slow_client_disconnects;
-      Log.debug (fun m -> m "dropping slow client: reply write deadline expired")
-
-let overload_reply t ~code_reason ~depth =
-  let e =
-    Xquery.Errors.make Xquery.Errors.GTLX0009
-      (Printf.sprintf "router overloaded (%s): queue depth %d, retry after %d ms"
-         code_reason depth t.cfg.retry_after_ms)
-  in
-  Protocol.Failure
-    (Protocol.error_of ~retry_after_ms:t.cfg.retry_after_ms ~queue_depth:depth e)
 
 let partial_failure fmt =
   Format.kasprintf
@@ -191,47 +149,30 @@ let pos_leq (g1, s1) (g2, s2) = g1 < g2 || (g1 = g2 && s1 <= s2)
 (* Monotone bump: freshness only ever advances, so a straggling reply
    from a lagging replica can never walk the yardstick backwards. *)
 let note_freshness t i path pos =
-  Mutex.lock t.state_lock;
-  if pos_leq t.latest.(i) pos then t.latest.(i) <- pos;
-  Hashtbl.replace t.ep_fresh path pos;
-  Mutex.unlock t.state_lock
+  Mutex.protect t.state_lock (fun () ->
+      if pos_leq t.latest.(i) pos then t.latest.(i) <- pos;
+      Hashtbl.replace t.ep_fresh path pos)
 
-let shard_latest t i =
-  Mutex.lock t.state_lock;
-  let p = t.latest.(i) in
-  Mutex.unlock t.state_lock;
-  p
+let shard_latest t i = Mutex.protect t.state_lock (fun () -> t.latest.(i))
 
 let endpoint_pos t path =
-  Mutex.lock t.state_lock;
-  let p = Hashtbl.find_opt t.ep_fresh path in
-  Mutex.unlock t.state_lock;
-  p
+  Mutex.protect t.state_lock (fun () -> Hashtbl.find_opt t.ep_fresh path)
 
 (* The current write primary of shard [i] — runtime state, not config. *)
 let shard_primary t i =
-  Mutex.lock t.state_lock;
-  let p = t.current_primary.(i) in
-  Mutex.unlock t.state_lock;
-  p
+  Mutex.protect t.state_lock (fun () -> t.current_primary.(i))
 
-let shard_epoch_now t i =
-  Mutex.lock t.state_lock;
-  let e = t.shard_epoch.(i) in
-  Mutex.unlock t.state_lock;
-  e
+let shard_epoch_now t i = Mutex.protect t.state_lock (fun () -> t.shard_epoch.(i))
 
 (* Monotone, like freshness: an epoch observation never walks back. *)
 let note_epoch t i e =
-  Mutex.lock t.state_lock;
-  if e > t.shard_epoch.(i) then t.shard_epoch.(i) <- e;
-  Mutex.unlock t.state_lock
+  Mutex.protect t.state_lock (fun () ->
+      if e > t.shard_epoch.(i) then t.shard_epoch.(i) <- e)
 
 let set_primary t i path epoch =
-  Mutex.lock t.state_lock;
-  t.current_primary.(i) <- path;
-  if epoch > t.shard_epoch.(i) then t.shard_epoch.(i) <- epoch;
-  Mutex.unlock t.state_lock
+  Mutex.protect t.state_lock (fun () ->
+      t.current_primary.(i) <- path;
+      if epoch > t.shard_epoch.(i) then t.shard_epoch.(i) <- epoch)
 
 (* Records behind the freshest known position; [None] = not comparable
    (the endpoint's base generation is behind — infinitely stale). *)
@@ -551,6 +492,7 @@ let scatter_query t q =
                     detail = String.concat "; " (List.map describe l);
                   }
           in
+          Atomic.incr t.served;
           Protocol.Value
             {
               Protocol.items;
@@ -830,7 +772,7 @@ let cluster_health t =
       Error (partial_failure "no partition answered the health probe (%d down)" n)
   | healths ->
       let merged =
-        merge_health ~own_draining:(locked t (fun () -> t.draining)) healths
+        merge_health ~own_draining:(Serving.draining t.core) healths
       in
       Ok { merged with Protocol.h_endpoints = rows }
 
@@ -1018,67 +960,44 @@ let rolling_reload t =
   | Some e -> Error e
   | None ->
       Atomic.incr t.reloads;
-      Ok
-        (merge_health
-           ~own_draining:(locked t (fun () -> t.draining))
-           !healths)
+      Ok (merge_health ~own_draining:(Serving.draining t.core) !healths)
 
 (* ------------------------------------------------------------------ *)
 (* Stats and metrics.                                                   *)
 
-let stats t =
+(* The router's own counters; the serving core's rows follow them. *)
+let route_rows t =
   let a = Atomic.get in
-  let counters =
-    [
-      ("route_queries", a t.queries);
-      ("route_partial", a t.partials);
-      ("route_failed", a t.failed);
-      ("accepted", a t.accepted);
-      ("served", a t.served);
-      ("shed", a t.shed);
-      ("shed_shutdown", a t.shed_shutdown);
-      ("client_errors", a t.client_errors);
-      ("slow_client_disconnects", a t.slow_client_disconnects);
-      ("shard_attempts", a t.shard_attempts);
-      ("shard_errors", a t.shard_errors);
-      ("shard_bypassed", a t.shard_bypassed);
-      ("stale_skips", a t.stale_skips);
-      ("stale_served", a t.stale_served);
-      ("breaker_trips", Breaker.trips_total t.breakers);
-      ("updates", a t.updates);
-      ("update_errors", a t.update_errors);
-      ("compactions", a t.compactions);
-      ("reloads", a t.reloads);
-      ("reload_failures", a t.reload_failures);
-      ("failovers", a t.failovers);
-      ("failover_failures", a t.failover_failures);
-      ("demotes_sent", a t.demotes_sent);
-      ("fenced_writes", a t.fenced_writes);
-      ("primary_failover", if t.cfg.primary_failover then 1 else 0);
-      ("queue_depth", locked t (fun () -> Queue.length t.queue));
-      ("workers", t.cfg.workers);
-      ("shards", Array.length t.shards);
-    ]
-  in
-  let breakers =
-    List.map
-      (fun s ->
-        {
-          Protocol.b_strategy = s.Breaker.strategy;
-          b_state = s.Breaker.state;
-          b_consecutive = s.Breaker.consecutive;
-          b_cooldown = s.Breaker.cooldown;
-          b_trips = s.Breaker.trips;
-        })
-      (Breaker.snapshots t.breakers)
-  in
-  { Protocol.counters; breakers }
+  [
+    ("route_queries", a t.queries);
+    ("route_partial", a t.partials);
+    ("route_failed", a t.failed);
+    ("served", a t.served);
+    ("shard_attempts", a t.shard_attempts);
+    ("shard_errors", a t.shard_errors);
+    ("shard_bypassed", a t.shard_bypassed);
+    ("stale_skips", a t.stale_skips);
+    ("stale_served", a t.stale_served);
+    ("breaker_trips", Breaker.trips_total t.breakers);
+    ("updates", a t.updates);
+    ("update_errors", a t.update_errors);
+    ("compactions", a t.compactions);
+    ("reloads", a t.reloads);
+    ("reload_failures", a t.reload_failures);
+    ("failovers", a t.failovers);
+    ("failover_failures", a t.failover_failures);
+    ("demotes_sent", a t.demotes_sent);
+    ("fenced_writes", a t.fenced_writes);
+    ("primary_failover", if t.cfg.primary_failover then 1 else 0);
+    ("workers", t.cfg.workers);
+    ("shards", Array.length t.shards);
+  ]
+
+let stats t = Serving.stats t.core (route_rows t) t.breakers
 
 let metrics_text t =
   let b = Buffer.create 1024 in
-  let gauge_names =
-    [ "queue_depth"; "workers"; "shards"; "primary_failover" ]
-  in
+  let gauge_names = [ "workers"; "shards"; "primary_failover" ] in
   List.iter
     (fun (name, v) ->
       let kind = if List.mem name gauge_names then "gauge" else "counter" in
@@ -1086,22 +1005,20 @@ let metrics_text t =
         if kind = "counter" then Printf.sprintf "galatex_%s_total" name
         else Printf.sprintf "galatex_%s" name
       in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" metric kind);
-      Buffer.add_string b (Printf.sprintf "%s %d\n" metric v))
-    (stats t).Protocol.counters;
+      Printf.bprintf b "# TYPE %s %s\n%s %d\n" metric kind metric v)
+    (route_rows t);
+  Serving.metrics b t.core;
   Buffer.add_string b "# TYPE galatex_route_shard_epoch gauge\n";
   Array.iteri
     (fun i _ ->
-      Buffer.add_string b
-        (Printf.sprintf "galatex_route_shard_epoch{shard=\"%d\"} %d\n" i
-           (shard_epoch_now t i)))
+      Printf.bprintf b "galatex_route_shard_epoch{shard=\"%d\"} %d\n" i
+        (shard_epoch_now t i))
     t.shards;
   Buffer.add_string b "# TYPE galatex_route_shard_up gauge\n";
   Array.iteri
     (fun i up ->
-      Buffer.add_string b
-        (Printf.sprintf "galatex_route_shard_up{shard=\"%d\"} %d\n" i
-           (Atomic.get up)))
+      Printf.bprintf b "galatex_route_shard_up{shard=\"%d\"} %d\n" i
+        (Atomic.get up))
     t.shard_up;
   (* replica lag against the shard's freshest known position, from the
      last contact with each replica; -1 = base generation behind *)
@@ -1130,258 +1047,82 @@ let metrics_text t =
 (* ------------------------------------------------------------------ *)
 (* Per-connection dispatch.                                             *)
 
-let handle_reload_request t =
-  if locked t (fun () -> t.draining) then begin
-    Atomic.incr t.shed_shutdown;
-    overload_reply t ~code_reason:"shutting down" ~depth:0
-  end
-  else
-    match rolling_reload t with
-    | Ok h -> Protocol.Health_reply h
-    | Error e -> Protocol.Failure e
-
-let serve_connection t fd =
-  Fun.protect
-    ~finally:(fun () -> close_quietly fd)
-    (fun () ->
-      t.cfg.on_request ();
-      match Protocol.read_frame ~limits:(conn_limits t) fd with
-      | Error reason ->
-          Atomic.incr t.client_errors;
-          Log.debug (fun m -> m "dropping connection: %s" reason)
-      | exception Xquery.Errors.Error { code = Xquery.Errors.GTLX0014; _ } ->
-          Atomic.incr t.client_errors;
-          Log.debug (fun m -> m "dropping connection: request read deadline expired")
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          Atomic.incr t.client_errors;
-          Log.debug (fun m -> m "dropping connection: receive timeout")
-      | exception Unix.Unix_error (e, _, _) ->
-          Atomic.incr t.client_errors;
-          Log.debug (fun m ->
-              m "dropping connection: %s" (Unix.error_message e))
-      | Ok data ->
-          let resp =
-            match Protocol.decode_request data with
-            | Error reason ->
-                Atomic.incr t.client_errors;
-                Protocol.Failure
-                  {
-                    Protocol.code = "err:XPST0003";
-                    error_class = "static";
-                    message = "malformed request: " ^ reason;
-                    retry_after_ms = None;
-                    queue_depth = None;
-                  }
-            | Ok Protocol.Stats -> Protocol.Stats_reply (stats t)
-            | Ok Protocol.Metrics -> Protocol.Metrics_reply (metrics_text t)
-            | Ok Protocol.Slowlog ->
-                (* the shards keep the slow logs; the router has none *)
-                Protocol.Slowlog_reply []
-            | Ok Protocol.Health -> (
-                match cluster_health t with
-                | Ok h -> Protocol.Health_reply h
-                | Error e -> Protocol.Failure e)
-            | Ok Protocol.Reload -> (
-                try handle_reload_request t
-                with exn ->
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Update { ops; epoch = _ }) -> (
-                (* the router stamps its own observed epoch on each
-                   shard's batch; a direct client's epoch (usually 0) is
-                   not forwarded *)
-                try route_update t ops
-                with exn ->
-                  Atomic.incr t.update_errors;
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Compact _) -> (
-                try route_compact t
-                with exn ->
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Promote _ | Protocol.Demote _) ->
-                Protocol.Failure
-                  (Protocol.error_of
-                     (Xquery.Errors.make Xquery.Errors.FODC0002
-                        "promote/demote are addressed to a shard daemon's \
-                         socket, not the router: use `galatex promote SOCK` \
-                         or --primary-failover"))
-            | Ok (Protocol.Fetch_wal _ | Protocol.Fetch_snapshot _) ->
-                (* replication pulls are point-to-point follower↔primary
-                   traffic; a router has no log or snapshot to ship *)
-                Protocol.Failure
-                  (Protocol.error_of
-                     (Xquery.Errors.make Xquery.Errors.FODC0002
-                        "replication fetches are served by shard daemons, \
-                         not the router: point the follower at its \
-                         primary's socket"))
-            | Ok (Protocol.Query q) -> (
-                try scatter_query t q
-                with exn ->
-                  Atomic.incr t.failed;
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-          in
-          Atomic.incr t.served;
-          send_response t fd resp)
-
-let worker_loop t =
-  let rec loop () =
-    Mutex.lock t.lock;
-    while Queue.is_empty t.queue && not t.draining do
-      Condition.wait t.nonempty t.lock
-    done;
-    if Queue.is_empty t.queue then Mutex.unlock t.lock
-    else begin
-      let fd = Queue.pop t.queue in
-      Mutex.unlock t.lock;
-      (try serve_connection t fd
-       with exn ->
-         Atomic.incr t.client_errors;
-         Log.err (fun m ->
-             m "worker absorbed an exception: %s" (Printexc.to_string exn)));
-      loop ()
-    end
-  in
-  loop ()
-
-let ticker_loop t =
-  while not (Atomic.get t.stop_flag) do
-    (try
-       let draining = locked t (fun () -> t.draining) in
-       (if Atomic.exchange t.reload_flag false && not draining then
+let handle t = function
+  | Protocol.Stats -> Protocol.Stats_reply (stats t)
+  | Protocol.Metrics -> Protocol.Metrics_reply (metrics_text t)
+  | Protocol.Slowlog ->
+      (* the shards keep the slow logs; the router has none *)
+      Protocol.Slowlog_reply []
+  | Protocol.Health -> (
+      match cluster_health t with
+      | Ok h -> Protocol.Health_reply h
+      | Error e -> Protocol.Failure e)
+  | Protocol.Reload ->
+      Serving.unless_draining t.core (fun () ->
           match rolling_reload t with
-          | Ok h ->
-              Log.info (fun m ->
-                  m "rolling reload complete: serving floor generation %d"
-                    h.Protocol.h_generation)
-          | Error e ->
-              Log.err (fun m ->
-                  m "rolling reload failed: %s" e.Protocol.message));
-       (* failover sweeps probe every endpoint, so they pace at the probe
-          timescale rather than the (much faster) flag-poll tick *)
-       let sweep_every =
-         Float.max t.cfg.tick_interval (t.cfg.probe_timeout /. 4.)
-       in
-       if
-         t.cfg.primary_failover && (not draining)
-         && now () -. t.last_failover_sweep >= sweep_every
-       then begin
-         t.last_failover_sweep <- now ();
-         failover_tick t
-       end
-     with exn ->
-       Log.err (fun m ->
-           m "maintenance absorbed an exception: %s" (Printexc.to_string exn)));
-    Thread.delay t.cfg.tick_interval
-  done
+          | Ok h -> Protocol.Health_reply h
+          | Error e -> Protocol.Failure e)
+  | Protocol.Update { ops; epoch = _ } ->
+      (* the router stamps its own observed epoch on each shard's batch; a
+         direct client's epoch (usually 0) is not forwarded *)
+      Serving.counting t.update_errors (fun () -> route_update t ops)
+  | Protocol.Compact _ -> route_compact t
+  | Protocol.Promote _ | Protocol.Demote _ ->
+      Protocol.Failure
+        (Protocol.error_of
+           (Xquery.Errors.make Xquery.Errors.FODC0002
+              "promote/demote are addressed to a shard daemon's socket, not \
+               the router: use `galatex promote SOCK` or --primary-failover"))
+  | Protocol.Fetch_wal _ | Protocol.Fetch_snapshot _ ->
+      (* replication pulls are point-to-point follower↔primary traffic; a
+         router has no log or snapshot to ship *)
+      Protocol.Failure
+        (Protocol.error_of
+           (Xquery.Errors.make Xquery.Errors.FODC0002
+              "replication fetches are served by shard daemons, not the \
+               router: point the follower at its primary's socket"))
+  | Protocol.Query q -> Serving.counting t.failed (fun () -> scatter_query t q)
+
+(* One pass of the maintenance ticker ({!Serving} runs it until the drain
+   begins). *)
+let tick t =
+  (if Atomic.exchange t.reload_flag false then
+     match rolling_reload t with
+     | Ok h ->
+         Log.info (fun m ->
+             m "rolling reload complete: serving floor generation %d"
+               h.Protocol.h_generation)
+     | Error e ->
+         Log.err (fun m -> m "rolling reload failed: %s" e.Protocol.message));
+  (* failover sweeps probe every endpoint, so they pace at the probe
+     timescale rather than the (much faster) flag-poll tick *)
+  let sweep_every = Float.max t.cfg.tick_interval (t.cfg.probe_timeout /. 4.) in
+  if
+    t.cfg.primary_failover
+    && now () -. t.last_failover_sweep >= sweep_every
+  then begin
+    t.last_failover_sweep <- now ();
+    failover_tick t
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Accept loop, drain, lifecycle — same shape as the single daemon.     *)
-
-let admit t client =
-  (* per-connection bounds are enforced end-to-end by Netio limits in
-     [serve_connection]; SO_RCVTIMEO is no defense against slow-loris *)
-  Atomic.incr t.accepted;
-  Mutex.lock t.lock;
-  if t.draining then begin
-    Mutex.unlock t.lock;
-    Atomic.incr t.shed_shutdown;
-    send_response t client (overload_reply t ~code_reason:"shutting down" ~depth:0);
-    close_quietly client
-  end
-  else if Queue.length t.queue >= t.cfg.queue_limit then begin
-    let depth = Queue.length t.queue in
-    Mutex.unlock t.lock;
-    Atomic.incr t.shed;
-    send_response t client (overload_reply t ~code_reason:"queue full" ~depth);
-    close_quietly client
-  end
-  else begin
-    Queue.add client t.queue;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.lock
-  end
-
-let shutdown_drain t workers =
-  let stragglers =
-    locked t (fun () ->
-        t.draining <- true;
-        let fds = List.of_seq (Queue.to_seq t.queue) in
-        Queue.clear t.queue;
-        Condition.broadcast t.nonempty;
-        fds)
-  in
-  List.iter
-    (fun fd ->
-      Atomic.incr t.shed_shutdown;
-      send_response t fd (overload_reply t ~code_reason:"shutting down" ~depth:0);
-      close_quietly fd)
-    stragglers;
-  List.iter Thread.join workers;
-  (match t.ticker_thread with Some th -> Thread.join th | None -> ());
-  close_quietly t.listen_fd;
-  (try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
-  locked t (fun () ->
-      t.stopped <- true;
-      Condition.broadcast t.done_cond);
-  Log.info (fun m -> m "router shutdown complete")
-
-let accept_loop t workers =
-  let rec loop () =
-    if Atomic.get t.stop_flag then ()
-    else begin
-      (match Unix.select [ t.listen_fd ] [] [] 0.05 with
-      | [ _ ], _, _ -> (
-          match Unix.accept ~cloexec:true t.listen_fd with
-          | client, _ -> admit t client
-          | exception
-              Unix.Unix_error
-                ( ( Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK
-                  | Unix.ECONNABORTED ),
-                  _,
-                  _ ) ->
-              ())
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
-    end
-  in
-  (try loop ()
-   with exn ->
-     Log.err (fun m ->
-         m "accept loop absorbed an exception: %s" (Printexc.to_string exn)));
-  shutdown_drain t workers
+(* Lifecycle.                                                           *)
 
 let start (cfg : config) =
   if cfg.shards = [] then invalid_arg "Router.start: no shards";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (try
-     if Sys.file_exists cfg.socket_path then Unix.unlink cfg.socket_path
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-     Unix.listen listen_fd 64
-   with
-  | Unix.Unix_error (e, fn, _) ->
-      close_quietly listen_fd;
-      Xquery.Errors.raise_error Xquery.Errors.FODC0002
-        "cannot route on %s: %s: %s" cfg.socket_path fn (Unix.error_message e));
+  let { socket_path; workers; queue_limit; retry_after_ms; recv_timeout;
+        idle_timeout; tick_interval; on_request; _ } = cfg in
+  let core =
+    Serving.create ~role:"router"
+      { Serving.socket_path; workers; queue_limit; retry_after_ms;
+        recv_timeout; idle_timeout; tick_interval; on_request }
+  in
   let t =
     {
       cfg;
       shards = Array.of_list cfg.shards;
-      listen_fd;
-      lock = Mutex.create ();
-      nonempty = Condition.create ();
-      queue = Queue.create ();
-      draining = false;
-      stopped = false;
-      done_cond = Condition.create ();
+      core;
       reload_flag = Atomic.make false;
-      stop_flag = Atomic.make false;
       breakers =
         Breaker.create ~threshold:cfg.breaker_threshold
           ~cooldown:cfg.breaker_cooldown;
@@ -1395,15 +1136,10 @@ let start (cfg : config) =
           (List.map (fun (e : endpoint) -> e.primary) cfg.shards);
       shard_epoch = Array.make (List.length cfg.shards) 0;
       primary_down_ticks = Array.make (List.length cfg.shards) 0;
-      accepted = Atomic.make 0;
       served = Atomic.make 0;
       queries = Atomic.make 0;
       partials = Atomic.make 0;
       failed = Atomic.make 0;
-      shed = Atomic.make 0;
-      shed_shutdown = Atomic.make 0;
-      client_errors = Atomic.make 0;
-      slow_client_disconnects = Atomic.make 0;
       shard_attempts = Atomic.make 0;
       shard_errors = Atomic.make 0;
       shard_bypassed = Atomic.make 0;
@@ -1419,31 +1155,15 @@ let start (cfg : config) =
       demotes_sent = Atomic.make 0;
       fenced_writes = Atomic.make 0;
       last_failover_sweep = 0.;
-      accept_thread = None;
-      ticker_thread = None;
     }
   in
-  let workers =
-    List.init (max 1 cfg.workers) (fun _ -> Thread.create worker_loop t)
-  in
-  t.ticker_thread <- Some (Thread.create ticker_loop t);
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t workers) ());
+  Serving.start core ~handle:(handle t) ~tick:(fun () -> tick t);
   Log.info (fun m ->
       m "routing %d partition(s) on %s (%d workers, queue %d)"
         (Array.length t.shards) cfg.socket_path cfg.workers cfg.queue_limit);
   t
 
 let request_reload t = Atomic.set t.reload_flag true
-let request_shutdown t = Atomic.set t.stop_flag true
-
-let wait t =
-  Mutex.lock t.lock;
-  while not t.stopped do
-    Condition.wait t.done_cond t.lock
-  done;
-  Mutex.unlock t.lock;
-  match t.accept_thread with Some th -> Thread.join th | None -> ()
-
-let stop t =
-  request_shutdown t;
-  wait t
+let request_shutdown t = Serving.request_shutdown t.core
+let wait t = Serving.wait t.core
+let stop t = Serving.stop t.core

@@ -4,7 +4,10 @@
     Clients connect to the router exactly as they would to a single
     daemon (same framed protocol, same {!Galatex_server.Client}); behind
     it, N shard daemons each own a document partition cut by
-    {!Corpus.Partition.shard_of_uri}.  Per request kind:
+    {!Corpus.Partition.shard_of_uri}.  Connections are served by the
+    daemon's own core ({!Galatex_server.Serving}: accept loop, admission
+    queue with [GTLX0009] shedding, worker pool, ticker, drain); the
+    router supplies the request handler and the tick.  Per request kind:
 
     - {b queries} scatter to every shard in parallel, each carrying the
       remaining deadline budget ([deadline_left]) so the whole fan-out
@@ -125,7 +128,8 @@ val start : config -> t
     {e not} contacted at startup: a shard that is down simply costs its
     partition on the first queries, exactly as it would mid-flight.
     @raise Invalid_argument when [shards] is empty.
-    @raise Xquery.Errors.Error when the socket cannot be bound. *)
+    @raise Xquery.Errors.Error [FODC0002] when the socket is refused
+    ({!Galatex_server.Serving.listen}). *)
 
 val request_reload : t -> unit
 (** Ask the ticker to run a rolling reload across the shards.
@@ -140,6 +144,7 @@ val stop : t -> unit
 
 val stats : t -> Galatex_server.Protocol.stats_reply
 (** Router counters ([route_queries], [route_partial], [route_failed],
+    [served] — queries answered with a value, full or partial —
     [shard_attempts], [shard_errors], [shard_bypassed], [stale_skips],
     [stale_served], [failovers], [failover_failures], [demotes_sent],
     [fenced_writes], ...) plus one breaker snapshot per shard endpoint

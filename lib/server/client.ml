@@ -130,57 +130,30 @@ let query ~socket_path ?(retries = 0) ?(base_delay_ms = 25)
    stats --health], [promote], [demote] and friends must never hang
    forever against a stalled endpoint (they used to). *)
 
-let stats ?(recv_timeout = default_io_timeout) ~socket_path () =
-  match request ~recv_timeout ~socket_path Protocol.Stats with
-  | Ok (Protocol.Stats_reply s) -> Ok s
+(* One typed exchange: [pick] selects the reply kind the request
+   expects; a structured failure becomes ["CODE: message"]. *)
+let expect what pick = function
   | Ok (Protocol.Failure e) ->
       Error (Printf.sprintf "%s: %s" e.Protocol.code e.Protocol.message)
-  | Ok
-      ( Protocol.Value _ | Protocol.Update_reply _ | Protocol.Compact_reply _
-      | Protocol.Metrics_reply _ | Protocol.Slowlog_reply _
-      | Protocol.Health_reply _ | Protocol.Wal_reply _
-      | Protocol.Snapshot_reply _ ) ->
-      Error "unexpected response to stats"
+  | Ok reply ->
+      Option.to_result ~none:("unexpected response to " ^ what) (pick reply)
   | Error reason -> Error reason
+
+let stats ?(recv_timeout = default_io_timeout) ~socket_path () =
+  request ~recv_timeout ~socket_path Protocol.Stats
+  |> expect "stats" (function Protocol.Stats_reply s -> Some s | _ -> None)
 
 let metrics ?(recv_timeout = default_io_timeout) ~socket_path () =
-  match request ~recv_timeout ~socket_path Protocol.Metrics with
-  | Ok (Protocol.Metrics_reply text) -> Ok text
-  | Ok (Protocol.Failure e) ->
-      Error (Printf.sprintf "%s: %s" e.Protocol.code e.Protocol.message)
-  | Ok
-      ( Protocol.Value _ | Protocol.Stats_reply _ | Protocol.Update_reply _
-      | Protocol.Compact_reply _ | Protocol.Slowlog_reply _
-      | Protocol.Health_reply _ | Protocol.Wal_reply _
-      | Protocol.Snapshot_reply _ ) ->
-      Error "unexpected response to metrics"
-  | Error reason -> Error reason
+  request ~recv_timeout ~socket_path Protocol.Metrics
+  |> expect "metrics" (function Protocol.Metrics_reply m -> Some m | _ -> None)
 
 let slowlog ?(recv_timeout = default_io_timeout) ~socket_path () =
-  match request ~recv_timeout ~socket_path Protocol.Slowlog with
-  | Ok (Protocol.Slowlog_reply entries) -> Ok entries
-  | Ok (Protocol.Failure e) ->
-      Error (Printf.sprintf "%s: %s" e.Protocol.code e.Protocol.message)
-  | Ok
-      ( Protocol.Value _ | Protocol.Stats_reply _ | Protocol.Update_reply _
-      | Protocol.Compact_reply _ | Protocol.Metrics_reply _
-      | Protocol.Health_reply _ | Protocol.Wal_reply _
-      | Protocol.Snapshot_reply _ ) ->
-      Error "unexpected response to slowlog"
-  | Error reason -> Error reason
+  request ~recv_timeout ~socket_path Protocol.Slowlog
+  |> expect "slowlog" (function Protocol.Slowlog_reply l -> Some l | _ -> None)
 
 let health_request ~recv_timeout ~socket_path req what =
-  match request ~recv_timeout ~socket_path req with
-  | Ok (Protocol.Health_reply h) -> Ok h
-  | Ok (Protocol.Failure e) ->
-      Error (Printf.sprintf "%s: %s" e.Protocol.code e.Protocol.message)
-  | Ok
-      ( Protocol.Value _ | Protocol.Stats_reply _ | Protocol.Update_reply _
-      | Protocol.Compact_reply _ | Protocol.Metrics_reply _
-      | Protocol.Slowlog_reply _ | Protocol.Wal_reply _
-      | Protocol.Snapshot_reply _ ) ->
-      Error ("unexpected response to " ^ what)
-  | Error reason -> Error reason
+  request ~recv_timeout ~socket_path req
+  |> expect what (function Protocol.Health_reply h -> Some h | _ -> None)
 
 let health ?(recv_timeout = default_io_timeout) ~socket_path () =
   health_request ~recv_timeout ~socket_path Protocol.Health "health"
@@ -201,31 +174,11 @@ let demote ?(recv_timeout = default_io_timeout) ~socket_path ~epoch ~primary () 
     "demote"
 
 let fetch_wal ?recv_timeout ~socket_path ~from_seq ?(epoch = 0) () =
-  match
-    request ?recv_timeout ~socket_path (Protocol.Fetch_wal { from_seq; epoch })
-  with
-  | Ok (Protocol.Wal_reply w) -> Ok w
-  | Ok (Protocol.Failure e) ->
-      Error (Printf.sprintf "%s: %s" e.Protocol.code e.Protocol.message)
-  | Ok
-      ( Protocol.Value _ | Protocol.Stats_reply _ | Protocol.Update_reply _
-      | Protocol.Compact_reply _ | Protocol.Metrics_reply _
-      | Protocol.Slowlog_reply _ | Protocol.Health_reply _
-      | Protocol.Snapshot_reply _ ) ->
-      Error "unexpected response to fetch-wal"
-  | Error reason -> Error reason
+  request ?recv_timeout ~socket_path (Protocol.Fetch_wal { from_seq; epoch })
+  |> expect "fetch-wal" (function Protocol.Wal_reply w -> Some w | _ -> None)
 
 let fetch_snapshot ?recv_timeout ~socket_path ?file () =
-  match
-    request ?recv_timeout ~socket_path (Protocol.Fetch_snapshot { file })
-  with
-  | Ok (Protocol.Snapshot_reply s) -> Ok s
-  | Ok (Protocol.Failure e) ->
-      Error (Printf.sprintf "%s: %s" e.Protocol.code e.Protocol.message)
-  | Ok
-      ( Protocol.Value _ | Protocol.Stats_reply _ | Protocol.Update_reply _
-      | Protocol.Compact_reply _ | Protocol.Metrics_reply _
-      | Protocol.Slowlog_reply _ | Protocol.Health_reply _
-      | Protocol.Wal_reply _ ) ->
-      Error "unexpected response to fetch-snapshot"
-  | Error reason -> Error reason
+  request ?recv_timeout ~socket_path (Protocol.Fetch_snapshot { file })
+  |> expect "fetch-snapshot" (function
+       | Protocol.Snapshot_reply s -> Some s
+       | _ -> None)

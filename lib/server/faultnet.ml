@@ -243,15 +243,10 @@ let handle t client ~target ~c2s ~s2c =
         close_quiet client
 
 let start ~listen ~target ~plan_for =
-  (* pumps write into peers that die mid-fault: EPIPE must be an errno,
-     not a process-killing signal (same guard as Server/Router.start —
-     essential for the standalone [galatex faultnet] proxy) *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  (try Unix.unlink listen with Unix.Unix_error _ -> ());
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX listen);
-  Unix.listen listen_fd 64;
+  (* the core's safe bind: pumps write into peers that die mid-fault, so
+     it also turns SIGPIPE into EPIPE (essential for the standalone
+     [galatex faultnet] proxy) *)
+  let listen_fd = Serving.listen listen in
   let t =
     {
       listen_fd;

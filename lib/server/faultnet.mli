@@ -52,7 +52,9 @@ val start :
 (** [start ~listen ~target ~plan_for] listens on the Unix socket path
     [listen]; each accepted connection [i] (0-based) is proxied to
     [target] under [plan_for i] = (client→server plan, server→client
-    plan).  [plan_for] must be pure for deterministic replay. *)
+    plan).  [plan_for] must be pure for deterministic replay.
+    @raise Xquery.Errors.Error [FODC0002] when [listen] is refused, as
+    by {!Serving.listen}. *)
 
 val stop : t -> unit
 (** Close the listener and every live proxied connection, and join all

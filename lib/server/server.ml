@@ -1,21 +1,17 @@
 (* The resilient query daemon (see server.mli for the contract).
 
-   Thread architecture:
+   Connection handling — accept loop, admission queue, worker pool,
+   maintenance ticker and drain — is the shared serving core
+   ({!Serving}).  This module is the daemon's two parts on top of it:
 
-     accept thread   select/accept loop; admission control (bounded queue
-                     of accepted connections, shedding with GTLX0009 when
-                     full); performs the shutdown drain and joins the
-                     workers and the ticker.
-     ticker thread   dedicated maintenance loop: polls the reload flag and
-                     the snapshot generation (so an *idle* daemon observes
-                     new snapshots too) and runs threshold-triggered WAL
-                     compaction — all OFF both the accept and request
-                     paths.
-     worker pool     each worker pops one connection, reads one framed
-                     request, evaluates it under a fresh governor, writes
-                     one framed response, closes.  Every failure mode —
-                     torn frame, malformed request, evaluation error,
-                     vanished client — is absorbed; a worker never dies.
+     [handle]        one framed request to one response: evaluates a
+                     query under a fresh governor, applies updates, serves
+                     replication pulls, answers stats.
+     [tick]          the maintenance pass the core's ticker runs: polls the
+                     reload flag and the snapshot generation (so an *idle*
+                     daemon observes new snapshots too), runs
+                     threshold-triggered WAL compaction, and on a follower
+                     tails the primary — all off the request path.
 
    Live updates are single-writer: one [update_lock] serializes Update and
    Compact requests (whichever worker carries them), reloads and background
@@ -92,17 +88,11 @@ let default_config ~index_dir ~socket_path =
 
 type t = {
   cfg : config;
-  listen_fd : Unix.file_descr;
-  lock : Mutex.t;  (** guards queue, engine, draining, reload_io *)
-  nonempty : Condition.t;
-  queue : Unix.file_descr Queue.t;
+  core : Serving.t;
+  lock : Mutex.t;  (** guards engine, reload_io *)
   mutable engine : Galatex.Engine.t;
-  mutable draining : bool;  (** shutdown drain has begun *)
   mutable reload_io_now : unit -> Ftindex.Store.Io.t;
-  mutable stopped : bool;
-  done_cond : Condition.t;
   reload_flag : bool Atomic.t;
-  stop_flag : bool Atomic.t;
   compact_flag : bool Atomic.t;
   update_lock : Mutex.t;
       (** single-writer: serializes updates, compactions and reloads;
@@ -111,16 +101,9 @@ type t = {
   mutable update_io_now : unit -> Ftindex.Store.Io.t;
       (** guarded by update_lock *)
   breaker : Breaker.t;
-  (* counters: atomics so workers never contend on the queue lock *)
-  accepted : int Atomic.t;
+  (* counters: atomics so workers never contend on a lock *)
   served : int Atomic.t;
   errors : int Atomic.t;
-  shed : int Atomic.t;
-  shed_shutdown : int Atomic.t;
-  client_errors : int Atomic.t;
-  slow_client_disconnects : int Atomic.t;
-      (** reply writes abandoned because the client stopped reading and
-          the connection's I/O deadline or idle bound expired *)
   breaker_bypassed : int Atomic.t;
   reloads : int Atomic.t;
   reload_failures : int Atomic.t;
@@ -163,8 +146,6 @@ type t = {
       (** per-(strategy, optimize) latency histograms, pre-created so the
           request path only ever reads this list *)
   slowlog : Protocol.slow_entry Obs.Ring.t;
-  mutable accept_thread : Thread.t option;
-  mutable ticker_thread : Thread.t option;
 }
 
 (* all strategy keys a request can carry — histogram labels are bounded *)
@@ -172,9 +153,7 @@ let strategy_keys =
   [ "translated"; "materialized"; "pipelined";
     "translated+O"; "materialized+O"; "pipelined+O" ]
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 let current_engine t = locked t (fun () -> t.engine)
 
@@ -319,7 +298,6 @@ let eval_query t (q : Protocol.query_request) =
 (* Stats.                                                              *)
 
 let stats t =
-  let depth = locked t (fun () -> Queue.length t.queue) in
   let engine = current_engine t in
   (* lag is only well-defined at a matched base generation; a follower
      whose generation trails its primary is flagged, not lag-numbered *)
@@ -330,17 +308,11 @@ let stats t =
     else if pg <> my_gen then (0, 1)
     else (max 0 (Atomic.get t.primary_seq_now - Atomic.get t.wal_records_now), 0)
   in
-  {
-    Protocol.counters =
+  Serving.stats t.core
       [
         ("queries", Atomic.get t.queries);
-        ("accepted", Atomic.get t.accepted);
         ("served", Atomic.get t.served);
         ("errors", Atomic.get t.errors);
-        ("shed", Atomic.get t.shed);
-        ("shed_shutdown", Atomic.get t.shed_shutdown);
-        ("client_errors", Atomic.get t.client_errors);
-        ("slow_client_disconnects", Atomic.get t.slow_client_disconnects);
         ("breaker_bypassed", Atomic.get t.breaker_bypassed);
         ("breaker_trips", Breaker.trips_total t.breaker);
         ("fallbacks_total", Galatex.Engine.fallback_count engine);
@@ -348,7 +320,6 @@ let stats t =
         ("reload_failures", Atomic.get t.reload_failures);
         ("salvage_events", Atomic.get t.salvage_events);
         ("generation", Option.value (Galatex.Engine.generation engine) ~default:0);
-        ("queue_depth", depth);
         ("workers", t.cfg.workers);
         ("updates", Atomic.get t.updates);
         ("update_errors", Atomic.get t.update_errors);
@@ -374,19 +345,8 @@ let stats t =
           | Some _ -> if Atomic.get t.primary_down_streak = 0 then 1 else 0 );
         ( "follow_timeout_ms",
           int_of_float (t.cfg.follow_timeout *. 1000.0 +. 0.5) );
-      ];
-    breakers =
-      List.map
-        (fun (s : Breaker.snapshot) ->
-          {
-            Protocol.b_strategy = s.Breaker.strategy;
-            b_state = s.Breaker.state;
-            b_consecutive = s.Breaker.consecutive;
-            b_cooldown = s.Breaker.cooldown;
-            b_trips = s.Breaker.trips;
-          })
-        (Breaker.snapshots t.breaker);
-  }
+      ]
+    t.breaker
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus-style text exposition.                                   *)
@@ -397,29 +357,14 @@ let metric_float f =
 
 let metrics_text t =
   let b = Buffer.create 4096 in
-  let counter name help v =
-    Printf.bprintf b "# HELP %s %s\n# TYPE %s counter\n%s %d\n" name help name
-      name v
-  in
-  let gauge name help v =
-    Printf.bprintf b "# HELP %s %s\n# TYPE %s gauge\n%s %d\n" name help name
-      name v
-  in
+  let counter = Serving.metric b ~kind:"counter" in
+  let gauge = Serving.metric b ~kind:"gauge" in
   let s = stats t in
   let stat key = Option.value ~default:0 (List.assoc_opt key s.Protocol.counters) in
   counter "galatex_queries_total" "Query requests evaluated." (stat "queries");
-  counter "galatex_accepted_total" "Connections accepted." (stat "accepted");
+  Serving.metrics b t.core;
   counter "galatex_served_total" "Queries answered with a value." (stat "served");
   counter "galatex_errors_total" "Queries answered with an error." (stat "errors");
-  counter "galatex_shed_total" "Connections shed by admission control."
-    (stat "shed");
-  counter "galatex_shed_shutdown_total" "Connections shed during shutdown."
-    (stat "shed_shutdown");
-  counter "galatex_client_errors_total" "Torn or malformed client exchanges."
-    (stat "client_errors");
-  counter "galatex_slow_client_disconnects_total"
-    "Reply writes abandoned because the client stopped reading."
-    (stat "slow_client_disconnects");
   counter "galatex_breaker_bypassed_total"
     "Requests routed to the reference path by an open breaker."
     (stat "breaker_bypassed");
@@ -440,8 +385,6 @@ let metrics_text t =
     (stat "compaction_failures");
   gauge "galatex_generation" "Snapshot generation now serving."
     (stat "generation");
-  gauge "galatex_queue_depth" "Accepted connections awaiting a worker."
-    (stat "queue_depth");
   gauge "galatex_wal_records" "Records in the write-ahead log."
     (stat "wal_records");
   gauge "galatex_wal_bytes" "Write-ahead log size in bytes." (stat "wal_bytes");
@@ -502,38 +445,6 @@ let metrics_text t =
 let slowlog_entries t = Obs.Ring.entries t.slowlog
 
 (* ------------------------------------------------------------------ *)
-(* Per-connection serving.                                             *)
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* Per-connection I/O bounds: the whole of one framed read or write must
-   finish within [recv_timeout], and bytes must keep moving at least
-   every [idle_timeout] seconds (handshake timeout / byte-rate floor). *)
-let conn_limits t =
-  Netio.within ~idle:t.cfg.idle_timeout t.cfg.recv_timeout
-
-let send_response t fd resp =
-  try Protocol.write_frame ~limits:(conn_limits t) fd (Protocol.encode_response resp)
-  with
-  | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.ESHUTDOWN), _, _) ->
-      (* the client vanished mid-response: its problem, not ours *)
-      Atomic.incr t.client_errors
-  | Xquery.Errors.Error { code = Xquery.Errors.GTLX0014; _ } ->
-      (* the client stopped reading mid-reply: abandoning the write frees
-         the worker a stalled peer would otherwise pin forever *)
-      Atomic.incr t.slow_client_disconnects;
-      Log.debug (fun m -> m "dropping slow client: reply write deadline expired")
-
-let overload_reply t ~code_reason ~depth =
-  let e =
-    Xquery.Errors.make Xquery.Errors.GTLX0009
-      (Printf.sprintf "server overloaded (%s): queue depth %d, retry after %d ms"
-         code_reason depth t.cfg.retry_after_ms)
-  in
-  Protocol.Failure
-    (Protocol.error_of ~retry_after_ms:t.cfg.retry_after_ms ~queue_depth:depth e)
-
-(* ------------------------------------------------------------------ *)
 (* Live updates: WAL append first, then apply, then atomic engine swap.
    All under [update_lock]; readers keep serving the old engine.        *)
 
@@ -591,16 +502,8 @@ let fence t ~what ~epoch =
   end
 
 let handle_update t ops =
-  let draining = locked t (fun () -> t.draining) in
-  if draining then begin
-    Atomic.incr t.shed_shutdown;
-    overload_reply t ~code_reason:"shutting down" ~depth:0
-  end
-  else begin
-    Mutex.lock t.update_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.update_lock)
-      (fun () ->
+  Serving.unless_draining t.core (fun () ->
+    Mutex.protect t.update_lock (fun () ->
         match
           List.iter validate_op ops;
           let w = ensure_writer t in
@@ -638,18 +541,14 @@ let handle_update t ops =
                 u_records = Ftindex.Wal.wal_records w;
                 u_bytes = Ftindex.Wal.wal_bytes w;
                 u_epoch = Atomic.get t.epoch_now;
-              })
-  end
+              }))
 
 (* Fold the log into a fresh snapshot generation.  On failure the directory
    may already carry the new manifest (making the live log stale), so the
    engine is re-synced from disk at the next tick — acknowledged updates
    are in the log or the new snapshot either way, never lost. *)
 let do_compact t ~reason =
-  Mutex.lock t.update_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.update_lock)
-    (fun () ->
+  Mutex.protect t.update_lock (fun () ->
       let engine = current_engine t in
       let folded =
         match t.writer with Some w -> Ftindex.Wal.wal_records w | None -> 0
@@ -680,16 +579,11 @@ let do_compact t ~reason =
           Ok (gen, folded))
 
 let handle_compact t =
-  let draining = locked t (fun () -> t.draining) in
-  if draining then begin
-    Atomic.incr t.shed_shutdown;
-    overload_reply t ~code_reason:"shutting down" ~depth:0
-  end
-  else
-    match do_compact t ~reason:"requested" with
-    | Ok (gen, folded) ->
-        Protocol.Compact_reply { Protocol.c_generation = gen; c_folded = folded }
-    | Error e -> Protocol.Failure (Protocol.error_of e)
+  Serving.unless_draining t.core (fun () ->
+      match do_compact t ~reason:"requested" with
+      | Ok (gen, folded) ->
+          Protocol.Compact_reply { Protocol.c_generation = gen; c_folded = folded }
+      | Error e -> Protocol.Failure (Protocol.error_of e))
 
 (* ------------------------------------------------------------------ *)
 (* Hot snapshot reload.  A corrupt new snapshot is rejected: the old
@@ -700,10 +594,7 @@ let handle_compact t =
    request — the rolling-reload gate).                                  *)
 
 let do_reload t ~reason =
-  Mutex.lock t.update_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.update_lock)
-    (fun () ->
+  Mutex.protect t.update_lock (fun () ->
       let io = (locked t (fun () -> t.reload_io_now)) () in
       match
         Galatex.Engine.of_store ~io ~sources:t.cfg.sources ~dir:t.cfg.index_dir
@@ -753,7 +644,7 @@ let health t =
   {
     Protocol.h_generation = generation t;
     h_wal_records = Atomic.get t.wal_records_now;
-    h_draining = locked t (fun () -> t.draining);
+    h_draining = Serving.draining t.core;
     (* sequence numbers are dense from 1, so the record count IS the last
        applied sequence number — no extra bookkeeping *)
     h_seq = Atomic.get t.wal_records_now;
@@ -764,18 +655,12 @@ let health t =
   }
 
 let handle_reload t =
-  let draining = locked t (fun () -> t.draining) in
-  if draining then begin
-    Atomic.incr t.shed_shutdown;
-    overload_reply t ~code_reason:"shutting down" ~depth:0
-  end
-  else begin
-    do_reload t ~reason:"requested over the wire";
-    (* the reply is the gate: it proves this daemon finished the swap (or
-       rejected a bad snapshot) and is serving again, and carries the
-       generation so the caller can verify which one *)
-    Protocol.Health_reply (health t)
-  end
+  Serving.unless_draining t.core (fun () ->
+      do_reload t ~reason:"requested over the wire";
+      (* the reply is the gate: it proves this daemon finished the swap (or
+         rejected a bad snapshot) and is serving again, and carries the
+         generation so the caller can verify which one *)
+      Protocol.Health_reply (health t))
 
 (* ------------------------------------------------------------------ *)
 (* Failover: Promote seals the log and durably bumps the epoch past
@@ -785,16 +670,8 @@ let handle_reload t =
    Both run under update_lock so no write can interleave with the flip. *)
 
 let handle_promote t ~p_epoch =
-  let draining = locked t (fun () -> t.draining) in
-  if draining then begin
-    Atomic.incr t.shed_shutdown;
-    overload_reply t ~code_reason:"shutting down" ~depth:0
-  end
-  else begin
-    Mutex.lock t.update_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.update_lock)
-      (fun () ->
+  Serving.unless_draining t.core (fun () ->
+    Mutex.protect t.update_lock (fun () ->
         let own = Atomic.get t.epoch_now in
         let was = role t in
         let new_epoch = max own p_epoch + 1 in
@@ -820,8 +697,7 @@ let handle_promote t ~p_epoch =
             Log.info (fun m ->
                 m "promoted to primary at epoch %d (was %s at epoch %d)"
                   new_epoch was own);
-            Protocol.Health_reply (health t))
-  end
+            Protocol.Health_reply (health t)))
 
 let handle_demote t ~d_epoch ~d_primary =
   let own = Atomic.get t.epoch_now in
@@ -838,10 +714,7 @@ let handle_demote t ~d_epoch ~d_primary =
                d_epoch own)))
   end
   else begin
-    Mutex.lock t.update_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.update_lock)
-      (fun () ->
+    Mutex.protect t.update_lock (fun () ->
         Atomic.set t.follow_now (Some d_primary);
         t.writer <- None;
         Atomic.set t.primary_down_streak 0;
@@ -1030,10 +903,7 @@ let pull_snapshot ?(follow_timeout = 2.0) ~dir ~primary () =
                 Error (fn ^ ": " ^ Unix.error_message e)))
 
 let snapshot_resync t ~primary ~reason =
-  Mutex.lock t.update_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.update_lock)
-    (fun () ->
+  Mutex.protect t.update_lock (fun () ->
       Log.info (fun m ->
           m "follow: snapshot re-sync from %s (%s)" primary reason);
       match
@@ -1064,10 +934,7 @@ let snapshot_resync t ~primary ~reason =
                   m "follow: re-synced, now bit-identical at generation %d" gen)))
 
 let catch_up_wal t ~primary =
-  Mutex.lock t.update_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.update_lock)
-    (fun () ->
+  Mutex.protect t.update_lock (fun () ->
       match
         let w = ensure_writer t in
         let applied = Ftindex.Wal.wal_records w in
@@ -1160,132 +1027,37 @@ let follow_tick t ~primary =
       else if h.Protocol.h_seq > Atomic.get t.wal_records_now then
         catch_up_wal t ~primary
 
-let serve_connection t fd =
-  Fun.protect
-    ~finally:(fun () -> close_quietly fd)
-    (fun () ->
-      t.cfg.on_request ();
-      match Protocol.read_frame ~limits:(conn_limits t) fd with
-      | Error reason ->
-          Atomic.incr t.client_errors;
-          Log.debug (fun m -> m "dropping connection: %s" reason)
-      | exception Xquery.Errors.Error { code = Xquery.Errors.GTLX0014; _ } ->
-          (* request read deadline / idle bound expired: a mute or
-             slow-loris client — it never gets to pin the worker *)
-          Atomic.incr t.client_errors;
-          Log.debug (fun m -> m "dropping connection: request read deadline expired")
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          (* receive timeout: a connected-but-mute client *)
-          Atomic.incr t.client_errors;
-          Log.debug (fun m -> m "dropping connection: receive timeout")
-      | exception Unix.Unix_error (e, _, _) ->
-          Atomic.incr t.client_errors;
-          Log.debug (fun m ->
-              m "dropping connection: %s" (Unix.error_message e))
-      | Ok data ->
-          let resp =
-            match Protocol.decode_request data with
-            | Error reason ->
-                Atomic.incr t.client_errors;
-                Protocol.Failure
-                  {
-                    Protocol.code = "err:XPST0003";
-                    error_class = "static";
-                    message = "malformed request: " ^ reason;
-                    retry_after_ms = None;
-                    queue_depth = None;
-                  }
-            | Ok Protocol.Stats -> Protocol.Stats_reply (stats t)
-            | Ok Protocol.Metrics -> Protocol.Metrics_reply (metrics_text t)
-            | Ok Protocol.Slowlog -> Protocol.Slowlog_reply (slowlog_entries t)
-            | Ok Protocol.Health -> Protocol.Health_reply (health t)
-            | Ok Protocol.Reload -> (
-                try handle_reload t
-                with exn ->
-                  Atomic.incr t.reload_failures;
-                  Protocol.Failure (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Update _ | Protocol.Compact _)
-              when current_follow t <> None ->
-                (* single-writer across the fleet: a follower's state is
-                   defined by its primary's log, never by direct writes *)
-                Protocol.Failure
-                  (Protocol.error_of
-                     (Xquery.Errors.make Xquery.Errors.FODC0002
-                        "read-only replica: this daemon follows a primary; \
-                         route updates there"))
-            | Ok (Protocol.Fetch_wal { from_seq; epoch }) -> (
-                try handle_fetch_wal t ~from_seq ~epoch
-                with exn ->
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Fetch_snapshot { file }) -> (
-                try handle_fetch_snapshot t ~file
-                with exn ->
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Promote { p_epoch }) -> (
-                try handle_promote t ~p_epoch
-                with exn ->
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Demote { d_epoch; d_primary }) -> (
-                try handle_demote t ~d_epoch ~d_primary
-                with exn ->
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Update { ops; epoch }) -> (
-                match fence t ~what:"update" ~epoch with
-                | Some rejection -> rejection
-                | None -> (
-                    try handle_update t ops
-                    with exn ->
-                      Atomic.incr t.update_errors;
-                      Protocol.Failure
-                        (Protocol.error_of (Xquery.Errors.wrap_exn exn))))
-            | Ok (Protocol.Compact { epoch }) -> (
-                match fence t ~what:"compact" ~epoch with
-                | Some rejection -> rejection
-                | None -> (
-                    try handle_compact t
-                    with exn ->
-                      Atomic.incr t.compaction_failures;
-                      Protocol.Failure
-                        (Protocol.error_of (Xquery.Errors.wrap_exn exn))))
-            | Ok (Protocol.Query q) -> (
-                (* run_report's boundary guarantee means only structured
-                   errors escape eval_query; wrap_exn is defense in depth
-                   so a daemon worker can never die on a request *)
-                try eval_query t q
-                with exn ->
-                  Atomic.incr t.errors;
-                  Protocol.Failure (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-          in
-          send_response t fd resp)
-
-let worker_loop t =
-  let rec loop () =
-    Mutex.lock t.lock;
-    while Queue.is_empty t.queue && not t.draining do
-      Condition.wait t.nonempty t.lock
-    done;
-    if Queue.is_empty t.queue then begin
-      (* draining and nothing left: the pool winds down *)
-      Mutex.unlock t.lock;
-      ()
-    end
-    else begin
-      let fd = Queue.pop t.queue in
-      Mutex.unlock t.lock;
-      (try serve_connection t fd
-       with exn ->
-         (* absolute backstop: a worker never dies *)
-         Atomic.incr t.client_errors;
-         Log.err (fun m ->
-             m "worker absorbed an exception: %s" (Printexc.to_string exn)));
-      loop ()
-    end
-  in
-  loop ()
+let handle t = function
+  | Protocol.Stats -> Protocol.Stats_reply (stats t)
+  | Protocol.Metrics -> Protocol.Metrics_reply (metrics_text t)
+  | Protocol.Slowlog -> Protocol.Slowlog_reply (slowlog_entries t)
+  | Protocol.Health -> Protocol.Health_reply (health t)
+  | Protocol.Reload -> Serving.counting t.reload_failures (fun () -> handle_reload t)
+  | Protocol.Update _ | Protocol.Compact _ when current_follow t <> None ->
+      (* single-writer across the fleet: a follower's state is defined by
+         its primary's log, never by direct writes *)
+      Protocol.Failure
+        (Protocol.error_of
+           (Xquery.Errors.make Xquery.Errors.FODC0002
+              "read-only replica: this daemon follows a primary; route \
+               updates there"))
+  | Protocol.Fetch_wal { from_seq; epoch } -> handle_fetch_wal t ~from_seq ~epoch
+  | Protocol.Fetch_snapshot { file } -> handle_fetch_snapshot t ~file
+  | Protocol.Promote { p_epoch } -> handle_promote t ~p_epoch
+  | Protocol.Demote { d_epoch; d_primary } ->
+      handle_demote t ~d_epoch ~d_primary
+  | Protocol.Update { ops; epoch } -> (
+      match fence t ~what:"update" ~epoch with
+      | Some rejection -> rejection
+      | None -> Serving.counting t.update_errors (fun () -> handle_update t ops))
+  | Protocol.Compact { epoch } -> (
+      match fence t ~what:"compact" ~epoch with
+      | Some rejection -> rejection
+      | None -> Serving.counting t.compaction_failures (fun () -> handle_compact t))
+  | Protocol.Query q ->
+      (* run_report's boundary guarantee means only structured errors
+         escape eval_query; the core's wrap is defense in depth *)
+      Serving.counting t.errors (fun () -> eval_query t q)
 
 let maybe_reload t =
   if Atomic.exchange t.reload_flag false then do_reload t ~reason:"requested"
@@ -1298,114 +1070,25 @@ let maybe_compact t =
   if Atomic.exchange t.compact_flag false then
     ignore (do_compact t ~reason:"wal threshold")
 
-(* Dedicated maintenance ticker: an idle daemon (zero in-flight requests)
-   still observes reload requests, new snapshot generations, and pending
-   threshold compactions — none of it on the accept or request path. *)
-let ticker_loop t =
-  while not (Atomic.get t.stop_flag) do
-    (try
-       if not (locked t (fun () -> t.draining)) then begin
-         maybe_reload t;
-         (* the role is runtime state (Promote / Demote flip it), so the
-            ticker re-reads it every pass *)
-         match current_follow t with
-         | Some primary ->
-             (* a follower never self-compacts: its generation may only
-                advance by tracking the primary's *)
-             follow_tick t ~primary
-         | None -> maybe_compact t
-       end
-     with exn ->
-       Log.err (fun m ->
-           m "maintenance absorbed an exception: %s" (Printexc.to_string exn)));
-    Thread.delay t.cfg.tick_interval
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Accept loop: admission control, then the shutdown drain.            *)
-
-let admit t client =
-  (* no SO_RCVTIMEO: per-connection bounds are enforced end-to-end by
-     Netio limits in [serve_connection] — a per-syscall timeout cannot
-     stop a slow-loris peer that dribbles one byte per interval *)
-  Atomic.incr t.accepted;
-  Mutex.lock t.lock;
-  if t.draining then begin
-    Mutex.unlock t.lock;
-    Atomic.incr t.shed_shutdown;
-    send_response t client (overload_reply t ~code_reason:"shutting down" ~depth:0);
-    close_quietly client
-  end
-  else if Queue.length t.queue >= t.cfg.queue_limit then begin
-    let depth = Queue.length t.queue in
-    Mutex.unlock t.lock;
-    Atomic.incr t.shed;
-    send_response t client (overload_reply t ~code_reason:"queue full" ~depth);
-    close_quietly client
-  end
-  else begin
-    Queue.add client t.queue;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.lock
-  end
-
-let shutdown_drain t workers =
-  let stragglers =
-    locked t (fun () ->
-        t.draining <- true;
-        let fds = List.of_seq (Queue.to_seq t.queue) in
-        Queue.clear t.queue;
-        Condition.broadcast t.nonempty;
-        fds)
-  in
-  (* queued-but-unserved connections are answered, not abandoned *)
-  List.iter
-    (fun fd ->
-      Atomic.incr t.shed_shutdown;
-      send_response t fd (overload_reply t ~code_reason:"shutting down" ~depth:0);
-      close_quietly fd)
-    stragglers;
-  List.iter Thread.join workers;
-  (match t.ticker_thread with Some th -> Thread.join th | None -> ());
-  close_quietly t.listen_fd;
-  (try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
-  locked t (fun () ->
-      t.stopped <- true;
-      Condition.broadcast t.done_cond);
-  Log.info (fun m -> m "shutdown complete")
-
-let accept_loop t workers =
-  let rec loop () =
-    if Atomic.get t.stop_flag then ()
-    else begin
-      (match Unix.select [ t.listen_fd ] [] [] 0.05 with
-      | [ _ ], _, _ -> (
-          match Unix.accept ~cloexec:true t.listen_fd with
-          | client, _ -> admit t client
-          | exception
-              Unix.Unix_error
-                ( ( Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK
-                  | Unix.ECONNABORTED ),
-                  _,
-                  _ ) ->
-              ())
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
-    end
-  in
-  (try loop ()
-   with exn ->
-     Log.err (fun m ->
-         m "accept loop absorbed an exception: %s" (Printexc.to_string exn)));
-  shutdown_drain t workers
+(* One pass of the maintenance ticker ({!Serving} runs it until the
+   drain begins): an idle daemon (zero in-flight requests) still observes
+   reload requests, new snapshot generations, and pending threshold
+   compactions — none of it on the accept or request path. *)
+let tick t =
+  maybe_reload t;
+  (* the role is runtime state (Promote / Demote flip it), so the ticker
+     re-reads it every pass *)
+  match current_follow t with
+  | Some primary ->
+      (* a follower never self-compacts: its generation may only advance
+         by tracking the primary's *)
+      follow_tick t ~primary
+  | None -> maybe_compact t
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle.                                                          *)
 
 let start cfg =
-  (* a worker writing to a vanished client must get EPIPE, not die *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (match cfg.follow with
   | Some primary
     when Ftindex.Store.current_generation ~dir:cfg.index_dir = None -> (
@@ -1425,32 +1108,23 @@ let start cfg =
   let engine =
     Galatex.Engine.of_store ~sources:cfg.sources ~dir:cfg.index_dir ()
   in
-  (try
-     if Sys.file_exists cfg.socket_path then Unix.unlink cfg.socket_path
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-     Unix.listen listen_fd 64
-   with
-  | Unix.Unix_error (e, fn, _) ->
-      close_quietly listen_fd;
-      Xquery.Errors.raise_error Xquery.Errors.FODC0002
-        "cannot serve on %s: %s: %s" cfg.socket_path fn (Unix.error_message e));
+  (* bound before the log is opened: a refused socket leaves the index
+     directory untouched *)
+  let { socket_path; workers; queue_limit; retry_after_ms; recv_timeout;
+        idle_timeout; tick_interval; on_request; _ } = cfg in
+  let core =
+    Serving.create ~role:"server"
+      { Serving.socket_path; workers; queue_limit; retry_after_ms;
+        recv_timeout; idle_timeout; tick_interval; on_request }
+  in
   let t =
     {
       cfg;
-      listen_fd;
+      core;
       lock = Mutex.create ();
-      nonempty = Condition.create ();
-      queue = Queue.create ();
       engine;
-      draining = false;
       reload_io_now = cfg.reload_io;
-      stopped = false;
-      done_cond = Condition.create ();
       reload_flag = Atomic.make false;
-      stop_flag = Atomic.make false;
       compact_flag = Atomic.make false;
       update_lock = Mutex.create ();
       writer = None;
@@ -1458,13 +1132,8 @@ let start cfg =
       breaker =
         Breaker.create ~threshold:cfg.breaker_threshold
           ~cooldown:cfg.breaker_cooldown;
-      accepted = Atomic.make 0;
       served = Atomic.make 0;
       errors = Atomic.make 0;
-      shed = Atomic.make 0;
-      shed_shutdown = Atomic.make 0;
-      client_errors = Atomic.make 0;
-      slow_client_disconnects = Atomic.make 0;
       breaker_bypassed = Atomic.make 0;
       reloads = Atomic.make 0;
       reload_failures = Atomic.make 0;
@@ -1494,8 +1163,6 @@ let start cfg =
       histograms =
         List.map (fun key -> (key, Obs.Histogram.create ())) strategy_keys;
       slowlog = Obs.Ring.create ~capacity:(max 1 cfg.slowlog_capacity);
-      accept_thread = None;
-      ticker_thread = None;
     }
   in
   (match Galatex.Engine.salvage_report engine with
@@ -1514,45 +1181,29 @@ let start cfg =
   | None -> ());
   (* open the writer eagerly so startup fails loudly on an unwritable log
      directory, and the stats mirrors are exact from the first request *)
-  (Mutex.lock t.update_lock;
-   Fun.protect
-     ~finally:(fun () -> Mutex.unlock t.update_lock)
-     (fun () ->
-       ignore (ensure_writer t);
-       mirror_wal t));
+  (try
+     Mutex.protect t.update_lock (fun () ->
+         ignore (ensure_writer t);
+         mirror_wal t)
+   with exn ->
+     Serving.release core;
+     raise exn);
   refresh_manifest_crc t;
-  let workers =
-    List.init (max 1 cfg.workers) (fun _ -> Thread.create worker_loop t)
-  in
-  t.ticker_thread <- Some (Thread.create ticker_loop t);
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t workers) ());
+  Serving.start core ~handle:(handle t) ~tick:(fun () -> tick t);
   Log.info (fun m ->
       m "serving generation %d on %s (%d workers, queue %d)" (generation t)
         cfg.socket_path cfg.workers cfg.queue_limit);
   t
 
 let request_reload t = Atomic.set t.reload_flag true
-let request_shutdown t = Atomic.set t.stop_flag true
-
-let wait t =
-  Mutex.lock t.lock;
-  while not t.stopped do
-    Condition.wait t.done_cond t.lock
-  done;
-  Mutex.unlock t.lock;
-  match t.accept_thread with Some th -> Thread.join th | None -> ()
-
-let stop t =
-  request_shutdown t;
-  wait t
+let request_shutdown t = Serving.request_shutdown t.core
+let wait t = Serving.wait t.core
+let stop t = Serving.stop t.core
 
 let set_reload_io t io = locked t (fun () -> t.reload_io_now <- io)
 
 let set_update_io t io =
-  Mutex.lock t.update_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.update_lock)
-    (fun () ->
+  Mutex.protect t.update_lock (fun () ->
       t.update_io_now <- io;
       (* drop the open writer so the next update reopens with the new
          injector armed (tests aim faults at specific append ops) *)

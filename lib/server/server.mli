@@ -9,10 +9,13 @@
     crashing request answers with a structured error code, the daemon
     stays up.
 
+    Connections are served by the shared core ({!Serving}): the accept
+    loop, the admission queue (a full queue sheds with [GTLX0009]
+    carrying the queue depth and a retry-after hint), the worker pool,
+    the maintenance ticker and the SIGTERM drain.  The daemon supplies
+    the request handler and the tick.
+
     Robustness machinery, all deterministic and fault-injectable:
-    - {b admission control}: a bounded queue of accepted connections;
-      when full, requests are shed immediately with [GTLX0009] carrying
-      the queue depth and a retry-after hint;
     - {b per-strategy circuit breakers} ({!Breaker}): consecutive
       internal-error fallbacks trip an optimized strategy to the
       reference path, with request-counted cooldown and half-open probes;
@@ -30,14 +33,13 @@
       the log passing [wal_compact_bytes], folds the log into a fresh
       snapshot generation — the threshold variant runs on the maintenance
       ticker, off the request path;
-    - {b maintenance ticker}: a dedicated thread polls the reload flag,
-      the snapshot generation and the compaction flag every
-      [tick_interval], so an {e idle} daemon (zero in-flight requests)
-      still reloads and compacts;
-    - {b graceful shutdown}: {!request_shutdown} (SIGTERM) stops
-      accepting, lets in-flight requests finish, answers queued
-      stragglers with [GTLX0009], removes the socket file and returns
-      from {!wait}. *)
+    - {b maintenance}: the tick polls the reload flag, the snapshot
+      generation and the compaction flag every [tick_interval], so an
+      {e idle} daemon (zero in-flight requests) still reloads and
+      compacts;
+    - {b graceful shutdown}: {!request_shutdown} (SIGTERM) runs the
+      core's drain — in-flight requests finish, queued stragglers get
+      [GTLX0009], the socket file is removed — and {!wait} returns. *)
 
 type config = {
   socket_path : string;
@@ -115,7 +117,9 @@ type t
 val start : config -> t
 (** Load the snapshot, bind the socket, spawn the pool.
     @raise Xquery.Errors.Error when the initial snapshot load fails
-    (storage codes) or the socket cannot be bound (FODC0002 family). *)
+    (storage codes) or the socket is refused ([FODC0002]: see
+    {!Serving.listen} — a path that is not a socket, or one a live
+    listener answers, is never removed). *)
 
 val request_reload : t -> unit
 (** Ask the daemon to reload the snapshot before serving further requests.

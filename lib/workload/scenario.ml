@@ -70,12 +70,14 @@ let daemon_config ~index_dir ~socket_path =
   }
 
 (* The counter subset worth re-reading next to latency numbers; the
-   full stats dump is available live via [galatex stats]. *)
+   full stats dump is available live via [galatex stats].  A scenario
+   reads one process's counters, a daemon's or a router's, so both
+   roles' names are listed. *)
 let reported_counters =
   [
-    "queries"; "accepted"; "served"; "shed"; "errors"; "updates";
-    "update_errors"; "wal_records"; "breaker_trips"; "stale_served";
-    "partials"; "follow_lag";
+    "queries"; "route_queries"; "accepted"; "served"; "shed"; "errors";
+    "route_partial"; "route_failed"; "updates"; "update_errors";
+    "wal_records"; "breaker_trips"; "stale_served"; "follow_lag";
   ]
 
 let counters_of sock =

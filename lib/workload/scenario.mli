@@ -21,6 +21,11 @@ val names : string list
 (** In run order: zipf-read-only, phrase-heavy, boolean-heavy,
     topk-heavy, mixed-read-write, multi-tenant-small-indexes. *)
 
+val reported_counters : string list
+(** The stats counters a scenario report carries next to its latency
+    numbers, read from the daemon or router the trace was replayed
+    against; every name is exported by one of the two roles. *)
+
 val run :
   ?progress:(string -> unit) -> settings -> Report.scenario list
 (** Run the selected scenarios sequentially, returning one report each.

@@ -308,6 +308,36 @@ let test_report_roundtrip () =
           Alcotest.(check bool) "gate overrides" true (a.gate = b.gate))
         original parsed
 
+(* every counter a scenario report carries must be exported by the role
+   it is read from — a name nobody exports drops out of the report
+   silently *)
+let test_reported_counters_exported () =
+  with_server (fun sock ->
+      let router_sock = fresh_name "wl-rt" ^ ".sock" in
+      let router =
+        Galatex_cluster.Router.start
+          (Galatex_cluster.Router.default_config
+             ~shards:[ { Galatex_cluster.Router.primary = sock; replicas = [] } ]
+             ~socket_path:router_sock)
+      in
+      Fun.protect
+        ~finally:(fun () -> Galatex_cluster.Router.stop router)
+        (fun () ->
+          let names stats = List.map fst stats.Galatex_server.Protocol.counters in
+          let exported =
+            names (Galatex_cluster.Router.stats router)
+            @
+            match Galatex_server.Client.stats ~socket_path:sock () with
+            | Ok r -> names r
+            | Error reason -> Alcotest.failf "daemon stats: %s" reason
+          in
+          List.iter
+            (fun name ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%S is exported" name)
+                true (List.mem name exported))
+            Workload.Scenario.reported_counters))
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_cumulative_monotone;
@@ -329,5 +359,7 @@ let tests =
       test_gate_per_scenario_override;
     Alcotest.test_case "gate: malformed JSON is an error" `Quick
       test_gate_malformed_is_error;
+    Alcotest.test_case "reported counters are exported by a daemon or router"
+      `Quick test_reported_counters_exported;
     Alcotest.test_case "report JSON round-trips" `Quick test_report_roundtrip;
   ]

@@ -7,31 +7,41 @@ open Xmlkit
    (absPos); plus the distinct-word list document that match-option
    expansion iterates over (Section 3.2.3.2). *)
 
-let token_info_element (p : Posting.t) =
+let token_info p extra =
   Node.element "fts:TokenInfo"
     ~attributes:
-      [
-        (* the surface form: case-sensitive match options compare against it *)
-        Node.attribute "word" p.Posting.token.Tokenize.Token.word;
-        Node.attribute "doc" p.Posting.doc;
-        Node.attribute "prefixPos" (Dewey.to_string (Posting.node p));
-        Node.attribute "absPos" (string_of_int (Posting.abs_pos p));
-        Node.attribute "sentence" (string_of_int (Posting.sentence p));
-        Node.attribute "para" (string_of_int (Posting.para p));
-        Node.attribute "score" (Printf.sprintf "%.17g" p.Posting.score);
-      ]
+      ([
+         (* the surface form: case-sensitive match options compare against it *)
+         Node.attribute "word" p.Posting.token.Tokenize.Token.word;
+         Node.attribute "doc" p.Posting.doc;
+         Node.attribute "prefixPos" (Dewey.to_string (Posting.node p));
+         Node.attribute "absPos" (string_of_int (Posting.abs_pos p));
+         Node.attribute "sentence" (string_of_int (Posting.sentence p));
+         Node.attribute "para" (string_of_int (Posting.para p));
+       ]
+      @ extra)
     []
 
+let token_info_element p = token_info p []
+
+(* the translated strategy multiplies [$pos/@score]: one score per run *)
 let inverted_list_document index word =
   let word = Tokenize.Normalize.casefold word in
-  let entries = Inverted.postings index word in
+  let entries =
+    Inverted.Doc_map.fold
+      (fun doc run acc ->
+        let score = Printf.sprintf "%.17g" (Inverted.score index ~doc run) in
+        let score = Node.attribute "score" score in
+        Array.fold_left (fun acc p -> token_info p [ score ] :: acc) acc run)
+      (Inverted.runs index word) []
+  in
   Node.seal
     (Node.document
        ~uri:("invlist_" ^ word ^ ".xml")
        [
          Node.element "fts:InvertedList"
            ~attributes:[ Node.attribute "word" word ]
-           (List.map token_info_element entries);
+           (List.rev entries);
        ])
 
 let distinct_words_document index =
@@ -68,8 +78,7 @@ let posting_of_token_info node =
   let abs_pos = int_of_string (attr_exn node "absPos") in
   let sentence = int_of_string (attr_exn node "sentence") in
   let para = int_of_string (attr_exn node "para") in
-  let score = float_of_string (attr_exn node "score") in
-  Posting.make ~score ~doc
+  Posting.make ~doc
     (Tokenize.Token.make ~node:dewey ~sentence ~para ~abs_pos word)
 
 let postings_of_inverted_list doc_node =

@@ -21,10 +21,9 @@ val postings_of_inverted_list : Xmlkit.Node.t -> string * Posting.t list
 val words_of_distinct_list : Xmlkit.Node.t -> string list
 
 val posting_of_token_info : Xmlkit.Node.t -> Posting.t
-(** Parse one [fts:TokenInfo] element (as written by
-    {!token_info_element}).  @raise Invalid_argument on missing
-    attributes. *)
+(** Parse one [fts:TokenInfo] element; a [score] attribute is ignored.
+    @raise Invalid_argument on missing attributes. *)
 
 val token_info_element : Posting.t -> Xmlkit.Node.t
-(** Unsealed [fts:TokenInfo] element for one posting; the [word] attribute
-    carries the surface form. *)
+(** Unsealed [fts:TokenInfo] element for one posting (no score); the
+    [word] attribute carries the surface form. *)

@@ -1,5 +1,5 @@
 (* Off-line document preprocessing (Figure 4, upper left): tokenize each
-   input document, compute per-entry scores, and build the in-memory
+   input document, update the corpus statistics, and build the in-memory
    inverted index. *)
 
 let add_document ?config (index : Inverted.t) ~uri root =
@@ -18,11 +18,8 @@ let add_document ?config (index : Inverted.t) ~uri root =
   let postings = Hashtbl.copy index.Inverted.postings in
   Hashtbl.iter
     (fun w toks ->
-      let score = Stats.score stats ~doc:uri w in
       (* tokens arrive in ascending position: the run is already sorted *)
-      let run =
-        Array.of_list (List.rev_map (fun tok -> Posting.make ~score ~doc:uri tok) toks)
-      in
+      let run = Array.of_list (List.rev_map (Posting.make ~doc:uri) toks) in
       let runs =
         Option.value ~default:Inverted.Doc_map.empty (Hashtbl.find_opt postings w)
       in
@@ -35,34 +32,10 @@ let add_document ?config (index : Inverted.t) ~uri root =
     ~postings ~doc_tokens ~stats
     ~total_postings:(index.Inverted.total_postings + List.length tokens)
 
-(* Scores depend on corpus-wide idf: recompute every posting's score from
-   the index's current statistics.  Score depends only on stats, so applying
-   this after each incremental add/remove yields the same index as applying
-   it once after the last one.  A score is a function of (document, word),
-   so it is computed once per run. *)
-let rescore (index : Inverted.t) =
-  let stats = index.Inverted.stats in
-  let postings = Hashtbl.create (max 16 (Hashtbl.length index.Inverted.postings)) in
-  Hashtbl.iter
-    (fun w runs ->
-      let rescored =
-        Inverted.Doc_map.mapi
-          (fun doc run ->
-            let score = Stats.score stats ~doc w in
-            Array.map (fun (p : Posting.t) -> { p with Posting.score }) run)
-          runs
-      in
-      Hashtbl.replace postings w rescored)
-    index.Inverted.postings;
-  Inverted.make ~documents:index.Inverted.documents ~postings
-    ~doc_tokens:index.Inverted.doc_tokens ~stats
-    ~total_postings:index.Inverted.total_postings
-
 let index_documents ?config docs =
-  rescore
-    (List.fold_left
-       (fun idx (uri, root) -> add_document ?config idx ~uri root)
-       (Inverted.empty ()) docs)
+  List.fold_left
+    (fun idx (uri, root) -> add_document ?config idx ~uri root)
+    (Inverted.empty ()) docs
 
 let index_strings ?config docs =
   index_documents ?config

@@ -6,22 +6,15 @@ val add_document :
   uri:string ->
   Xmlkit.Node.t ->
   Inverted.t
-(** Tokenize one sealed document and merge its postings.  Scores reflect the
-    statistics known so far; prefer {!index_documents} for a whole corpus.
+(** Tokenize one sealed document, merge its postings and add it to the
+    corpus statistics that scores are computed from at query time.
     @raise Invalid_argument on duplicate uri. *)
-
-val rescore : Inverted.t -> Inverted.t
-(** Recompute every posting score from the index's current corpus
-    statistics.  After an incremental {!add_document} or
-    [Inverted.remove_document], this restores the invariant that scores
-    reflect corpus-wide idf — making the index equal to one built from
-    scratch over the same documents. *)
 
 val index_documents :
   ?config:Tokenize.Segmenter.config ->
   (string * Xmlkit.Node.t) list ->
   Inverted.t
-(** Index a corpus and compute final (corpus-wide idf) per-entry scores. *)
+(** Index a corpus: {!add_document} over each document in order. *)
 
 val index_strings :
   ?config:Tokenize.Segmenter.config -> (string * string) list -> Inverted.t

@@ -78,29 +78,30 @@ let runs_of_postings postings =
    words (found through its token stream, so no other word is visited),
    words with no remaining run leave the distinct-word list, and corpus
    statistics forget the document — so the result matches an index that
-   never contained it (up to posting scores, which depend on corpus-wide
-   idf; Indexer.rescore restores those). *)
+   never contained it. *)
 let remove_document t ~uri =
   match Hashtbl.find_opt t.doc_tokens uri with
   | None -> t
   | Some tokens ->
       let postings = Hashtbl.copy t.postings in
+      let words = ref [] in
       Array.iter
         (fun (tok : Tokenize.Token.t) ->
           let w = tok.Tokenize.Token.norm in
           match Hashtbl.find_opt postings w with
-          | None -> ()
-          | Some runs ->
+          | Some runs when Doc_map.mem uri runs ->
+              words := w :: !words;
               let runs = Doc_map.remove uri runs in
               if Doc_map.is_empty runs then Hashtbl.remove postings w
-              else Hashtbl.replace postings w runs)
+              else Hashtbl.replace postings w runs
+          | Some _ | None -> ())
         tokens;
       let doc_tokens = Hashtbl.copy t.doc_tokens in
       Hashtbl.remove doc_tokens uri;
       make
         ~documents:(List.filter (fun (u, _) -> u <> uri) t.documents)
         ~postings ~doc_tokens
-        ~stats:(Stats.remove_document t.stats ~doc:uri)
+        ~stats:(Stats.remove_document t.stats ~doc:uri !words)
         ~total_postings:(t.total_postings - Array.length tokens)
 
 let document_root t uri = List.assoc_opt uri t.documents
@@ -117,6 +118,11 @@ let postings t word = list_of_runs (runs t word)
 
 let postings_of_doc t ~doc word =
   Option.value ~default:[||] (Doc_map.find_opt doc (runs t word))
+
+(* tf is the run's length *)
+let score t ~doc run =
+  if Array.length run = 0 then 1.0
+  else Stats.score t.stats ~doc ~tf:(Array.length run) (Posting.word run.(0))
 
 let distinct_words t =
   Hashtbl.fold (fun w _ acc -> w :: acc) t.postings [] |> List.sort compare
@@ -181,9 +187,6 @@ let doc_of_node t node =
   List.find_map
     (fun (uri, droot) -> if Node.equal droot root then Some uri else None)
     (Hashtbl.find_all t.roots (Node.tree_id root))
-
-let fold_words f t acc =
-  Hashtbl.fold (fun w runs acc -> f w (list_of_runs runs) acc) t.postings acc
 
 let tokens_of_doc t ~doc =
   Option.value ~default:[||] (Hashtbl.find_opt t.doc_tokens doc)

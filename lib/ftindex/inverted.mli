@@ -42,9 +42,8 @@ val remove_document : t -> uri:string -> t
 (** Remove one document with exact postings reclamation: its run leaves
     each of its own words (no other word is visited), words with no
     remaining postings leave the distinct-word list, its token stream and
-    statistics are forgotten.  Posting {e scores} of the surviving documents
-    still reflect the old corpus; run [Indexer.rescore] to restore exactness
-    against a from-scratch index.  No-op for an unknown uri. *)
+    statistics are forgotten: the result equals an index built without the
+    document.  No-op for an unknown uri. *)
 
 val document_root : t -> string -> Xmlkit.Node.t option
 
@@ -56,6 +55,13 @@ val postings : t -> string -> Posting.t list
 val postings_of_doc : t -> doc:string -> string -> run
 (** One document's run of a word (case-folded before lookup), read without
     touching any other document; [[||]] when the word does not occur. *)
+
+val runs : t -> string -> run Doc_map.t
+(** Every document's run of a word (case-folded before lookup). *)
+
+val score : t -> doc:string -> run -> float
+(** The Section 3.3 score shared by every entry of [run], [doc]'s run of
+    one word, under this index version's statistics. *)
 
 val run_within : run -> Xmlkit.Dewey.t list -> Posting.t list
 (** The entries of a run inside any of the given nodes of its document, each
@@ -79,9 +85,6 @@ val doc_of_node : t -> Xmlkit.Node.t -> string option
 (** Recover the indexed document a node belongs to (by tree identity), in
     time independent of the number of documents.  [None] for nodes of
     constructed trees and of roots no longer indexed. *)
-
-val fold_words : (string -> Posting.t list -> 'a -> 'a) -> t -> 'a -> 'a
-(** Every word with its {!postings}. *)
 
 val tokens_of_doc : t -> doc:string -> Tokenize.Token.t array
 (** The full token stream of one document in position order. *)

@@ -1,14 +1,11 @@
-(* One inverted-list entry: a TokenInfo plus the document it came from and
-   the per-entry probabilistic score of Section 3.3 ("the score of an entry
-   represents the probability that the entry contains a given word",
-   a float in (0,1], computed from tf/idf by {!Stats}). *)
+(* One inverted-list entry: a TokenInfo plus the document it came from.
+   The per-entry probabilistic score of Section 3.3 is not stored: it
+   depends on corpus-wide statistics that live updates change, so it is
+   computed from the index version being queried ({!Stats.score}). *)
 
-type t = { doc : string; token : Tokenize.Token.t; score : float }
+type t = { doc : string; token : Tokenize.Token.t }
 
-let make ?(score = 1.0) ~doc token =
-  if not (score > 0.0 && score <= 1.0) then
-    invalid_arg "Posting.make: score must be in (0,1]";
-  { doc; token; score }
+let make ~doc token = { doc; token }
 
 let word p = p.token.Tokenize.Token.norm
 let abs_pos p = p.token.Tokenize.Token.abs_pos
@@ -20,6 +17,3 @@ let compare_pos a b =
   match compare a.doc b.doc with
   | 0 -> compare (abs_pos a) (abs_pos b)
   | c -> c
-
-let pp ppf p =
-  Fmt.pf ppf "%s:%a[%.3f]" p.doc Tokenize.Token.pp p.token p.score

@@ -1,9 +1,8 @@
-(** Inverted-list entries: TokenInfo + source document + per-entry score. *)
+(** Inverted-list entries: TokenInfo + source document. *)
 
-type t = { doc : string; token : Tokenize.Token.t; score : float }
+type t = { doc : string; token : Tokenize.Token.t }
 
-val make : ?score:float -> doc:string -> Tokenize.Token.t -> t
-(** @raise Invalid_argument unless [score] is in (0,1] (default 1.0). *)
+val make : doc:string -> Tokenize.Token.t -> t
 
 val word : t -> string
 (** Case-folded word, the index key. *)
@@ -15,5 +14,3 @@ val para : t -> int
 
 val compare_pos : t -> t -> int
 (** Order by (document, absolute position). *)
-
-val pp : t Fmt.t

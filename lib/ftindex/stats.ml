@@ -9,98 +9,62 @@
 
    Both factors lie in (0,1], so the product does too, and the score grows
    with term frequency and rarity — enough for the probabilistic algebra's
-   requirements to hold downstream. *)
-
-type doc_stats = { token_count : int; max_tf : int }
+   requirements to hold downstream.  tf(w,d) is the length of d's run of w,
+   supplied by the caller when a query reads the run. *)
 
 type t = {
-  doc_count : int;
-  docs : (string, doc_stats) Hashtbl.t;
+  max_tf : (string, int) Hashtbl.t;  (** doc -> largest tf of any word *)
   df : (string, int) Hashtbl.t;  (** word -> number of documents containing it *)
-  tf : (string * string, int) Hashtbl.t;  (** (doc, word) -> occurrences *)
 }
 
-let create () =
-  { doc_count = 0; docs = Hashtbl.create 16; df = Hashtbl.create 256;
-    tf = Hashtbl.create 1024 }
+let create () = { max_tf = Hashtbl.create 16; df = Hashtbl.create 256 }
 
 let add_document t ~doc tokens =
-  if Hashtbl.mem t.docs doc then
+  if Hashtbl.mem t.max_tf doc then
     invalid_arg ("Stats.add_document: duplicate document " ^ doc);
-  (* functional update: callers hold on to earlier snapshots *)
-  let t =
-    {
-      doc_count = t.doc_count;
-      docs = Hashtbl.copy t.docs;
-      df = Hashtbl.copy t.df;
-      tf = Hashtbl.copy t.tf;
-    }
-  in
   let counts = Hashtbl.create 64 in
   List.iter
     (fun (tok : Tokenize.Token.t) ->
       let w = tok.Tokenize.Token.norm in
       Hashtbl.replace counts w (1 + Option.value ~default:0 (Hashtbl.find_opt counts w)))
     tokens;
-  let max_tf = Hashtbl.fold (fun _ c m -> max c m) counts 1 in
-  Hashtbl.replace t.docs doc { token_count = List.length tokens; max_tf };
+  (* functional update: callers hold on to earlier snapshots *)
+  let max_tf = Hashtbl.copy t.max_tf and df = Hashtbl.copy t.df in
+  Hashtbl.replace max_tf doc (Hashtbl.fold (fun _ c m -> max c m) counts 1);
   Hashtbl.iter
-    (fun w c ->
-      Hashtbl.replace t.tf (doc, w) c;
-      Hashtbl.replace t.df w (1 + Option.value ~default:0 (Hashtbl.find_opt t.df w)))
+    (fun w _ ->
+      Hashtbl.replace df w (1 + Option.value ~default:0 (Hashtbl.find_opt df w)))
     counts;
-  { t with doc_count = t.doc_count + 1 }
+  { max_tf; df }
 
-let remove_document t ~doc =
-  if not (Hashtbl.mem t.docs doc) then t
+let remove_document t ~doc words =
+  if not (Hashtbl.mem t.max_tf doc) then t
   else begin
-    let t =
-      {
-        doc_count = t.doc_count - 1;
-        docs = Hashtbl.copy t.docs;
-        df = Hashtbl.copy t.df;
-        tf = Hashtbl.copy t.tf;
-      }
-    in
-    Hashtbl.remove t.docs doc;
-    let words =
-      Hashtbl.fold (fun (d, w) _ acc -> if d = doc then w :: acc else acc) t.tf []
-    in
+    let max_tf = Hashtbl.copy t.max_tf and df = Hashtbl.copy t.df in
+    Hashtbl.remove max_tf doc;
     List.iter
       (fun w ->
-        Hashtbl.remove t.tf (doc, w);
         (* drop zero entries so the tables match a from-scratch build *)
-        match Hashtbl.find_opt t.df w with
-        | Some n when n > 1 -> Hashtbl.replace t.df w (n - 1)
-        | Some _ | None -> Hashtbl.remove t.df w)
+        match Hashtbl.find_opt df w with
+        | Some n when n > 1 -> Hashtbl.replace df w (n - 1)
+        | Some _ | None -> Hashtbl.remove df w)
       words;
-    t
+    { max_tf; df }
   end
 
-let doc_count t = t.doc_count
+let doc_count t = Hashtbl.length t.max_tf
 let document_frequency t w = Option.value ~default:0 (Hashtbl.find_opt t.df w)
 
-let term_frequency t ~doc w =
-  Option.value ~default:0 (Hashtbl.find_opt t.tf (doc, w))
-
-let doc_token_count t ~doc =
-  match Hashtbl.find_opt t.docs doc with
-  | Some s -> s.token_count
-  | None -> 0
-
 let idf_norm t w =
-  let n = float_of_int (max 1 t.doc_count) in
+  let n = float_of_int (max 1 (doc_count t)) in
   let df = float_of_int (max 1 (document_frequency t w)) in
   log (1.0 +. (n /. df)) /. log (1.0 +. n)
 
-let score t ~doc w =
-  match Hashtbl.find_opt t.docs doc with
+let score t ~doc ~tf w =
+  match Hashtbl.find_opt t.max_tf doc with
   | None -> 1.0
-  | Some { max_tf; _ } ->
-      let tf = float_of_int (term_frequency t ~doc w) in
-      if tf = 0.0 then 1.0
-      else
-        let tf_part = 0.5 +. (0.5 *. tf /. float_of_int (max 1 max_tf)) in
-        let s = tf_part *. idf_norm t w in
-        (* clamp away from 0 for pathological corpora; scores must be (0,1] *)
-        if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else s
+  | Some max_tf ->
+      let tf_part = 0.5 +. (0.5 *. float_of_int tf /. float_of_int (max 1 max_tf)) in
+      let s = tf_part *. idf_norm t w in
+      (* clamp away from 0 for pathological corpora; scores must be (0,1] *)
+      if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else s

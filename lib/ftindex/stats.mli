@@ -9,20 +9,19 @@ val add_document : t -> doc:string -> Tokenize.Token.t list -> t
 (** Record one document's token stream.
     @raise Invalid_argument on a duplicate document name. *)
 
-val remove_document : t -> doc:string -> t
-(** Forget one document exactly: document frequencies decremented (entries
-    dropped at zero), its term frequencies and per-document stats removed —
-    the result equals statistics built without the document.  No-op for an
-    unknown document. *)
+val remove_document : t -> doc:string -> string list -> t
+(** Forget one document exactly, given its distinct words: their document
+    frequencies are decremented (entries dropped at zero) and its
+    per-document stats removed — the result equals statistics built without
+    the document.  No-op for an unknown document. *)
 
 val doc_count : t -> int
 val document_frequency : t -> string -> int
-val term_frequency : t -> doc:string -> string -> int
-val doc_token_count : t -> doc:string -> int
 
 val idf_norm : t -> string -> float
 (** Normalized inverse document frequency in (0,1]. *)
 
-val score : t -> doc:string -> string -> float
-(** Per-entry score in (0,1]: bounded tf.idf, monotone in term frequency and
-    rarity.  1.0 for unknown documents/words (neutral). *)
+val score : t -> doc:string -> tf:int -> string -> float
+(** Per-entry score in (0,1] of a word occurring [tf >= 1] times in [doc]:
+    bounded tf.idf, monotone in term frequency and rarity.  1.0 for unknown
+    documents (neutral). *)

@@ -445,8 +445,8 @@ let decode_doc payload =
   (uri, source, tokens)
 
 (* A posting within a segment references its token as (document index in
-   manifest order, token index in that document's stream) plus the stored
-   score — compact, and exactly reconstructible. *)
+   manifest order, token index in that document's stream) plus the score
+   at save time, which loading skips — compact, and exactly reconstructible. *)
 let encode_postings entries =
   let b = Buffer.create 4096 in
   put_u32 b (List.length entries);
@@ -472,8 +472,8 @@ let decode_postings payload =
           List.init (get_u32 r) (fun _ ->
               let doc_idx = get_u32 r in
               let tok_idx = get_u32 r in
-              let score = Int64.float_of_bits (get_bits64 r) in
-              (doc_idx, tok_idx, score))
+              ignore (get_bits64 r : int64);
+              (doc_idx, tok_idx))
         in
         (word, chunk))
   in
@@ -529,10 +529,6 @@ let gen_of_filename name =
         int_of_string_opt gen
     | _ -> None
   else None
-
-let sorted_words_with_postings index =
-  Inverted.fold_words (fun w ps acc -> (w, ps) :: acc) index []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* Index of a posting's token inside its document's token stream: streams
    are in strictly increasing absolute-position order, so binary search. *)
@@ -645,13 +641,17 @@ let save ?(io = Io.real ()) ?(config = Tokenize.Segmenter.default_config)
       end
     in
     List.iter
-      (fun (word, postings) ->
+      (fun word ->
         let refs =
-          List.map
-            (fun (p : Posting.t) ->
-              let di = Hashtbl.find doc_index p.Posting.doc in
-              (di, token_index doc_tokens.(di) p, p.Posting.score))
-            postings
+          Inverted.Doc_map.fold
+            (fun doc run acc ->
+              let di = Hashtbl.find doc_index doc in
+              let score = Inverted.score index ~doc run in
+              Array.fold_left
+                (fun acc p -> (di, token_index doc_tokens.(di) p, score) :: acc)
+                acc run)
+            (Inverted.runs index word) []
+          |> List.rev
         in
         let rec place = function
           | [] -> ()
@@ -669,7 +669,7 @@ let save ?(io = Io.real ()) ?(config = Tokenize.Segmenter.default_config)
               place rest
         in
         place refs)
-      (sorted_words_with_postings index);
+      (Inverted.distinct_words index);
     flush ();
     let manifest =
       {
@@ -872,15 +872,13 @@ let bump_epoch ?(io = Io.real ()) ~dir ~epoch () =
 
 (* Rebuild one word's postings from the (intact) token streams — exactly
    the Indexer's computation: documents in indexing order, positions in
-   stream order, scores from the corpus statistics. *)
-let rebuild_word stats docs_tokens word =
+   stream order. *)
+let rebuild_word docs_tokens word =
   List.concat_map
     (fun (uri, tokens) ->
-      let score = lazy (Stats.score stats ~doc:uri word) in
       Array.to_list tokens
       |> List.filter_map (fun (t : Tokenize.Token.t) ->
-             if t.Tokenize.Token.norm = word then
-               Some (Posting.make ~score:(Lazy.force score) ~doc:uri t)
+             if t.Tokenize.Token.norm = word then Some (Posting.make ~doc:uri t)
              else None))
     docs_tokens
 
@@ -951,7 +949,7 @@ let load_manifest ~io ~governor ~sources ~dir m =
   in
   (* -- posting segments --------------------------------------------- *)
   let damaged_ranges = ref [] in
-  let chunks = Hashtbl.create 256 (* word -> rev (doc_idx,tok_idx,score) list list *) in
+  let chunks = Hashtbl.create 256 (* word -> rev (doc_idx,tok_idx) list list *) in
   let chunk_order = ref [] (* rev word order of first appearance *) in
   List.iter
     (fun ms ->
@@ -991,7 +989,7 @@ let load_manifest ~io ~governor ~sources ~dir m =
   let rebuilt_words = ref 0 in
   let rebuild w =
     incr rebuilt_words;
-    Hashtbl.replace postings w (rebuild_word stats docs_tokens w)
+    Hashtbl.replace postings w (rebuild_word docs_tokens w)
   in
   let full_rebuild () =
     Hashtbl.reset postings;
@@ -1009,7 +1007,7 @@ let load_manifest ~io ~governor ~sources ~dir m =
         tick ();
         if in_damaged_range w then rebuild w
         else begin
-          let entry_of (doc_idx, tok_idx, score) =
+          let entry_of (doc_idx, tok_idx) =
             if doc_idx < 0 || doc_idx >= Array.length doc_arr then
               corrupt "document index out of range";
             let uri, tokens = doc_arr.(doc_idx) in
@@ -1018,7 +1016,7 @@ let load_manifest ~io ~governor ~sources ~dir m =
             let tok = tokens.(tok_idx) in
             if tok.Tokenize.Token.norm <> w then
               corrupt "posting references a token of a different word";
-            Posting.make ~score ~doc:uri tok
+            Posting.make ~doc:uri tok
           in
           match
             List.concat_map (List.map entry_of)

@@ -6,7 +6,9 @@
     length-prefixed, CRC-32-checksummed segments — one document segment per
     indexed document (its XML source and full token stream) and a run of
     word-range posting segments (each word's postings chunked over one or
-    more segments).
+    more segments).  Posting records keep the score in force at save time,
+    for format compatibility; {!load} skips it (scores are computed at
+    query time, {!Inverted.score}).
 
     {b Crash safety.}  Every file is written to a temp name, fsynced and
     atomically renamed; the manifest — which names every segment of the

@@ -252,8 +252,8 @@ let apply ?config index op =
   | Add_doc { uri; source } ->
       let index = Inverted.remove_document index ~uri in
       let root = Xmlkit.Parser.parse_document ~uri source in
-      Indexer.rescore (Indexer.add_document ?config index ~uri root)
-  | Remove_doc uri -> Indexer.rescore (Inverted.remove_document index ~uri)
+      Indexer.add_document ?config index ~uri root
+  | Remove_doc uri -> Inverted.remove_document index ~uri
 
 let replay ?config index records =
   List.fold_left

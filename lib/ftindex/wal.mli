@@ -52,8 +52,8 @@ val wal_version : int
 
 val apply : ?config:Tokenize.Segmenter.config -> Inverted.t -> op -> Inverted.t
 (** Apply one operation to an index, exactly: the result equals
-    [Indexer.index_documents] over the updated document list (including
-    per-entry scores, which are recomputed corpus-wide).  [Add_doc] of an
+    [Indexer.index_documents] over the updated document list, query-time
+    scores included; only the document's own words are touched.  [Add_doc] of an
     existing uri replaces it (the document moves to the end of the document
     list, as a remove-then-add would); [Remove_doc] of an unknown uri is a
     no-op.  Raises whatever parsing / indexing raises — callers replaying a

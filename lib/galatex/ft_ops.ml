@@ -48,10 +48,22 @@ let posting_entries ?g ?within env expansion =
   let index = Env.index env in
   let keys = expansion.Match_options.keys in
   let read = ref 0 in
+  (* one score per run read, from the index version being read *)
+  let scored ~doc run entries =
+    read := !read + Array.length run;
+    match entries with
+    | [] -> []
+    | _ ->
+        let score = Ftindex.Inverted.score index ~doc run in
+        List.map (fun p -> (p, score)) entries
+  in
   let by_position = function
     | [] -> []
     | [ one ] -> one
-    | several -> List.stable_sort Ftindex.Posting.compare_pos (List.concat several)
+    | several ->
+        List.stable_sort
+          (fun (a, _) (b, _) -> Ftindex.Posting.compare_pos a b)
+          (List.concat several)
   in
   let entries =
     match within with
@@ -59,9 +71,9 @@ let posting_entries ?g ?within env expansion =
         by_position
           (List.map
              (fun key ->
-               let ps = Ftindex.Inverted.postings index key in
-               read := !read + List.length ps;
-               ps)
+               Ftindex.Inverted.Doc_map.bindings (Ftindex.Inverted.runs index key)
+               |> List.concat_map (fun (doc, run) ->
+                      scored ~doc run (Array.to_list run)))
              keys)
     | Some nodes ->
         List.concat_map
@@ -70,8 +82,7 @@ let posting_entries ?g ?within env expansion =
               (List.map
                  (fun key ->
                    let run = Ftindex.Inverted.postings_of_doc index ~doc key in
-                   read := !read + Array.length run;
-                   Ftindex.Inverted.run_within run deweys)
+                   scored ~doc run (Ftindex.Inverted.run_within run deweys))
                  keys))
           (context_by_doc nodes)
   in
@@ -81,7 +92,7 @@ let posting_entries ?g ?within env expansion =
   (match g with
   | Some g -> Xquery.Limits.count_postings g !read
   | None -> ());
-  List.filter expansion.Match_options.accept entries
+  List.filter (fun (p, _) -> expansion.Match_options.accept p) entries
 
 (* Occurrences of a phrase: tokens must appear consecutively; tokens that
    are stop words (under the active stop-word list) are dropped and allow a
@@ -109,14 +120,14 @@ let phrase_occurrences ?g ?within env resolved tokens =
           (fun (gap, e) ->
             let tbl = Hashtbl.create 64 in
             List.iter
-              (fun p ->
-                Hashtbl.replace tbl (p.Ftindex.Posting.doc, Ftindex.Posting.abs_pos p) p)
+              (fun ((p, _) as e) ->
+                Hashtbl.replace tbl (p.Ftindex.Posting.doc, Ftindex.Posting.abs_pos p) e)
               (posting_entries ?g ?within env e);
             (gap, tbl))
           rest
       in
       List.filter_map
-        (fun p0 ->
+        (fun ((p0, _) as e0) ->
           let rec extend acc prev_pos = function
             | [] -> Some (List.rev acc)
             | (gap, tbl) :: more ->
@@ -132,19 +143,15 @@ let phrase_occurrences ?g ?within env resolved tokens =
                     | None -> try_delta (d + 1)
                 in
                 (match try_delta 1 with
-                | Some p -> extend (p :: acc) (Ftindex.Posting.abs_pos p) more
+                | Some ((p, _) as e) -> extend (e :: acc) (Ftindex.Posting.abs_pos p) more
                 | None -> None)
           in
-          match extend [ p0 ] (Ftindex.Posting.abs_pos p0) follower_tables with
-          | Some postings -> Some postings
-          | None -> None)
+          extend [ e0 ] (Ftindex.Posting.abs_pos p0) follower_tables)
         first_postings
 
 let match_of_postings ~query_pos ~weight postings =
-  let includes = List.map (fun p -> entry ~query_pos p) postings in
-  let base =
-    List.fold_left (fun acc p -> acc *. p.Ftindex.Posting.score) 1.0 postings
-  in
+  let includes = List.map (fun (p, _) -> entry ~query_pos p) postings in
+  let base = List.fold_left (fun acc (_, score) -> acc *. score) 1.0 postings in
   let score =
     match weight with None -> base | Some w -> clamp_score (base *. w)
   in

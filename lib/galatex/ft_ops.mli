@@ -42,14 +42,15 @@ val phrase_occurrences :
   Env.t ->
   Match_options.resolved ->
   string list ->
-  Ftindex.Posting.t list list
+  (Ftindex.Posting.t * float) list list
 (** All occurrences of a phrase (consecutive positions; dropped stop tokens
-    allow gaps).  [within] restricts positions to the evaluation context,
-    like the paper's getTokenInfo.  [g] accounts every inverted-list entry
-    read (before filtering) as [postings_read]. *)
+    allow gaps), each position with its Section 3.3 score.  [within]
+    restricts positions to the evaluation context, like the paper's
+    getTokenInfo.  [g] accounts every inverted-list entry read (before
+    filtering) as [postings_read]. *)
 
 val match_of_postings :
-  query_pos:int -> weight:float option -> Ftindex.Posting.t list ->
+  query_pos:int -> weight:float option -> (Ftindex.Posting.t * float) list ->
   All_matches.match_
 
 val phrase_matches :

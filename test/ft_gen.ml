@@ -1,0 +1,42 @@
+(* Random full-text selections, as query source text, for the property
+   tests.  Each caller picks the vocabulary, the match options a leaf may
+   carry, the leaf's weight and the operators that compose selections, each
+   with its weight and, where it takes a count, the range drawn from. *)
+
+type op =
+  | And
+  | Or
+  | Not  (** negates a leaf *)
+  | Ordered
+  | Same_sentence
+  | Same_paragraph
+  | Window of int * int  (** window size range, in words *)
+  | Distance of int * int  (** "at most" bound range, in words *)
+  | Occurs of int * int  (** "at least" count range *)
+
+let selection ~words ~options ~leaf_weight ops =
+  let open QCheck2.Gen in
+  let leaf =
+    map2 (fun w o -> Printf.sprintf "\"%s\"%s" w o) (oneofl words) (oneofl options)
+  in
+  let rec sel depth =
+    if depth = 0 then leaf
+    else
+      let sub = sel (depth - 1) in
+      let compose = function
+        | And -> map2 (Printf.sprintf "(%s && %s)") sub sub
+        | Or -> map2 (Printf.sprintf "(%s || %s)") sub sub
+        | Not -> map (Printf.sprintf "(! %s)") leaf
+        | Ordered -> map (Printf.sprintf "(%s ordered)") sub
+        | Same_sentence -> map (Printf.sprintf "(%s same sentence)") sub
+        | Same_paragraph -> map (Printf.sprintf "(%s same paragraph)") sub
+        | Window (lo, hi) ->
+            map2 (Printf.sprintf "(%s window %d words)") sub (int_range lo hi)
+        | Distance (lo, hi) ->
+            map2 (Printf.sprintf "(%s distance at most %d words)") sub (int_range lo hi)
+        | Occurs (lo, hi) ->
+            map2 (Printf.sprintf "(%s occurs at least %d times)") sub (int_range lo hi)
+      in
+      frequency ((leaf_weight, leaf) :: List.map (fun (w, op) -> (w, compose op)) ops)
+  in
+  sel 2

@@ -16,41 +16,16 @@ let engine = lazy (Corpus.Fig1.engine ())
 let env () = Engine.env (Lazy.force engine)
 
 let gen_selection_src =
-  let open QCheck2.Gen in
-  let words = [ "usability"; "software"; "users"; "filler7"; "nosuchword" ] in
-  let leaf =
-    map2
-      (fun w opt -> Printf.sprintf "\"%s\"%s" w opt)
-      (oneofl words)
-      (oneofl [ ""; " with stemming"; " case sensitive"; " with wildcards" ])
-  in
-  let rec sel depth =
-    if depth = 0 then leaf
-    else
-      frequency
-        [
-          (4, leaf);
-          (2, map2 (Printf.sprintf "(%s && %s)") (sel (depth - 1)) (sel (depth - 1)));
-          (2, map2 (Printf.sprintf "(%s || %s)") (sel (depth - 1)) (sel (depth - 1)));
-          (1, map (Printf.sprintf "(! %s)") leaf);
-          (1, map (Printf.sprintf "(%s ordered)") (sel (depth - 1)));
-          ( 1,
-            map2
-              (fun a n -> Printf.sprintf "(%s distance at most %d words)" a n)
-              (sel (depth - 1)) (int_range 1 30) );
-          ( 1,
-            map2
-              (fun a n -> Printf.sprintf "(%s window %d words)" a n)
-              (sel (depth - 1)) (int_range 2 40) );
-          ( 1,
-            map2
-              (fun a n -> Printf.sprintf "(%s occurs at least %d times)" a n)
-              (sel (depth - 1)) (int_range 1 2) );
-          (1, map (Printf.sprintf "(%s same sentence)") (sel (depth - 1)));
-          (1, map (Printf.sprintf "(%s same paragraph)") (sel (depth - 1)));
-        ]
-  in
-  sel 2
+  Ft_gen.(
+    selection
+      ~words:[ "usability"; "software"; "users"; "filler7"; "nosuchword" ]
+      ~options:[ ""; " with stemming"; " case sensitive"; " with wildcards" ]
+      ~leaf_weight:4
+      [
+        (2, And); (2, Or); (1, Not); (1, Ordered); (1, Distance (1, 30));
+        (1, Window (2, 40)); (1, Occurs (1, 2)); (1, Same_sentence);
+        (1, Same_paragraph);
+      ])
 
 let book_node () =
   Option.get

@@ -91,19 +91,23 @@ let test_stats () =
   check Alcotest.int "doc count" 2 (Stats.doc_count stats);
   check Alcotest.int "df alpha" 2 (Stats.document_frequency stats "alpha");
   check Alcotest.int "df gamma" 1 (Stats.document_frequency stats "gamma");
-  check Alcotest.int "tf beta in d2" 2 (Stats.term_frequency stats ~doc:"d2.xml" "beta");
-  check Alcotest.int "d1 token count" 5 (Stats.doc_token_count stats ~doc:"d1.xml")
+  (* tf is the length of the document's run of the word *)
+  check Alcotest.int "tf beta in d2" 2
+    (Array.length (Inverted.postings_of_doc idx ~doc:"d2.xml" "beta"));
+  check Alcotest.int "d1 token count" 5
+    (Array.length (Inverted.tokens_of_doc idx ~doc:"d1.xml"))
 
 let test_scores_in_unit_interval () =
   let idx = small_corpus () in
-  Inverted.fold_words
-    (fun w ps () ->
-      List.iter
-        (fun p ->
-          if not (p.Posting.score > 0.0 && p.Posting.score <= 1.0) then
-            Alcotest.failf "score of %s out of (0,1]: %f" w p.Posting.score)
-        ps)
-    idx ()
+  List.iter
+    (fun w ->
+      Inverted.Doc_map.iter
+        (fun doc run ->
+          let s = Inverted.score idx ~doc run in
+          if not (s > 0.0 && s <= 1.0) then
+            Alcotest.failf "score of %s in %s out of (0,1]: %f" w doc s)
+        (Inverted.runs idx w))
+    (Inverted.distinct_words idx)
 
 let test_rarer_scores_higher () =
   let idx = small_corpus () in
@@ -130,9 +134,22 @@ let test_inverted_list_round_trip () =
       check Alcotest.int "para" (Posting.para a) (Posting.para b);
       check Alcotest.string "dewey"
         (Xmlkit.Dewey.to_string (Posting.node a))
-        (Xmlkit.Dewey.to_string (Posting.node b));
-      check (Alcotest.float 1e-6) "score" a.Posting.score b.Posting.score)
-    original postings
+        (Xmlkit.Dewey.to_string (Posting.node b)))
+    original postings;
+  (* each entry's score attribute is the query-time score of its run *)
+  List.iter
+    (fun ti ->
+      let p = Index_xml.posting_of_token_info ti in
+      let want =
+        Inverted.score idx ~doc:p.Posting.doc
+          (Inverted.postings_of_doc idx ~doc:p.Posting.doc "beta")
+      in
+      match Xmlkit.Node.attribute_value ti "score" with
+      | Some s -> check (Alcotest.float 0.0) "score" want (float_of_string s)
+      | None -> Alcotest.fail "TokenInfo without a score attribute")
+    (List.filter
+       (fun n -> Xmlkit.Node.name n = Some "fts:TokenInfo")
+       (Xmlkit.Node.descendants_or_self doc))
 
 let test_distinct_words_document () =
   let idx = small_corpus () in
@@ -140,15 +157,6 @@ let test_distinct_words_document () =
   check (Alcotest.list Alcotest.string) "distinct list round trip"
     (Inverted.distinct_words idx)
     (Index_xml.words_of_distinct_list doc)
-
-let test_posting_validation () =
-  let tok = Tokenize.Token.make ~abs_pos:1 "w" in
-  (match Posting.make ~score:0.0 ~doc:"d" tok with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "score 0 rejected");
-  match Posting.make ~score:1.5 ~doc:"d" tok with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "score >1 rejected"
 
 (* property: every posting's position is within its own node's extent, and
    containment via postings_in is consistent with node_extent *)
@@ -168,19 +176,18 @@ let prop_extent_consistent =
         }
       in
       let idx = Corpus.Generator.index_books profile in
-      Inverted.fold_words
-        (fun _ ps acc ->
-          acc
-          && List.for_all
-               (fun p ->
-                 match
-                   Inverted.node_extent idx ~doc:p.Posting.doc
-                     ~node_dewey:(Posting.node p)
-                 with
-                 | Some (lo, hi) -> Posting.abs_pos p >= lo && Posting.abs_pos p <= hi
-                 | None -> false)
-               ps)
-        idx true)
+      List.for_all
+        (fun w ->
+          List.for_all
+            (fun p ->
+              match
+                Inverted.node_extent idx ~doc:p.Posting.doc
+                  ~node_dewey:(Posting.node p)
+              with
+              | Some (lo, hi) -> Posting.abs_pos p >= lo && Posting.abs_pos p <= hi
+              | None -> false)
+            (Inverted.postings idx w))
+        (Inverted.distinct_words idx))
 
 (* --- per-document layout --- *)
 
@@ -367,7 +374,6 @@ let tests =
     Alcotest.test_case "inverted list XML round trip" `Quick
       test_inverted_list_round_trip;
     Alcotest.test_case "distinct words document" `Quick test_distinct_words_document;
-    Alcotest.test_case "posting validation" `Quick test_posting_validation;
     QCheck_alcotest.to_alcotest prop_extent_consistent;
     Alcotest.test_case "postings ordered by (document, position)" `Quick
       test_postings_order;

@@ -203,28 +203,9 @@ let vocab =
     "experts"; "users"; "relational"; "nosuchword" ]
 
 let gen_selection =
-  let open QCheck2.Gen in
-  let leaf = map (Printf.sprintf "\"%s\"") (oneofl vocab) in
-  let rec sel depth =
-    if depth = 0 then leaf
-    else
-      frequency
-        [
-          (3, leaf);
-          (2, map2 (Printf.sprintf "(%s && %s)") (sel (depth - 1)) (sel (depth - 1)));
-          (2, map2 (Printf.sprintf "(%s || %s)") (sel (depth - 1)) (sel (depth - 1)));
-          ( 1,
-            map2
-              (fun a n -> Printf.sprintf "(%s window %d words)" a n)
-              (sel (depth - 1)) (int_range 2 20) );
-          ( 1,
-            map2
-              (fun a n -> Printf.sprintf "(%s distance at most %d words)" a n)
-              (sel (depth - 1)) (int_range 1 15) );
-          (1, map (Printf.sprintf "(%s ordered)") (sel (depth - 1)));
-        ]
-  in
-  sel 2
+  Ft_gen.(
+    selection ~words:vocab ~options:[ "" ] ~leaf_weight:3
+      [ (2, And); (2, Or); (1, Window (2, 20)); (1, Distance (1, 15)); (1, Ordered) ])
 
 let gen_context = QCheck2.Gen.oneofl [ "//book"; "//p"; "//chapter"; "//title" ]
 

@@ -559,14 +559,16 @@ let test_client_backoff_retries () =
       (* without retries the overload is the answer *)
       let e = ok_failure "shed" (Client.query ~socket_path:sock q) in
       Alcotest.(check string) "shed code" "gtlx:GTLX0009" e.Protocol.code;
-      (* with retries: the first backoff sleep releases the jam, the retry
-         is served.  jitter is pinned to the deterministic upper bound, so
-         the recorded delays are exactly base * 2^(k-1), base = the
-         server's own retry-after hint (40ms) *)
+      (* with retries: the first backoff sleep releases the jam and waits
+         until the worker has drained the queue, so the retry is served.
+         jitter is pinned to the deterministic upper bound, so the
+         recorded delays are exactly base * 2^(k-1), base = the server's
+         own retry-after hint (40ms) *)
       let slept = ref [] in
       let sleep d =
         slept := d :: !slept;
-        open_gate g
+        open_gate g;
+        poll "queue drained" (fun () -> stat t "queue_depth" = 0)
       in
       let v =
         ok_value "served after retry"

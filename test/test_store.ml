@@ -45,11 +45,17 @@ let index_eq (a : Inverted.t) (b : Inverted.t) =
   let doc_sig i =
     List.map (fun (u, r) -> (u, Xmlkit.Printer.to_string r)) (Inverted.documents i)
   in
+  (* the query-time score of every (document, word) run *)
+  let scores i w =
+    List.map
+      (fun (doc, run) -> (doc, Inverted.score i ~doc run))
+      (Inverted.Doc_map.bindings (Inverted.runs i w))
+  in
   doc_sig a = doc_sig b
   && Inverted.total_postings a = Inverted.total_postings b
   && Inverted.distinct_words a = Inverted.distinct_words b
   && List.for_all
-       (fun w -> Inverted.postings a w = Inverted.postings b w)
+       (fun w -> Inverted.postings a w = Inverted.postings b w && scores a w = scores b w)
        (Inverted.distinct_words a)
   && List.for_all
        (fun (u, _) ->

@@ -120,39 +120,13 @@ let vocab =
     "experts"; "users"; "relational"; "nosuchword" ]
 
 let gen_selection =
-  let open QCheck2.Gen in
-  let leaf =
-    map2
-      (fun w opts -> Printf.sprintf "\"%s\"%s" w opts)
-      (oneofl vocab)
-      (oneofl [ ""; " with stemming"; " case sensitive" ])
-  in
-  let rec sel depth =
-    if depth = 0 then leaf
-    else
-      frequency
-        [
-          (4, leaf);
-          (2, map2 (Printf.sprintf "(%s && %s)") (sel (depth - 1)) (sel (depth - 1)));
-          (2, map2 (Printf.sprintf "(%s || %s)") (sel (depth - 1)) (sel (depth - 1)));
-          (1, map (Printf.sprintf "(! %s)") leaf);
-          (1, map (Printf.sprintf "(%s ordered)") (sel (depth - 1)));
-          ( 1,
-            map2
-              (fun a n -> Printf.sprintf "(%s window %d words)" a n)
-              (sel (depth - 1)) (int_range 2 20) );
-          ( 1,
-            map2
-              (fun a n -> Printf.sprintf "(%s distance at most %d words)" a n)
-              (sel (depth - 1)) (int_range 1 15) );
-          ( 1,
-            map2
-              (fun a n -> Printf.sprintf "(%s occurs at least %d times)" a n)
-              (sel (depth - 1)) (int_range 1 3) );
-          (1, map (Printf.sprintf "(%s same sentence)") (sel (depth - 1)));
-        ]
-  in
-  sel 2
+  Ft_gen.(
+    selection ~words:vocab ~options:[ ""; " with stemming"; " case sensitive" ]
+      ~leaf_weight:4
+      [
+        (2, And); (2, Or); (1, Not); (1, Ordered); (1, Window (2, 20));
+        (1, Distance (1, 15)); (1, Occurs (1, 3)); (1, Same_sentence);
+      ])
 
 let gen_context = QCheck2.Gen.oneofl [ "//book"; "//p"; "//chapter"; "//title" ]
 

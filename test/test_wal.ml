@@ -132,6 +132,42 @@ let prop_apply_exact =
       in
       index_eq applied scratch)
 
+(* An update costs O(document + distinct words + documents), not
+   O(postings): the words one replace plus one remove allocate may not grow
+   with the corpus the way a whole-index rewrite per record would make
+   them (4x the books, at most 2x the words). *)
+let test_update_cost_not_corpus_sized () =
+  let profile docs =
+    {
+      Corpus.Generator.default_profile with
+      Corpus.Generator.seed = 7919;
+      doc_count = docs;
+      sections_per_doc = 2;
+      paras_per_section = 3;
+      words_per_para = 30;
+      vocab_size = 150;
+    }
+  in
+  let source =
+    Xmlkit.Printer.to_string
+      (snd (List.hd (Corpus.Generator.books { (profile 1) with seed = 1 })))
+  in
+  let words_allocated docs =
+    let base = Corpus.Generator.index_books (profile docs) in
+    let once () =
+      let before = Gc.minor_words () in
+      let index = Wal.apply base (Wal.Add_doc { uri = "book1.xml"; source }) in
+      ignore (Wal.apply index (Wal.Remove_doc "book2.xml"));
+      Gc.minor_words () -. before
+    in
+    (* the least of two runs: any other thread's allocation only adds *)
+    Float.min (once ()) (once ())
+  in
+  let small = words_allocated 50 and large = words_allocated 200 in
+  if large > 2.0 *. small then
+    Alcotest.failf "update allocated %.0f words at 200 books vs %.0f at 50 (%.1fx)"
+      large small (large /. small)
+
 (* --- 2. append / recover round trips --- *)
 
 let test_writer_roundtrip () =
@@ -781,6 +817,8 @@ let tests =
   [
     Alcotest.test_case "apply is exact" `Quick test_apply_exact;
     QCheck_alcotest.to_alcotest prop_apply_exact;
+    Alcotest.test_case "update cost is not corpus-sized" `Quick
+      test_update_cost_not_corpus_sized;
     Alcotest.test_case "writer round trip" `Quick test_writer_roundtrip;
     Alcotest.test_case "stale log ignored" `Quick test_stale_log_ignored;
     Alcotest.test_case "torn tail truncated silently" `Quick

@@ -914,1215 +914,6 @@ let r2_cold_start () =
             t_salvage l.Ftindex.Store.report.Ftindex.Store.rebuilt_words
       | None -> ())
 
-(* ---------------------------------------------------------------- R3 *)
-
-let percentile sorted p =
-  match Array.length sorted with
-  | 0 -> Float.nan
-  | n -> sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-
-let r3_serving () =
-  Harness.section
-    "R3 (robustness): daemon under open-loop load — shedding bounds p99";
-  let module Srv = Galatex_server.Server in
-  let module Cli = Galatex_server.Client in
-  let module Proto = Galatex_server.Protocol in
-  let dir = Printf.sprintf "r3-snapshot-%d" (Unix.getpid ()) in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let index =
-        Corpus.Generator.index_books
-          {
-            Corpus.Generator.default_profile with
-            Corpus.Generator.seed = 1100;
-            doc_count = 28;
-            sections_per_doc = 3;
-            paras_per_section = 4;
-            words_per_para = 40;
-            vocab_size = 150;
-          }
-      in
-      Ftindex.Store.save ~dir index;
-      let query =
-        {|count(collection()//book[. ftcontains "ra" && "sa" window 14 words])|}
-      in
-      let workers = 2 and per_client = 30 in
-      (* one load level: [level] closed-loop clients hammer the daemon with
-         [per_client] requests each; shed responses (GTLX0009) are counted,
-         served requests contribute a wall-clock latency sample *)
-      let run_level ~queue_limit level =
-        let socket_path =
-          Printf.sprintf "r3-%d-q%d-c%d.sock" (Unix.getpid ()) queue_limit level
-        in
-        let cfg =
-          {
-            (Srv.default_config ~index_dir:dir ~socket_path) with
-            Srv.workers;
-            queue_limit;
-          }
-        in
-        let t = Srv.start cfg in
-        Fun.protect
-          ~finally:(fun () -> Srv.stop t)
-          (fun () ->
-            let lat = Array.make (level * per_client) Float.nan in
-            let shed = Atomic.make 0 and errs = Atomic.make 0 in
-            let t0 = Unix.gettimeofday () in
-            let clients =
-              List.init level (fun c ->
-                  Thread.create
-                    (fun () ->
-                      for r = 0 to per_client - 1 do
-                        let s = Unix.gettimeofday () in
-                        match
-                          Cli.request ~socket_path
-                            (Proto.Query (Proto.query_request query))
-                        with
-                        | Ok (Proto.Value _) ->
-                            lat.((c * per_client) + r) <-
-                              (Unix.gettimeofday () -. s) *. 1000.
-                        | Ok (Proto.Failure e)
-                          when e.Proto.code = "gtlx:GTLX0009" ->
-                            Atomic.incr shed
-                        | Ok _ | Error _ -> Atomic.incr errs
-                      done)
-                    ())
-            in
-            List.iter Thread.join clients;
-            let wall = Unix.gettimeofday () -. t0 in
-            let served =
-              Array.of_list
-                (List.filter
-                   (fun x -> not (Float.is_nan x))
-                   (Array.to_list lat))
-            in
-            Array.sort compare served;
-            ( level,
-              Array.length served,
-              Atomic.get shed,
-              Atomic.get errs,
-              float_of_int (Array.length served) /. wall,
-              percentile served 0.5,
-              percentile served 0.99 ))
-      in
-      let levels = [ 1; 2; 4; 8; 16; 32 ] in
-      let bounded_q = 2 * workers in
-      let unbounded_q = 1_000_000 in
-      let bounded = List.map (run_level ~queue_limit:bounded_q) levels in
-      let unbounded = List.map (run_level ~queue_limit:unbounded_q) levels in
-      let print_table name rows =
-        Harness.row "\n  %s\n" name;
-        Harness.row
-          "  clients   served   shed   errors   throughput      p50       p99\n";
-        List.iter
-          (fun (level, served, shed, errs, rps, p50, p99) ->
-            Harness.row
-              "  %7d   %6d   %4d   %6d   %8.0f/s   %6.2fms  %7.2fms\n" level
-              served shed errs rps p50 p99)
-          rows
-      in
-      print_table
-        (Printf.sprintf
-           "admission control ON (workers=%d, queue_limit=%d): excess is shed"
-           workers bounded_q)
-        bounded;
-      print_table
-        (Printf.sprintf
-           "admission control OFF (workers=%d, queue_limit=%d): everything \
-            queues"
-           workers unbounded_q)
-        unbounded;
-      let last l = List.nth l (List.length l - 1) in
-      let top_level, _, top_shed, _, _, _, p99_b = last bounded in
-      let _, _, _, _, _, _, p99_u = last unbounded in
-      Harness.row
-        "  => at %d offered clients shedding (%d sheds) bounds p99 at %.2fms\n\
-        \     vs %.2fms when every request queues (%.1fx tail-latency cut)\n"
-        top_level top_shed p99_b p99_u
-        (p99_u /. Float.max 0.001 p99_b);
-      let json_rows rows =
-        String.concat ",\n"
-          (List.map
-             (fun (level, served, shed, errs, rps, p50, p99) ->
-               Printf.sprintf
-                 "      {\"offered_clients\": %d, \"served\": %d, \"shed\": \
-                  %d, \"transport_errors\": %d, \"throughput_rps\": %.1f, \
-                  \"p50_ms\": %.3f, \"p99_ms\": %.3f}"
-                 level served shed errs rps p50 p99)
-             rows)
-      in
-      let json =
-        Printf.sprintf
-          "{\n\
-          \  \"experiment\": \"R3\",\n\
-          \  \"workers\": %d,\n\
-          \  \"requests_per_client\": %d,\n\
-          \  \"configs\": [\n\
-          \    {\"name\": \"admission_control\", \"queue_limit\": %d, \
-           \"levels\": [\n\
-           %s\n\
-          \    ]},\n\
-          \    {\"name\": \"unbounded_queue\", \"queue_limit\": %d, \
-           \"levels\": [\n\
-           %s\n\
-          \    ]}\n\
-          \  ]\n\
-           }\n"
-          workers per_client bounded_q (json_rows bounded) unbounded_q
-          (json_rows unbounded)
-      in
-      let oc = open_out "BENCH_R3.json" in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc json);
-      Harness.row "  wrote BENCH_R3.json\n")
-
-(* ---------------------------------------------------------------- R4 *)
-
-let r4_live_updates () =
-  Harness.section
-    "R4 (robustness): live updates — WAL latency, compaction tail, recovery";
-  let module Srv = Galatex_server.Server in
-  let module Cli = Galatex_server.Client in
-  let module Proto = Galatex_server.Protocol in
-  let dir = Printf.sprintf "r4-snapshot-%d" (Unix.getpid ()) in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let index =
-        Corpus.Generator.index_books
-          {
-            Corpus.Generator.default_profile with
-            Corpus.Generator.seed = 1300;
-            doc_count = 28;
-            sections_per_doc = 3;
-            paras_per_section = 4;
-            words_per_para = 40;
-            vocab_size = 150;
-          }
-      in
-      Ftindex.Store.save ~dir index;
-      let query =
-        {|count(collection()//book[. ftcontains "ra" && "sa" window 14 words])|}
-      in
-      let upd_doc i =
-        Printf.sprintf
-          "<book><title>Live update %d</title><p>fresh words ra and sa for \
-           revision %d</p></book>"
-          i i
-      in
-      let readers = 2 and reads_per = 50 and updates_n = 50 in
-      (* one closed-loop mixed run: [readers] query clients and one update
-         client hammer the daemon together; [compact_bytes] arms (or
-         disarms) threshold-triggered background compaction so the same
-         workload measures the query tail with and without compactions
-         racing it *)
-      let run_mix ~name ~compact_bytes =
-        let socket_path = Printf.sprintf "r4-%s-%d.sock" name (Unix.getpid ()) in
-        let cfg =
-          {
-            (Srv.default_config ~index_dir:dir ~socket_path) with
-            Srv.wal_compact_bytes = compact_bytes;
-          }
-        in
-        let t = Srv.start cfg in
-        Fun.protect
-          ~finally:(fun () -> Srv.stop t)
-          (fun () ->
-            let qlat = Array.make (readers * reads_per) Float.nan in
-            let ulat = Array.make updates_n Float.nan in
-            let errors = Atomic.make 0 in
-            let updater =
-              Thread.create
-                (fun () ->
-                  for i = 0 to updates_n - 1 do
-                    let s = Unix.gettimeofday () in
-                    match
-                      Cli.request ~socket_path
-                        (Proto.Update
-                           {
-                             ops =
-                               [
-                                 Ftindex.Wal.Add_doc
-                                   {
-                                     uri = Printf.sprintf "u%d.xml" (i mod 12);
-                                     source = upd_doc i;
-                                   };
-                               ];
-                             epoch = 0;
-                           })
-                    with
-                    | Ok (Proto.Update_reply _) ->
-                        ulat.(i) <- (Unix.gettimeofday () -. s) *. 1000.
-                    | Ok _ | Error _ -> Atomic.incr errors
-                  done)
-                ()
-            in
-            let query_threads =
-              List.init readers (fun c ->
-                  Thread.create
-                    (fun () ->
-                      for r = 0 to reads_per - 1 do
-                        let s = Unix.gettimeofday () in
-                        match
-                          Cli.request ~socket_path
-                            (Proto.Query (Proto.query_request query))
-                        with
-                        | Ok (Proto.Value _) ->
-                            qlat.((c * reads_per) + r) <-
-                              (Unix.gettimeofday () -. s) *. 1000.
-                        | Ok _ | Error _ -> Atomic.incr errors
-                      done)
-                    ())
-            in
-            Thread.join updater;
-            List.iter Thread.join query_threads;
-            let compactions =
-              Option.value ~default:0
-                (List.assoc_opt "compactions"
-                   (Srv.stats t).Proto.counters)
-            in
-            let sorted a =
-              let l = List.filter (fun x -> not (Float.is_nan x)) (Array.to_list a) in
-              let s = Array.of_list l in
-              Array.sort compare s;
-              s
-            in
-            let u = sorted ulat and q = sorted qlat in
-            ( name,
-              compactions,
-              Atomic.get errors,
-              percentile u 0.5,
-              percentile u 0.99,
-              percentile q 0.5,
-              percentile q 0.99 ))
-      in
-      let steady = run_mix ~name:"steady" ~compact_bytes:None in
-      let compacting = run_mix ~name:"compacting" ~compact_bytes:(Some 2048) in
-      Harness.row
-        "  mixed closed-loop workload: %d query clients x %d requests + 1 \
-         update client x %d updates\n\n"
-        readers reads_per updates_n;
-      Harness.row
-        "  config       compactions  errors   update p50   update p99   query \
-         p50   query p99\n";
-      List.iter
-        (fun (name, compactions, errors, up50, up99, qp50, qp99) ->
-          Harness.row
-            "  %-12s %11d  %6d   %8.2fms   %8.2fms   %7.2fms   %7.2fms\n" name
-            compactions errors up50 up99 qp50 qp99)
-        [ steady; compacting ];
-      let (_, _, _, _, _, _, qp99_s) = steady in
-      let (_, ncomp, _, _, _, _, qp99_c) = compacting in
-      Harness.row
-        "  => %d background compaction(s) ran inside the second workload; \
-         query p99\n\
-        \     moved %.2fms -> %.2fms (compaction is off the request path: \
-         readers keep\n\
-        \     the pre-compaction engine until the atomic swap)\n\n" ncomp qp99_s
-        qp99_c;
-      (* cold-start recovery: replay cost grows with the log, compaction
-         resets it — the reason the threshold trigger exists *)
-      Harness.row
-        "  cold start (Engine.of_store) vs write-ahead-log length:\n\n";
-      Harness.row "  wal records   recover      (after compaction: 0 records)\n";
-      let recovery =
-        List.map
-          (fun wal_len ->
-            (* fold everything accumulated so far into a fresh generation,
-               then grow exactly [wal_len] records on top of it *)
-            let engine = Galatex.Engine.of_store ~dir () in
-            let engine = Galatex.Engine.compact engine ~dir in
-            let gen = Option.value (Galatex.Engine.generation engine) ~default:0 in
-            let w = Ftindex.Wal.open_writer ~dir ~generation:gen () in
-            for i = 1 to wal_len do
-              ignore
-                (Ftindex.Wal.append w
-                   (Ftindex.Wal.Add_doc
-                      { uri = Printf.sprintf "w%d.xml" (i mod 16); source = upd_doc i }))
-            done;
-            let t_recover =
-              Harness.time_ms ~runs:3 (fun () ->
-                  ignore (Galatex.Engine.of_store ~dir ()))
-            in
-            Harness.row "  %11d   %7.2fms\n" wal_len t_recover;
-            (wal_len, t_recover))
-          [ 0; 16; 64; 128 ]
-      in
-      let json =
-        let mix_row (name, compactions, errors, up50, up99, qp50, qp99) =
-          Printf.sprintf
-            "    {\"name\": \"%s\", \"compactions\": %d, \"errors\": %d, \
-             \"update_p50_ms\": %.3f, \"update_p99_ms\": %.3f, \
-             \"query_p50_ms\": %.3f, \"query_p99_ms\": %.3f}"
-            name compactions errors up50 up99 qp50 qp99
-        in
-        Printf.sprintf
-          "{\n\
-          \  \"experiment\": \"R4\",\n\
-          \  \"readers\": %d,\n\
-          \  \"reads_per_client\": %d,\n\
-          \  \"updates\": %d,\n\
-          \  \"mixed_workload\": [\n\
-           %s\n\
-          \  ],\n\
-          \  \"cold_start_recovery\": [\n\
-           %s\n\
-          \  ]\n\
-           }\n"
-          readers reads_per updates_n
-          (String.concat ",\n" (List.map mix_row [ steady; compacting ]))
-          (String.concat ",\n"
-             (List.map
-                (fun (len, ms) ->
-                  Printf.sprintf
-                    "    {\"wal_records\": %d, \"recover_ms\": %.3f}" len ms)
-                recovery))
-      in
-      let oc = open_out "BENCH_R4.json" in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc json);
-      Harness.row "  wrote BENCH_R4.json\n")
-
-(* ---------------------------------------------------------------- R5 *)
-
-let r5_cluster () =
-  Harness.section
-    "R5 (robustness): document-sharded cluster — scaling, rolling reload, \
-     degradation";
-  let module Srv = Galatex_server.Server in
-  let module Cli = Galatex_server.Client in
-  let module Proto = Galatex_server.Protocol in
-  let module Router = Galatex_cluster.Router in
-  let root = Printf.sprintf "r5-cluster-%d" (Unix.getpid ()) in
-  Fun.protect
-    ~finally:(fun () -> rm_rf root)
-    (fun () ->
-      Unix.mkdir root 0o755;
-      let docs =
-        Corpus.Generator.books
-          {
-            Corpus.Generator.default_profile with
-            Corpus.Generator.seed = 1500;
-            doc_count = 32;
-            sections_per_doc = 3;
-            paras_per_section = 4;
-            words_per_para = 40;
-            vocab_size = 150;
-          }
-      in
-      let sources =
-        List.map (fun (uri, d) -> (uri, Xmlkit.Printer.to_string d)) docs
-      in
-      let query =
-        {|count(collection()//book[. ftcontains "ra" && "sa" window 14 words])|}
-      in
-      let clients = 4 and per_client = 25 in
-      (* bring up [shards] daemons over a hash-partitioned cut of the same
-         corpus plus the router, run the closed-loop workload through the
-         router, and hand the live cluster to [during] mid-run (rolling
-         reload, shard kill) before tearing everything down *)
-      let run_cluster ~name ~shards ?(during = fun _ -> ()) () =
-        let parts = Corpus.Partition.split ~shards sources in
-        let socks =
-          Array.init shards (fun i ->
-              Printf.sprintf "r5-%s-s%d-%d.sock" name i (Unix.getpid ()))
-        in
-        let dirs =
-          Array.mapi
-            (fun i part ->
-              let dir =
-                Filename.concat root (Printf.sprintf "%s-shard-%d" name i)
-              in
-              Ftindex.Store.save ~dir (Ftindex.Indexer.index_strings part);
-              dir)
-            parts
-        in
-        let servers =
-          Array.init shards (fun i ->
-              Srv.start (Srv.default_config ~index_dir:dirs.(i)
-                           ~socket_path:socks.(i)))
-        in
-        let router_sock = Printf.sprintf "r5-%s-rt-%d.sock" name (Unix.getpid ()) in
-        let endpoints =
-          Array.to_list
-            (Array.map
-               (fun sock -> { Router.primary = sock; replicas = [] })
-               socks)
-        in
-        let router =
-          Router.start (Router.default_config ~shards:endpoints
-                          ~socket_path:router_sock)
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            Router.stop router;
-            Array.iter Srv.stop servers)
-          (fun () ->
-            let lat = Array.make (clients * per_client) Float.nan in
-            let partials = Atomic.make 0 and failures = Atomic.make 0 in
-            let t0 = Unix.gettimeofday () in
-            let threads =
-              List.init clients (fun c ->
-                  Thread.create
-                    (fun () ->
-                      for r = 0 to per_client - 1 do
-                        let s = Unix.gettimeofday () in
-                        match
-                          Cli.query ~socket_path:router_sock ~retries:2
-                            (Proto.query_request query)
-                        with
-                        | Ok (Proto.Value v) ->
-                            lat.((c * per_client) + r) <-
-                              (Unix.gettimeofday () -. s) *. 1000.;
-                            if v.Proto.partial <> None then
-                              Atomic.incr partials
-                        | Ok _ | Error _ -> Atomic.incr failures
-                      done)
-                    ())
-            in
-            during (router_sock, servers);
-            List.iter Thread.join threads;
-            let wall = Unix.gettimeofday () -. t0 in
-            let served =
-              Array.of_list
-                (List.filter
-                   (fun x -> not (Float.is_nan x))
-                   (Array.to_list lat))
-            in
-            Array.sort compare served;
-            ( name,
-              shards,
-              Array.length served,
-              Atomic.get partials,
-              Atomic.get failures,
-              float_of_int (Array.length served) /. wall,
-              percentile served 0.5,
-              percentile served 0.99 ))
-      in
-      (* scaling: same corpus, same offered load, more partitions *)
-      let scaling =
-        List.map
-          (fun shards ->
-            run_cluster ~name:(Printf.sprintf "scale%d" shards) ~shards ())
-          [ 1; 2; 4 ]
-      in
-      (* a rolling reload racing the query stream: N-1 shards keep serving,
-         so the stream sees no partials and only a modest tail bump *)
-      let rolling =
-        run_cluster ~name:"rolling" ~shards:2
-          ~during:(fun (router_sock, _) ->
-            Thread.delay 0.05;
-            ignore (Cli.reload ~socket_path:router_sock ()))
-          ()
-      in
-      (* one shard killed mid-stream: queries degrade to GTLX0011-tagged
-         partials instead of failing *)
-      let degraded =
-        run_cluster ~name:"degraded" ~shards:2
-          ~during:(fun (_, servers) ->
-            Thread.delay 0.05;
-            Srv.stop servers.(1))
-          ()
-      in
-      let rows = scaling @ [ rolling; degraded ] in
-      Harness.row
-        "  closed-loop workload: %d clients x %d requests through the router\n\n"
-        clients per_client;
-      Harness.row
-        "  config     shards   served   partial   failed   throughput      \
-         p50       p99\n";
-      List.iter
-        (fun (name, shards, served, partials, failures, rps, p50, p99) ->
-          Harness.row
-            "  %-9s %6d   %6d   %7d   %6d   %8.0f/s   %6.2fms  %7.2fms\n" name
-            shards served partials failures rps p50 p99)
-        rows;
-      let (_, _, _, roll_partials, roll_failures, _, _, _) = rolling in
-      let (_, _, _, deg_partials, _, _, _, _) = degraded in
-      Harness.row
-        "  => rolling reload cost the stream %d partials and %d failures\n\
-        \     (the gate holds: N-1 shards always serve); with a shard killed\n\
-        \     outright, %d queries degraded to GTLX0011-tagged partials\n\
-        \     instead of failing\n"
-        roll_partials roll_failures deg_partials;
-      let json =
-        Printf.sprintf
-          "{\n\
-          \  \"experiment\": \"R5\",\n\
-          \  \"clients\": %d,\n\
-          \  \"requests_per_client\": %d,\n\
-          \  \"runs\": [\n\
-           %s\n\
-          \  ]\n\
-           }\n"
-          clients per_client
-          (String.concat ",\n"
-             (List.map
-                (fun (name, shards, served, partials, failures, rps, p50, p99) ->
-                  Printf.sprintf
-                    "    {\"name\": \"%s\", \"shards\": %d, \"served\": %d, \
-                     \"partial\": %d, \"failed\": %d, \"throughput_rps\": \
-                     %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f}"
-                    name shards served partials failures rps p50 p99)
-                rows))
-      in
-      let oc = open_out "BENCH_R5.json" in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc json);
-      Harness.row "  wrote BENCH_R5.json\n")
-
-(* ---------------------------------------------------------------- R6 *)
-
-let r6_replication () =
-  Harness.section
-    "R6 (robustness): WAL-shipping replication — follower lag under load, \
-     time-to-converge";
-  let module Srv = Galatex_server.Server in
-  let module Cli = Galatex_server.Client in
-  let module Proto = Galatex_server.Protocol in
-  let root = Printf.sprintf "r6-repl-%d" (Unix.getpid ()) in
-  Fun.protect
-    ~finally:(fun () -> rm_rf root)
-    (fun () ->
-      Unix.mkdir root 0o755;
-      let docs =
-        Corpus.Generator.books
-          {
-            Corpus.Generator.default_profile with
-            Corpus.Generator.seed = 1600;
-            doc_count = 16;
-            sections_per_doc = 3;
-            paras_per_section = 4;
-            words_per_para = 40;
-            vocab_size = 150;
-          }
-      in
-      let sources =
-        List.map (fun (uri, d) -> (uri, Xmlkit.Printer.to_string d)) docs
-      in
-      let pri_dir = Filename.concat root "primary" in
-      Ftindex.Store.save ~dir:pri_dir (Ftindex.Indexer.index_strings sources);
-      let pid = Unix.getpid () in
-      let pri_sock = Printf.sprintf "r6-pri-%d.sock" pid in
-      let fol_sock = Printf.sprintf "r6-fol-%d.sock" pid in
-      let fol_dir = Filename.concat root "follower" in
-      let pri_cfg =
-        {
-          (Srv.default_config ~index_dir:pri_dir ~socket_path:pri_sock) with
-          Srv.tick_interval = 0.01;
-        }
-      in
-      let fol_cfg =
-        {
-          (Srv.default_config ~index_dir:fol_dir ~socket_path:fol_sock) with
-          Srv.follow = Some pri_sock;
-          tick_interval = 0.01;
-        }
-      in
-      let primary = ref (Srv.start pri_cfg) in
-      let follower = Srv.start fol_cfg in
-      Fun.protect
-        ~finally:(fun () ->
-          Srv.stop follower;
-          Srv.stop !primary)
-        (fun () ->
-          let health sock =
-            match Cli.health ~socket_path:sock () with
-            | Ok h -> Some h
-            | Error _ -> None
-          in
-          let converged () =
-            match (health pri_sock, health fol_sock) with
-            | Some p, Some f ->
-                p.Proto.h_generation = f.Proto.h_generation
-                && p.Proto.h_seq = f.Proto.h_seq
-                && p.Proto.h_manifest_crc = f.Proto.h_manifest_crc
-            | _ -> false
-          in
-          let wait_converged () =
-            let t0 = Unix.gettimeofday () in
-            let rec go tries =
-              if converged () then (Unix.gettimeofday () -. t0) *. 1000.
-              else if tries = 0 then Float.nan
-              else (
-                Thread.delay 0.002;
-                go (tries - 1))
-            in
-            go 5000
-          in
-          ignore (wait_converged ());
-          (* 1. follower lag under a sustained single-writer update stream:
-             a sampler polls both healths while the main thread streams
-             acknowledged updates as fast as the primary will take them *)
-          let updates_n = 150 in
-          let samples = ref [] in
-          let streaming = Atomic.make true in
-          let t_load0 = Unix.gettimeofday () in
-          let sampler =
-            Thread.create
-              (fun () ->
-                while Atomic.get streaming do
-                  (match (health pri_sock, health fol_sock) with
-                  | Some p, Some f when p.Proto.h_generation = f.Proto.h_generation ->
-                      samples :=
-                        ( (Unix.gettimeofday () -. t_load0) *. 1000.,
-                          max 0 (p.Proto.h_seq - f.Proto.h_seq) )
-                        :: !samples
-                  | _ -> ());
-                  Thread.delay 0.002
-                done)
-              ()
-          in
-          for i = 1 to updates_n do
-            let op =
-              Ftindex.Wal.Add_doc
-                {
-                  uri = Printf.sprintf "r6-new-%d.xml" i;
-                  source =
-                    Printf.sprintf "<book><title>replica load %d</title></book>" i;
-                }
-            in
-            match
-              Cli.request ~socket_path:pri_sock
-                (Proto.Update { ops = [ op ]; epoch = 0 })
-            with
-            | Ok (Proto.Update_reply _) -> ()
-            | _ -> failwith "r6: update not acknowledged"
-          done;
-          let t_acked = Unix.gettimeofday () in
-          let drain_ms = wait_converged () in
-          Atomic.set streaming false;
-          Thread.join sampler;
-          let lags = List.map snd !samples in
-          let max_lag = List.fold_left max 0 lags in
-          let mean_lag =
-            if lags = [] then 0.
-            else
-              float_of_int (List.fold_left ( + ) 0 lags)
-              /. float_of_int (List.length lags)
-          in
-          let ack_wall = (t_acked -. t_load0) *. 1000. in
-          (* 2. time-to-converge after a primary restart: stop the primary
-             mid-life, bring it back, append more records and time how long
-             the follower needs to match (generation, seq, manifest CRC) *)
-          let restart_trials =
-            List.init 3 (fun t ->
-                Srv.stop !primary;
-                primary := Srv.start pri_cfg;
-                for i = 1 to 5 do
-                  let op =
-                    Ftindex.Wal.Add_doc
-                      {
-                        uri = Printf.sprintf "r6-restart-%d-%d.xml" t i;
-                        source = "<book><title>after restart</title></book>";
-                      }
-                  in
-                  ignore (Cli.request ~socket_path:pri_sock (Proto.Update { ops = [ op ]; epoch = 0 }))
-                done;
-                wait_converged ())
-          in
-          (* 3. time-to-converge across a compaction: the base generation
-             moves, so the follower must pull a full snapshot re-sync *)
-          let compact_ms =
-            (match Cli.request ~socket_path:pri_sock (Proto.Compact { epoch = 0 }) with
-            | Ok (Proto.Compact_reply _) -> ()
-            | _ -> failwith "r6: compact failed");
-            wait_converged ()
-          in
-          let resyncs =
-            match Cli.stats ~socket_path:fol_sock () with
-            | Ok s ->
-                List.assoc_opt "snapshot_resyncs" s.Proto.counters
-                |> Option.value ~default:0
-            | Error _ -> 0
-          in
-          Harness.row
-            "  sustained load: %d acked updates in %.0fms; follower lag max \
-             %d, mean %.1f records (%d samples); drained %.0fms after last \
-             ack\n"
-            updates_n ack_wall max_lag mean_lag (List.length lags) drain_ms;
-          List.iteri
-            (fun i ms ->
-              Harness.row
-                "  restart %d: follower re-converged in %.0fms\n" (i + 1) ms)
-            restart_trials;
-          Harness.row
-            "  compaction: full snapshot re-sync converged in %.0fms \
-             (follower snapshot_resyncs=%d)\n"
-            compact_ms resyncs;
-          let json =
-            Printf.sprintf
-              "{\n\
-              \  \"experiment\": \"R6\",\n\
-              \  \"updates\": %d,\n\
-              \  \"ack_wall_ms\": %.3f,\n\
-              \  \"lag_max_records\": %d,\n\
-              \  \"lag_mean_records\": %.3f,\n\
-              \  \"lag_samples\": %d,\n\
-              \  \"drain_ms\": %.3f,\n\
-              \  \"restart_converge_ms\": [%s],\n\
-              \  \"compact_resync_ms\": %.3f,\n\
-              \  \"snapshot_resyncs\": %d\n\
-               }\n"
-              updates_n ack_wall max_lag mean_lag (List.length lags) drain_ms
-              (String.concat ", "
-                 (List.map (Printf.sprintf "%.3f") restart_trials))
-              compact_ms resyncs
-          in
-          let oc = open_out "BENCH_R6.json" in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc json);
-          Harness.row "  wrote BENCH_R6.json\n"))
-
-(* ---------------------------------------------------------------- R7 *)
-
-let r7_failover () =
-  Harness.section
-    "R7 (robustness): epoch-fenced primary failover — write-unavailability \
-     window, query p99 through the drill";
-  let module Srv = Galatex_server.Server in
-  let module Cli = Galatex_server.Client in
-  let module Proto = Galatex_server.Protocol in
-  let module Router = Galatex_cluster.Router in
-  let root = Printf.sprintf "r7-failover-%d" (Unix.getpid ()) in
-  Fun.protect
-    ~finally:(fun () -> rm_rf root)
-    (fun () ->
-      Unix.mkdir root 0o755;
-      let docs =
-        Corpus.Generator.books
-          {
-            Corpus.Generator.default_profile with
-            Corpus.Generator.seed = 1700;
-            doc_count = 16;
-            sections_per_doc = 3;
-            paras_per_section = 4;
-            words_per_para = 40;
-            vocab_size = 150;
-          }
-      in
-      let sources =
-        List.map (fun (uri, d) -> (uri, Xmlkit.Printer.to_string d)) docs
-      in
-      let pri_dir = Filename.concat root "primary" in
-      Ftindex.Store.save ~dir:pri_dir (Ftindex.Indexer.index_strings sources);
-      let pid = Unix.getpid () in
-      let pri_sock = Printf.sprintf "r7-pri-%d.sock" pid in
-      let fol_sock = Printf.sprintf "r7-fol-%d.sock" pid in
-      let rt_sock = Printf.sprintf "r7-rt-%d.sock" pid in
-      let fol_dir = Filename.concat root "follower" in
-      let pri_cfg =
-        {
-          (Srv.default_config ~index_dir:pri_dir ~socket_path:pri_sock) with
-          Srv.tick_interval = 0.01;
-        }
-      in
-      let fol_cfg =
-        {
-          (Srv.default_config ~index_dir:fol_dir ~socket_path:fol_sock) with
-          Srv.follow = Some pri_sock;
-          tick_interval = 0.01;
-        }
-      in
-      let primary = ref (Srv.start pri_cfg) in
-      let follower = Srv.start fol_cfg in
-      let router =
-        Router.start
-          {
-            (Router.default_config
-               ~shards:[ { Router.primary = pri_sock; replicas = [ fol_sock ] } ]
-               ~socket_path:rt_sock)
-            with
-            Router.workers = 4;
-            retries = 1;
-            default_deadline = 3.0;
-            tick_interval = 0.01;
-            probe_timeout = 0.1;
-            reload_timeout = 10.0;
-            primary_failover = true;
-            failover_ticks = 2;
-          }
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Router.stop router;
-          Srv.stop follower;
-          Srv.stop !primary)
-        (fun () ->
-          let health sock =
-            match Cli.health ~socket_path:sock () with
-            | Ok h -> Some h
-            | Error _ -> None
-          in
-          let converged () =
-            match (health pri_sock, health fol_sock) with
-            | Some p, Some f ->
-                p.Proto.h_generation = f.Proto.h_generation
-                && p.Proto.h_seq = f.Proto.h_seq
-                && p.Proto.h_manifest_crc = f.Proto.h_manifest_crc
-            | _ -> false
-          in
-          let rec wait ?(tries = 5000) msg f =
-            if f () then ()
-            else if tries = 0 then failwith ("r7: timeout waiting for " ^ msg)
-            else (
-              Thread.delay 0.002;
-              wait ~tries:(tries - 1) msg f)
-          in
-          wait "bootstrap" converged;
-          (* writer: streams single-doc updates through the router and
-             records (wall time, epoch) per acknowledged write; failures
-             during the window are the unavailability being measured *)
-          let acks = ref [] and acks_lock = Mutex.create () in
-          let stop = Atomic.make false in
-          let writer =
-            Thread.create
-              (fun () ->
-                let i = ref 0 in
-                while not (Atomic.get stop) do
-                  incr i;
-                  let op =
-                    Ftindex.Wal.Add_doc
-                      {
-                        uri = Printf.sprintf "r7-new-%d.xml" !i;
-                        source =
-                          Printf.sprintf "<book><title>failover %d</title></book>"
-                            !i;
-                      }
-                  in
-                  (match
-                     Cli.request ~recv_timeout:2.0 ~socket_path:rt_sock
-                       (Proto.Update { ops = [ op ]; epoch = 0 })
-                   with
-                  | Ok (Proto.Update_reply u) ->
-                      Mutex.lock acks_lock;
-                      acks := (Unix.gettimeofday (), u.Proto.u_epoch) :: !acks;
-                      Mutex.unlock acks_lock
-                  | Ok _ | Error _ -> ());
-                  Thread.delay 0.002
-                done)
-              ()
-          in
-          (* reader: hammers the router with the cross-shard count query
-             and keeps every latency — the replica keeps serving reads
-             while the primary is down, so p99 should stay flat *)
-          let lats = ref [] and lats_lock = Mutex.create () in
-          let reader =
-            Thread.create
-              (fun () ->
-                while not (Atomic.get stop) do
-                  let t0 = Unix.gettimeofday () in
-                  (match
-                     Cli.request ~recv_timeout:2.0 ~socket_path:rt_sock
-                       (Proto.Query
-                          (Proto.query_request "count(collection()//book)"))
-                   with
-                  | Ok (Proto.Value _) ->
-                      let dt = (Unix.gettimeofday () -. t0) *. 1000. in
-                      Mutex.lock lats_lock;
-                      lats := dt :: !lats;
-                      Mutex.unlock lats_lock
-                  | Ok _ | Error _ -> ());
-                  Thread.delay 0.002
-                done)
-              ()
-          in
-          let acked_at e =
-            Mutex.lock acks_lock;
-            let l = List.filter (fun (_, e') -> e' = e) !acks in
-            Mutex.unlock acks_lock;
-            l
-          in
-          wait "epoch-1 writes" (fun () -> List.length (acked_at 1) >= 25);
-          (* kill -9 the primary mid-stream: the router's sweep detects
-             the dead primary and promotes the follower; writes resume
-             when the first epoch-2 ack lands *)
-          let t_kill = Unix.gettimeofday () in
-          Srv.stop !primary;
-          wait "failover + resumed writes" (fun () -> acked_at 2 <> []);
-          let t_resume =
-            List.fold_left
-              (fun acc (t, _) -> Float.min acc t)
-              infinity (acked_at 2)
-          in
-          let last_old_ack =
-            List.fold_left
-              (fun acc (t, _) -> Float.max acc t)
-              0. (List.filter (fun (t, _) -> t < t_kill) (acked_at 1))
-          in
-          wait "epoch-2 writes flow" (fun () -> List.length (acked_at 2) >= 25);
-          (* the restarted old primary is fenced and re-converges *)
-          let t_restart = Unix.gettimeofday () in
-          primary := Srv.start pri_cfg;
-          wait "old primary demoted" (fun () ->
-              match health pri_sock with
-              | Some h -> h.Proto.h_role = "replica"
-              | None -> false);
-          wait "old primary converged" (fun () ->
-              converged ()
-              && match health pri_sock with
-                 | Some h -> h.Proto.h_epoch >= 2
-                 | None -> false);
-          let rejoin_ms = (Unix.gettimeofday () -. t_restart) *. 1000. in
-          Atomic.set stop true;
-          Thread.join writer;
-          Thread.join reader;
-          let window_ms = (t_resume -. t_kill) *. 1000. in
-          let gap_ms = (t_resume -. last_old_ack) *. 1000. in
-          let lat_sorted =
-            let a = Array.of_list !lats in
-            Array.sort compare a;
-            a
-          in
-          let q_p50 = percentile lat_sorted 0.5
-          and q_p99 = percentile lat_sorted 0.99 in
-          let failovers, demotes =
-            match Cli.stats ~socket_path:rt_sock () with
-            | Ok s ->
-                let c k =
-                  Option.value ~default:0 (List.assoc_opt k s.Proto.counters)
-                in
-                (c "failovers", c "demotes_sent")
-            | Error _ -> (0, 0)
-          in
-          let n1 = List.length (acked_at 1) and n2 = List.length (acked_at 2) in
-          Harness.row
-            "  write unavailability: %.0fms from kill to first epoch-2 ack \
-             (%.0fms between acks); %d acks on epoch 1, %d on epoch 2\n"
-            window_ms gap_ms n1 n2;
-          Harness.row
-            "  reads through the drill: %d queries, p50 %.2fms, p99 %.2fms\n"
-            (Array.length lat_sorted) q_p50 q_p99;
-          Harness.row
-            "  old primary rejoined (demoted + bit-identical) in %.0fms; \
-             router: %d failover(s), %d demote(s)\n"
-            rejoin_ms failovers demotes;
-          let json =
-            Printf.sprintf
-              "{\n\
-              \  \"experiment\": \"R7\",\n\
-              \  \"write_unavailability_ms\": %.3f,\n\
-              \  \"ack_gap_ms\": %.3f,\n\
-              \  \"acks_epoch1\": %d,\n\
-              \  \"acks_epoch2\": %d,\n\
-              \  \"query_count\": %d,\n\
-              \  \"query_p50_ms\": %.3f,\n\
-              \  \"query_p99_ms\": %.3f,\n\
-              \  \"old_primary_rejoin_ms\": %.3f,\n\
-              \  \"router_failovers\": %d,\n\
-              \  \"router_demotes\": %d\n\
-               }\n"
-              window_ms gap_ms n1 n2 (Array.length lat_sorted) q_p50 q_p99
-              rejoin_ms failovers demotes
-          in
-          let oc = open_out "BENCH_R7.json" in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc json);
-          Harness.row "  wrote BENCH_R7.json\n"))
-
-(* ---------------------------------------------------------------- R8 *)
-
-let r8_netfaults () =
-  Harness.section
-    "R8 (robustness): open-loop load with 5% slow-peer faults — latency \
-     and degradation, I/O deadlines tight vs loose";
-  let module Srv = Galatex_server.Server in
-  let module Cli = Galatex_server.Client in
-  let module Proto = Galatex_server.Protocol in
-  let module Router = Galatex_cluster.Router in
-  let module Faultnet = Galatex_server.Faultnet in
-  let root = Printf.sprintf "r8-netfaults-%d" (Unix.getpid ()) in
-  Fun.protect
-    ~finally:(fun () -> rm_rf root)
-    (fun () ->
-      Unix.mkdir root 0o755;
-      let docs =
-        Corpus.Generator.books
-          {
-            Corpus.Generator.default_profile with
-            Corpus.Generator.seed = 1800;
-            doc_count = 16;
-            sections_per_doc = 2;
-            paras_per_section = 3;
-            words_per_para = 30;
-            vocab_size = 120;
-          }
-      in
-      let sources =
-        List.map (fun (uri, d) -> (uri, Xmlkit.Printer.to_string d)) docs
-      in
-      let parts = Corpus.Partition.split ~shards:2 sources in
-      let pid = Unix.getpid () in
-      let shard_socks =
-        Array.init 2 (fun i -> Printf.sprintf "r8-s%d-%d.sock" i pid)
-      in
-      let servers =
-        Array.mapi
-          (fun i part ->
-            let dir = Filename.concat root (Printf.sprintf "shard-%d" i) in
-            Ftindex.Store.save ~dir (Ftindex.Indexer.index_strings part);
-            Srv.start
-              {
-                (Srv.default_config ~index_dir:dir
-                   ~socket_path:shard_socks.(i))
-                with
-                Srv.workers = 4;
-                tick_interval = 0.02;
-                recv_timeout = 2.0;
-                idle_timeout = 1.0;
-              })
-          parts
-      in
-      Fun.protect
-        ~finally:(fun () -> Array.iter Srv.stop servers)
-        (fun () ->
-          (* the slow peers: 5% of connections on the router->shard-0
-             link and on the client->router link stall silently *)
-          let weather ~seed =
-            Faultnet.seeded_plans ~seed ~p_stall:0.05 ~latency:0.001
-              ~jitter:0.002 ()
-          in
-          (* one open-loop run: [n] requests launched at [rate]/s
-             regardless of completions, against a fresh router + proxies
-             configured with the given deadlines *)
-          let run_config ~label ~deadline ~client_timeout =
-            let shard_proxy = Printf.sprintf "r8-sp-%s-%d.sock" label pid in
-            let sp =
-              Faultnet.start ~listen:shard_proxy ~target:shard_socks.(0)
-                ~plan_for:(weather ~seed:81)
-            in
-            let rt_sock = Printf.sprintf "r8-rt-%s-%d.sock" label pid in
-            let router =
-              Router.start
-                {
-                  (Router.default_config
-                     ~shards:
-                       [
-                         { Router.primary = shard_proxy; replicas = [] };
-                         { Router.primary = shard_socks.(1); replicas = [] };
-                       ]
-                     ~socket_path:rt_sock)
-                  with
-                  Router.workers = 8;
-                  retries = 0;
-                  default_deadline = deadline;
-                  recv_timeout = deadline;
-                  idle_timeout = deadline;
-                  tick_interval = 0.02;
-                  probe_timeout = 0.5;
-                }
-            in
-            let client_proxy = Printf.sprintf "r8-cp-%s-%d.sock" label pid in
-            let cp =
-              Faultnet.start ~listen:client_proxy ~target:rt_sock
-                ~plan_for:(weather ~seed:82)
-            in
-            Fun.protect
-              ~finally:(fun () ->
-                Faultnet.stop cp;
-                Router.stop router;
-                Faultnet.stop sp)
-              (fun () ->
-                let n = 150 and rate = 50. in
-                let lats = ref [] in
-                let full = ref 0
-                and partial = ref 0
-                and shed = ref 0
-                and deadline_errors = ref 0
-                and transport_errors = ref 0 in
-                let lock = Mutex.create () in
-                let one () =
-                  let t0 = Unix.gettimeofday () in
-                  let outcome =
-                    Cli.request ~recv_timeout:client_timeout
-                      ~socket_path:client_proxy
-                      (Proto.Query
-                         (Proto.query_request "count(collection()//book)"))
-                  in
-                  let dt = (Unix.gettimeofday () -. t0) *. 1000. in
-                  Mutex.lock lock;
-                  lats := dt :: !lats;
-                  (match outcome with
-                  | Ok (Proto.Value v) ->
-                      if v.Proto.partial = None then incr full
-                      else incr partial
-                  | Ok (Proto.Failure e) ->
-                      if e.Proto.code = "gtlx:GTLX0009" then incr shed
-                      else incr transport_errors
-                  | Ok _ -> incr transport_errors
-                  | Error reason ->
-                      if
-                        String.length reason >= 13
-                        && String.sub reason 0 13 = "gtlx:GTLX0014"
-                      then incr deadline_errors
-                      else incr transport_errors);
-                  Mutex.unlock lock
-                in
-                let t0 = Unix.gettimeofday () in
-                let threads =
-                  List.init n (fun k ->
-                      let due = t0 +. (float_of_int k /. rate) in
-                      let wait = due -. Unix.gettimeofday () in
-                      if wait > 0. then Thread.delay wait;
-                      Thread.create one ())
-                in
-                List.iter Thread.join threads;
-                let sorted =
-                  let a = Array.of_list !lats in
-                  Array.sort compare a;
-                  a
-                in
-                let p50 = percentile sorted 0.5
-                and p99 = percentile sorted 0.99 in
-                Harness.row
-                  "  %-14s p50 %7.2fms  p99 %8.2fms  full %3d  partial %2d  \
-                   deadline-errors %2d  shed %2d  transport %2d\n"
-                  label p50 p99 !full !partial !deadline_errors !shed
-                  !transport_errors;
-                Printf.sprintf
-                  "{ \"label\": \"%s\", \"deadline_s\": %.2f, \
-                   \"client_timeout_s\": %.2f, \"requests\": %d, \
-                   \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"full\": %d, \
-                   \"partial\": %d, \"deadline_errors\": %d, \"shed\": %d, \
-                   \"transport_errors\": %d }"
-                  label deadline client_timeout n p50 p99 !full !partial
-                  !deadline_errors !shed !transport_errors)
-          in
-          (* tight: the serving stack cuts a stalled peer at 0.5s and
-             degrades (partial answers / fast structured errors); loose:
-             the same weather rides 3s deadlines, so every stall costs
-             its full window — the tail the tight config amputates *)
-          let tight =
-            run_config ~label:"deadlines-on" ~deadline:0.5 ~client_timeout:0.5
-          in
-          let loose =
-            run_config ~label:"deadlines-off" ~deadline:3.0 ~client_timeout:3.0
-          in
-          let json =
-            Printf.sprintf
-              "{\n\
-              \  \"experiment\": \"R8\",\n\
-              \  \"p_stall\": 0.05,\n\
-              \  \"open_loop_rate_per_s\": 50,\n\
-              \  \"configs\": [\n\
-              \    %s,\n\
-              \    %s\n\
-              \  ]\n\
-               }\n"
-              tight loose
-          in
-          let oc = open_out "BENCH_R8.json" in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc json);
-          Harness.row "  wrote BENCH_R8.json\n"))
-
 (* ---------------------------------------------------------------- R9 *)
 
 let r9_workload () =
@@ -2170,9 +961,7 @@ let experiments =
     ("S1", s1_scoring); ("S2", s2_topk); ("S3", s3_marking);
     ("S4", s4_strategies); ("A1", a1_expansion_cache);
     ("A2", a2_translated_decomposition); ("R1", r1_governance);
-    ("R2", r2_cold_start); ("R3", r3_serving); ("R4", r4_live_updates);
-    ("R5", r5_cluster); ("R6", r6_replication); ("R7", r7_failover);
-    ("R8", r8_netfaults); ("R9", r9_workload);
+    ("R2", r2_cold_start); ("R9", r9_workload);
   ]
 
 let () =

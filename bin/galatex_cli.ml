@@ -1402,7 +1402,10 @@ let workload_scenario_arg =
   Arg.(
     value & opt_all string []
     & info [ "scenario" ] ~docv:"NAME"
-        ~doc:"Run only this scenario (repeatable).  Default: all six.")
+        ~doc:
+          (Printf.sprintf
+             "Run only this scenario (repeatable): %s.  Default: all."
+             (String.concat ", " Workload.Scenario.names)))
 
 let run_workload out gate against scale seed scenarios max_lag =
   handle_errors (fun () ->
@@ -1481,8 +1484,10 @@ let workload_cmd =
   let doc =
     "Replay a deterministic, seeded mixed workload — Zipf-popular
      phrase / boolean / top-k query families interleaved with live
-     update batches — open-loop against in-process daemons, a sharded
-     router and multi-tenant small indexes, recording per-scenario
+     update batches — open-loop against in-process daemons, sharded
+     routers, a failover pair and multi-tenant small indexes, with fault
+     drills that stop a shard or the primary, or stall links, mid-trace;
+     recording per-scenario
      p50/p95/p99 latency and full/partial/shed/error counts.  With
      $(b,--gate) the run (or, with $(b,--against), an existing results
      file) is checked against a committed SLO baseline and the command

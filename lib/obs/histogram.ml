@@ -56,3 +56,12 @@ let cumulative t =
          t.bounds)
   in
   below @ [ (infinity, count t) ]
+
+(* Exact rank ceil(p·n/100): [p *. n] is formed before the division so
+   whole-percent ranks stay exact (0.95 *. 20. is not 19.). *)
+let nearest_rank sorted p =
+  match Array.length sorted with
+  | 0 -> Float.nan
+  | n ->
+      let rank = int_of_float (Float.ceil (p *. float_of_int n /. 100.0)) in
+      sorted.(max 0 (min (n - 1) (rank - 1)))

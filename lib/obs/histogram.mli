@@ -26,3 +26,11 @@ val sum : t -> float
 val cumulative : t -> (float * int) list
 (** Prometheus-style cumulative buckets [(le, count_at_or_below)],
     ascending, ending with [(infinity, count)]. *)
+
+val nearest_rank : float array -> float -> float
+(** [nearest_rank sorted p]: the nearest-rank [p]-th percentile ([p] in
+    percent, 0–100) of an ascending array — the smallest sample with at
+    least [p] percent of the samples at or below it, so every reported
+    percentile is a value some observation actually had.  The rank is
+    [ceil (p * n / 100)], formed in that order so whole-percent ranks
+    stay exact; [p = 0] gives the minimum.  [nan] on an empty array. *)

@@ -1,10 +1,10 @@
 (* Open-loop trace replay through the daemon protocol.
 
-   Events launch at their due time regardless of completions (the R8
-   open-loop discipline), so a slow server cannot slow the arrival
-   process down and hide its own tail — and latency is measured from the
-   event's *due* instant, not its launch, so queueing delay behind the
-   in-flight cap is charged to the server (no coordinated omission). *)
+   Events launch at their due time regardless of completions, so a slow
+   server cannot slow the arrival process down and hide its own tail —
+   and latency is measured from the event's *due* instant, not its
+   launch, so queueing delay behind the in-flight cap is charged to the
+   server (no coordinated omission). *)
 
 module Cli = Galatex_server.Client
 module Proto = Galatex_server.Protocol
@@ -19,12 +19,6 @@ type result = {
   wall_s : float;
 }
 
-(* Same estimator as bench/main.ml: nearest-rank on a sorted array. *)
-let percentile sorted p =
-  match Array.length sorted with
-  | 0 -> Float.nan
-  | n -> sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-
 type classified = Full | Partial | Shed | Error
 
 let classify_query = function
@@ -38,7 +32,8 @@ let classify_update = function
   | Ok _ | Error _ -> Error
 
 let run ~socket_path ?(concurrency = 16) ?(client_timeout = 5.0)
-    ?(now = Unix.gettimeofday) ?(sleep = Thread.delay) (trace : Trace.t) =
+    ?(events = []) ?(now = Unix.gettimeofday) ?(sleep = Thread.delay)
+    (trace : Trace.t) =
   if concurrency <= 0 then invalid_arg "Replay.run: concurrency <= 0";
   let n = Array.length trace in
   let lats = Array.make (max n 1) Float.nan in
@@ -86,19 +81,39 @@ let run ~socket_path ?(concurrency = 16) ?(client_timeout = 5.0)
     Mutex.unlock lock;
     release ()
   in
+  let wait_until due_abs =
+    let wait = due_abs -. now () in
+    if wait > 0.0 then sleep wait
+  in
+  (* timed actions fire on the trace clock, interleaved with launches *)
+  let pending =
+    ref (List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) events)
+  in
+  let actions = ref [] in
+  let rec fire_until due_ms =
+    match !pending with
+    | (at_ms, fire) :: rest when at_ms <= due_ms ->
+        pending := rest;
+        wait_until (t0 +. (at_ms /. 1000.0));
+        actions := Thread.create fire () :: !actions;
+        fire_until due_ms
+    | _ -> ()
+  in
   let threads =
     Array.to_list
       (Array.mapi
          (fun i { Trace.due_ms; op } ->
+           fire_until due_ms;
            let due_abs = t0 +. (due_ms /. 1000.0) in
-           let wait = due_abs -. now () in
-           if wait > 0.0 then sleep wait;
+           wait_until due_abs;
            acquire ();
            Thread.create (fun () -> one i due_abs op) ())
          trace)
   in
+  fire_until infinity;
   List.iter Thread.join threads;
   let wall_s = now () -. t0 in
+  List.iter Thread.join !actions;
   let sorted = Array.sub lats 0 n in
   Array.sort compare sorted;
   {

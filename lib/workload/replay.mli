@@ -1,12 +1,11 @@
 (** Open-loop trace replay through {!Galatex_server.Client}.
 
-    Events launch at their trace due time regardless of completions (the
-    R8 open-loop discipline) so a slow server cannot throttle its own
-    arrival process; latency is measured from the {e due} instant, so
-    delay spent queueing behind the in-flight cap is charged to the
-    server, not silently dropped (no coordinated omission).  Works
-    unchanged against a single daemon socket or the cluster router —
-    they speak the same protocol. *)
+    Events launch at their trace due time regardless of completions, so
+    a slow server cannot throttle its own arrival process; latency is
+    measured from the {e due} instant, so delay spent queueing behind the
+    in-flight cap is charged to the server, not silently dropped (no
+    coordinated omission).  Works unchanged against a single daemon
+    socket or the cluster router — they speak the same protocol. *)
 
 type counts = { full : int; partial : int; shed : int; error : int }
 (** Outcome classification: complete answers; partial cluster answers
@@ -21,14 +20,11 @@ type result = {
   wall_s : float;
 }
 
-val percentile : float array -> float -> float
-(** Nearest-rank percentile on a sorted array (same estimator as the
-    bench harness); [nan] on an empty array. *)
-
 val run :
   socket_path:string ->
   ?concurrency:int ->
   ?client_timeout:float ->
+  ?events:(float * (unit -> unit)) list ->
   ?now:(unit -> float) ->
   ?sleep:(float -> unit) ->
   Trace.t ->
@@ -37,6 +33,13 @@ val run :
     requests (default 16; the launcher blocks for a slot but the wait
     still counts into that event's latency); [client_timeout] is the
     per-request whole-exchange budget (default 5 s, surfacing stalls as
-    errors instead of hangs).  [now]/[sleep] are test hooks (defaults:
-    [Unix.gettimeofday], [Thread.delay]).
+    errors instead of hangs).
+
+    [events] are timed actions owned by the caller — stop a shard, reload
+    a router, anything that needs handles the trace cannot name.  Each
+    [(at_ms, fire)] runs [fire] on its own thread once [at_ms] passes on
+    the trace's clock (an action due at the same instant as a trace event
+    starts first); [run] returns only after every action has finished.
+    [now]/[sleep] are test hooks (defaults: [Unix.gettimeofday],
+    [Thread.delay]) and pace the actions too.
     @raise Invalid_argument when [concurrency <= 0]. *)

@@ -31,15 +31,15 @@ let error_rate s = rate_of s.error s
 
 let of_replay ~name ~rate ~concurrency ?(counters = []) ?replica_lag
     (r : Replay.result) =
-  let p = Replay.percentile r.latencies_sorted_ms in
+  let p = Obs.Histogram.nearest_rank r.latencies_sorted_ms in
   {
     name;
     requests = r.issued;
     rate;
     concurrency;
-    p50_ms = p 0.5;
-    p95_ms = p 0.95;
-    p99_ms = p 0.99;
+    p50_ms = p 50.0;
+    p95_ms = p 95.0;
+    p99_ms = p 99.0;
     full = r.counts.full;
     partial = r.counts.partial;
     shed = r.counts.shed;

@@ -35,7 +35,7 @@ let sources =
        da</p></section></book>" );
   ]
 
-let with_server f =
+let with_daemon f =
   let dir = fresh_name "wl-scratch" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
@@ -48,7 +48,9 @@ let with_server f =
       let t = Galatex_server.Server.start cfg in
       Fun.protect
         ~finally:(fun () -> Galatex_server.Server.stop t)
-        (fun () -> f sock))
+        (fun () -> f t sock))
+
+let with_server f = with_daemon (fun _ sock -> f sock)
 
 (* --- Vocab: cumulative Zipf array shape (satellite property 1) --- *)
 
@@ -113,36 +115,37 @@ let prop_trace_determinism =
 (* --- percentile vs an independent reference (satellite 3) --- *)
 
 (* nearest-rank from first principles: the smallest sample with at least
-   ceil(p * n) samples at or below it (p = 0 degenerates to the min) *)
+   p percent of the samples at or below it (p = 0 degenerates to the
+   min) *)
 let reference_percentile values p =
   let sorted = List.sort compare values in
   let n = List.length sorted in
-  let rank = max 1 (int_of_float (ceil (p *. float_of_int n))) in
-  List.nth sorted (min (n - 1) (rank - 1))
+  let at_or_below x = List.length (List.filter (fun y -> y <= x) sorted) in
+  match
+    List.find_opt
+      (fun x -> float_of_int (100 * at_or_below x) >= p *. float_of_int n)
+      sorted
+  with
+  | Some x -> x
+  | None -> List.nth sorted (n - 1)
 
 let test_percentile_reference () =
   let vector = [ 12.0; 3.0; 47.0; 8.0; 30.0; 1.0; 19.0; 5.0; 24.0; 16.0 ] in
   let sorted = Array.of_list (List.sort compare vector) in
   List.iter
     (fun p ->
-      let got = Replay.percentile sorted p in
+      let got = Obs.Histogram.nearest_rank sorted p in
       let want = reference_percentile vector p in
-      (* the two nearest-rank conventions may straddle one sample; accept
-         either neighbour of the reference rank *)
-      let idx = ref 0 in
-      Array.iteri (fun i x -> if x = want then idx := i) sorted;
-      let neighbours =
-        [ want ]
-        @ (if !idx + 1 < Array.length sorted then [ sorted.(!idx + 1) ] else [])
-      in
-      if not (List.mem got neighbours) then
-        Alcotest.failf "p%.2f: got %.1f, reference %.1f" p got want)
-    [ 0.5; 0.9; 0.95; 0.99; 1.0 ];
+      if got <> want then
+        Alcotest.failf "p%g: got %.1f, reference %.1f" p got want)
+    [ 0.0; 10.0; 50.0; 90.0; 95.0; 99.0; 100.0 ];
   (* exact spot checks for the shipped estimator *)
-  Alcotest.(check (float 0.0)) "p50 of 10" 16.0 (Replay.percentile sorted 0.5);
-  Alcotest.(check (float 0.0)) "p99 of 10" 47.0 (Replay.percentile sorted 0.99);
+  Alcotest.(check (float 0.0)) "p50 of 10 is the 5th sample" 12.0
+    (Obs.Histogram.nearest_rank sorted 50.0);
+  Alcotest.(check (float 0.0)) "p99 of 10" 47.0
+    (Obs.Histogram.nearest_rank sorted 99.0);
   Alcotest.(check bool) "empty is nan" true
-    (Float.is_nan (Replay.percentile [||] 0.5))
+    (Float.is_nan (Obs.Histogram.nearest_rank [||] 50.0))
 
 (* --- replay bookkeeping against a live daemon --- *)
 
@@ -175,6 +178,33 @@ let test_replay_all_errors () =
   in
   Alcotest.(check int) "all classified as errors" r.Replay.issued
     r.Replay.counts.Replay.error
+
+(* a timed event stops the daemon mid-trace: answers before it are
+   full, events after it fail fast, and the replay still returns *)
+let test_replay_timed_stop () =
+  with_daemon (fun t sock ->
+      let trace =
+        Trace.generate
+          {
+            (trace_spec 11) with
+            Trace.requests = 20;
+            rate = 25.0;
+            update_every = None;
+          }
+      in
+      let stop_at = trace.(9).Trace.due_ms in
+      let r =
+        Replay.run ~socket_path:sock ~concurrency:4 ~client_timeout:2.0
+          ~events:[ (stop_at, fun () -> Galatex_server.Server.stop t) ]
+          trace
+      in
+      let { Replay.full; partial; shed; error } = r.Replay.counts in
+      Alcotest.(check int) "issued = trace length" 20 r.Replay.issued;
+      Alcotest.(check int) "full+partial+shed+error = issued" r.Replay.issued
+        (full + partial + shed + error);
+      Alcotest.(check bool) "answers before the stop are full" true (full >= 1);
+      Alcotest.(check bool) "events after the stop are errors" true
+        (error >= 1))
 
 (* --- the gate (satellite 4) --- *)
 
@@ -349,6 +379,8 @@ let tests =
       test_replay_bookkeeping;
     Alcotest.test_case "replay against dead socket: all errors" `Quick
       test_replay_all_errors;
+    Alcotest.test_case "replay timed event stops the daemon mid-trace" `Quick
+      test_replay_timed_stop;
     Alcotest.test_case "gate: identical run passes" `Quick
       test_gate_identical_passes;
     Alcotest.test_case "gate: regression names scenario and metric" `Quick

@@ -1,0 +1,165 @@
+(* Golden bytes: the on-disk and on-wire formats, pinned.
+
+   Round-trip tests cannot see a format change that both sides make
+   together: an encoder and decoder that drift in step still agree with
+   each other, yet no longer read a snapshot, a WAL or a frame written by
+   an older build.  These tests pin the MD5 of five encodings of fixed
+   inputs instead:
+
+   - one request of every variant ({!Protocol.encode_request});
+   - one response of every variant ({!Protocol.encode_response});
+   - three shipped WAL records ({!Wal.encode_records});
+   - the WAL file after opening a writer and appending twice;
+   - every file {!Store.save} writes for the Figure 1 document.
+
+   A digest that changes means existing files or peers no longer
+   interoperate: bump the format version instead of the digest. *)
+
+open Ftindex
+module P = Galatex_server.Protocol
+
+(* length-prefix each part, so moving a byte across a boundary shows *)
+let digest parts =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map (fun s -> Printf.sprintf "%d:%s" (String.length s) s) parts)))
+
+let limits =
+  { Xquery.Limits.max_steps = Some 1000; max_depth = Some 64;
+    max_matches = Some 5000; timeout = Some 2.5 }
+
+let requests =
+  [
+    P.Query
+      (P.query_request ~strategy:Galatex.Engine.Native_pipelined ~optimize:true
+         ~fallback:false ~context:"fig1.xml" ~limits ~fault_at:17
+         ~deadline_left:0.75 ~merge:(P.Merge_topk 10)
+         "for $b in //book[. ftcontains \"usability\"] return $b");
+    P.Query (P.query_request "count(//p)");
+    P.Stats;
+    P.Update
+      {
+        ops =
+          [ Wal.Add_doc { uri = "a.xml"; source = "<a>x y</a>" };
+            Wal.Remove_doc "b.xml" ];
+        epoch = 3;
+      };
+    P.Compact { epoch = 2 };
+    P.Metrics;
+    P.Slowlog;
+    P.Health;
+    P.Reload;
+    P.Fetch_wal { from_seq = 41; epoch = 5 };
+    P.Fetch_snapshot { file = None };
+    P.Fetch_snapshot { file = Some "post-2-0000.seg" };
+    P.Promote { p_epoch = 7 };
+    P.Demote { d_epoch = 8; d_primary = "pri.sock" };
+  ]
+
+let responses =
+  [
+    P.Value
+      {
+        items = [ "<b>1</b>"; "0.3125" ];
+        strategy_used = "pipelined+O";
+        fell_back = true;
+        steps = 1234;
+        generation = 2;
+        seq = 9;
+        partial = Some { missing = [ 1; 3 ]; detail = "shard 1: down; shard 3: down" };
+      };
+    P.Failure
+      {
+        code = "gtlx:GTLX0009";
+        error_class = "resource";
+        message = "server overloaded";
+        retry_after_ms = Some 50;
+        queue_depth = Some 4;
+      };
+    P.Stats_reply
+      {
+        counters = [ ("queries", 12); ("served", 11) ];
+        breakers =
+          [ { b_strategy = "pipelined"; b_state = "half-open";
+              b_consecutive = 2; b_cooldown = 3; b_trips = 1 } ];
+      };
+    P.Update_reply
+      { u_generation = 2; u_last_seq = 5; u_records = 5; u_bytes = 4096;
+        u_epoch = 3 };
+    P.Compact_reply { c_generation = 3; c_folded = 5 };
+    P.Metrics_reply "# TYPE galatex_queries_total counter\ngalatex_queries_total 12\n";
+    P.Slowlog_reply
+      [ { s_query = "count(//p)"; s_strategy = "materialized";
+          s_duration_ms = 12.5; s_unix_time = 1700000000.25; s_steps = 77 } ];
+    P.Health_reply
+      {
+        h_generation = 4;
+        h_wal_records = 6;
+        h_draining = false;
+        h_seq = 6;
+        h_manifest_crc = 0xDEADBEEF;
+        h_epoch = 2;
+        h_role = "router";
+        h_endpoints =
+          [ { e_path = "s0.sock"; e_shard = 0; e_role = "primary";
+              e_state = "closed"; e_up = true; e_generation = 4; e_seq = 6;
+              e_epoch = 2; e_lag = Some 0 };
+            { e_path = "s1.sock"; e_shard = 1; e_role = "replica";
+              e_state = "open"; e_up = false; e_generation = 0; e_seq = 0;
+              e_epoch = 0; e_lag = None } ];
+      };
+    P.Wal_reply
+      { w_generation = 4; w_last_seq = 6; w_epoch = 2; w_frames = "\x00\x01frames" };
+    P.Snapshot_reply
+      { sn_generation = 4; sn_manifest_crc = 0x12345678;
+        sn_files = [ "MANIFEST"; "doc-4-0000.seg" ]; sn_data = Some "bytes" };
+    P.Snapshot_reply
+      { sn_generation = 4; sn_manifest_crc = 1; sn_files = []; sn_data = None };
+  ]
+
+let wal_ops =
+  [
+    Wal.Add_doc { uri = "c.xml"; source = "<book><p>zebra usability</p></book>" };
+    Wal.Remove_doc "b.xml";
+    Wal.Add_doc { uri = "a.xml"; source = "" };
+  ]
+
+let records = List.mapi (fun i op -> { Wal.seq = i + 1; op }) wal_ops
+
+let dir_files dir =
+  let names = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  List.concat_map
+    (fun name ->
+      [ name; In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all ])
+    names
+
+let pinned name expected encode =
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check string) (name ^ " bytes unchanged") expected
+        (digest (encode ())))
+
+let wal_file () =
+  Test_store.with_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      let w = Wal.open_writer ~dir ~generation:1 ~epoch:1 () in
+      ignore (Wal.append w (List.nth wal_ops 0));
+      ignore (Wal.append w (List.nth wal_ops 1));
+      dir_files dir)
+
+let snapshot_files () =
+  Test_store.with_dir (fun dir ->
+      Store.save ~dir (Corpus.Fig1.index ());
+      dir_files dir)
+
+let tests =
+  [
+    pinned "protocol requests" "2f71bcca4dc2ce9fb02169f047a7de49" (fun () ->
+        List.map P.encode_request requests);
+    pinned "protocol responses" "b1bcecaa7265adf0100d9ea3168ce76b" (fun () ->
+        List.map P.encode_response responses);
+    pinned "shipped WAL records" "92fc8f86b27450f9d2bcee61abe9541f" (fun () ->
+        [ Wal.encode_records records ]);
+    pinned "WAL file" "df5b9f433fd190710ee84fcb584b004e" wal_file;
+    pinned "snapshot files" "b62c0a236adf046a2b01ea21a197bf91" snapshot_files;
+  ]

@@ -965,49 +965,51 @@ let rolling_reload t =
 (* ------------------------------------------------------------------ *)
 (* Stats and metrics.                                                   *)
 
-(* The router's own counters; the serving core's rows follow them. *)
-let route_rows t =
+(* The router's counter table; the serving core's rows follow it. *)
+let rows t =
   let a = Atomic.get in
-  [
-    ("route_queries", a t.queries);
-    ("route_partial", a t.partials);
-    ("route_failed", a t.failed);
-    ("served", a t.served);
-    ("shard_attempts", a t.shard_attempts);
-    ("shard_errors", a t.shard_errors);
-    ("shard_bypassed", a t.shard_bypassed);
-    ("stale_skips", a t.stale_skips);
-    ("stale_served", a t.stale_served);
-    ("breaker_trips", Breaker.trips_total t.breakers);
-    ("updates", a t.updates);
-    ("update_errors", a t.update_errors);
-    ("compactions", a t.compactions);
-    ("reloads", a t.reloads);
-    ("reload_failures", a t.reload_failures);
-    ("failovers", a t.failovers);
-    ("failover_failures", a t.failover_failures);
-    ("demotes_sent", a t.demotes_sent);
-    ("fenced_writes", a t.fenced_writes);
-    ("primary_failover", if t.cfg.primary_failover then 1 else 0);
-    ("workers", t.cfg.workers);
-    ("shards", Array.length t.shards);
-  ]
+  Serving.
+    [
+      counter "route_queries" "Queries routed." (a t.queries);
+      counter "route_partial" "Queries answered without some partitions."
+        (a t.partials);
+      counter "route_failed" "Routed queries no partition answered." (a t.failed);
+      counter "served" "Queries answered with a value." (a t.served);
+      counter "shard_attempts" "Requests sent to shard endpoints."
+        (a t.shard_attempts);
+      counter "shard_errors" "Shard requests that failed." (a t.shard_errors);
+      counter "shard_bypassed" "Endpoints skipped by an open breaker."
+        (a t.shard_bypassed);
+      counter "stale_skips" "Replicas skipped as beyond the lag bound."
+        (a t.stale_skips);
+      counter "stale_served" "Answers served by a lagging replica."
+        (a t.stale_served);
+      counter "breaker_trips" "Circuit-breaker trips."
+        (Breaker.trips_total t.breakers);
+      counter "updates" "Update requests routed." (a t.updates);
+      counter "update_errors" "Failed update requests." (a t.update_errors);
+      counter "compactions" "Compaction requests routed." (a t.compactions);
+      counter "reloads" "Rolling reloads completed." (a t.reloads);
+      counter "reload_failures" "Endpoints that failed a rolling reload."
+        (a t.reload_failures);
+      counter "failovers" "Replicas promoted by failover." (a t.failovers);
+      counter "failover_failures" "Failed failover attempts."
+        (a t.failover_failures);
+      counter "demotes_sent" "Old primaries demoted after a failover."
+        (a t.demotes_sent);
+      counter "fenced_writes" "Writes refused with a stale epoch."
+        (a t.fenced_writes);
+      gauge "primary_failover" "1 when automatic primary failover is armed."
+        (if t.cfg.primary_failover then 1 else 0);
+      gauge "workers" "Worker threads." t.cfg.workers;
+      gauge "shards" "Partitions routed over." (Array.length t.shards);
+    ]
 
-let stats t = Serving.stats t.core (route_rows t) t.breakers
+let stats t = Serving.stats t.core (rows t) t.breakers
 
 let metrics_text t =
   let b = Buffer.create 1024 in
-  let gauge_names = [ "workers"; "shards"; "primary_failover" ] in
-  List.iter
-    (fun (name, v) ->
-      let kind = if List.mem name gauge_names then "gauge" else "counter" in
-      let metric =
-        if kind = "counter" then Printf.sprintf "galatex_%s_total" name
-        else Printf.sprintf "galatex_%s" name
-      in
-      Printf.bprintf b "# TYPE %s %s\n%s %d\n" metric kind metric v)
-    (route_rows t);
-  Serving.metrics b t.core;
+  Serving.metrics b t.core (rows t);
   Buffer.add_string b "# TYPE galatex_route_shard_epoch gauge\n";
   Array.iteri
     (fun i _ ->

@@ -85,10 +85,6 @@ module Io : sig
   val truncate : t -> string -> int -> unit
 end
 
-val crc32 : string -> int
-(** The store's from-scratch CRC-32 (IEEE 802.3) — shared with the WAL so
-    both persistence formats checksum identically. *)
-
 (** {1 Damage reporting} *)
 
 type scope =

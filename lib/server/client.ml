@@ -33,7 +33,7 @@ let request ?recv_timeout ~socket_path req =
              it and read the reply *)
           let sent =
             try
-              Protocol.write_frame ~limits fd (Protocol.encode_request req);
+              Netio.write_frame ~limits fd (Protocol.encode_request req);
               Unix.shutdown fd Unix.SHUTDOWN_SEND;
               Ok ()
             with
@@ -45,7 +45,7 @@ let request ?recv_timeout ~socket_path req =
           match sent with
           | Error reason -> Error reason
           | Ok () -> (
-              match Protocol.read_frame ~limits fd with
+              match Netio.read_frame ~limits fd with
               | Ok data -> Protocol.decode_response data
               | Error reason -> Error reason
               | exception Xquery.Errors.Error e -> Error (deadline_reason e)

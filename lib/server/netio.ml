@@ -119,20 +119,9 @@ let read_exact ?(limits = no_limits) fd n =
 let write_all ?(limits = no_limits) fd s =
   translate (fun () -> write_all_raw ~what:"write" limits fd s)
 
-(* u32 little-endian length prefix — duplicated from the protocol codec
-   (4 lines) because netio sits below it. *)
-let put_len b n =
-  for i = 0 to 3 do
-    Buffer.add_char b (Char.chr ((n lsr (8 * i)) land 0xff))
-  done
-
-let get_len s =
-  let byte i = Char.code s.[i] in
-  byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
-
 let write_frame ?(limits = no_limits) fd payload =
   let b = Buffer.create (String.length payload + 4) in
-  put_len b (String.length payload);
+  Ftindex.Codec.put_u32 b (String.length payload);
   Buffer.add_string b payload;
   translate (fun () -> write_all_raw ~what:"frame write" limits fd (Buffer.contents b))
 
@@ -141,8 +130,8 @@ let read_frame ?(limits = no_limits) fd =
       match read_exact_raw ~what:"frame header read" limits fd 4 with
       | Error _ -> Error "connection closed before a frame"
       | Ok header ->
-          let len = get_len header in
-          if len < 0 || len > max_frame then
+          let len = Ftindex.Codec.(get_u32 (reader header)) in
+          if len > max_frame then
             Error (Printf.sprintf "oversized frame (%d bytes)" len)
           else read_exact_raw ~what:"frame read" limits fd len)
 

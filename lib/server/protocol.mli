@@ -1,7 +1,8 @@
 (** The daemon's wire protocol: length-framed binary request/response
     pairs over a Unix-domain socket, one request per connection.
 
-    Framing: a 4-byte little-endian payload length, then the payload.
+    Framing ({!Netio}): a 4-byte little-endian payload length, then the
+    payload.
     Payloads carry a tag byte and length-prefixed fields.  Decoding is
     total — a torn, oversized or malformed frame comes back as [Error
     reason], never an exception — because the chaos tests tear client
@@ -240,24 +241,3 @@ val encode_request : request -> string
 val decode_request : string -> (request, string) result
 val encode_response : response -> string
 val decode_response : string -> (response, string) result
-
-(** {1 Framed I/O}
-
-    Thin veneers over {!Netio}: every framed read/write in the stack
-    flows through the deadline-aware I/O layer.  With [?limits] absent
-    the operation is unbounded (legacy blocking semantics); with limits
-    set, expiry raises [Xquery.Errors.Error] carrying [GTLX0014]. *)
-
-val max_frame : int
-(** Upper bound on accepted payload length (a corrupt length prefix must
-    not allocate gigabytes). *)
-
-val write_frame : ?limits:Netio.limits -> Unix.file_descr -> string -> unit
-(** @raise Unix.Unix_error on I/O failure (EPIPE when the peer vanished —
-    callers handle it).
-    @raise Xquery.Errors.Error [GTLX0014] when [limits] expire. *)
-
-val read_frame : ?limits:Netio.limits -> Unix.file_descr -> (string, string) result
-(** [Error reason] on EOF, a torn frame, or an oversized length prefix.
-    @raise Unix.Unix_error on I/O failure.
-    @raise Xquery.Errors.Error [GTLX0014] when [limits] expire. *)

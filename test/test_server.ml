@@ -473,8 +473,8 @@ let test_malformed_and_torn_clients () =
       (* a well-framed but meaningless payload: structured static error *)
       let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX sock);
-      Protocol.write_frame fd "ZZZZ-not-a-request";
-      (match Protocol.read_frame fd with
+      Netio.write_frame fd "ZZZZ-not-a-request";
+      (match Netio.read_frame fd with
       | Ok data -> (
           match Protocol.decode_response data with
           | Ok (Protocol.Failure e) ->
@@ -918,8 +918,8 @@ let test_chaos () =
         | fd ->
             (try
                Unix.connect fd (Unix.ADDR_UNIX sock);
-               Protocol.write_frame fd (String.make 32 '\xfe');
-               ignore (Protocol.read_frame fd)
+               Netio.write_frame fd (String.make 32 '\xfe');
+               ignore (Netio.read_frame fd)
              with Unix.Unix_error _ -> ());
             (try Unix.close fd with Unix.Unix_error _ -> ())
       in

@@ -302,7 +302,7 @@ let test_version_mismatch_is_gtlx0007 () =
   in
   let frame payload =
     let len = put_u32 (String.length payload) in
-    len ^ put_u32 (Store.crc32 len) ^ payload ^ put_u32 (Store.crc32 payload)
+    len ^ put_u32 (Codec.crc32 len) ^ payload ^ put_u32 (Codec.crc32 payload)
   in
   with_dir (fun dir ->
       Store.save ~dir (base_index ());

@@ -952,6 +952,72 @@ let r9_workload () =
     (fun () -> output_string oc json);
   Harness.row "  wrote BENCH_R9.json\n"
 
+(* ---------------------------------------------------------------- N1 *)
+
+(* perfbench's corpus profile: 2 sections x 3 paragraphs x 30 words over a
+   150-word vocabulary *)
+let navigation_corpus doc_count =
+  Corpus.Generator.books
+    {
+      Corpus.Generator.default_profile with
+      Corpus.Generator.seed = 7919;
+      doc_count;
+      sections_per_doc = 2;
+      paras_per_section = 3;
+      words_per_para = 30;
+      vocab_size = 150;
+    }
+
+let n1_navigation () =
+  Harness.section
+    "N1: navigation cost — a path step against the nodes it selects";
+  let sel =
+    Printf.sprintf {|"%s %s"|} (Corpus.Vocab.word_for_rank 12)
+      (Corpus.Vocab.word_for_rank 20)
+  in
+  let queries =
+    [
+      ("/book", "count(collection()/book)");
+      ("//book", "count(collection()//book)");
+      ( "//book[ftcontains]",
+        Printf.sprintf "count(collection()//book[. ftcontains %s])" sel );
+      ( "ranked top-10",
+        Printf.sprintf
+          {|subsequence(for $b in collection()//book let $s := ft:score($b, %s) where $s > 0 order by $s descending return concat(string($s), " ", string($b/@id)), 1, 10)|}
+          sel );
+    ]
+  in
+  let runs = 30 in
+  Harness.row
+    "  Native_materialized without rewrites (the served path); mean of %d runs\n"
+    runs;
+  Harness.row
+    "  after one warm-up and a Gc.compact; kw = thousands of minor-heap words \
+     per query\n\n";
+  Harness.row "  %5s  %-20s %10s %10s\n" "docs" "query" "ms" "kw";
+  List.iter
+    (fun doc_count ->
+      let eng = Galatex.Engine.create (navigation_corpus doc_count) in
+      List.iter
+        (fun (label, q) ->
+          let run () =
+            Galatex.Engine.run eng
+              ~strategy:Galatex.Engine.Native_materialized q
+          in
+          ignore (run ());
+          Gc.compact ();
+          let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+          for _ = 1 to runs do
+            ignore (Sys.opaque_identity (run ()))
+          done;
+          let t1 = Unix.gettimeofday () and w1 = Gc.minor_words () in
+          let per_run x = x /. float_of_int runs in
+          Harness.row "  %5d  %-20s %10.3f %10.1f\n" doc_count label
+            (per_run ((t1 -. t0) *. 1000.0))
+            (per_run ((w1 -. w0) /. 1000.0)))
+        queries)
+    [ 50; 200; 400 ]
+
 (* ---------------------------------------------------------------- main *)
 
 let experiments =
@@ -961,7 +1027,7 @@ let experiments =
     ("S1", s1_scoring); ("S2", s2_topk); ("S3", s3_marking);
     ("S4", s4_strategies); ("A1", a1_expansion_cache);
     ("A2", a2_translated_decomposition); ("R1", r1_governance);
-    ("R2", r2_cold_start); ("R9", r9_workload);
+    ("R2", r2_cold_start); ("R9", r9_workload); ("N1", n1_navigation);
   ]
 
 let () =

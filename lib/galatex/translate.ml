@@ -265,44 +265,7 @@ let translate_query (q : query) =
 
 (* Does an expression still contain full-text constructs?  (After
    translation the answer must be no — tested.) *)
-let rec has_fulltext e =
-  let exists_sub = List.exists has_fulltext in
-  match e with
-  | Ft_contains _ | Ft_score _ -> true
-  | Literal_string _ | Literal_integer _ | Literal_double _ | Var _
-  | Context_item | Root ->
-      false
-  | Sequence es -> exists_sub es
-  | Range (a, b) -> has_fulltext a || has_fulltext b
-  | If (c, a, b) -> has_fulltext c || has_fulltext a || has_fulltext b
-  | Flwor (clauses, body) ->
-      has_fulltext body
-      || List.exists
-           (function
-             | For_clause { source; _ } -> has_fulltext source
-             | Let_clause { value; _ } -> has_fulltext value
-             | Where_clause w -> has_fulltext w
-             | Order_by keys -> List.exists (fun (k, _) -> has_fulltext k) keys)
-           clauses
-  | Quantified (_, bindings, cond) ->
-      has_fulltext cond || List.exists (fun (_, s) -> has_fulltext s) bindings
-  | Or (a, b) | And (a, b)
-  | General_cmp (_, a, b)
-  | Value_cmp (_, a, b)
-  | Node_is (a, b)
-  | Arith (_, a, b)
-  | Union (a, b) ->
-      has_fulltext a || has_fulltext b
-  | Neg a -> has_fulltext a
-  | Path (root, steps) ->
-      (match root with Some r -> has_fulltext r | None -> false)
-      || List.exists (fun (s : step) -> exists_sub s.predicates) steps
-  | Filter (primary, preds) -> has_fulltext primary || exists_sub preds
-  | Call (_, args) -> exists_sub args
-  | Elem_constructor { attrs; content; _ } ->
-      let in_content = function Const_text _ -> false | Const_expr e -> has_fulltext e in
-      List.exists (fun (_, parts) -> List.exists in_content parts) attrs
-      || List.exists in_content content
-  | Computed_element (n, c) | Computed_attribute (n, c) ->
-      has_fulltext n || has_fulltext c
-  | Computed_text c -> has_fulltext c
+let has_fulltext =
+  Xquery.Ast.exists_expr (function
+    | Ft_contains _ | Ft_score _ -> true
+    | _ -> false)

@@ -115,10 +115,20 @@ let rec string_value n =
 
 let rec root n = match n.parent with None -> n | Some p -> root p
 
-let rec descendants_or_self n =
-  n :: List.concat_map descendants_or_self (children n)
+(* One walk, right to left, consing each kept node onto the front of what
+   follows it: the result comes out in document order, and nothing but the
+   kept nodes is allocated. *)
+let filter_descendants keep n =
+  let rec siblings acc = function
+    | [] -> acc
+    | c :: rest ->
+        let acc = siblings (siblings acc rest) (children c) in
+        if keep c then c :: acc else acc
+  in
+  siblings [] (children n)
 
-let descendants n = List.concat_map descendants_or_self (children n)
+let descendants n = filter_descendants (fun _ -> true) n
+let descendants_or_self n = n :: descendants n
 
 let rec find_by_dewey n d =
   if Dewey.equal (dewey n) d && not (is_attribute n) then

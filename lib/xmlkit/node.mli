@@ -47,6 +47,11 @@ val name : t -> string option
 val root : t -> t
 val descendants : t -> t list
 val descendants_or_self : t -> t list
+
+val filter_descendants : (t -> bool) -> t -> t list
+(** The descendants (attributes excluded) that satisfy the predicate, in
+    document order, from one walk that allocates only the result. *)
+
 val attribute_value : t -> string -> string option
 
 (** {1 Identity and order} *)

@@ -173,6 +173,75 @@ type query = {
 let query ?(functions = []) ?(variables = []) body =
   { functions; variables; body }
 
+(* [exists_expr p e]: [p] holds of [e] or of an expression anywhere inside
+   it, step predicates, FLWOR clauses, constructor content and the
+   expressions embedded in full-text selections included. *)
+let rec exists_expr p e =
+  p e
+  ||
+  let sub = exists_expr p in
+  let opt = function Some e -> sub e | None -> false in
+  match e with
+  | Literal_string _ | Literal_integer _ | Literal_double _ | Var _
+  | Context_item | Root ->
+      false
+  | Sequence es | Call (_, es) -> List.exists sub es
+  | Range (a, b)
+  | Or (a, b)
+  | And (a, b)
+  | General_cmp (_, a, b)
+  | Value_cmp (_, a, b)
+  | Node_is (a, b)
+  | Arith (_, a, b)
+  | Union (a, b)
+  | Computed_element (a, b)
+  | Computed_attribute (a, b) ->
+      sub a || sub b
+  | If (a, b, c) -> sub a || sub b || sub c
+  | Neg a | Computed_text a -> sub a
+  | Flwor (clauses, body) ->
+      List.exists
+        (function
+          | For_clause { source = e; _ } | Let_clause { value = e; _ }
+          | Where_clause e ->
+              sub e
+          | Order_by keys -> List.exists (fun (e, _) -> sub e) keys)
+        clauses
+      || sub body
+  | Quantified (_, bindings, cond) ->
+      List.exists (fun (_, e) -> sub e) bindings || sub cond
+  | Path (root, steps) ->
+      opt root || List.exists (fun s -> List.exists sub s.predicates) steps
+  | Filter (primary, preds) -> sub primary || List.exists sub preds
+  | Elem_constructor { attrs; content; _ } ->
+      let part = function Const_text _ -> false | Const_expr e -> sub e in
+      List.exists (fun (_, parts) -> List.exists part parts) attrs
+      || List.exists part content
+  | Ft_contains { context; selection; ignore_nodes } ->
+      sub context || exists_in_selection p selection || opt ignore_nodes
+  | Ft_score (context, selection) ->
+      sub context || exists_in_selection p selection
+
+and exists_in_selection p sel =
+  let sub = exists_expr p and within = exists_in_selection p in
+  let range = function
+    | Exactly e | At_least e | At_most e -> sub e
+    | From_to (a, b) -> sub a || sub b
+  in
+  match sel with
+  | Ft_words { source; weight; _ } -> (
+      (match source with Ft_expr e -> sub e | Ft_literal _ -> false)
+      || match weight with Some e -> sub e | None -> false)
+  | Ft_and (a, b) | Ft_or (a, b) | Ft_mild_not (a, b) -> within a || within b
+  | Ft_unary_not a
+  | Ft_ordered a
+  | Ft_scope (a, _)
+  | Ft_content (a, _)
+  | Ft_with_options (a, _) ->
+      within a
+  | Ft_window (a, e, _) -> within a || sub e
+  | Ft_distance (a, r, _) | Ft_times (a, r) -> within a || range r
+
 (* Smart constructor used by the parser: a path with no steps is just its
    root expression. *)
 let path root steps =

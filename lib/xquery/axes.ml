@@ -62,18 +62,29 @@ let apply (axis : Ast.axis) n =
   | Ast.Following -> following n
   | Ast.Preceding -> preceding n
 
+(* Matches on the node's kind: no option is built and names compare as
+   strings.  A name test also matches a processing instruction by its
+   target. *)
 let node_test (test : Ast.node_test) n =
-  match test with
-  | Ast.Name_test "*" -> Node.is_element n || Node.is_attribute n
-  | Ast.Name_test name -> Node.name n = Some name && not (Node.is_document n)
-  | Ast.Kind_text -> Node.is_text n
-  | Ast.Kind_node -> true
-  | Ast.Kind_comment -> (
-      match Node.kind n with Node.Comment _ -> true | _ -> false)
-  | Ast.Kind_element None -> Node.is_element n
-  | Ast.Kind_element (Some name) ->
-      Node.is_element n && Node.name n = Some name
-  | Ast.Kind_document -> Node.is_document n
+  match (test, Node.kind n) with
+  | Ast.Kind_node, _ -> true
+  | Ast.Name_test "*", (Node.Element _ | Node.Attribute _) -> true
+  | Ast.Name_test "*", _ -> false
+  | (Ast.Name_test name | Ast.Kind_element (Some name)), Node.Element e ->
+      String.equal e.name name
+  | Ast.Name_test name, Node.Attribute a -> String.equal a.aname name
+  | Ast.Name_test name, Node.Pi p -> String.equal p.target name
+  | Ast.Kind_element None, Node.Element _
+  | Ast.Kind_text, Node.Text _
+  | Ast.Kind_comment, Node.Comment _
+  | Ast.Kind_document, Node.Document _ ->
+      true
+  | ( ( Ast.Name_test _ | Ast.Kind_element _ | Ast.Kind_text | Ast.Kind_comment
+      | Ast.Kind_document ),
+      _ ) ->
+      false
 
 let step_nodes axis test n =
-  List.filter (node_test test) (apply axis n)
+  match axis with
+  | Ast.Descendant -> Node.filter_descendants (node_test test) n
+  | _ -> List.filter (node_test test) (apply axis n)

@@ -26,6 +26,28 @@ let rec copy_node n =
 
 let is_whitespace s = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') s
 
+(* A conservative syntactic test that a predicate selects the same nodes
+   whatever its context position and size: its value is always a boolean
+   or a node sequence, never a number, and it calls neither position() nor
+   last() anywhere. *)
+let non_positional pred =
+  let always_boolean =
+    match pred with
+    | Ft_contains _ | General_cmp _ | Value_cmp _ | Node_is _ | Quantified _
+    | And _ | Or _
+    | Path (_, _ :: _) ->
+        true
+    | _ -> false
+  in
+  let reads_position = function
+    | Call (name, []) -> (
+        match Context.strip_fn name with
+        | "position" | "last" -> true
+        | _ -> false)
+    | _ -> false
+  in
+  always_boolean && not (Ast.exists_expr reads_position pred)
+
 let rec eval (ctx : Context.t) (e : expr) : Value.t =
   Limits.tick ctx.Context.governor;
   match e with
@@ -239,7 +261,18 @@ and eval_path ctx root steps =
     if Value.is_all_nodes results then Value.document_order_dedup results
     else results
   in
-  List.fold_left apply_step initial steps
+  (* "//T[p]" is descendant-or-self::node()/child::T[p]: the same nodes as
+     descendant::T[p] unless some p sees its position among T's siblings. *)
+  let rec go input = function
+    | [] -> input
+    | { axis = Descendant_or_self; test = Kind_node; predicates = [] }
+      :: ({ axis = Child; predicates; _ } as next)
+      :: rest
+      when List.for_all non_positional predicates ->
+        go (apply_step input { next with axis = Descendant }) rest
+    | step :: rest -> go (apply_step input step) rest
+  in
+  go initial steps
 
 (* A predicate: numeric value selects by position, otherwise EBV filters. *)
 and eval_predicate ctx (input : Value.t) pred =

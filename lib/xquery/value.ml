@@ -160,10 +160,21 @@ let value_compare cmp (a : t) (b : t) =
 
 (* --- sequences of nodes --- *)
 
+(* Most step results are already strictly in document order (one context
+   node, or downward steps over disjoint trees in tree-id order): one
+   allocation-free pass finds that out, and only the rest are sorted. *)
+let rec ascending_after prev = function
+  | [] -> true
+  | Node n :: rest -> Node.compare_order prev n < 0 && ascending_after n rest
+  | _ -> false
+
 let document_order_dedup (v : t) : t =
-  let nodes = nodes_of "path step" v in
-  let sorted = List.sort_uniq Node.compare_order nodes in
-  of_nodes sorted
+  match v with
+  | [] -> v
+  | Node n :: rest when ascending_after n rest -> v
+  | _ ->
+      let nodes = nodes_of "path step" v in
+      of_nodes (List.sort_uniq Node.compare_order nodes)
 
 let is_all_nodes (v : t) =
   List.for_all (function Node _ -> true | _ -> false) v

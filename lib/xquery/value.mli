@@ -73,7 +73,9 @@ val arith : arith -> t -> t -> t
 
 val document_order_dedup : t -> t
 (** Sort nodes into document order and remove duplicates (path-step
-    semantics).  @raise Errors.Error ([XPTY0004]) on non-node items. *)
+    semantics).  A sequence already strictly in document order is returned
+    as is, after one pass that allocates nothing.
+    @raise Errors.Error ([XPTY0004]) on non-node items. *)
 
 val is_all_nodes : t -> bool
 

@@ -65,6 +65,43 @@ let test_axes () =
   check_q "self name test miss" "0" "count((//book)[1]/self::title)";
   check_q "descendant-or-self" "4" "count(//bib/descendant-or-self::*[self::bib or self::book])"
 
+(* Positional predicates after "//" filter each parent's children, so
+   they must not be evaluated as one descendant step; non-positional ones
+   give the same answer either way.  Expected values are read off the
+   document by hand. *)
+let shelf_src =
+  {|<lib id="l"><book id="b1"><p id="p1"/><section id="s1"><p id="p2"/><p id="p3"/><p id="p4"/></section><section id="s2"><p id="p5"/></section></book><book id="b2"><section id="s3"><p id="p6"/><p id="p7"/></section><p id="p8"/></book></lib>|}
+
+let shelf = lazy (Xmlkit.Parser.parse_document ~uri:"shelf.xml" shelf_src)
+
+let ids src =
+  let doc = Lazy.force shelf in
+  Xquery.Value.to_display_string
+    (Xquery.Eval.run_string ~context_node:doc
+       (Printf.sprintf "for $x in %s return string($x/@id)" src))
+
+let check_ids msg expected src =
+  Alcotest.check Alcotest.string msg expected (ids src)
+
+let test_positional_paths () =
+  check_ids "//p[1] is the first p of each parent" "p1 p2 p5 p6 p8" "//p[1]";
+  check_ids "(//p)[1] is one node" "p1" "(//p)[1]";
+  check_ids "/descendant::p[1] is one node" "p1" "/descendant::p[1]";
+  check_ids "(//p)[last()]" "p8" "(//p)[last()]";
+  check_ids "//section[last()] per parent" "s2 s3" "//section[last()]";
+  check_ids "//p[position() = 2] per parent" "p3 p7" "//p[position() = 2]";
+  check_ids "//p[$n] with an integer $n" "p3 p7"
+    "(let $n := 2 return //p[$n])";
+  check_ids "//p[$n] with $n = 3" "p4" "(let $n := 3 return //p[$n])";
+  check_ids "//*[1] per parent" "l b1 p1 p2 p5 s3 p6" "//*[1]";
+  check_ids "//p[1][@id = 'p6']" "p6" "//p[1][@id = 'p6']";
+  check_ids "non-positional count predicate" "b1" "//book[count(.//p) > 3]";
+  check_ids "non-positional attribute predicate" "p3" "//p[@id = 'p3']";
+  check_ids "non-positional path predicate" "s1 s2 s3" "//section[p]";
+  check_ids "//section//p[1]" "p2 p5 p6" "//section//p[1]";
+  check_ids "nested positional inside a boolean" "b1"
+    "//book[section[2]]"
+
 let test_flwor () =
   check_q "where + order by" "TCP/IP Illustrated Data on the Web"
     "string-join(for $b in //book where $b/price < 70 order by $b/title descending return string($b/title), ' ')";
@@ -182,6 +219,7 @@ let tests =
     Alcotest.test_case "logic" `Quick test_logic;
     Alcotest.test_case "paths" `Quick test_paths;
     Alcotest.test_case "axes" `Quick test_axes;
+    Alcotest.test_case "positional paths" `Quick test_positional_paths;
     Alcotest.test_case "flwor" `Quick test_flwor;
     Alcotest.test_case "quantifiers" `Quick test_quantifiers;
     Alcotest.test_case "constructors" `Quick test_constructors;

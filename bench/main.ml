@@ -881,13 +881,14 @@ let r2_cold_start () =
       Harness.row "  load snapshot (cold): %8.2f ms  (%.1fx vs re-indexing)\n"
         t_load
         (t_index /. Float.max 0.001 t_load);
-      (* salvage cost: damage one posting segment, load must repair *)
-      let post_seg =
-        Sys.readdir dir |> Array.to_list
-        |> List.find (fun f -> String.length f > 5 && String.sub f 0 5 = "post-")
+      (* salvage cost: damage one document segment, load must re-index
+         that document from its source *)
+      let doc_seg =
+        Sys.readdir dir |> Array.to_list |> List.sort compare
+        |> List.find (fun f -> String.length f > 4 && String.sub f 0 4 = "doc-")
       in
       let damage () =
-        let path = Filename.concat dir post_seg in
+        let path = Filename.concat dir doc_seg in
         let ic = open_in_bin path in
         let data =
           Fun.protect
@@ -902,55 +903,21 @@ let r2_cold_start () =
           (fun () -> output_bytes oc b)
       in
       damage ();
+      let sources =
+        List.map (fun (uri, root) -> (uri, Xmlkit.Printer.to_string root)) docs
+      in
       let loaded = ref None in
       let t_salvage =
         Harness.time_ms ~runs:5 (fun () ->
-            loaded := Some (Ftindex.Store.load ~dir ()))
+            loaded := Some (Ftindex.Store.load ~sources ~dir ()))
       in
       match !loaded with
       | Some l ->
           Harness.row
-            "  load with 1 damaged posting segment: %8.2f ms (%d words rebuilt)\n"
-            t_salvage l.Ftindex.Store.report.Ftindex.Store.rebuilt_words
+            "  load with 1 damaged document segment: %8.2f ms (%d document(s) re-indexed)\n"
+            t_salvage
+            (List.length l.Ftindex.Store.report.Ftindex.Store.reindexed)
       | None -> ())
-
-(* ---------------------------------------------------------------- R9 *)
-
-let r9_workload () =
-  Harness.section
-    "R9 (robustness): trace-driven mixed-workload replay — the SLO baseline";
-  let settings = { Workload.Scenario.default_settings with seed = 42 } in
-  let reports =
-    Workload.Scenario.run
-      ~progress:(fun name -> Harness.row "  replaying %s...\n" name)
-      settings
-  in
-  Harness.row
-    "\n  scenario                      reqs      p50      p95      p99   \
-     full  part  shed  err   lag\n";
-  List.iter
-    (fun (s : Workload.Report.scenario) ->
-      Harness.row
-        "  %-28s %5d  %6.2fms %6.2fms %6.2fms  %5d %5d %5d %4d  %s\n"
-        s.Workload.Report.name s.requests s.p50_ms s.p95_ms s.p99_ms s.full
-        s.partial s.shed s.error
-        (match s.replica_lag with Some l -> string_of_int l | None -> "-"))
-    reports;
-  let json =
-    Workload.Report.to_json
-      ~meta:
-        [
-          ("experiment", "R9");
-          ("seed", string_of_int settings.Workload.Scenario.seed);
-          ("scale", "1");
-        ]
-      reports
-  in
-  let oc = open_out "BENCH_R9.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json);
-  Harness.row "  wrote BENCH_R9.json\n"
 
 (* ---------------------------------------------------------------- N1 *)
 
@@ -1027,7 +994,7 @@ let experiments =
     ("S1", s1_scoring); ("S2", s2_topk); ("S3", s3_marking);
     ("S4", s4_strategies); ("A1", a1_expansion_cache);
     ("A2", a2_translated_decomposition); ("R1", r1_governance);
-    ("R2", r2_cold_start); ("R9", r9_workload); ("N1", n1_navigation);
+    ("R2", r2_cold_start); ("N1", n1_navigation);
   ]
 
 let () =

@@ -51,29 +51,6 @@ let documents t = t.documents
 let stats t = t.stats
 let total_postings t = t.total_postings
 
-(* One pass over the list: a document's entries normally arrive together
-   and ascending (every snapshot lists them so), and an entry of a document
-   already seen extends its run. *)
-let runs_of_postings postings =
-  let add runs doc rev =
-    let run = Array.of_list (List.rev rev) in
-    let run =
-      match Doc_map.find_opt doc runs with
-      | None -> run
-      | Some prev -> Array.append prev run
-    in
-    Array.stable_sort (fun a b -> compare (Posting.abs_pos a) (Posting.abs_pos b)) run;
-    Doc_map.add doc run runs
-  in
-  let rec group runs doc rev = function
-    | [] -> if rev = [] then runs else add runs doc rev
-    | (p : Posting.t) :: rest when rev <> [] && p.Posting.doc = doc ->
-        group runs doc (p :: rev) rest
-    | p :: rest ->
-        group (if rev = [] then runs else add runs doc rev) p.Posting.doc [ p ] rest
-  in
-  group Doc_map.empty "" [] postings
-
 (* Exact postings reclamation: the document's run leaves each of its own
    words (found through its token stream, so no other word is visited),
    words with no remaining run leave the distinct-word list, and corpus

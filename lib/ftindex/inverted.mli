@@ -26,9 +26,6 @@ val make :
 (** Assemble an index from its parts; derives the node -> document table
     from [documents].  Every run must be non-empty and ascending. *)
 
-val runs_of_postings : Posting.t list -> run Doc_map.t
-(** Group one word's postings, in any order, into per-document runs. *)
-
 val empty : unit -> t
 (** A fresh empty index (internal tables are not shared). *)
 

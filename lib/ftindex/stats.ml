@@ -19,23 +19,32 @@ type t = {
 
 let create () = { max_tf = Hashtbl.create 16; df = Hashtbl.create 256 }
 
-let add_document t ~doc tokens =
+(* Record one document in place. *)
+let record t ~doc tokens =
   if Hashtbl.mem t.max_tf doc then
     invalid_arg ("Stats.add_document: duplicate document " ^ doc);
   let counts = Hashtbl.create 64 in
-  List.iter
+  Array.iter
     (fun (tok : Tokenize.Token.t) ->
       let w = tok.Tokenize.Token.norm in
       Hashtbl.replace counts w (1 + Option.value ~default:0 (Hashtbl.find_opt counts w)))
     tokens;
-  (* functional update: callers hold on to earlier snapshots *)
-  let max_tf = Hashtbl.copy t.max_tf and df = Hashtbl.copy t.df in
-  Hashtbl.replace max_tf doc (Hashtbl.fold (fun _ c m -> max c m) counts 1);
+  Hashtbl.replace t.max_tf doc (Hashtbl.fold (fun _ c m -> max c m) counts 1);
   Hashtbl.iter
     (fun w _ ->
-      Hashtbl.replace df w (1 + Option.value ~default:0 (Hashtbl.find_opt df w)))
-    counts;
-  { max_tf; df }
+      Hashtbl.replace t.df w (1 + Option.value ~default:0 (Hashtbl.find_opt t.df w)))
+    counts
+
+let of_documents docs =
+  let t = create () in
+  List.iter (fun (doc, tokens) -> record t ~doc tokens) docs;
+  t
+
+(* functional update: callers hold on to earlier snapshots *)
+let add_document t ~doc tokens =
+  let t = { max_tf = Hashtbl.copy t.max_tf; df = Hashtbl.copy t.df } in
+  record t ~doc tokens;
+  t
 
 let remove_document t ~doc words =
   if not (Hashtbl.mem t.max_tf doc) then t

@@ -5,8 +5,12 @@ type t
 
 val create : unit -> t
 
-val add_document : t -> doc:string -> Tokenize.Token.t list -> t
-(** Record one document's token stream.
+val of_documents : (string * Tokenize.Token.t array) list -> t
+(** Statistics of a corpus, given each document's token stream.
+    @raise Invalid_argument on a duplicate document name. *)
+
+val add_document : t -> doc:string -> Tokenize.Token.t array -> t
+(** Record one more document's token stream; [t] itself is unchanged.
     @raise Invalid_argument on a duplicate document name. *)
 
 val remove_document : t -> doc:string -> string list -> t

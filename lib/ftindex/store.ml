@@ -5,8 +5,6 @@
 
      MANIFEST             framed manifest, written last (atomic switchover)
      doc-<gen>-NNNN.seg   one per document: uri, XML source, token stream
-     post-<gen>-NNNN.seg  posting segments over the sorted distinct-word
-                          list; a word's postings may span several segments
 
    Every file shares one frame: magic (8 bytes), format version (u32),
    kind byte, payload length (u64), payload, CRC-32 of the payload, all
@@ -15,18 +13,20 @@
    snapshot until the final manifest rename; stale generations are
    best-effort unlinked afterwards.
 
-   The recovery invariant load maintains: postings are fully derivable
-   from the per-document token streams plus corpus statistics (which are
-   themselves derivable from the token streams), and that derivation is
-   bit-identical to what Indexer.index_documents produced.  So any damaged
-   posting range can be rebuilt exactly as long as the document segments
-   are intact, and a damaged document segment can be re-indexed exactly
-   from its original source text. *)
+   The token streams are the one stored copy of the index: load rebuilds
+   postings and corpus statistics from them with the indexer's own builder
+   ({!Indexer.index_tokenized}), so a loaded index equals the saved one,
+   and a damaged document segment re-indexed from its source text equals
+   it too.
+
+   Version 1 also wrote post-<gen>-NNNN.seg posting segments, references
+   back into the token streams.  A version-1 manifest still loads: its
+   posting-segment list is decoded only so {!snapshot_files} names every
+   file a replica must copy. *)
 
 let format_magic = "GTXIDX1\n"
-let format_version = 1
+let format_version = 2
 let manifest_name = "MANIFEST"
-
 open Codec
 
 (* ------------------------------------------------------------------ *)
@@ -201,17 +201,19 @@ let frame ~kind payload =
   Buffer.contents b
 
 type unframed =
-  | Frame_ok of char * string  (** kind, payload *)
-  | Frame_version of int  (** recognized snapshot file, other version *)
+  | Frame_ok of int * char * string  (** version, kind, payload *)
+  | Frame_version of int  (** recognized snapshot file, unreadable version *)
   | Frame_corrupt of string
 
+(* Every version up to this build's is readable: the frame and the
+   document payload are the same in both. *)
 let unframe data =
   try
     let r = reader data in
     if get_bytes r 8 <> format_magic then Frame_corrupt "bad magic"
     else
       let v = get_u32 r in
-      if v <> format_version then Frame_version v
+      if v < 1 || v > format_version then Frame_version v
       else begin
         let kind = Char.chr (get_u8 r) in
         let len = get_u64 r in
@@ -220,7 +222,7 @@ let unframe data =
         let crc = get_u32 r in
         if not (at_end r) then Frame_corrupt "trailing bytes"
         else if crc <> crc32 payload then Frame_corrupt "checksum mismatch"
-        else Frame_ok (kind, payload)
+        else Frame_ok (v, kind, payload)
       end
   with Malformed msg -> Frame_corrupt msg
 
@@ -249,28 +251,22 @@ let get_token r =
 
 type mdoc = { m_uri : string; m_file : string; m_tokens : int }
 
-type mseg = {
-  p_file : string;
-  p_first : string;
-  p_last : string;
-  p_entries : int;
-  p_postings : int;
-}
-
 type manifest = {
   gen : int;
   m_config : Tokenize.Segmenter.config;
   mdocs : mdoc list;
-  msegs : mseg list;
-  m_total : int;  (** total postings (= total tokens) across the corpus *)
-  m_words : int;  (** distinct-word count *)
   m_epoch : int;
       (** primary-failover fencing epoch: bumped durably on every
-          promotion, carried across generations by {!save}; encoded as an
-          optional trailing field so pre-epoch manifests decode as epoch
-          1 *)
+          promotion, carried across generations by {!save} *)
+  m_v1_postings : string list;
+      (** a version-1 manifest's posting-segment files, never read *)
 }
 
+(* Version 2 writes the epoch last.  Version 1 put the posting-segment
+   list (file, first and last word, entry and posting counts) and the
+   corpus totals between the documents and an optional trailing epoch
+   (pre-epoch manifests read as epoch 1).  [encode_manifest] always writes
+   version 2. *)
 let encode_manifest m =
   let b = Buffer.create 1024 in
   put_u32 b m.gen;
@@ -282,20 +278,10 @@ let encode_manifest m =
       put_str b d.m_file;
       put_u32 b d.m_tokens)
     b m.mdocs;
-  put_list
-    (fun b s ->
-      put_str b s.p_file;
-      put_str b s.p_first;
-      put_str b s.p_last;
-      put_u32 b s.p_entries;
-      put_u32 b s.p_postings)
-    b m.msegs;
-  put_u64 b m.m_total;
-  put_u32 b m.m_words;
   put_u32 b m.m_epoch;
   Buffer.contents b
 
-let decode_manifest payload =
+let decode_manifest ~version payload =
   let r = reader payload in
   let gen = get_u32 r in
   let paragraph_elements = get_list get_str r in
@@ -307,25 +293,28 @@ let decode_manifest payload =
         let m_tokens = get_u32 r in
         { m_uri; m_file; m_tokens }) r
   in
-  let msegs =
-    get_list (fun r ->
-        let p_file = get_str r in
-        let p_first = get_str r in
-        let p_last = get_str r in
-        let p_entries = get_u32 r in
-        let p_postings = get_u32 r in
-        { p_file; p_first; p_last; p_entries; p_postings }) r
+  let m_v1_postings, m_epoch =
+    if version >= 2 then ([], get_u32 r)
+    else
+      let files =
+        get_list (fun r ->
+            let file = get_str r in
+            ignore (get_str r : string) (* first word *);
+            ignore (get_str r : string) (* last word *);
+            ignore (get_u32 r : int) (* entries *);
+            ignore (get_u32 r : int) (* postings *);
+            file) r
+      in
+      ignore (get_u64 r : int) (* total postings *);
+      ignore (get_u32 r : int) (* distinct words *);
+      (files, if at_end r then 1 else get_u32 r)
   in
-  let m_total = get_u64 r in
-  let m_words = get_u32 r in
-  (* optional trailing epoch: pre-epoch manifests end at m_words *)
-  let m_epoch = if at_end r then 1 else get_u32 r in
   finish r "manifest";
   let uris = List.map (fun d -> d.m_uri) mdocs in
   if List.length (List.sort_uniq compare uris) <> List.length uris then
     malformed "duplicate document uri in manifest";
   { gen; m_config = { Tokenize.Segmenter.paragraph_elements; ignore_elements };
-    mdocs; msegs; m_total; m_words; m_epoch }
+    mdocs; m_epoch; m_v1_postings }
 
 let encode_doc ~uri ~source (tokens : Tokenize.Token.t array) =
   let b = Buffer.create (String.length source + 1024) in
@@ -343,54 +332,12 @@ let decode_doc payload =
   finish r "document";
   (uri, source, tokens)
 
-(* A posting within a segment references its token as (document index in
-   manifest order, token index in that document's stream) plus the score
-   at save time, which loading skips — compact, and exactly reconstructible. *)
-let encode_postings entries =
-  let b = Buffer.create 4096 in
-  put_list
-    (fun b (word, chunk) ->
-      put_str b word;
-      put_u32 b (List.length chunk);
-      List.iter
-        (fun (doc_idx, tok_idx, score) ->
-          put_u32 b doc_idx;
-          put_u32 b tok_idx;
-          put_bits64 b (Int64.bits_of_float score))
-        chunk)
-    b entries;
-  Buffer.contents b
-
-let decode_postings payload =
-  let r = reader payload in
-  let entries =
-    get_list (fun r ->
-        let word = get_str r in
-        let chunk =
-          get_list (fun r ->
-              let doc_idx = get_u32 r in
-              let tok_idx = get_u32 r in
-              ignore (get_bits64 r : int64);
-              (doc_idx, tok_idx))
-            r
-        in
-        (word, chunk)) r
-  in
-  finish r "posting";
-  entries
-
 (* ------------------------------------------------------------------ *)
 (* Damage reporting.                                                   *)
 
-type scope = Document of string | Word_range of string * string
+type damage = { file : string; reason : string; uri : string }
 
-type damage = { file : string; reason : string; scope : scope }
-
-type report = {
-  damaged : damage list;
-  reindexed : string list;
-  rebuilt_words : int;
-}
+type report = { damaged : damage list; reindexed : string list }
 
 let clean r = r.damaged = []
 
@@ -398,16 +345,11 @@ let pp_report ppf r =
   if clean r then Format.fprintf ppf "snapshot loaded clean"
   else begin
     Format.fprintf ppf
-      "salvaged snapshot: %d damaged segment(s), %d document(s) re-indexed, %d word(s) rebuilt"
+      "salvaged snapshot: %d damaged segment(s), %d document(s) re-indexed"
       (List.length r.damaged)
-      (List.length r.reindexed)
-      r.rebuilt_words;
+      (List.length r.reindexed);
     List.iter
-      (fun d ->
-        Format.fprintf ppf "@\n  %s: %s%s" d.file d.reason
-          (match d.scope with
-          | Document uri -> Printf.sprintf " (document %s)" uri
-          | Word_range (a, z) -> Printf.sprintf " (words %S..%S)" a z))
+      (fun d -> Format.fprintf ppf "@\n  %s: %s (document %s)" d.file d.reason d.uri)
       r.damaged
   end
 
@@ -418,6 +360,8 @@ let report_to_string r = Format.asprintf "%a" pp_report r
 
 let storage_error code fmt = Xquery.Errors.raise_error code fmt
 
+(* "post-" names version-1 posting segments: they count towards the next
+   generation number and are unlinked as stale like any other segment. *)
 let seg_prefixes = [ "doc-"; "post-" ]
 
 (* "doc-7-0003.seg" -> Some 7 *)
@@ -428,28 +372,6 @@ let gen_of_filename name =
         int_of_string_opt gen
     | _ -> None
   else None
-
-(* Index of a posting's token inside its document's token stream: streams
-   are in strictly increasing absolute-position order, so binary search. *)
-let token_index tokens (p : Posting.t) =
-  let target = Posting.abs_pos p in
-  let lo = ref 0 and hi = ref (Array.length tokens - 1) in
-  let found = ref (-1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let pos = tokens.(mid).Tokenize.Token.abs_pos in
-    if pos = target then begin
-      found := mid;
-      lo := !hi + 1
-    end
-    else if pos < target then lo := mid + 1
-    else hi := mid - 1
-  done;
-  if !found < 0 then
-    invalid_arg
-      (Printf.sprintf "Store.save: posting at position %d not in token stream"
-         target);
-  !found
 
 (* ------------------------------------------------------------------ *)
 (* Save.                                                               *)
@@ -467,24 +389,24 @@ let next_generation io dir =
     1 files
 
 (* Plain-I/O, total read of the directory's current manifest — used by
-   [save] to carry the fencing epoch across generations and by the epoch
-   helpers further down.  Deliberately not routed through the caller's
-   injector: it is a read-only peek, and keeping it off the fault-op
-   counter keeps the save/compact sweeps deterministic. *)
+   [save] to carry the fencing epoch across generations, by the serving
+   layer's polls and by the epoch helpers further down.  Deliberately not
+   routed through the caller's injector: it is a read-only peek, and
+   keeping it off the fault-op counter keeps the save/compact sweeps
+   deterministic. *)
 let manifest_opt ~dir =
   match Io.read_file (Io.real ()) (Filename.concat dir manifest_name) with
   | exception _ -> None
   | data -> (
       match unframe data with
-      | Frame_ok ('M', payload) -> (
-          match decode_manifest payload with
+      | Frame_ok (version, 'M', payload) -> (
+          match decode_manifest ~version payload with
           | m -> Some m
           | exception Malformed _ -> None)
       | Frame_ok _ | Frame_version _ | Frame_corrupt _ -> None)
 
 let save ?(io = Io.real ()) ?(config = Tokenize.Segmenter.default_config)
-    ?(segment_postings = 4096) ?epoch ~dir index =
-  let segment_postings = max 1 segment_postings in
+    ?epoch ~dir index =
   (* the fencing epoch survives compaction: a new generation into an
      existing directory keeps the directory's epoch unless the caller
      stamps one explicitly; a fresh directory starts at epoch 1 *)
@@ -496,8 +418,6 @@ let save ?(io = Io.real ()) ?(config = Tokenize.Segmenter.default_config)
   try
     Io.mkdir io dir;
     let gen = next_generation io dir in
-    let docs = Inverted.documents index in
-    (* document segments *)
     let mdocs =
       List.mapi
         (fun i (uri, root) ->
@@ -506,80 +426,10 @@ let save ?(io = Io.real ()) ?(config = Tokenize.Segmenter.default_config)
           let payload = encode_doc ~uri ~source:(Xmlkit.Printer.to_string root) tokens in
           atomic_write io ~dir file (frame ~kind:'D' payload);
           { m_uri = uri; m_file = file; m_tokens = Array.length tokens })
-        docs
+        (Inverted.documents index)
     in
-    let doc_index = Hashtbl.create 16 in
-    List.iteri (fun i (uri, _) -> Hashtbl.replace doc_index uri i) docs;
-    let doc_tokens =
-      Array.of_list
-        (List.map (fun (uri, _) -> Inverted.tokens_of_doc index ~doc:uri) docs)
-    in
-    (* posting segments: pack (word, chunk) entries up to the cap; a long
-       posting list spills into the following segment(s) *)
-    let msegs = ref [] in
-    let seg_no = ref 0 in
-    let cur = ref [] (* rev (word, rev chunk) *) in
-    let cur_count = ref 0 in
-    let flush () =
-      if !cur <> [] then begin
-        let entries = List.rev_map (fun (w, c) -> (w, List.rev c)) !cur in
-        let file = Printf.sprintf "post-%d-%04d.seg" gen !seg_no in
-        incr seg_no;
-        atomic_write io ~dir file (frame ~kind:'P' (encode_postings entries));
-        msegs :=
-          {
-            p_file = file;
-            p_first = fst (List.hd entries);
-            p_last = fst (List.hd !cur);
-            p_entries = List.length entries;
-            p_postings = !cur_count;
-          }
-          :: !msegs;
-        cur := [];
-        cur_count := 0
-      end
-    in
-    List.iter
-      (fun word ->
-        let refs =
-          Inverted.Doc_map.fold
-            (fun doc run acc ->
-              let di = Hashtbl.find doc_index doc in
-              let score = Inverted.score index ~doc run in
-              Array.fold_left
-                (fun acc p -> (di, token_index doc_tokens.(di) p, score) :: acc)
-                acc run)
-            (Inverted.runs index word) []
-          |> List.rev
-        in
-        let rec place = function
-          | [] -> ()
-          | refs ->
-              if !cur_count >= segment_postings then flush ();
-              let room = segment_postings - !cur_count in
-              let rec take n acc rest =
-                match (n, rest) with
-                | 0, _ | _, [] -> (List.rev acc, rest)
-                | n, x :: tl -> take (n - 1) (x :: acc) tl
-              in
-              let chunk, rest = take room [] refs in
-              cur := (word, List.rev chunk) :: !cur;
-              cur_count := !cur_count + List.length chunk;
-              place rest
-        in
-        place refs)
-      (Inverted.distinct_words index);
-    flush ();
     let manifest =
-      {
-        gen;
-        m_config = config;
-        mdocs;
-        msegs = List.rev !msegs;
-        m_total = Inverted.total_postings index;
-        m_words = Inverted.distinct_word_count index;
-        m_epoch = epoch;
-      }
+      { gen; m_config = config; mdocs; m_epoch = epoch; m_v1_postings = [] }
     in
     atomic_write io ~dir manifest_name (frame ~kind:'M' (encode_manifest manifest));
     Io.fsync_dir io dir;
@@ -628,9 +478,9 @@ let read_segment io ~dir ~kind ~decode file =
       match unframe data with
       | Frame_version v -> Seg_damaged (Printf.sprintf "format version %d" v)
       | Frame_corrupt reason -> Seg_damaged reason
-      | Frame_ok (k, _) when k <> kind ->
+      | Frame_ok (_, k, _) when k <> kind ->
           Seg_damaged (Printf.sprintf "wrong segment kind %C" k)
-      | Frame_ok (_, payload) -> (
+      | Frame_ok (_, _, payload) -> (
           match decode payload with
           | v -> Seg_ok v
           | exception Malformed reason -> Seg_damaged reason))
@@ -653,16 +503,16 @@ let read_manifest io ~dir =
       match unframe data with
       | Frame_version v ->
           storage_error Xquery.Errors.GTLX0007
-            "snapshot format version %d; this build reads version %d" v
+            "snapshot format version %d; this build reads versions 1 to %d" v
             format_version
       | Frame_corrupt reason ->
           storage_error Xquery.Errors.GTLX0006 "corrupt snapshot manifest: %s"
             reason
-      | Frame_ok (k, _) when k <> 'M' ->
+      | Frame_ok (_, k, _) when k <> 'M' ->
           storage_error Xquery.Errors.GTLX0006
             "corrupt snapshot manifest: wrong segment kind %C" k
-      | Frame_ok (_, payload) -> (
-          match decode_manifest payload with
+      | Frame_ok (version, _, payload) -> (
+          match decode_manifest ~version payload with
           | m -> m
           | exception Malformed reason ->
               storage_error Xquery.Errors.GTLX0006
@@ -680,36 +530,16 @@ type loaded = {
    I/O and total: the serving layer polls this between requests, and the
    load retry below uses it to distinguish real corruption from a race
    against a concurrent save. *)
-let current_generation ~dir =
-  match Io.read_file (Io.real ()) (Filename.concat dir manifest_name) with
-  | exception _ -> None
-  | data -> (
-      match unframe data with
-      | Frame_ok ('M', payload) -> (
-          match decode_manifest payload with
-          | m -> Some m.gen
-          | exception Malformed _ -> None)
-      | Frame_ok _ | Frame_version _ | Frame_corrupt _ -> None)
+let current_generation ~dir = Option.map (fun m -> m.gen) (manifest_opt ~dir)
 
 (* The complete file listing of the current snapshot, manifest first:
-   what a replica must copy to hold a bit-identical base.  Same
-   total plain-I/O discipline as current_generation. *)
+   what a replica must copy to hold a bit-identical base. *)
 let snapshot_files ~dir =
-  match Io.read_file (Io.real ()) (Filename.concat dir manifest_name) with
-  | exception _ -> None
-  | data -> (
-      match unframe data with
-      | Frame_ok ('M', payload) -> (
-          match decode_manifest payload with
-          | m ->
-              let files =
-                manifest_name
-                :: (List.map (fun d -> d.m_file) m.mdocs
-                   @ List.map (fun s -> s.p_file) m.msegs)
-              in
-              Some (m.gen, files)
-          | exception Malformed _ -> None)
-      | Frame_ok _ | Frame_version _ | Frame_corrupt _ -> None)
+  Option.map
+    (fun m ->
+      ( m.gen,
+        manifest_name :: (List.map (fun d -> d.m_file) m.mdocs @ m.m_v1_postings) ))
+    (manifest_opt ~dir)
 
 (* CRC-32 of the manifest *payload*.  Because every segment file's name
    and framing is fixed by its contents and the manifest names them all,
@@ -727,7 +557,7 @@ let manifest_crc ~dir =
   | exception _ -> None
   | data -> (
       match unframe data with
-      | Frame_ok (_, payload) -> Some (crc32 payload)
+      | Frame_ok (_, _, payload) -> Some (crc32 payload)
       (* unreadable frame: hash the raw bytes so the comparison still
          disagrees with any healthy peer and forces the repair *)
       | Frame_version _ | Frame_corrupt _ -> Some (crc32 data))
@@ -741,6 +571,9 @@ let install_file ?(io = Io.real ()) ~dir ~name data =
 
 let current_epoch ~dir = Option.map (fun m -> m.m_epoch) (manifest_opt ~dir)
 
+(* Restamping writes the manifest in the current version: a version-1
+   manifest loses its posting-segment list, and those files go as stale
+   at the next save. *)
 let bump_epoch ?(io = Io.real ()) ~dir ~epoch () =
   match manifest_opt ~dir with
   | None ->
@@ -769,43 +602,27 @@ let bump_epoch ?(io = Io.real ()) ~dir ~epoch () =
               "epoch bump in %s failed: %s: %s" dir fn (Unix.error_message e)
       end
 
-(* Rebuild one word's postings from the (intact) token streams — exactly
-   the Indexer's computation: documents in indexing order, positions in
-   stream order. *)
-let rebuild_word docs_tokens word =
-  List.concat_map
-    (fun (uri, tokens) ->
-      Array.to_list tokens
-      |> List.filter_map (fun (t : Tokenize.Token.t) ->
-             if t.Tokenize.Token.norm = word then Some (Posting.make ~doc:uri t)
-             else None))
-    docs_tokens
-
+(* Verify every document segment, re-index the damaged ones from
+   [sources], then build the index from the token streams. *)
 let load_manifest ~io ~governor ~sources ~dir m =
-  let tick () = Option.iter Xquery.Limits.io_tick governor in
-  let damaged = ref [] in
-  let add_damage file reason scope =
-    damaged := { file; reason; scope } :: !damaged
-  in
-  (* -- document segments ------------------------------------------- *)
-  let reindexed = ref [] in
-  let fatal = ref [] in
+  let damaged = ref [] and reindexed = ref [] and fatal = ref [] in
   let docs =
     (* (uri, root, tokens) in manifest (= indexing) order *)
     List.filter_map
       (fun md ->
-        tick ();
+        Option.iter Xquery.Limits.io_tick governor;
         let salvage reason =
-          add_damage md.m_file reason (Document md.m_uri);
+          damaged := { file = md.m_file; reason; uri = md.m_uri } :: !damaged;
           match List.assoc_opt md.m_uri sources with
           | Some source ->
               let root = Xmlkit.Parser.parse_document ~uri:md.m_uri source in
-              let tokens =
-                Array.of_list
-                  (Tokenize.Segmenter.tokenize_document ~config:m.m_config root)
-              in
               reindexed := md.m_uri :: !reindexed;
-              Some (md.m_uri, root, tokens)
+              Some
+                ( md.m_uri,
+                  root,
+                  Array.of_list
+                    (Tokenize.Segmenter.tokenize_document ~config:m.m_config root)
+                )
           | None ->
               fatal := (md.m_file, md.m_uri, reason) :: !fatal;
               None
@@ -833,144 +650,10 @@ let load_manifest ~io ~governor ~sources ~dir m =
             (fun (file, uri, reason) ->
               Printf.sprintf "%s [%s]: %s" file uri reason)
             !fatal));
-  let reindexed = List.rev !reindexed in
-  (* -- corpus statistics, rebuilt from the token streams ------------ *)
-  let stats =
-    List.fold_left
-      (fun acc (uri, _, tokens) ->
-        Stats.add_document acc ~doc:uri (Array.to_list tokens))
-      (Stats.create ()) docs
-  in
-  let docs_tokens = List.map (fun (uri, _, tokens) -> (uri, tokens)) docs in
-  let doc_arr = Array.of_list docs_tokens in
-  let total_tokens =
-    List.fold_left (fun acc (_, t) -> acc + Array.length t) 0 docs_tokens
-  in
-  (* -- posting segments --------------------------------------------- *)
-  let damaged_ranges = ref [] in
-  let chunks = Hashtbl.create 256 (* word -> rev (doc_idx,tok_idx) list list *) in
-  let chunk_order = ref [] (* rev word order of first appearance *) in
-  List.iter
-    (fun ms ->
-      tick ();
-      match
-        read_segment io ~dir ~kind:'P' ~decode:decode_postings ms.p_file
-      with
-      | Seg_damaged reason ->
-          add_damage ms.p_file reason (Word_range (ms.p_first, ms.p_last));
-          damaged_ranges := (ms.p_first, ms.p_last) :: !damaged_ranges
-      | Seg_ok entries ->
-          List.iter
-            (fun (word, chunk) ->
-              match Hashtbl.find_opt chunks word with
-              | Some prev -> Hashtbl.replace chunks word (chunk :: prev)
-              | None ->
-                  Hashtbl.replace chunks word [ chunk ];
-                  chunk_order := word :: !chunk_order)
-            entries)
-    m.msegs;
-  let in_damaged_range w =
-    List.exists (fun (a, z) -> a <= w && w <= z) !damaged_ranges
-  in
-  (* distinct words of the corpus, derivable from token streams alone *)
-  let corpus_words () =
-    let set = Hashtbl.create 256 in
-    List.iter
-      (fun (_, tokens) ->
-        Array.iter
-          (fun (t : Tokenize.Token.t) ->
-            Hashtbl.replace set t.Tokenize.Token.norm ())
-          tokens)
-      docs_tokens;
-    set
-  in
-  let postings = Hashtbl.create 256 in
-  let rebuilt_words = ref 0 in
-  let rebuild w =
-    incr rebuilt_words;
-    Hashtbl.replace postings w (rebuild_word docs_tokens w)
-  in
-  let full_rebuild () =
-    Hashtbl.reset postings;
-    rebuilt_words := 0;
-    Hashtbl.iter (fun w () -> rebuild w) (corpus_words ())
-  in
-  if reindexed <> [] then
-    (* a re-indexed document invalidates every (doc_idx, token_idx)
-       reference into it; token streams are now authoritative *)
-    full_rebuild ()
-  else begin
-    let inconsistent = ref false in
-    List.iter
-      (fun w ->
-        tick ();
-        if in_damaged_range w then rebuild w
-        else begin
-          let entry_of (doc_idx, tok_idx) =
-            if doc_idx < 0 || doc_idx >= Array.length doc_arr then
-              malformed "document index out of range";
-            let uri, tokens = doc_arr.(doc_idx) in
-            if tok_idx < 0 || tok_idx >= Array.length tokens then
-              malformed "token index out of range";
-            let tok = tokens.(tok_idx) in
-            if tok.Tokenize.Token.norm <> w then
-              malformed "posting references a token of a different word";
-            Posting.make ~doc:uri tok
-          in
-          match
-            List.concat_map (List.map entry_of)
-              (List.rev (Hashtbl.find chunks w))
-          with
-          | ps -> Hashtbl.replace postings w ps
-          | exception (Malformed _ | Invalid_argument _) ->
-              (* checksummed data should never get here; treat it as
-                 damage and fall back to the token streams *)
-              inconsistent := true
-        end)
-      (List.rev !chunk_order);
-    (* words living entirely inside damaged segments never appeared in
-       any intact chunk: recover them from the token streams *)
-    if !damaged_ranges <> [] then
-      Hashtbl.iter
-        (fun w () ->
-          if (not (Hashtbl.mem postings w)) && in_damaged_range w then
-            rebuild w)
-        (corpus_words ());
-    (* defense in depth: the reassembled index must agree with the
-       manifest's totals; if not, the snapshot lies somewhere the CRCs
-       did not cover — rebuild everything from the token streams *)
-    let total = Hashtbl.fold (fun _ ps acc -> acc + List.length ps) postings 0 in
-    if
-      !inconsistent
-      || total <> m.m_total
-      || Hashtbl.length postings <> m.m_words
-      || total <> total_tokens
-    then begin
-      add_damage manifest_name
-        "postings disagree with manifest totals; rebuilt from token streams"
-        (Word_range ("", "\xff"));
-      full_rebuild ()
-    end
-  end;
-  let doc_tokens_tbl = Hashtbl.create 16 in
-  List.iter (fun (uri, tokens) -> Hashtbl.replace doc_tokens_tbl uri tokens) docs_tokens;
-  (* snapshots list a word's postings in any document order (older ones in
-     indexing order): regroup them into the index's per-document runs *)
-  let runs = Hashtbl.create (Hashtbl.length postings) in
-  Hashtbl.iter
-    (fun w ps -> Hashtbl.replace runs w (Inverted.runs_of_postings ps))
-    postings;
-  let index =
-    Inverted.make
-      ~documents:(List.map (fun (uri, root, _) -> (uri, root)) docs)
-      ~postings:runs ~doc_tokens:doc_tokens_tbl ~stats
-      ~total_postings:total_tokens
-  in
   {
-    index;
+    index = Indexer.index_tokenized docs;
     config = m.m_config;
-    report =
-      { damaged = List.rev !damaged; reindexed; rebuilt_words = !rebuilt_words };
+    report = { damaged = List.rev !damaged; reindexed = List.rev !reindexed };
     generation = m.gen;
     epoch = m.m_epoch;
   }

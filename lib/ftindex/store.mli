@@ -1,14 +1,20 @@
 (** Crash-safe persistent snapshots of the inverted index.
 
     The paper's architecture (Figure 4) treats inverted lists as off-line
-    preprocessed artifacts; this module makes that step durable: a
-    versioned on-disk snapshot directory holding a manifest plus
-    length-prefixed, CRC-32-checksummed segments — one document segment per
-    indexed document (its XML source and full token stream) and a run of
-    word-range posting segments (each word's postings chunked over one or
-    more segments).  Posting records keep the score in force at save time,
-    for format compatibility; {!load} skips it (scores are computed at
-    query time, {!Inverted.score}).
+    preprocessed artifacts derived from the tokenizer's TokenInfo streams;
+    this module makes the streams durable: a versioned on-disk snapshot
+    directory holding a manifest plus one length-prefixed,
+    CRC-32-checksummed document segment per indexed document (its XML
+    source and full token stream).  Postings and corpus statistics are not
+    stored: {!load} derives them from the token streams with the
+    indexer's own builder ({!Indexer.index_tokenized}), and scores are
+    computed at query time ({!Inverted.score}).
+
+    {b Formats.}  This build writes format version 2 and reads versions 1
+    and 2.  Version 1 also wrote posting segments, references back into
+    the token streams; loading a version-1 snapshot never reads them, and
+    {!snapshot_files} still lists them so a replica copies the directory
+    bit for bit.
 
     {b Crash safety.}  Every file is written to a temp name, fsynced and
     atomically renamed; the manifest — which names every segment of the
@@ -17,14 +23,13 @@
     the new one; never a half-visible mix.
 
     {b Corruption handling.}  {!load} verifies magic, version and payload
-    checksum of every file.  Damaged posting segments are {e salvaged} by
-    rebuilding the affected word range from the (intact) document token
-    streams; damaged document segments are re-indexed from caller-provided
-    sources when available.  Only when salvage is impossible does load
-    raise, and then always a structured [Xquery.Errors.Error]:
-    [GTLX0006] unsalvageable corrupt segment, [GTLX0007] format version
-    mismatch, [GTLX0008] incomplete snapshot.  No raw exception, and never
-    a silently divergent index.
+    checksum of every file, and each document segment against the
+    manifest.  Damaged document segments are re-indexed from
+    caller-provided sources when available.  Only when salvage is
+    impossible does load raise, and then always a structured
+    [Xquery.Errors.Error]: [GTLX0006] unsalvageable corrupt segment,
+    [GTLX0007] format version mismatch, [GTLX0008] incomplete snapshot.
+    No raw exception, and never a silently divergent index.
 
     {b Fault injection.}  All I/O goes through {!Io}, a deterministic
     counter-driven single-shot injector mirroring the eval-step injector in
@@ -87,23 +92,16 @@ end
 
 (** {1 Damage reporting} *)
 
-type scope =
-  | Document of string  (** a document segment; the payload is the uri *)
-  | Word_range of string * string
-      (** a posting segment covering first..last distinct words *)
-
 type damage = {
   file : string;  (** segment file name within the snapshot directory *)
   reason : string;  (** e.g. ["checksum mismatch"], ["truncated"] *)
-  scope : scope;
+  uri : string;  (** the document the segment holds *)
 }
 
 type report = {
   damaged : damage list;  (** empty for a clean load *)
   reindexed : string list;
       (** uris of documents rebuilt from caller-provided sources *)
-  rebuilt_words : int;
-      (** distinct words whose postings were rebuilt from token streams *)
 }
 
 val clean : report -> bool
@@ -115,17 +113,15 @@ val report_to_string : report -> string
 val save :
   ?io:Io.t ->
   ?config:Tokenize.Segmenter.config ->
-  ?segment_postings:int ->
   ?epoch:int ->
   dir:string ->
   Inverted.t ->
   unit
-(** Write a snapshot of the index into [dir] (created if missing),
-    crash-safely, replacing any previous snapshot only at the final
-    manifest rename.  [config] is the tokenizer configuration the index
-    was built with — recorded so salvage re-indexes sources identically.
-    [segment_postings] caps postings per posting segment (default 4096);
-    a word with more postings spans several segments.  [epoch] stamps the
+(** Write a snapshot of the index into [dir] (created if missing):
+    one document segment per document, then the manifest.  Crash-safe:
+    any previous snapshot is replaced only at the final manifest rename.
+    [config] is the tokenizer configuration the index was built with —
+    recorded so salvage re-indexes sources identically.  [epoch] stamps the
     manifest with a fencing epoch; by default the directory's current
     epoch carries over (a fresh directory starts at epoch 1), so
     compaction never moves the epoch.
@@ -156,14 +152,15 @@ val load :
   dir:string ->
   unit ->
   loaded
-(** Read a snapshot back, verifying every checksum.  [sources] maps
-    document uris to XML source text, enabling re-indexing of damaged
-    document segments.  [governor] accounts one step per segment operation
-    and applies the wall-clock deadline to loading.
+(** Read a snapshot back, verifying every checksum, and build the index
+    from the stored token streams ({!Indexer.index_tokenized}).
+    [sources] maps document uris to XML source text, enabling re-indexing
+    of damaged document segments.  [governor] accounts one step per
+    segment read and applies the wall-clock deadline to loading.
 
     The result index is {e exact}: equal to the saved one, or — after
     salvage — equal to re-indexing the same sources, with the report
-    describing every damaged segment and repair performed.
+    describing every damaged segment and re-indexed document.
 
     @raise Xquery.Errors.Error with [GTLX0006] (unsalvageable corruption),
     [GTLX0007] (version mismatch), [GTLX0008] (missing / incomplete
@@ -219,7 +216,9 @@ val current_epoch : dir:string -> int option
 val bump_epoch : ?io:Io.t -> dir:string -> epoch:int -> unit -> unit
 (** Durably restamp the current manifest with [epoch] (temp + fsync +
     rename + directory fsync, the same discipline as {!save}).  A no-op
-    when [epoch] equals the current epoch.
+    when [epoch] equals the current epoch.  The manifest is rewritten in
+    the current format version: a version-1 manifest stops listing its
+    posting segments, which the next {!save} removes.
 
     @raise Xquery.Errors.Error with [GTLX0013] when [epoch] is {e lower}
     than the directory's current epoch (epoch regression — the caller is
@@ -237,4 +236,6 @@ val install_file : ?io:Io.t -> dir:string -> name:string -> string -> unit
 
 val format_magic : string
 val format_version : int
+(** The version {!save} writes; {!load} reads every version from 1 up. *)
+
 val manifest_name : string

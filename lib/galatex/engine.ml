@@ -116,8 +116,7 @@ let wal_recovery t = t.wal
 
 (* Persistence: delegate to the crash-safe store, carrying the engine's
    tokenizer config so a later salvage re-indexes identically. *)
-let save ?io ?segment_postings t ~dir =
-  Ftindex.Store.save ?io ~config:t.config ?segment_postings ~dir (index t)
+let save ?io t ~dir = Ftindex.Store.save ?io ~config:t.config ~dir (index t)
 
 let of_store ?io ?(limits = Xquery.Limits.defaults) ?sources ?thesauri
     ?default_thesaurus ~dir () =

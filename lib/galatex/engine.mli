@@ -88,8 +88,7 @@ val wal_recovery : t -> wal_recovery option
 
 (** {1 Persistence} *)
 
-val save :
-  ?io:Ftindex.Store.Io.t -> ?segment_postings:int -> t -> dir:string -> unit
+val save : ?io:Ftindex.Store.Io.t -> t -> dir:string -> unit
 (** Persist the engine's index as a crash-safe snapshot directory
     ({!Ftindex.Store.save}) carrying this engine's tokenizer config.
     @raise Xquery.Errors.Error with [GTLX0008] when I/O fails mid-save. *)

@@ -34,18 +34,25 @@ let preceding_sibling n =
   in
   before [] (siblings_of n)
 
-(* following: all nodes after n in document order, excluding descendants. *)
+(* following: the nodes after n, descendants excluded, in document order
+   (an inner ancestor's following siblings come before an outer one's).
+   An attribute precedes its element's descendants, so they follow it. *)
 let following n =
-  List.concat_map Node.descendants_or_self
-    (List.concat_map following_sibling (ancestor_or_self n))
-  |> List.sort Node.compare_order
+  let after =
+    List.concat_map Node.descendants_or_self
+      (List.concat_map following_sibling (ancestor_or_self n))
+  in
+  match Node.parent n with
+  | Some e when Node.is_attribute n -> Node.descendants e @ after
+  | _ -> after
 
+(* preceding: the nodes before n, ancestors excluded, nearest first.  The
+   subtrees of preceding siblings never hold an ancestor; an attribute has
+   no siblings, so its nodes are its element's. *)
 let preceding n =
-  let ancestors = ancestor n in
-  List.concat_map Node.descendants_or_self
+  List.concat_map
+    (fun s -> List.rev (Node.descendants_or_self s))
     (List.concat_map preceding_sibling (ancestor_or_self n))
-  |> List.filter (fun m -> not (List.exists (Node.equal m) ancestors))
-  |> List.sort Node.compare_order
 
 let apply (axis : Ast.axis) n =
   match axis with

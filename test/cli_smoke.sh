@@ -81,31 +81,26 @@ opt=$("$GX" query --index snap --trace-json --optimize "$PDQ" | sed 's/.*"allmat
 "$GX" query --server nowhere.sock --trace '//title' 2>/dev/null
 [ $? -ne 0 ] || { echo "FAIL: --trace with --server should be rejected" >&2; fails=$((fails+1)); }
 
-# --- corrupt a posting segment: salvaged, same answer, damage reported ---
-post_seg=$(ls snap/post-*.seg | head -1)
-dd if=/dev/zero of="$post_seg" bs=1 seek=40 count=4 conv=notrunc 2>/dev/null
-out=$("$GX" query --index snap '//title[. ftcontains "usability"]' 2>err.txt)
-expect_exit "salvaged query" 0 $?
-[ "$out" = "<title>Usability testing</title>" ] || { echo "FAIL: salvage changed the answer: $out" >&2; fails=$((fails+1)); }
-grep -q 'salvaged snapshot' err.txt || { echo "FAIL: salvage not reported" >&2; fails=$((fails+1)); }
-grep -q '^warning: ' err.txt || { echo "FAIL: salvage warning not a one-line 'warning:'" >&2; fails=$((fails+1)); }
-
-# --- --quiet silences the salvage warning (result unchanged) ---
-out=$("$GX" query --index snap --quiet '//title[. ftcontains "usability"]' 2>err.txt)
-expect_exit "salvaged query with --quiet" 0 $?
-[ "$out" = "<title>Usability testing</title>" ] || { echo "FAIL: --quiet changed the answer: $out" >&2; fails=$((fails+1)); }
-grep -q 'warning:' err.txt && { echo "FAIL: --quiet did not silence the salvage warning" >&2; fails=$((fails+1)); }
-
-# --- corrupt a document segment: fatal without sources, salvaged with ---
+# --- corrupt a document segment: fatal without sources (GTLX0006);
+# --- with the sources passed as -d it is re-indexed, the answer is the
+# --- same and the damage is reported ---
 doc_seg=$(ls snap/doc-*.seg | head -1)
 dd if=/dev/zero of="$doc_seg" bs=1 seek=40 count=4 conv=notrunc 2>/dev/null
 "$GX" query --index snap '//title[. ftcontains "usability"]' 2>err.txt
 expect_exit "corrupt doc segment without sources (GTLX0006)" 2 $?
 grep -q 'gtlx:GTLX0006' err.txt || { echo "FAIL: GTLX0006 not reported" >&2; fails=$((fails+1)); }
 
-out=$("$GX" query --index snap -d a.xml -d b.xml '//title[. ftcontains "usability"]' 2>/dev/null)
+out=$("$GX" query --index snap -d a.xml -d b.xml '//title[. ftcontains "usability"]' 2>err.txt)
 expect_exit "salvage with --document sources" 0 $?
 [ "$out" = "<title>Usability testing</title>" ] || { echo "FAIL: source salvage changed the answer: $out" >&2; fails=$((fails+1)); }
+grep -q 'salvaged snapshot' err.txt || { echo "FAIL: salvage not reported" >&2; fails=$((fails+1)); }
+grep -q '^warning: ' err.txt || { echo "FAIL: salvage warning not a one-line 'warning:'" >&2; fails=$((fails+1)); }
+
+# --- --quiet silences the salvage warning (result unchanged) ---
+out=$("$GX" query --index snap -d a.xml -d b.xml --quiet '//title[. ftcontains "usability"]' 2>err.txt)
+expect_exit "salvaged query with --quiet" 0 $?
+[ "$out" = "<title>Usability testing</title>" ] || { echo "FAIL: --quiet changed the answer: $out" >&2; fails=$((fails+1)); }
+grep -q 'warning:' err.txt && { echo "FAIL: --quiet did not silence the salvage warning" >&2; fails=$((fails+1)); }
 
 # --- missing manifest: incomplete snapshot ---
 rm snap/MANIFEST

@@ -13,7 +13,9 @@
    - every file {!Store.save} writes for the Figure 1 document.
 
    A digest that changes means existing files or peers no longer
-   interoperate: bump the format version instead of the digest. *)
+   interoperate: bump the format version instead of the digest.  The
+   Figure 1 snapshot of format version 1 is committed under
+   [fixtures/fig1-v1] and must still load. *)
 
 open Ftindex
 module P = Galatex_server.Protocol
@@ -152,6 +154,52 @@ let snapshot_files () =
       Store.save ~dir (Corpus.Fig1.index ());
       dir_files dir)
 
+(* Format version 1: the snapshot an older build wrote, with a posting
+   segment beside the document segment.  It still hashes to the digest
+   version 1 was pinned at, loads clean into the index a fresh build gives,
+   and lists every file for a replica to copy, the unread posting segment
+   included. *)
+let v1_fixture = "fixtures/fig1-v1"
+
+let test_v1_fixture () =
+  Alcotest.(check string)
+    "fixture bytes" "b62c0a236adf046a2b01ea21a197bf91"
+    (digest (dir_files v1_fixture));
+  let l = Store.load ~dir:v1_fixture () in
+  Alcotest.(check bool) "loads clean" true (Store.clean l.Store.report);
+  Test_store.check_same "same index as a fresh build" (Corpus.Fig1.index ())
+    l.Store.index;
+  Alcotest.(check (option (pair int (list string))))
+    "snapshot files"
+    (Some (1, [ "MANIFEST"; "doc-1-0000.seg"; "post-1-0000.seg" ]))
+    (Store.snapshot_files ~dir:v1_fixture)
+
+(* A version-1 directory keeps working under this build's writes: an
+   epoch bump rewrites its manifest as version 2 over the version-1
+   document segment, and the next save leaves no posting segment behind. *)
+let test_v1_directory_rewritten () =
+  Test_store.with_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      let rec copy = function
+        | name :: data :: rest ->
+            Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+                Out_channel.output_string oc data);
+            copy rest
+        | _ -> ()
+      in
+      copy (dir_files v1_fixture);
+      let fresh = Corpus.Fig1.index () in
+      Store.bump_epoch ~dir ~epoch:2 ();
+      let l = Store.load ~dir () in
+      Alcotest.(check bool) "restamped loads clean" true (Store.clean l.Store.report);
+      Alcotest.(check int) "epoch" 2 l.Store.epoch;
+      Test_store.check_same "restamped index" fresh l.Store.index;
+      Store.save ~dir l.Store.index;
+      Alcotest.(check (list string))
+        "resaved directory" [ "MANIFEST"; "doc-2-0000.seg" ]
+        (List.sort compare (Array.to_list (Sys.readdir dir)));
+      Test_store.check_same "resaved index" fresh (Store.load ~dir ()).Store.index)
+
 let tests =
   [
     pinned "protocol requests" "2f71bcca4dc2ce9fb02169f047a7de49" (fun () ->
@@ -161,5 +209,8 @@ let tests =
     pinned "shipped WAL records" "92fc8f86b27450f9d2bcee61abe9541f" (fun () ->
         [ Wal.encode_records records ]);
     pinned "WAL file" "df5b9f433fd190710ee84fcb584b004e" wal_file;
-    pinned "snapshot files" "b62c0a236adf046a2b01ea21a197bf91" snapshot_files;
+    pinned "snapshot files" "6c1459a3ad85433c8bf234400123ccfd" snapshot_files;
+    Alcotest.test_case "version-1 snapshot fixture" `Quick test_v1_fixture;
+    Alcotest.test_case "version-1 directory rewritten" `Quick
+      test_v1_directory_rewritten;
   ]

@@ -167,16 +167,28 @@ module Reference = struct
     | Ancestor_or_self -> n :: ancestor n
     | Following_sibling -> following_sibling n
     | Preceding_sibling -> preceding_sibling n
+    (* every node after n that is not its descendant; an attribute's
+       element's descendants come after the attribute *)
     | Following ->
-        List.concat_map descendants_or_self
-          (List.concat_map following_sibling (n :: ancestor n))
-        |> List.sort Node.compare_order
+        let after =
+          List.concat_map descendants_or_self
+            (List.concat_map following_sibling (n :: ancestor n))
+        in
+        let own =
+          match Node.parent n with
+          | Some e when Node.is_attribute n ->
+              List.concat_map descendants_or_self (Node.children e)
+          | _ -> []
+        in
+        List.sort Node.compare_order (own @ after)
+    (* a reverse axis: every node before n that is not its ancestor,
+       nearest first *)
     | Preceding ->
         let ancestors = ancestor n in
         List.concat_map descendants_or_self
           (List.concat_map preceding_sibling (n :: ancestor n))
         |> List.filter (fun m -> not (List.memq m ancestors))
-        |> List.sort Node.compare_order
+        |> List.sort (fun a b -> Node.compare_order b a)
 
   let node_test test n =
     match test with

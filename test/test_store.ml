@@ -1,7 +1,7 @@
 (* The persistent-store robustness contract:
 
    1. save |> load is the identity on indexes (qcheck over random corpora,
-      plus empty-index and multi-segment-word edge cases);
+      plus the empty-index edge case);
    2. a fault injected at *any* I/O operation of a save or a load yields
       exactly one of: an exact round trip, a salvage with a damage report
       (still exact, given sources), or a structured gtlx: storage error —
@@ -106,21 +106,6 @@ let test_roundtrip_empty () =
       Alcotest.(check bool) "clean report" true (Store.clean l.Store.report);
       check_same "empty round trip" index l.Store.index)
 
-let test_roundtrip_multi_segment () =
-  (* segment_postings = 1 forces every word's postings to spill across
-     consecutive single-posting segments *)
-  let index = corpus_index () in
-  with_dir (fun dir ->
-      Store.save ~segment_postings:1 ~dir index;
-      Alcotest.(check bool)
-        "several posting segments" true
-        (Array.to_list (Sys.readdir dir)
-        |> List.filter (fun f -> String.length f > 5 && String.sub f 0 5 = "post-")
-        |> List.length > 1);
-      let l = Store.load ~dir () in
-      Alcotest.(check bool) "clean report" true (Store.clean l.Store.report);
-      check_same "multi-segment round trip" index l.Store.index)
-
 let test_save_replaces_previous () =
   with_dir (fun dir ->
       let a = corpus_index () in
@@ -153,11 +138,11 @@ let gen_profile =
 
 let prop_roundtrip_id =
   QCheck2.Test.make ~name:"Store.save |> Store.load = id" ~count:25
-    QCheck2.Gen.(pair gen_profile (int_range 1 64))
-    (fun (profile, segment_postings) ->
+    gen_profile
+    (fun profile ->
       let index = Corpus.Generator.index_books profile in
       with_dir (fun dir ->
-          Store.save ~segment_postings ~dir index;
+          Store.save ~dir index;
           let l = Store.load ~dir () in
           Store.clean l.Store.report && index_eq index l.Store.index))
 
@@ -560,12 +545,12 @@ let test_engine_roundtrip_query () =
         "loaded engine answers identically" expected
         (Xquery.Value.to_display_string (Galatex.Engine.run loaded usecase_query));
       (* and after salvage from real corruption, still identical *)
-      let post_seg =
+      let doc_seg =
         List.find
-          (fun f -> String.length f > 5 && String.sub f 0 5 = "post-")
+          (fun f -> String.length f > 4 && String.sub f 0 4 = "doc-")
           (snapshot_files dir)
       in
-      patch_file (Filename.concat dir post_seg) 30 (fun c ->
+      patch_file (Filename.concat dir doc_seg) 30 (fun c ->
           Char.chr (Char.code c lxor 0x20));
       let salvaged = Galatex.Engine.of_store ~sources:corpus_sources ~dir () in
       (match Galatex.Engine.salvage_report salvaged with
@@ -648,8 +633,6 @@ let tests =
     Alcotest.test_case "concurrent writer vs reader generations" `Quick
       test_concurrent_generations;
     Alcotest.test_case "round trip (empty index)" `Quick test_roundtrip_empty;
-    Alcotest.test_case "round trip (multi-segment words)" `Quick
-      test_roundtrip_multi_segment;
     Alcotest.test_case "second save replaces first" `Quick
       test_save_replaces_previous;
     QCheck_alcotest.to_alcotest prop_roundtrip_id;

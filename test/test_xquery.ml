@@ -100,7 +100,15 @@ let test_positional_paths () =
   check_ids "non-positional path predicate" "s1 s2 s3" "//section[p]";
   check_ids "//section//p[1]" "p2 p5 p6" "//section//p[1]";
   check_ids "nested positional inside a boolean" "b1"
-    "//book[section[2]]"
+    "//book[section[2]]";
+  (* preceding is a reverse axis: positions count from the nearest node *)
+  check_ids "preceding::p[1] is the nearest" "p3" "(//p)[4]/preceding::p[1]";
+  check_ids "preceding::p[2]" "p2" "(//p)[4]/preceding::p[2]";
+  check_ids "preceding of an attribute" "p3" "(//p)[4]/@id/preceding::p[1]";
+  (* an element's descendants follow its attributes *)
+  check_ids "following of an attribute" "p2 p3 p4 p5 p6 p7 p8"
+    "(//section)[1]/@id/following::p";
+  check_ids "following::p[1]" "p5" "(//section)[1]/following::p[1]"
 
 let test_flwor () =
   check_q "where + order by" "TCP/IP Illustrated Data on the Web"

@@ -24,7 +24,10 @@ let add_runs postings ~uri tokens =
 let duplicate uri = invalid_arg ("Indexer: duplicate document uri " ^ uri)
 
 let index_tokenized docs =
-  let postings = Hashtbl.create 1024 and doc_tokens = Hashtbl.create 64 in
+  (* small initial tables, as [Inverted.empty]: every live update copies
+     them, and a bucket array above 256 words is allocated in the major
+     heap *)
+  let postings = Hashtbl.create 16 and doc_tokens = Hashtbl.create 16 in
   List.iter
     (fun (uri, _, tokens) ->
       if Hashtbl.mem doc_tokens uri then duplicate uri;

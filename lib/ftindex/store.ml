@@ -463,10 +463,11 @@ let save ?(io = Io.real ()) ?(config = Tokenize.Segmenter.default_config)
 
 type 'a segment_read = Seg_ok of 'a | Seg_damaged of string
 
-(* Read and unframe one segment file; corruption becomes Seg_damaged, a
-   version mismatch inside a segment too (the manifest's version is the
-   snapshot's — a stray other-version segment is damage, and salvage
-   applies). *)
+(* Read and unframe one segment file; corruption becomes Seg_damaged, an
+   unreadable version inside a segment too (salvage applies).  A document
+   segment of either readable version serves a manifest of either: the
+   document payload is the same in both, and an epoch bump rewrites a
+   version-1 manifest as version 2 over its version-1 segments. *)
 let read_segment io ~dir ~kind ~decode file =
   let path = Filename.concat dir file in
   match Io.read_file io path with

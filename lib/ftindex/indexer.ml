@@ -24,10 +24,9 @@ let add_runs postings ~uri tokens =
 let duplicate uri = invalid_arg ("Indexer: duplicate document uri " ^ uri)
 
 let index_tokenized docs =
-  (* small initial tables, as [Inverted.empty]: every live update copies
-     them, and a bucket array above 256 words is allocated in the major
-     heap *)
-  let postings = Hashtbl.create 16 and doc_tokens = Hashtbl.create 16 in
+  (* Every live update copies both tables, and a bucket array above 256
+     words is allocated in the major heap: start no larger than that. *)
+  let postings = Hashtbl.create 256 and doc_tokens = Hashtbl.create 16 in
   List.iter
     (fun (uri, _, tokens) ->
       if Hashtbl.mem doc_tokens uri then duplicate uri;

@@ -27,6 +27,7 @@
 let format_magic = "GTXIDX1\n"
 let format_version = 2
 let manifest_name = "MANIFEST"
+
 open Codec
 
 (* ------------------------------------------------------------------ *)

@@ -235,6 +235,11 @@ let traced_handler tr name (h : Xquery.Context.ft_handler) =
       (fun ~eval ctx context_nodes selection ->
         Obs.Trace.with_span tr name (fun () ->
             h.Xquery.Context.handle_score ~eval ctx context_nodes selection));
+    Xquery.Context.handle_each =
+      (fun ~eval ctx ~per_node nodes selection verdict ->
+        Obs.Trace.with_span tr name (fun () ->
+            h.Xquery.Context.handle_each ~eval ctx ~per_node nodes selection
+              verdict));
   }
 
 (* One strategy attempt under a shared governor and trace. *)

@@ -42,47 +42,68 @@ let source_phrases ~(eval : eval_callback) ctx = function
   | Ft_expr e ->
       List.map Xquery.Value.item_to_string (Xquery.Value.atomize (eval ctx e))
 
-let words_matches ?g ?within env resolved ~query_pos ~weight anyall phrases =
-  let phrase_ms phrase =
-    All_matches.of_matches
-      (Ft_ops.phrase_matches ?g ?within env resolved ~query_pos ~weight phrase)
+(* An Ft_words leaf compiled against the index: the phrases it searches
+   (single words under "any word" / "all words", one phrase under
+   "phrase"), each as its tokens' expansions, and whether they combine by
+   FTAnd or by FTOr. *)
+type words = { conjunctive : bool; units : Match_options.expansion list list }
+
+let compile_words env resolved anyall phrases =
+  let compile strings =
+    List.map (Ft_ops.phrase_expansions env resolved) strings
   in
   let tokens_of phrases =
     List.concat_map (Ft_ops.phrase_tokens resolved) phrases
   in
   match anyall with
-  | Ft_any ->
-      (* at least one of the phrases occurs: union of their matches *)
-      List.fold_left
-        (fun acc p -> Ft_ops.ft_or acc (phrase_ms p))
-        All_matches.empty phrases
-  | Ft_all -> (
-      match phrases with
-      | [] -> All_matches.empty
-      | p :: rest ->
-          List.fold_left
-            (fun acc p -> Ft_ops.ft_and acc (phrase_ms p))
-            (phrase_ms p) rest)
+  (* at least one of the phrases occurs: union of their matches *)
+  | Ft_any -> { conjunctive = false; units = compile phrases }
+  | Ft_all -> { conjunctive = true; units = compile phrases }
+  (* all strings concatenated into a single phrase *)
   | Ft_phrase ->
-      (* all strings concatenated into a single phrase *)
-      phrase_ms (String.concat " " phrases)
-  | Ft_any_word ->
+      { conjunctive = false; units = compile [ String.concat " " phrases ] }
+  | Ft_any_word -> { conjunctive = false; units = compile (tokens_of phrases) }
+  | Ft_all_words -> { conjunctive = true; units = compile (tokens_of phrases) }
+
+(* The compiled leaves of one handler call, by leaf number, each with the
+   phrases it was compiled from.  A call that evaluates its selection for
+   many nodes compiles each leaf once; a leaf whose phrases differ from
+   the last compilation's is compiled again. *)
+type leaves = (int * (string list * words)) list ref
+
+let fresh_leaves () : leaves = ref []
+
+let leaf_words leaves env ~outer_options ~query_pos options anyall phrases =
+  match List.assoc_opt query_pos !leaves with
+  | Some (compiled_from, words)
+    when List.equal String.equal compiled_from phrases ->
+      words
+  | _ ->
+      let resolved = Match_options.resolve_with ~outer:outer_options options in
+      let words = compile_words env resolved anyall phrases in
+      leaves := (query_pos, (phrases, words)) :: !leaves;
+      words
+
+let words_matches ?g ?within env ~query_pos ~weight words =
+  let unit_ms expansions =
+    All_matches.of_matches
+      (Ft_ops.phrase_matches ?g ?within env ~query_pos ~weight expansions)
+  in
+  match words.units with
+  | first :: rest when words.conjunctive ->
       List.fold_left
-        (fun acc w -> Ft_ops.ft_or acc (phrase_ms w))
-        All_matches.empty (tokens_of phrases)
-  | Ft_all_words -> (
-      match tokens_of phrases with
-      | [] -> All_matches.empty
-      | w :: rest ->
-          List.fold_left
-            (fun acc w -> Ft_ops.ft_and acc (phrase_ms w))
-            (phrase_ms w) rest)
+        (fun acc u -> Ft_ops.ft_and acc (unit_ms u))
+        (unit_ms first) rest
+  | units ->
+      List.fold_left
+        (fun acc u -> Ft_ops.ft_or acc (unit_ms u))
+        All_matches.empty units
 
 (* Number the Ft_words leaves left to right (the "1", "2" arguments of the
    paper's translated FTWordsSelectionAny calls). *)
-let rec eval_selection ?within ?(approximate = false) env ~eval ctx
+let rec eval_selection ?within ?(approximate = false) ~leaves env ~eval ctx
     ~outer_options counter selection =
-  let recur = eval_selection ?within ~approximate env ~eval ctx in
+  let recur = eval_selection ?within ~approximate ~leaves env ~eval ctx in
   let g = ctx.Xquery.Context.governor in
   (* every operator output is an AllMatches construction point: bound it,
      and account it — the materialized side of the Section 4 comparison *)
@@ -98,10 +119,10 @@ let rec eval_selection ?within ?(approximate = false) env ~eval ctx
   | Ft_words { source; anyall; options; weight } ->
       incr counter;
       let query_pos = !counter in
-      let resolved = Match_options.resolve_with ~outer:outer_options options in
       let weight = Option.map (eval_weight ~eval ctx) weight in
       let phrases = source_phrases ~eval ctx source in
-      words_matches ~g ?within env resolved ~query_pos ~weight anyall phrases
+      words_matches ~g ?within env ~query_pos ~weight
+        (leaf_words leaves env ~outer_options ~query_pos options anyall phrases)
   | Ft_with_options (inner, options) ->
       let outer_options = Match_options.resolve_with ~outer:outer_options options in
       recur ~outer_options counter inner
@@ -156,8 +177,9 @@ let rec eval_selection ?within ?(approximate = false) env ~eval ctx
       Ft_ops.ft_times (eval_range ~eval ctx range) (recur ~outer_options counter a)
   | Ft_content (a, anchor) -> Ft_ops.ft_content anchor (recur ~outer_options counter a)
 
-let all_matches ?within ?approximate env ~eval ctx selection =
-  eval_selection ?within ?approximate env ~eval ctx
+let all_matches ?within ?approximate ?(leaves = fresh_leaves ()) env ~eval ctx
+    selection =
+  eval_selection ?within ?approximate ~leaves env ~eval ctx
     ~outer_options:Match_options.defaults (ref 0) selection
 
 (* the evaluation context as (doc, dewey) pairs for source-level filtering *)
@@ -173,6 +195,17 @@ let context_filter env nodes =
 (* --- the Context.ft_handler for the native materialized strategy --- *)
 
 let nodes_of value = Xquery.Value.nodes_of "ftcontains evaluation context" value
+
+(* [handle_each] for a strategy: [verdict ~within ~leaves n] evaluates the
+   selection for node [n] alone, as the strategy's [handle_contains] /
+   [handle_score] would; the leaves are compiled once for all the nodes. *)
+let each_node env ~per_node nodes verdict =
+  let leaves = fresh_leaves () in
+  List.map
+    (fun n ->
+      per_node ();
+      verdict ~within:(context_filter env [ n ]) ~leaves n)
+    (nodes_of nodes)
 
 let handler env : Xquery.Context.ft_handler =
   {
@@ -193,4 +226,13 @@ let handler env : Xquery.Context.ft_handler =
         List.map
           (fun s -> Xquery.Value.Double s)
           (Score.scores env (nodes_of context_nodes) am));
+    Xquery.Context.handle_each =
+      (fun ~eval ctx ~per_node nodes selection verdict ->
+        each_node env ~per_node nodes (fun ~within ~leaves n ->
+            let am = all_matches ?within ~leaves env ~eval ctx selection in
+            match verdict with
+            | Xquery.Context.Contains ->
+                Xquery.Value.Boolean (Ft_ops.node_satisfies env n am)
+            | Xquery.Context.Score ->
+                Xquery.Value.Double (Score.node_score env n am)));
   }

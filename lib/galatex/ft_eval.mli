@@ -27,6 +27,34 @@ val source_phrases :
 (** The phrases a words source denotes (each item of an embedded
     expression's value is one phrase). *)
 
+(** {1 Compiled FTWords leaves} *)
+
+type words = {
+  conjunctive : bool;  (** FTAnd of the units, else FTOr *)
+  units : Match_options.expansion list list;
+      (** each searched phrase (or single word) as
+          {!Ft_ops.phrase_expansions} *)
+}
+(** An FTWords leaf compiled against the index: its phrases tokenized by
+    its any/all mode, every token expanded. *)
+
+type leaves
+(** The compiled leaves of one handler call, by leaf number. *)
+
+val fresh_leaves : unit -> leaves
+
+val leaf_words :
+  leaves ->
+  Env.t ->
+  outer_options:Match_options.resolved ->
+  query_pos:int ->
+  Xquery.Ast.ft_match_option list ->
+  Xquery.Ast.ft_anyall ->
+  string list ->
+  words
+(** Leaf [query_pos] compiled for these phrases: the earlier compilation
+    when the phrases are the same, else a new one (which replaces it). *)
+
 val context_filter :
   Env.t -> Xmlkit.Node.t list -> (string * Xmlkit.Dewey.t) list option
 (** The evaluation context as (doc, dewey) pairs for source-level position
@@ -39,6 +67,7 @@ val nodes_of : Xquery.Value.t -> Xmlkit.Node.t list
 val all_matches :
   ?within:(string * Xmlkit.Dewey.t) list ->
   ?approximate:bool ->
+  ?leaves:leaves ->
   Env.t ->
   eval:eval_callback ->
   Xquery.Context.t ->
@@ -47,7 +76,21 @@ val all_matches :
 (** Evaluate a selection: match options propagate outside-in to the leaves,
     leaves are numbered left-to-right (queryPos), ranges/weights evaluated
     through [eval].  [approximate] switches distance/window to the
-    Section 3.3 approximate variants. *)
+    Section 3.3 approximate variants.  [leaves] (default: fresh) carries
+    compiled leaves from one evaluation of the selection to the next. *)
+
+val each_node :
+  Env.t ->
+  per_node:(unit -> unit) ->
+  Xquery.Value.t ->
+  (within:(string * Xmlkit.Dewey.t) list option ->
+  leaves:leaves ->
+  Xmlkit.Node.t ->
+  Xquery.Value.item) ->
+  Xquery.Value.t
+(** The shape of every strategy's [handle_each]: call [per_node], then
+    the verdict for one node restricted to that node ([within]), for each
+    node in order, sharing one {!leaves}. *)
 
 val handler : Env.t -> Xquery.Context.ft_handler
 (** The ftcontains / ft:score handler installed for the materialized

@@ -94,12 +94,12 @@ let posting_entries ?g ?within env expansion =
   | None -> ());
   List.filter (fun (p, _) -> expansion.Match_options.accept p) entries
 
-(* Occurrences of a phrase: tokens must appear consecutively; tokens that
-   are stop words (under the active stop-word list) are dropped and allow a
-   corresponding gap between the surviving tokens (the paper: distance and
-   window "skip stop words when specified"). *)
-let phrase_occurrences ?g ?within env resolved tokens =
-  let expansions = List.map (Match_options.expand env resolved) tokens in
+(* Occurrences of a phrase, given as its tokens' expansions: tokens must
+   appear consecutively; tokens that are stop words (under the active
+   stop-word list) are dropped and allow a corresponding gap between the
+   surviving tokens (the paper: distance and window "skip stop words when
+   specified"). *)
+let phrase_occurrences ?g ?within env expansions =
   (* surviving tokens with the number of dropped stop tokens preceding them *)
   let survivors =
     let rec walk gap = function
@@ -169,10 +169,14 @@ let phrase_tokens resolved phrase =
     |> List.filter (( <> ) "")
   else Tokenize.Segmenter.words_of_phrase phrase
 
-(* One phrase -> AllMatches with one Match per occurrence. *)
-let phrase_matches ?g ?within env resolved ~query_pos ~weight phrase =
-  let tokens = phrase_tokens resolved phrase in
-  phrase_occurrences ?g ?within env resolved tokens
+(* A phrase compiled against the index: its tokens' expansions, in
+   phrase order. *)
+let phrase_expansions env resolved phrase =
+  List.map (Match_options.expand env resolved) (phrase_tokens resolved phrase)
+
+(* One phrase's expansions -> AllMatches with one Match per occurrence. *)
+let phrase_matches ?g ?within env ~query_pos ~weight expansions =
+  phrase_occurrences ?g ?within env expansions
   |> List.map (match_of_postings ~query_pos ~weight)
 
 (* --- Boolean connectives --- *)

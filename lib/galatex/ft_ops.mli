@@ -36,18 +36,22 @@ val phrase_tokens : Match_options.resolved -> string -> string list
 (** Tokenize a search phrase; under wildcards / special characters the
     pattern characters stay inside the tokens (whitespace split only). *)
 
+val phrase_expansions :
+  Env.t -> Match_options.resolved -> string -> Match_options.expansion list
+(** A phrase compiled against the index: {!phrase_tokens}, each expanded
+    under the options ({!Match_options.expand}). *)
+
 val phrase_occurrences :
   ?g:Xquery.Limits.governor ->
   ?within:(string * Xmlkit.Dewey.t) list ->
   Env.t ->
-  Match_options.resolved ->
-  string list ->
+  Match_options.expansion list ->
   (Ftindex.Posting.t * float) list list
-(** All occurrences of a phrase (consecutive positions; dropped stop tokens
-    allow gaps), each position with its Section 3.3 score.  [within]
-    restricts positions to the evaluation context, like the paper's
-    getTokenInfo.  [g] accounts every inverted-list entry read (before
-    filtering) as [postings_read]. *)
+(** All occurrences of a phrase given as {!phrase_expansions}
+    (consecutive positions; dropped stop tokens allow gaps), each position
+    with its Section 3.3 score.  [within] restricts positions to the
+    evaluation context, like the paper's getTokenInfo.  [g] accounts every
+    inverted-list entry read (before filtering) as [postings_read]. *)
 
 val match_of_postings :
   query_pos:int -> weight:float option -> (Ftindex.Posting.t * float) list ->
@@ -57,11 +61,11 @@ val phrase_matches :
   ?g:Xquery.Limits.governor ->
   ?within:(string * Xmlkit.Dewey.t) list ->
   Env.t ->
-  Match_options.resolved ->
   query_pos:int ->
   weight:float option ->
-  string ->
+  Match_options.expansion list ->
   All_matches.match_ list
+(** One Match per occurrence of a phrase given as {!phrase_expansions}. *)
 
 (** {1 Boolean connectives} *)
 

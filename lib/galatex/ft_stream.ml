@@ -32,51 +32,39 @@ let to_all_matches s =
 
 (* --- FTWords, lazily over the leading token's postings --- *)
 
-let words_stream ?g ?within env resolved ~query_pos ~weight anyall phrases =
+let words_stream ?g ?within env ~query_pos ~weight (words : Ft_eval.words) =
   (* The phrase extension machinery of Ft_ops is reused; only the iteration
      over occurrences is lazy.  Expansion (vocabulary scan) happens on
-     construction, like GalaTex's inverted-list reads. *)
-  let phrase_seq phrase =
-    let tokens = Ft_ops.phrase_tokens resolved phrase in
-    List.to_seq (Ft_ops.phrase_occurrences ?g ?within env resolved tokens)
+     compilation, like GalaTex's inverted-list reads. *)
+  let unit_seq expansions =
+    List.to_seq (Ft_ops.phrase_occurrences ?g ?within env expansions)
     |> Seq.map (Ft_ops.match_of_postings ~query_pos ~weight)
   in
-  let tokens_of phrases =
-    List.concat_map (Ft_ops.phrase_tokens resolved) phrases
-  in
-  let or_all seqs = List.fold_left Seq.append Seq.empty seqs in
-  match anyall with
-  | Ft_any -> or_all (List.map phrase_seq phrases)
-  | Ft_any_word -> or_all (List.map phrase_seq (tokens_of phrases))
-  | Ft_phrase -> phrase_seq (String.concat " " phrases)
-  | Ft_all | Ft_all_words ->
-      (* conjunction across phrases: cross product, right sides materialized *)
-      let parts =
-        match anyall with
-        | Ft_all -> List.map phrase_seq phrases
-        | _ -> List.map phrase_seq (tokens_of phrases)
-      in
-      (match parts with
-      | [] -> Seq.empty
-      | first :: rest ->
-          List.fold_left
-            (fun acc seq ->
-              let materialized = List.of_seq seq in
-              Seq.concat_map
-                (fun ma ->
-                  List.to_seq
-                    (List.map
-                       (fun mb ->
-                         All_matches.make_match
-                           ~excludes:
-                             (ma.All_matches.excludes @ mb.All_matches.excludes)
-                           ~score:
-                             (Ft_ops.clamp_score
-                                (ma.All_matches.score *. mb.All_matches.score))
-                           (ma.All_matches.includes @ mb.All_matches.includes))
-                       materialized))
-                acc)
-            first rest)
+  let parts = List.map unit_seq words.units in
+  if not words.conjunctive then List.fold_left Seq.append Seq.empty parts
+  else
+    (* conjunction across phrases: cross product, right sides materialized *)
+    match parts with
+    | [] -> Seq.empty
+    | first :: rest ->
+        List.fold_left
+          (fun acc seq ->
+            let materialized = List.of_seq seq in
+            Seq.concat_map
+              (fun ma ->
+                List.to_seq
+                  (List.map
+                     (fun mb ->
+                       All_matches.make_match
+                         ~excludes:
+                           (ma.All_matches.excludes @ mb.All_matches.excludes)
+                         ~score:
+                           (Ft_ops.clamp_score
+                              (ma.All_matches.score *. mb.All_matches.score))
+                         (ma.All_matches.includes @ mb.All_matches.includes))
+                     materialized))
+              acc)
+          first rest
 
 (* --- operators --- *)
 
@@ -167,19 +155,21 @@ let apply_ignore env ignored s =
 
 (* --- evaluation of a selection into a stream --- *)
 
-let rec eval_stream ?within env ~eval ctx ~outer_options counter selection =
-  let recur = eval_stream ?within env ~eval ctx in
+let rec eval_stream ?within ~leaves env ~eval ctx ~outer_options counter
+    selection =
+  let recur = eval_stream ?within ~leaves env ~eval ctx in
   match selection with
   | Ft_words { source; anyall; options; weight } ->
       incr counter;
       let query_pos = !counter in
-      let resolved = Match_options.resolve_with ~outer:outer_options options in
       let weight = Option.map (Ft_eval.eval_weight ~eval ctx) weight in
+      let phrases = Ft_eval.source_phrases ~eval ctx source in
       {
         seq =
-          words_stream ~g:ctx.Xquery.Context.governor ?within env resolved
-            ~query_pos ~weight anyall
-            (Ft_eval.source_phrases ~eval ctx source);
+          words_stream ~g:ctx.Xquery.Context.governor ?within env ~query_pos
+            ~weight
+            (Ft_eval.leaf_words leaves env ~outer_options ~query_pos options
+               anyall phrases);
         anchors = [];
         pulled = 0;
       }
@@ -218,10 +208,10 @@ let rec eval_stream ?within env ~eval ctx ~outer_options counter selection =
       ft_times (Ft_eval.eval_range ~eval ctx range) (recur ~outer_options counter a)
   | Ft_content (a, anchor) -> ft_content anchor (recur ~outer_options counter a)
 
-let stream ?within env ~eval ctx selection =
+let stream ?within ?(leaves = Ft_eval.fresh_leaves ()) env ~eval ctx selection =
   let s =
-    eval_stream ?within env ~eval ctx ~outer_options:Match_options.defaults
-      (ref 0) selection
+    eval_stream ?within ~leaves env ~eval ctx
+      ~outer_options:Match_options.defaults (ref 0) selection
   in
   (* pipelining never materializes whole AllMatches, so the governed —
      and counted — quantity is the number of matches pulled through the
@@ -359,4 +349,13 @@ let handler env : Xquery.Context.ft_handler =
         List.map
           (fun sc -> Xquery.Value.Double sc)
           (Score.scores env (Ft_eval.nodes_of context_nodes) am));
+    Xquery.Context.handle_each =
+      (fun ~eval ctx ~per_node nodes selection verdict ->
+        Ft_eval.each_node env ~per_node nodes (fun ~within ~leaves n ->
+            let s = stream ?within ~leaves env ~eval ctx selection in
+            match verdict with
+            | Xquery.Context.Contains ->
+                Xquery.Value.Boolean (contains env [ n ] s)
+            | Xquery.Context.Score ->
+                Xquery.Value.Double (Score.node_score env n (to_all_matches s))));
   }

@@ -14,13 +14,14 @@ val to_all_matches : stream -> All_matches.t
 
 val stream :
   ?within:(string * Xmlkit.Dewey.t) list ->
+  ?leaves:Ft_eval.leaves ->
   Env.t ->
   eval:Ft_eval.eval_callback ->
   Xquery.Context.t ->
   Xquery.Ast.ft_selection ->
   stream
 (** Build the lazy match stream for a selection (nothing is evaluated until
-    a consumer pulls). *)
+    a consumer pulls).  [leaves] as in {!Ft_eval.all_matches}. *)
 
 val contains : Env.t -> Xmlkit.Node.t list -> stream -> bool
 (** The early-exit FTContains loop: stops at the first (match, node) pair

@@ -42,7 +42,31 @@ and ft_handler = {
     Ast.ft_selection ->
     Value.t;
       (** context nodes, selection -> one double per context node *)
+  handle_each :
+    eval:(t -> Ast.expr -> Value.t) ->
+    t ->
+    per_node:(unit -> unit) ->
+    Value.t ->
+    Ast.ft_selection ->
+    ft_verdict ->
+    Value.t;
+      (** nodes, selection -> one verdict per node: the boolean
+          [n ftcontains S] or the double [ft:score(n, S)], each node
+          evaluated alone exactly as [handle_contains] / [handle_score]
+          evaluate it.  This is how the evaluator hands over a whole
+          path step's predicate [E[. ftcontains S]], or the items of
+          [for $v in E let $s := ft:score($v, S)], in one call instead of
+          one call per node.  It does so only when every expression
+          embedded in [S] is a literal or a reference to a variable other
+          than [$v], so [S] means the same for every node and the handler
+          may tokenize and expand its words once.  [per_node] is called
+          before each node's evaluation: it ticks the governor as
+          evaluating the [ftcontains] / [ft:score] expression and its
+          context expression would, keeping step budgets and fault
+          injection where per-node evaluation puts them. *)
 }
+
+and ft_verdict = Contains | Score
 
 (* Dynamic errors are structured (Errors.Error) so callers dispatch on
    codes; [dynamic_error] keeps the old formatting interface for sites

@@ -48,6 +48,25 @@ let non_positional pred =
   in
   always_boolean && not (Ast.exists_expr reads_position pred)
 
+(* A selection whose embedded expressions are all literals or references
+   to variables other than [except] means the same for every context
+   node: one handler call may evaluate it for a whole sequence of nodes
+   ({!Context.ft_handler} [handle_each]). *)
+let node_independent ?except selection =
+  not
+    (Ast.exists_in_selection
+       (function
+         | Literal_string _ | Literal_integer _ | Literal_double _ -> false
+         | Var v -> Some v = except
+         | _ -> true)
+       selection)
+
+(* What evaluating "ftcontains" or "ft:score" and its context expression
+   ticks for one node: the batched dispatches below tick the same. *)
+let per_node_ticks g () =
+  Limits.tick g;
+  Limits.tick g
+
 let rec eval (ctx : Context.t) (e : expr) : Value.t =
   Limits.tick ctx.Context.governor;
   match e with
@@ -130,6 +149,7 @@ let rec eval (ctx : Context.t) (e : expr) : Value.t =
       | Some h ->
           let nodes = eval ctx context in
           let ignored = Option.map (eval ctx) ignore_nodes in
+          Limits.count_ft_dispatch ctx.Context.governor;
           h.Context.handle_contains ~eval ctx nodes selection ignored)
   | Ft_score (context, selection) -> (
       match ctx.Context.ft with
@@ -138,6 +158,7 @@ let rec eval (ctx : Context.t) (e : expr) : Value.t =
             "ft:score: no full-text handler installed"
       | Some h ->
           let nodes = eval ctx context in
+          Limits.count_ft_dispatch ctx.Context.governor;
           h.Context.handle_score ~eval ctx nodes selection)
 
 and cmp_op : comparison_op -> Value.comparison = function
@@ -225,7 +246,48 @@ and eval_flwor ctx clauses body =
     Limits.check_matches ctx.Context.governor (List.length tuples);
     tuples
   in
-  let tuples = List.fold_left apply_clause [ ctx ] clauses in
+  (* "for $v in E let $s := ft:score($v, S)": score all of E's items in
+     one handler call per incoming tuple, then bind $v and $s per item *)
+  let scored_for h ~var ~score_var source selection tuples =
+    let total = ref 0 in
+    List.concat_map
+      (fun tctx ->
+        let items = eval tctx source in
+        total := !total + List.length items;
+        Limits.check_matches governor !total;
+        let scores =
+          match items with
+          | [] -> []
+          | _ ->
+              Limits.count_ft_dispatch governor;
+              h.Context.handle_each ~eval tctx
+                ~per_node:(per_node_ticks governor) items selection
+                Context.Score
+        in
+        List.map2
+          (fun item score ->
+            Context.bind_var
+              (Context.bind_var tctx var [ item ])
+              score_var [ score ])
+          items scores)
+      tuples
+  in
+  let rec apply_clauses tuples = function
+    | [] -> tuples
+    | For_clause { var; positional = None; source }
+      :: Let_clause
+           { var = score_var; value = Ft_score (Var v, selection) }
+      :: rest
+      when v = var
+           && Option.is_some ctx.Context.ft
+           && node_independent ~except:var selection ->
+        let h = Option.get ctx.Context.ft in
+        let tuples = scored_for h ~var ~score_var source selection tuples in
+        Limits.check_matches governor (List.length tuples);
+        apply_clauses tuples rest
+    | clause :: rest -> apply_clauses (apply_clause tuples clause) rest
+  in
+  let tuples = apply_clauses [ ctx ] clauses in
   List.concat_map (fun tctx -> eval tctx body) tuples
 
 and eval_quantified ctx q bindings cond =
@@ -253,13 +315,18 @@ and eval_path ctx root steps =
   in
   let apply_step input (step : step) =
     let nodes = Value.nodes_of "path step" input in
-    let per_node n =
-      let selected = Axes.step_nodes step.axis step.test n in
-      List.fold_left (eval_predicate ctx) (Value.of_nodes selected) step.predicates
+    let select n = Value.of_nodes (Axes.step_nodes step.axis step.test n) in
+    let filter selected =
+      List.fold_left (eval_predicate ctx) selected step.predicates
     in
-    let results = List.concat_map per_node nodes in
-    if Value.is_all_nodes results then Value.document_order_dedup results
-    else results
+    if List.for_all non_positional step.predicates then
+      (* no predicate sees a node's position among its context node's
+         selection: filter the step's whole selection at once *)
+      filter (Value.document_order_dedup (List.concat_map select nodes))
+    else
+      let results = List.concat_map (fun n -> filter (select n)) nodes in
+      if Value.is_all_nodes results then Value.document_order_dedup results
+      else results
   in
   (* "//T[p]" is descendant-or-self::node()/child::T[p]: the same nodes as
      descendant::T[p] unless some p sees its position among T's siblings. *)
@@ -274,17 +341,36 @@ and eval_path ctx root steps =
   in
   go initial steps
 
-(* A predicate: numeric value selects by position, otherwise EBV filters. *)
+(* A predicate: numeric value selects by position, otherwise EBV filters.
+   ". ftcontains S" over a node-independent S is one handler call for the
+   whole input. *)
 and eval_predicate ctx (input : Value.t) pred =
-  let size = List.length input in
-  List.filteri
-    (fun i item ->
-      let fctx = Context.with_focus ctx item ~position:(i + 1) ~size in
-      match eval fctx pred with
-      | [ Value.Integer k ] -> k = i + 1
-      | [ Value.Double d ] -> d = float_of_int (i + 1)
-      | v -> ebv v)
-    input
+  match (pred, ctx.Context.ft, input) with
+  | _, _, [] -> []
+  | ( Ft_contains { context = Context_item; selection; ignore_nodes = None },
+      Some h,
+      _ )
+    when node_independent selection ->
+      let g = ctx.Context.governor in
+      Limits.count_ft_dispatch g;
+      let verdicts =
+        h.Context.handle_each ~eval ctx ~per_node:(per_node_ticks g) input
+          selection Context.Contains
+      in
+      List.filter_map Fun.id
+        (List.map2
+           (fun item verdict -> if ebv [ verdict ] then Some item else None)
+           input verdicts)
+  | _ ->
+      let size = List.length input in
+      List.filteri
+        (fun i item ->
+          let fctx = Context.with_focus ctx item ~position:(i + 1) ~size in
+          match eval fctx pred with
+          | [ Value.Integer k ] -> k = i + 1
+          | [ Value.Double d ] -> d = float_of_int (i + 1)
+          | v -> ebv v)
+        input
 
 (* --- function calls --- *)
 

@@ -48,6 +48,7 @@ type counters = {
       (** Figure 6(b) rewrites that changed the plan *)
   mutable topk_match_tests : int;  (** satisfiesMatch tests spent in top-k *)
   mutable topk_nodes_pruned : int;  (** nodes abandoned by top-k pruning *)
+  mutable ft_dispatches : int;  (** calls of the full-text handler *)
 }
 
 let fresh_counters () =
@@ -58,6 +59,7 @@ let fresh_counters () =
     or_short_circuit_fired = 0;
     topk_match_tests = 0;
     topk_nodes_pruned = 0;
+    ft_dispatches = 0;
   }
 
 let copy_counters c =
@@ -68,6 +70,7 @@ let copy_counters c =
     or_short_circuit_fired = c.or_short_circuit_fired;
     topk_match_tests = c.topk_match_tests;
     topk_nodes_pruned = c.topk_nodes_pruned;
+    ft_dispatches = c.ft_dispatches;
   }
 
 let counters_to_list c =
@@ -78,6 +81,7 @@ let counters_to_list c =
     ("or_short_circuit_fired", c.or_short_circuit_fired);
     ("topk_match_tests", c.topk_match_tests);
     ("topk_nodes_pruned", c.topk_nodes_pruned);
+    ("ft_dispatches", c.ft_dispatches);
   ]
 
 type governor = {
@@ -130,6 +134,9 @@ let count_or_short_circuit g =
 let count_topk g ~match_tests ~nodes_pruned =
   g.counters.topk_match_tests <- g.counters.topk_match_tests + match_tests;
   g.counters.topk_nodes_pruned <- g.counters.topk_nodes_pruned + nodes_pruned
+
+let count_ft_dispatch g =
+  g.counters.ft_dispatches <- g.counters.ft_dispatches + 1
 
 (* How often (in steps) the deadline is polled; a power of two so the
    check is a mask. *)

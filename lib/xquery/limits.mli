@@ -47,6 +47,10 @@ type counters = {
       (** satisfiesMatch tests spent inside top-k evaluation *)
   mutable topk_nodes_pruned : int;
       (** candidate nodes abandoned early by top-k pruning *)
+  mutable ft_dispatches : int;
+      (** calls of the full-text handler: one per [ftcontains] or
+          [ft:score] evaluated alone, one per batch the evaluator hands
+          over whole (see {!Context.ft_handler}) *)
 }
 
 val fresh_counters : unit -> counters
@@ -81,6 +85,7 @@ val count_postings : governor -> int -> unit
 val count_pushdown : governor -> unit
 val count_or_short_circuit : governor -> unit
 val count_topk : governor -> match_tests:int -> nodes_pruned:int -> unit
+val count_ft_dispatch : governor -> unit
 
 val tick : governor -> unit
 (** Account one eval step: fires the injected fault when armed, enforces

@@ -177,33 +177,12 @@ let words = [ "usability"; "software"; "users"; "filler7"; "filler23" ]
 let gen_word = QCheck2.Gen.oneofl words
 
 let gen_selection_src =
-  (* random small FT selections as source strings *)
-  let open QCheck2.Gen in
-  let leaf = map (fun w -> Printf.sprintf "\"%s\"" w) gen_word in
-  let rec sel depth =
-    if depth = 0 then leaf
-    else
-      frequency
-        [
-          (3, leaf);
-          ( 2,
-            map2 (fun a b -> Printf.sprintf "(%s && %s)" a b) (sel (depth - 1))
-              (sel (depth - 1)) );
-          ( 2,
-            map2 (fun a b -> Printf.sprintf "(%s || %s)" a b) (sel (depth - 1))
-              (sel (depth - 1)) );
-          (1, map (fun a -> Printf.sprintf "(%s ordered)" a) (sel (depth - 1)));
-          ( 1,
-            map2
-              (fun a n -> Printf.sprintf "(%s window %d words)" a n)
-              (sel (depth - 1)) (int_range 3 30) );
-          ( 1,
-            map2
-              (fun a n -> Printf.sprintf "(%s distance at most %d words)" a n)
-              (sel (depth - 1)) (int_range 1 25) );
-        ]
-  in
-  sel 2
+  Ft_gen.(
+    selection ~words ~options:[ "" ] ~leaf_weight:3
+      [
+        (2, And); (2, Or); (1, Ordered); (1, Window (3, 30));
+        (1, Distance (1, 25));
+      ])
 
 let prop_and_commutes_for_satisfaction =
   QCheck2.Test.make ~name:"FTAnd commutes up to node satisfaction" ~count:60

@@ -94,8 +94,8 @@ let crc_table =
       done;
       !c)
 
-let crc32 s =
-  let c = ref 0xFFFFFFFF in
+let crc32 ?(crc = 0) s =
+  let c = ref (crc lxor 0xFFFFFFFF) in
   for i = 0 to String.length s - 1 do
     (* the index is masked to 0..255, the table's size *)
     let byte = Char.code (String.unsafe_get s i) in

@@ -64,5 +64,8 @@ val get_bool : reader -> bool
 val get_opt : (reader -> 'a) -> reader -> 'a option
 val get_list : (reader -> 'a) -> reader -> 'a list
 
-val crc32 : string -> int
-(** CRC-32 (IEEE 802.3, the zlib/PNG polynomial). *)
+val crc32 : ?crc:int -> string -> int
+(** CRC-32 (IEEE 802.3, the zlib/PNG polynomial).  [crc32 ~crc s], where
+    [crc] is the CRC-32 of some bytes, is the CRC-32 of those bytes
+    followed by [s], so a sequence of strings can be checksummed without
+    concatenating it. *)

@@ -4,7 +4,7 @@
    On-disk layout of a snapshot directory:
 
      MANIFEST             framed manifest, written last (atomic switchover)
-     doc-<gen>-NNNN.seg   one per document: uri, XML source, token stream
+     doc-<gen>-NNNN.seg   one per document: uri and XML source
 
    Every file shares one frame: magic (8 bytes), format version (u32),
    kind byte, payload length (u64), payload, CRC-32 of the payload, all
@@ -13,19 +13,18 @@
    snapshot until the final manifest rename; stale generations are
    best-effort unlinked afterwards.
 
-   The token streams are the one stored copy of the index: load rebuilds
-   postings and corpus statistics from them with the indexer's own builder
-   ({!Indexer.index_tokenized}), so a loaded index equals the saved one,
-   and a damaged document segment re-indexed from its source text equals
-   it too.
+   The sources are the one stored copy of the index: load re-tokenizes
+   them and builds with {!Indexer.index_tokenized}, checking each token
+   stream against the count and word CRC the manifest recorded.
 
-   Version 1 also wrote post-<gen>-NNNN.seg posting segments, references
-   back into the token streams.  A version-1 manifest still loads: its
-   posting-segment list is decoded only so {!snapshot_files} names every
-   file a replica must copy. *)
+   Version 2 followed each source with its token stream, and version 1
+   also wrote post-<gen>-NNNN.seg posting segments.  Both still load: the
+   stored tokens are skipped, and a version-1 manifest's posting-segment
+   list is decoded only so {!snapshot_files} names every file a replica
+   must copy. *)
 
 let format_magic = "GTXIDX1\n"
-let format_version = 2
+let format_version = 3
 let manifest_name = "MANIFEST"
 
 open Codec
@@ -78,18 +77,19 @@ module Io = struct
       off := !off + Unix.write_substring fd s !off (n - !off)
     done
 
-  (* One logical "write the whole buffer" data operation. *)
-  let write_file t path data =
+  (* One logical "write the whole buffer" data operation, truncating or
+     appending (WAL records): ENOSPC or a crash leaves a durable
+     half-written prefix, a torn write silently persists [n] bytes. *)
+  let write_data t path mode data =
     guard t (* open/create *);
     let fd =
-      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644
+      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; mode; Unix.O_CLOEXEC ] 0o644
     in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
         (match step t with
         | Some Io_error ->
-            (* ENOSPC partway through: a prefix may be durable *)
             write_all fd (String.sub data 0 (String.length data / 2));
             fail ()
         | Some Crash ->
@@ -101,6 +101,9 @@ module Io = struct
         | None -> write_all fd data);
         guard t (* fsync *);
         Unix.fsync fd)
+
+  let write_file t path data = write_data t path Unix.O_TRUNC data
+  let append_file t path data = write_data t path Unix.O_APPEND data
 
   (* One logical "read the whole file" data operation.  Crash faults on
      the read side degrade to plain I/O errors: a reader cannot corrupt
@@ -130,33 +133,6 @@ module Io = struct
             String.sub data 0 (min (max n 0) (String.length data))
         | Some (Bit_flip off) -> flip_bit data off
         | None -> data)
-
-  (* One logical "append the whole buffer" data operation (WAL records).
-     Same fault semantics as [write_file]: ENOSPC / crash leave a durable
-     half-written prefix, a torn write silently persists [n] bytes. *)
-  let append_file t path data =
-    guard t (* open/create *);
-    let fd =
-      Unix.openfile path
-        [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND; Unix.O_CLOEXEC ]
-        0o644
-    in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        (match step t with
-        | Some Io_error ->
-            write_all fd (String.sub data 0 (String.length data / 2));
-            fail ()
-        | Some Crash ->
-            write_all fd (String.sub data 0 (String.length data / 2));
-            raise Crashed
-        | Some (Torn_write n) ->
-            write_all fd (String.sub data 0 (min (max n 0) (String.length data)))
-        | Some (Bit_flip off) -> write_all fd (flip_bit data off)
-        | None -> write_all fd data);
-        guard t (* fsync *);
-        Unix.fsync fd)
 
   let rename t src dst =
     guard t;
@@ -206,8 +182,8 @@ type unframed =
   | Frame_version of int  (** recognized snapshot file, unreadable version *)
   | Frame_corrupt of string
 
-(* Every version up to this build's is readable: the frame and the
-   document payload are the same in both. *)
+(* Every version up to this build's is readable: the frame is the same
+   in all of them. *)
 let unframe data =
   try
     let r = reader data in
@@ -230,27 +206,12 @@ let unframe data =
 (* ------------------------------------------------------------------ *)
 (* Payload encodings.                                                  *)
 
-let put_token b (t : Tokenize.Token.t) =
-  put_str b t.Tokenize.Token.word;
-  put_str b t.Tokenize.Token.norm;
-  put_str b (Xmlkit.Dewey.to_string t.Tokenize.Token.node);
-  put_u32 b t.Tokenize.Token.abs_pos;
-  put_u32 b t.Tokenize.Token.sentence;
-  put_u32 b t.Tokenize.Token.para
-
-let get_token r =
-  let word = get_str r in
-  let norm = get_str r in
-  let node =
-    let s = get_str r in
-    try Xmlkit.Dewey.of_string s with Invalid_argument m -> malformed "%s" m
-  in
-  let abs_pos = get_u32 r in
-  let sentence = get_u32 r in
-  let para = get_u32 r in
-  { Tokenize.Token.word; norm; node; abs_pos; sentence; para }
-
-type mdoc = { m_uri : string; m_file : string; m_tokens : int }
+type mdoc = {
+  m_uri : string;
+  m_file : string;
+  m_tokens : int;
+  m_words_crc : int option;  (** [None] from a version-1 or -2 manifest *)
+}
 
 type manifest = {
   gen : int;
@@ -263,11 +224,12 @@ type manifest = {
       (** a version-1 manifest's posting-segment files, never read *)
 }
 
-(* Version 2 writes the epoch last.  Version 1 put the posting-segment
+(* Versions 2 and 3 write the epoch last; version 3 adds the optional
+   word-stream CRC to each document.  Version 1 put the posting-segment
    list (file, first and last word, entry and posting counts) and the
    corpus totals between the documents and an optional trailing epoch
    (pre-epoch manifests read as epoch 1).  [encode_manifest] always writes
-   version 2. *)
+   version 3. *)
 let encode_manifest m =
   let b = Buffer.create 1024 in
   put_u32 b m.gen;
@@ -277,7 +239,8 @@ let encode_manifest m =
     (fun b d ->
       put_str b d.m_uri;
       put_str b d.m_file;
-      put_u32 b d.m_tokens)
+      put_u32 b d.m_tokens;
+      put_opt put_u32 b d.m_words_crc)
     b m.mdocs;
   put_u32 b m.m_epoch;
   Buffer.contents b
@@ -292,7 +255,8 @@ let decode_manifest ~version payload =
         let m_uri = get_str r in
         let m_file = get_str r in
         let m_tokens = get_u32 r in
-        { m_uri; m_file; m_tokens }) r
+        let m_words_crc = if version >= 3 then get_opt get_u32 r else None in
+        { m_uri; m_file; m_tokens; m_words_crc }) r
   in
   let m_v1_postings, m_epoch =
     if version >= 2 then ([], get_u32 r)
@@ -317,21 +281,26 @@ let decode_manifest ~version payload =
   { gen; m_config = { Tokenize.Segmenter.paragraph_elements; ignore_elements };
     mdocs; m_epoch; m_v1_postings }
 
-let encode_doc ~uri ~source (tokens : Tokenize.Token.t array) =
-  let b = Buffer.create (String.length source + 1024) in
+let encode_doc ~uri ~source =
+  let b = Buffer.create (String.length source + String.length uri + 8) in
   put_str b uri;
   put_str b source;
-  put_u32 b (Array.length tokens);
-  Array.iter (put_token b) tokens;
   Buffer.contents b
 
-let decode_doc payload =
+(* Versions 1 and 2 follow the source with a token stream, never read. *)
+let decode_doc ~version payload =
   let r = reader payload in
   let uri = get_str r in
   let source = get_str r in
-  let tokens = Array.init (get_u32 r) (fun _ -> get_token r) in
-  finish r "document";
-  (uri, source, tokens)
+  if version >= 3 then finish r "document";
+  (uri, source)
+
+(* CRC-32 of a token stream's normalized words, each followed by a NUL. *)
+let words_crc (tokens : Tokenize.Token.t array) =
+  Array.fold_left
+    (fun crc (t : Tokenize.Token.t) ->
+      crc32 ~crc:(crc32 ~crc t.Tokenize.Token.norm) "\000")
+    0 tokens
 
 (* ------------------------------------------------------------------ *)
 (* Damage reporting.                                                   *)
@@ -374,6 +343,50 @@ let gen_of_filename name =
     | _ -> None
   else None
 
+let read_manifest io ~dir =
+  let path = Filename.concat dir manifest_name in
+  match Io.read_file io path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
+      storage_error Xquery.Errors.GTLX0008
+        "incomplete snapshot: no %s in %s (crash before the manifest rename, \
+         or not a snapshot directory)"
+        manifest_name dir
+  | exception Sys_error msg ->
+      storage_error Xquery.Errors.GTLX0008 "cannot read snapshot manifest: %s"
+        msg
+  | exception Unix.Unix_error (e, _, _) ->
+      storage_error Xquery.Errors.GTLX0008 "cannot read snapshot manifest: %s"
+        (Unix.error_message e)
+  | data -> (
+      match unframe data with
+      | Frame_version v ->
+          storage_error Xquery.Errors.GTLX0007
+            "snapshot format version %d; this build reads versions 1 to %d" v
+            format_version
+      | Frame_corrupt reason ->
+          storage_error Xquery.Errors.GTLX0006 "corrupt snapshot manifest: %s"
+            reason
+      | Frame_ok (_, k, _) when k <> 'M' ->
+          storage_error Xquery.Errors.GTLX0006
+            "corrupt snapshot manifest: wrong segment kind %C" k
+      | Frame_ok (version, _, payload) -> (
+          match decode_manifest ~version payload with
+          | m -> m
+          | exception Malformed reason ->
+              storage_error Xquery.Errors.GTLX0006
+                "corrupt snapshot manifest: %s" reason))
+
+(* Plain-I/O, total read of the directory's current manifest — used by
+   [save] to carry the fencing epoch across generations, by the serving
+   layer's polls and by the epoch helpers further down.  Deliberately not
+   routed through the caller's injector: it is a read-only peek, and
+   keeping it off the fault-op counter keeps the save/compact sweeps
+   deterministic. *)
+let manifest_opt ~dir =
+  match read_manifest (Io.real ()) ~dir with
+  | m -> Some m
+  | exception Xquery.Errors.Error _ -> None
+
 (* ------------------------------------------------------------------ *)
 (* Save.                                                               *)
 
@@ -388,23 +401,6 @@ let next_generation io dir =
     (fun acc name ->
       match gen_of_filename name with Some g -> max acc (g + 1) | None -> acc)
     1 files
-
-(* Plain-I/O, total read of the directory's current manifest — used by
-   [save] to carry the fencing epoch across generations, by the serving
-   layer's polls and by the epoch helpers further down.  Deliberately not
-   routed through the caller's injector: it is a read-only peek, and
-   keeping it off the fault-op counter keeps the save/compact sweeps
-   deterministic. *)
-let manifest_opt ~dir =
-  match Io.read_file (Io.real ()) (Filename.concat dir manifest_name) with
-  | exception _ -> None
-  | data -> (
-      match unframe data with
-      | Frame_ok (version, 'M', payload) -> (
-          match decode_manifest ~version payload with
-          | m -> Some m
-          | exception Malformed _ -> None)
-      | Frame_ok _ | Frame_version _ | Frame_corrupt _ -> None)
 
 let save ?(io = Io.real ()) ?(config = Tokenize.Segmenter.default_config)
     ?epoch ~dir index =
@@ -424,9 +420,10 @@ let save ?(io = Io.real ()) ?(config = Tokenize.Segmenter.default_config)
         (fun i (uri, root) ->
           let tokens = Inverted.tokens_of_doc index ~doc:uri in
           let file = Printf.sprintf "doc-%d-%04d.seg" gen i in
-          let payload = encode_doc ~uri ~source:(Xmlkit.Printer.to_string root) tokens in
+          let payload = encode_doc ~uri ~source:(Xmlkit.Printer.to_string root) in
           atomic_write io ~dir file (frame ~kind:'D' payload);
-          { m_uri = uri; m_file = file; m_tokens = Array.length tokens })
+          { m_uri = uri; m_file = file; m_tokens = Array.length tokens;
+            m_words_crc = Some (words_crc tokens) })
         (Inverted.documents index)
     in
     let manifest =
@@ -462,63 +459,25 @@ let save ?(io = Io.real ()) ?(config = Tokenize.Segmenter.default_config)
 (* ------------------------------------------------------------------ *)
 (* Load.                                                               *)
 
-type 'a segment_read = Seg_ok of 'a | Seg_damaged of string
-
-(* Read and unframe one segment file; corruption becomes Seg_damaged, an
-   unreadable version inside a segment too (salvage applies).  A document
-   segment of either readable version serves a manifest of either: the
-   document payload is the same in both, and an epoch bump rewrites a
-   version-1 manifest as version 2 over its version-1 segments. *)
-let read_segment io ~dir ~kind ~decode file =
-  let path = Filename.concat dir file in
-  match Io.read_file io path with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Seg_damaged "missing file"
-  | exception Sys_error msg -> Seg_damaged ("unreadable: " ^ msg)
+(* A document segment's uri and source, or why it cannot be read.  A
+   segment of any readable version serves a manifest of any: an epoch
+   bump rewrites an old manifest in the current version. *)
+let read_doc io ~dir file =
+  match Io.read_file io (Filename.concat dir file) with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Error "missing file"
+  | exception Sys_error msg -> Error ("unreadable: " ^ msg)
   | exception Unix.Unix_error (e, _, _) ->
-      Seg_damaged ("unreadable: " ^ Unix.error_message e)
+      Error ("unreadable: " ^ Unix.error_message e)
   | data -> (
       match unframe data with
-      | Frame_version v -> Seg_damaged (Printf.sprintf "format version %d" v)
-      | Frame_corrupt reason -> Seg_damaged reason
-      | Frame_ok (_, k, _) when k <> kind ->
-          Seg_damaged (Printf.sprintf "wrong segment kind %C" k)
-      | Frame_ok (_, _, payload) -> (
-          match decode payload with
-          | v -> Seg_ok v
-          | exception Malformed reason -> Seg_damaged reason))
-
-let read_manifest io ~dir =
-  let path = Filename.concat dir manifest_name in
-  match Io.read_file io path with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
-      storage_error Xquery.Errors.GTLX0008
-        "incomplete snapshot: no %s in %s (crash before the manifest rename, \
-         or not a snapshot directory)"
-        manifest_name dir
-  | exception Sys_error msg ->
-      storage_error Xquery.Errors.GTLX0008 "cannot read snapshot manifest: %s"
-        msg
-  | exception Unix.Unix_error (e, _, _) ->
-      storage_error Xquery.Errors.GTLX0008 "cannot read snapshot manifest: %s"
-        (Unix.error_message e)
-  | data -> (
-      match unframe data with
-      | Frame_version v ->
-          storage_error Xquery.Errors.GTLX0007
-            "snapshot format version %d; this build reads versions 1 to %d" v
-            format_version
-      | Frame_corrupt reason ->
-          storage_error Xquery.Errors.GTLX0006 "corrupt snapshot manifest: %s"
-            reason
-      | Frame_ok (_, k, _) when k <> 'M' ->
-          storage_error Xquery.Errors.GTLX0006
-            "corrupt snapshot manifest: wrong segment kind %C" k
+      | Frame_version v -> Error (Printf.sprintf "format version %d" v)
+      | Frame_corrupt reason -> Error reason
+      | Frame_ok (_, k, _) when k <> 'D' ->
+          Error (Printf.sprintf "wrong segment kind %C" k)
       | Frame_ok (version, _, payload) -> (
-          match decode_manifest ~version payload with
-          | m -> m
-          | exception Malformed reason ->
-              storage_error Xquery.Errors.GTLX0006
-                "corrupt snapshot manifest: %s" reason))
+          match decode_doc ~version payload with
+          | doc -> Ok doc
+          | exception Malformed reason -> Error reason))
 
 type loaded = {
   index : Inverted.t;
@@ -604,43 +563,52 @@ let bump_epoch ?(io = Io.real ()) ~dir ~epoch () =
               "epoch bump in %s failed: %s: %s" dir fn (Unix.error_message e)
       end
 
-(* Verify every document segment, re-index the damaged ones from
-   [sources], then build the index from the token streams. *)
+(* One path for every document of every version: take the source from
+   its segment, parse, tokenize with the manifest's config, check against
+   the manifest, build.  When a step fails the source comes from
+   [sources] instead, indexed as given; without it the load fails. *)
 let load_manifest ~io ~governor ~sources ~dir m =
   let damaged = ref [] and reindexed = ref [] and fatal = ref [] in
+  let tokenize = Indexer.tokenize ~config:m.m_config in
+  let check md ((_, _, tokens) as doc) =
+    let n = Array.length tokens in
+    if n <> md.m_tokens then
+      Error
+        (Printf.sprintf
+           "tokenizer changed since the save: %d tokens, manifest records %d" n
+           md.m_tokens)
+    else
+      match md.m_words_crc with
+      | Some crc when crc <> words_crc tokens ->
+          Error "tokenizer changed since the save: word stream CRC mismatch"
+      | _ -> Ok doc
+  in
+  let from_segment md =
+    match read_doc io ~dir md.m_file with
+    | Error reason -> Error reason
+    | Ok (uri, _) when uri <> md.m_uri -> Error "inconsistent with manifest"
+    | Ok (uri, source) -> (
+        match Xmlkit.Parser.parse_document ~uri source with
+        | exception _ -> Error "stored XML does not parse"
+        | root -> check md (uri, root, tokenize root))
+  in
   let docs =
     (* (uri, root, tokens) in manifest (= indexing) order *)
     List.filter_map
       (fun md ->
         Option.iter Xquery.Limits.io_tick governor;
-        let salvage reason =
-          damaged := { file = md.m_file; reason; uri = md.m_uri } :: !damaged;
-          match List.assoc_opt md.m_uri sources with
-          | Some source ->
-              let root = Xmlkit.Parser.parse_document ~uri:md.m_uri source in
-              reindexed := md.m_uri :: !reindexed;
-              Some
-                ( md.m_uri,
-                  root,
-                  Array.of_list
-                    (Tokenize.Segmenter.tokenize_document ~config:m.m_config root)
-                )
-          | None ->
-              fatal := (md.m_file, md.m_uri, reason) :: !fatal;
-              None
-        in
-        match
-          read_segment io ~dir ~kind:'D' ~decode:decode_doc md.m_file
-        with
-        | Seg_damaged reason -> salvage reason
-        | Seg_ok (uri, source, tokens) ->
-            if uri <> md.m_uri || Array.length tokens <> md.m_tokens then
-              salvage "inconsistent with manifest"
-            else begin
-              match Xmlkit.Parser.parse_document ~uri source with
-              | root -> Some (uri, root, tokens)
-              | exception _ -> salvage "stored XML does not parse"
-            end)
+        match from_segment md with
+        | Ok doc -> Some doc
+        | Error reason -> (
+            damaged := { file = md.m_file; reason; uri = md.m_uri } :: !damaged;
+            match List.assoc_opt md.m_uri sources with
+            | Some source ->
+                let root = Xmlkit.Parser.parse_document ~uri:md.m_uri source in
+                reindexed := md.m_uri :: !reindexed;
+                Some (md.m_uri, root, tokenize root)
+            | None ->
+                fatal := (md.m_file, md.m_uri, reason) :: !fatal;
+                None))
       m.mdocs
   in
   if !fatal <> [] then

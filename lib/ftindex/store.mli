@@ -1,20 +1,20 @@
 (** Crash-safe persistent snapshots of the inverted index.
 
-    The paper's architecture (Figure 4) treats inverted lists as off-line
-    preprocessed artifacts derived from the tokenizer's TokenInfo streams;
-    this module makes the streams durable: a versioned on-disk snapshot
-    directory holding a manifest plus one length-prefixed,
-    CRC-32-checksummed document segment per indexed document (its XML
-    source and full token stream).  Postings and corpus statistics are not
-    stored: {!load} derives them from the token streams with the
-    indexer's own builder ({!Indexer.index_tokenized}), and scores are
-    computed at query time ({!Inverted.score}).
+    The paper's architecture (Figure 4) builds TokenInfo streams and
+    inverted lists from the documents off-line; this module makes the
+    documents durable: a versioned snapshot directory holding a manifest
+    plus one length-prefixed, CRC-32-checksummed segment per document
+    (its uri and XML source).  {!load} re-tokenizes each source with the
+    manifest's tokenizer configuration and builds postings and corpus
+    statistics with {!Indexer.index_tokenized}; scores are computed at
+    query time ({!Inverted.score}).
 
-    {b Formats.}  This build writes format version 2 and reads versions 1
-    and 2.  Version 1 also wrote posting segments, references back into
-    the token streams; loading a version-1 snapshot never reads them, and
-    {!snapshot_files} still lists them so a replica copies the directory
-    bit for bit.
+    {b Formats.}  This build writes format version 3 and reads versions 1
+    to 3.  Version 2 also stored each document's token stream after its
+    source, and version 1 wrote posting segments besides; load reads only
+    each segment's uri and source, and {!snapshot_files} still lists
+    version-1 posting segments so a replica copies the directory bit for
+    bit.
 
     {b Crash safety.}  Every file is written to a temp name, fsynced and
     atomically renamed; the manifest — which names every segment of the
@@ -23,13 +23,14 @@
     the new one; never a half-visible mix.
 
     {b Corruption handling.}  {!load} verifies magic, version and payload
-    checksum of every file, and each document segment against the
-    manifest.  Damaged document segments are re-indexed from
-    caller-provided sources when available.  Only when salvage is
-    impossible does load raise, and then always a structured
-    [Xquery.Errors.Error]: [GTLX0006] unsalvageable corrupt segment,
-    [GTLX0007] format version mismatch, [GTLX0008] incomplete snapshot.
-    No raw exception, and never a silently divergent index.
+    checksum of every file, and each document against the manifest: its
+    uri, token count and (from version 3) a CRC-32 of its normalized
+    words, so a changed tokenizer is caught.  A document failing any
+    check is re-indexed from a caller-provided source when available.
+    Only when salvage is impossible does load raise, and then always a
+    structured [Xquery.Errors.Error]: [GTLX0006] unsalvageable corrupt
+    segment, [GTLX0007] format version mismatch, [GTLX0008] incomplete
+    snapshot.  No raw exception, and never a silently divergent index.
 
     {b Fault injection.}  All I/O goes through {!Io}, a deterministic
     counter-driven single-shot injector mirroring the eval-step injector in
@@ -94,7 +95,9 @@ end
 
 type damage = {
   file : string;  (** segment file name within the snapshot directory *)
-  reason : string;  (** e.g. ["checksum mismatch"], ["truncated"] *)
+  reason : string;
+      (** e.g. ["checksum mismatch"], ["truncated"], or
+          ["tokenizer changed since the save: ..."] *)
   uri : string;  (** the document the segment holds *)
 }
 
@@ -153,10 +156,11 @@ val load :
   unit ->
   loaded
 (** Read a snapshot back, verifying every checksum, and build the index
-    from the stored token streams ({!Indexer.index_tokenized}).
-    [sources] maps document uris to XML source text, enabling re-indexing
-    of damaged document segments.  [governor] accounts one step per
-    segment read and applies the wall-clock deadline to loading.
+    from the stored sources ({!Indexer.index_tokenized}); every format
+    version takes this one path.  [sources] maps document uris to XML
+    source text, used instead of a document's segment when that fails a
+    check.  [governor] accounts one step per segment read and applies the
+    wall-clock deadline to loading.
 
     The result index is {e exact}: equal to the saved one, or — after
     salvage — equal to re-indexing the same sources, with the report
@@ -218,7 +222,8 @@ val bump_epoch : ?io:Io.t -> dir:string -> epoch:int -> unit -> unit
     rename + directory fsync, the same discipline as {!save}).  A no-op
     when [epoch] equals the current epoch.  The manifest is rewritten in
     the current format version: a version-1 manifest stops listing its
-    posting segments, which the next {!save} removes.
+    posting segments, which the next {!save} removes, and its documents
+    stay without a word CRC.
 
     @raise Xquery.Errors.Error with [GTLX0013] when [epoch] is {e lower}
     than the directory's current epoch (epoch regression — the caller is

@@ -123,8 +123,6 @@ val ft_window_approx :
 
 (** {1 FTContains (satisfiesMatch)} *)
 
-val same_doc : All_matches.entry list -> bool
-
 val satisfies_match :
   Env.t ->
   doc:string ->

@@ -9,8 +9,7 @@ open Xquery.Ast
 
    FTContains consumes the stream with the paper's early-exit loop: it
    stops at the first (match, node) pair that satisfies, so selective
-   queries touch only a prefix of the match space.  The LCA node-marking
-   strategy of Section 4.1 is also provided ({!matching_nodes_marked}). *)
+   queries touch only a prefix of the match space. *)
 
 type stream = {
   seq : All_matches.match_ Seq.t;
@@ -252,78 +251,6 @@ let contains env nodes s =
           Ft_ops.satisfies_match env ~doc ~node_dewey s.anchors m)
         node_infos)
     (counted s s.seq)
-
-type marking_stats = { mutable containment_checks : int; mutable marked : int }
-
-(* Section 4.1's LCA node-marking loop: for matches without exclusions, one
-   containment test against the match's LCA marks a context node, and nodes
-   containing an already-marked node are answers without any per-position
-   check.  Returns the satisfied nodes plus the number of containment checks
-   performed (the S3 experiment's metric). *)
-let matching_nodes_marked ?(use_marking = true) env nodes s =
-  let stats = { containment_checks = 0; marked = 0 } in
-  let index = Env.index env in
-  let node_infos =
-    List.map
-      (fun n ->
-        (n, Ftindex.Inverted.doc_of_node index n, Xmlkit.Node.dewey n, ref false))
-      nodes
-  in
-  let mark_contains_lca () =
-    Seq.iter
-      (fun (m : All_matches.match_) ->
-        let lca =
-          if
-            use_marking && m.All_matches.excludes = [] && s.anchors = []
-            && Ft_ops.same_doc m.All_matches.includes
-          then
-            match m.All_matches.includes with
-            | [] -> None
-            | e :: _ ->
-                let doc = e.All_matches.posting.Ftindex.Posting.doc in
-                Option.map
-                  (fun d -> (doc, d))
-                  (Xmlkit.Dewey.lca_all
-                     (List.map
-                        (fun (e : All_matches.entry) ->
-                          Ftindex.Posting.node e.All_matches.posting)
-                        m.All_matches.includes))
-          else None
-        in
-        List.iter
-          (fun (_, doc_opt, node_dewey, marked) ->
-            if not !marked then
-              match (lca, doc_opt) with
-              | Some (mdoc, mlca), Some ndoc when ndoc = mdoc ->
-                  (* a single ancestor test replaces one test per include *)
-                  stats.containment_checks <- stats.containment_checks + 1;
-                  if Xmlkit.Dewey.contains node_dewey mlca then begin
-                    marked := true;
-                    stats.marked <- stats.marked + 1
-                  end
-              | _ -> (
-                  match doc_opt with
-                  | Some doc ->
-                      stats.containment_checks <-
-                        stats.containment_checks
-                        + List.length m.All_matches.includes
-                        + List.length m.All_matches.excludes;
-                      if Ft_ops.satisfies_match env ~doc ~node_dewey s.anchors m
-                      then begin
-                        marked := true;
-                        stats.marked <- stats.marked + 1
-                      end
-                  | None -> ()))
-          node_infos)
-      s.seq
-  in
-  mark_contains_lca ();
-  let answers =
-    List.filter_map
-      (fun (n, _, _, marked) -> if !marked then Some n else None)
-      node_infos
-  in
-  (answers, stats)
 
 (* --- the Context.ft_handler for the pipelined strategy --- *)
 

@@ -28,19 +28,6 @@ val contains : Env.t -> Xmlkit.Node.t list -> stream -> bool
     that satisfies — the paper's "if succeeded in marking new nodes then
     break".  Updates [pulled]. *)
 
-type marking_stats = { mutable containment_checks : int; mutable marked : int }
-
-val matching_nodes_marked :
-  ?use_marking:bool ->
-  Env.t ->
-  Xmlkit.Node.t list ->
-  stream ->
-  Xmlkit.Node.t list * marking_stats
-(** Section 4.1's LCA node marking: for exclusion-free matches a single
-    ancestor test against the match's LCA marks a node, replacing one test
-    per position.  Returns the satisfied nodes and the containment-check
-    count (the S3 experiment metric). *)
-
 val handler : Env.t -> Xquery.Context.ft_handler
 (** The ftcontains / ft:score handler for the pipelined strategy (ft:score
     materializes — the Section 4.2 tension between pipelining and

@@ -45,21 +45,6 @@ let rec is_prefix (a : t) (b : t) =
 let is_ancestor a b = is_prefix a b && List.length a < List.length b
 let contains = is_prefix
 
-let lca (a : t) (b : t) : t option =
-  let rec common acc a b =
-    match (a, b) with
-    | x :: a', y :: b' when x = y -> common (x :: acc) a' b'
-    | _ -> List.rev acc
-  in
-  match common [] a b with [] -> None | prefix -> Some prefix
-
-let lca_all = function
-  | [] -> None
-  | d :: rest ->
-      List.fold_left
-        (fun acc d' -> match acc with None -> None | Some p -> lca p d')
-        (Some d) rest
-
 let to_string d = String.concat "." (List.map string_of_int d)
 
 let of_string s =

@@ -31,11 +31,6 @@ val is_ancestor : t -> t -> bool
 val contains : t -> t -> bool
 (** Ancestor-or-self: [contains a b] iff [a] is a prefix of [b]. *)
 
-val lca : t -> t -> t option
-(** Least common ancestor; [None] when the labels share no prefix (labels
-    from different documents). *)
-
-val lca_all : t list -> t option
 val to_string : t -> string
 
 val of_string : string -> t

@@ -11,6 +11,9 @@ type focus = { item : Value.item; position : int; size : int }
 
 type t = {
   vars : Value.t String_map.t;
+  globals : Value.t String_map.t;
+      (** the prolog and module variables: a function body sees these and
+          its parameters, never its caller's variables *)
   focus : focus option;
   functions : functions;
   resolve_doc : string -> Xmlkit.Node.t option;
@@ -76,6 +79,7 @@ let dynamic_error fmt = Errors.raise_error Errors.FORG0006 fmt
 let create ?(resolve_doc = fun _ -> None) ?ft ?governor () =
   {
     vars = String_map.empty;
+    globals = String_map.empty;
     focus = None;
     functions = Hashtbl.create 64;
     resolve_doc;
@@ -88,6 +92,10 @@ let with_ft t ft = { t with ft = Some ft }
 let with_doc_resolver t resolve_doc = { t with resolve_doc }
 
 let bind_var t name value = { t with vars = String_map.add name value t.vars }
+
+let bind_global t name value =
+  let t = bind_var t name value in
+  { t with globals = t.vars }
 
 let lookup_var t name =
   match String_map.find_opt name t.vars with

@@ -382,7 +382,7 @@ and eval_call ctx name args =
       let call_ctx =
         List.fold_left2
           (fun c param v -> Context.bind_var c param v)
-          { ctx with Context.focus = None }
+          { ctx with Context.vars = ctx.Context.globals; focus = None }
           def.params values
       in
       let g = ctx.Context.governor in
@@ -463,17 +463,14 @@ let setup_context ?resolve_doc ?ft ?governor (q : query) =
   let ctx = Context.create ?resolve_doc ?ft ?governor () in
   Functions.register ctx;
   List.iter (Context.register_function ctx) q.functions;
-  let ctx =
-    List.fold_left
-      (fun c (name, e) -> Context.bind_var c name (eval c e))
-      ctx q.variables
-  in
-  ctx
+  List.fold_left
+    (fun c (name, e) -> Context.bind_global c name (eval c e))
+    ctx q.variables
 
 let load_module ctx (m : query) =
   List.iter (Context.register_function ctx) m.functions;
   List.fold_left
-    (fun c (name, e) -> Context.bind_var c name (eval c e))
+    (fun c (name, e) -> Context.bind_global c name (eval c e))
     ctx m.variables
 
 let run ?resolve_doc ?ft ?governor ?context_node (q : query) =

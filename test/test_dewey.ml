@@ -46,17 +46,6 @@ let test_containment () =
   check bool_ "ancestor" true
     (Dewey.is_ancestor (Dewey.of_string "1.3") (Dewey.of_string "1.3.9"))
 
-let test_lca () =
-  let lca a b = Dewey.lca (Dewey.of_string a) (Dewey.of_string b) in
-  check (Alcotest.option dewey) "common prefix" (Some (Dewey.of_string "1.3"))
-    (lca "1.3.1" "1.3.2.5");
-  check (Alcotest.option dewey) "ancestor is lca" (Some (Dewey.of_string "1.3"))
-    (lca "1.3" "1.3.2");
-  check (Alcotest.option dewey) "lca_all"
-    (Some (Dewey.of_string "1"))
-    (Dewey.lca_all
-       [ Dewey.of_string "1.2.3"; Dewey.of_string "1.4"; Dewey.of_string "1.2" ])
-
 (* --- properties --- *)
 
 let gen_dewey =
@@ -82,14 +71,6 @@ let prop_order_total =
           && Dewey.compare x z <= 0
       | _ -> false)
 
-let prop_lca_contains_both =
-  QCheck2.Test.make ~name:"lca contains both arguments" ~count:300
-    QCheck2.Gen.(pair gen_dewey gen_dewey)
-    (fun (a, b) ->
-      match Dewey.lca a b with
-      | None -> List.hd (Dewey.to_list a) <> List.hd (Dewey.to_list b)
-      | Some l -> Dewey.contains l a && Dewey.contains l b)
-
 let prop_ancestor_iff_prefix =
   QCheck2.Test.make ~name:"child extends and is contained" ~count:300
     QCheck2.Gen.(pair gen_dewey (int_range 1 9))
@@ -110,9 +91,7 @@ let tests =
     Alcotest.test_case "hierarchical order (paper example)" `Quick
       test_hierarchical_order;
     Alcotest.test_case "containment" `Quick test_containment;
-    Alcotest.test_case "lca" `Quick test_lca;
     QCheck_alcotest.to_alcotest prop_order_total;
-    QCheck_alcotest.to_alcotest prop_lca_contains_both;
     QCheck_alcotest.to_alcotest prop_ancestor_iff_prefix;
     QCheck_alcotest.to_alcotest prop_string_round_trip;
   ]

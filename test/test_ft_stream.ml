@@ -93,40 +93,6 @@ let test_blocking_ops_still_lazy_outside () =
   in
   check_bool "prefix only" true (s.Ft_stream.pulled <= materialized)
 
-let test_marking_equals_naive_answers () =
-  let env = Engine.env (Lazy.force engine) in
-  let nodes =
-    List.concat_map
-      (fun b -> List.filter Xmlkit.Node.is_element (Xmlkit.Node.descendants_or_self b))
-      (books ())
-  in
-  List.iter
-    (fun src ->
-      let with_marking, _ =
-        Ft_stream.matching_nodes_marked ~use_marking:true env nodes (make_stream src)
-      in
-      let naive, _ =
-        Ft_stream.matching_nodes_marked ~use_marking:false env nodes (make_stream src)
-      in
-      check_int ("same answers: " ^ src) (List.length naive)
-        (List.length with_marking);
-      List.iter2
-        (fun a b -> check_bool "same node" true (Xmlkit.Node.equal a b))
-        naive with_marking)
-    [ {|"ba" && "ca"|}; {|"ba" && ! "ca"|}; {|"ba" window 5 words|} ]
-
-let test_marking_saves_checks () =
-  let env = Engine.env (Lazy.force engine) in
-  let nodes =
-    List.concat_map
-      (fun b -> List.filter Xmlkit.Node.is_element (Xmlkit.Node.descendants_or_self b))
-      (books ())
-  in
-  let _, marked = Ft_stream.matching_nodes_marked ~use_marking:true env nodes (make_stream {|"ba" && "ca"|}) in
-  let _, naive = Ft_stream.matching_nodes_marked ~use_marking:false env nodes (make_stream {|"ba" && "ca"|}) in
-  check_bool "fewer containment checks" true
-    (marked.Ft_stream.containment_checks < naive.Ft_stream.containment_checks)
-
 let tests =
   [
     Alcotest.test_case "early exit pulls a prefix" `Quick test_early_exit_pulls_prefix;
@@ -136,6 +102,4 @@ let tests =
       test_stream_agrees_with_materialized;
     Alcotest.test_case "blocking ops inside lazy pipeline" `Quick
       test_blocking_ops_still_lazy_outside;
-    Alcotest.test_case "LCA marking answers" `Quick test_marking_equals_naive_answers;
-    Alcotest.test_case "LCA marking saves checks" `Quick test_marking_saves_checks;
   ]

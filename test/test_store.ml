@@ -399,6 +399,106 @@ let test_damaged_doc_without_sources_is_fatal () =
         l.Store.report.Store.reindexed;
       check_same "salvaged exactly" index l.Store.index)
 
+(* --- the manifest's token checks: a tokenizer change is never trusted --- *)
+
+(* Rewrite each document entry of a version-3 manifest with [f] and frame
+   the payload again, so only the manifest's own check can catch it. *)
+let tamper_manifest dir f =
+  let path = Filename.concat dir Store.manifest_name in
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let header = String.length Store.format_magic + 4 + 1 + 8 in
+  let r = Codec.reader (String.sub data header (String.length data - header - 4)) in
+  let b = Buffer.create 256 in
+  Codec.put_u32 b (Codec.get_u32 r) (* generation *);
+  Codec.put_list Codec.put_str b (Codec.get_list Codec.get_str r);
+  Codec.put_list Codec.put_str b (Codec.get_list Codec.get_str r);
+  let docs =
+    Codec.get_list
+      (fun r ->
+        let uri = Codec.get_str r in
+        let file = Codec.get_str r in
+        let tokens = Codec.get_u32 r in
+        (uri, file, tokens, Codec.get_opt Codec.get_u32 r))
+      r
+  in
+  Codec.put_list
+    (fun b (uri, file, tokens, crc) ->
+      let tokens, crc = f (tokens, crc) in
+      Codec.put_str b uri;
+      Codec.put_str b file;
+      Codec.put_u32 b tokens;
+      Codec.put_opt Codec.put_u32 b crc)
+    b docs;
+  Codec.put_u32 b (Codec.get_u32 r) (* epoch *);
+  Codec.finish r "manifest";
+  let payload = Buffer.contents b in
+  let framed = Buffer.create (String.length payload + header + 4) in
+  Buffer.add_string framed (String.sub data 0 (header - 8));
+  Codec.put_u64 framed (String.length payload);
+  Buffer.add_string framed payload;
+  Codec.put_u32 framed (Codec.crc32 payload);
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (Buffer.contents framed))
+
+(* The manifest's word CRC is fed one string at a time. *)
+let test_crc_continuation () =
+  Alcotest.(check int) "check value" 0xCBF43926 (Codec.crc32 "123456789");
+  Alcotest.(check int) "continued" 0xCBF43926
+    (Codec.crc32 ~crc:(Codec.crc32 "1234") "56789")
+
+let test_tokenizer_change_detected () =
+  let index = corpus_index () in
+  List.iter
+    (fun (what, f) ->
+      with_dir (fun dir ->
+          Store.save ~dir index;
+          tamper_manifest dir f;
+          expect_load_code (what ^ ", no sources") Xquery.Errors.GTLX0006 dir;
+          let l = Store.load ~sources:corpus_sources ~dir () in
+          Alcotest.(check bool) (what ^ ": not clean") false
+            (Store.clean l.Store.report);
+          List.iter
+            (fun (d : Store.damage) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: tokenizer-change reason (%s)" what
+                   d.Store.reason)
+                true
+                (String.starts_with ~prefix:"tokenizer changed since the save"
+                   d.Store.reason))
+            l.Store.report.Store.damaged;
+          Alcotest.(check int) (what ^ ": every document reported")
+            (List.length corpus_sources)
+            (List.length l.Store.report.Store.damaged);
+          check_same (what ^ ": re-indexed from the sources") index l.Store.index))
+    [
+      ("token count", fun (n, crc) -> (n + 1, crc));
+      ("word CRC", fun (n, crc) -> (n, Option.map (fun c -> c lxor 1) crc));
+    ]
+
+(* A loaded index is built the way a fresh one is: tokenizing the stored
+   source shares each node's Dewey label among its tokens, as the
+   indexer does, so the load holds no more heap than indexing. *)
+let test_load_memory () =
+  let sources =
+    List.map
+      (fun (uri, root) -> (uri, Xmlkit.Printer.to_string root))
+      (Corpus.Generator.books
+         { Corpus.Generator.default_profile with
+           Corpus.Generator.doc_count = 8; sections_per_doc = 2;
+           paras_per_section = 3; words_per_para = 30; vocab_size = 150 })
+  in
+  let fresh = Indexer.index_strings sources in
+  with_dir (fun dir ->
+      Store.save ~dir fresh;
+      let loaded = (Store.load ~dir ()).Store.index in
+      let words_loaded = Obj.reachable_words (Obj.repr loaded)
+      and words_fresh = Obj.reachable_words (Obj.repr fresh) in
+      Alcotest.(check bool)
+        (Printf.sprintf "loaded %d heap words <= fresh build %d" words_loaded
+           words_fresh)
+        true
+        (words_loaded <= words_fresh))
+
 (* --- the governor applies to loading too --- *)
 
 let test_load_deadline () =
@@ -648,6 +748,12 @@ let tests =
     Alcotest.test_case "not a snapshot (GTLX0008)" `Quick test_not_a_snapshot;
     Alcotest.test_case "unsalvageable doc (GTLX0006) vs sources" `Quick
       test_damaged_doc_without_sources_is_fatal;
+    Alcotest.test_case "CRC-32 continues across strings" `Quick
+      test_crc_continuation;
+    Alcotest.test_case "tokenizer change is reported, not trusted" `Quick
+      test_tokenizer_change_detected;
+    Alcotest.test_case "loaded index no larger than a fresh build" `Quick
+      test_load_memory;
     Alcotest.test_case "deadline applies to load (GTLX0004)" `Quick
       test_load_deadline;
     Alcotest.test_case "fencing epoch round trip" `Quick test_epoch_roundtrip;

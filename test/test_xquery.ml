@@ -191,6 +191,23 @@ let test_user_functions () =
   check_q "function over sequences" "3"
     "declare function local:len($s) { count($s) }; local:len((1, 2, 3))"
 
+(* A function body sees its parameters and the prolog's variables, never
+   the variables in scope where it is called. *)
+let test_function_scope () =
+  (match run "declare function local:f() { $x }; let $x := 7 return local:f()" with
+  | exception Xquery.Errors.Error { code = Xquery.Errors.XPST0008; _ } -> ()
+  | v ->
+      Alcotest.failf "caller's $x leaked into the body: %s"
+        (Xquery.Value.to_display_string v));
+  check_q "prolog variable" "6"
+    "declare variable $g := 5; declare function local:f() { $g + 1 }; \
+     let $g2 := 7 return local:f()";
+  check_q "parameter shadows a prolog variable" "3"
+    "declare variable $g := 5; declare function local:f($g) { $g }; local:f(3)";
+  check_q "function in a later prolog initializer" "7"
+    "declare variable $g := 5; declare function local:f($y) { $g + $y }; \
+     declare variable $h := local:f(2); $h"
+
 let test_errors () =
   let expect_error src =
     match run src with
@@ -233,6 +250,7 @@ let tests =
     Alcotest.test_case "constructors" `Quick test_constructors;
     Alcotest.test_case "builtin functions" `Quick test_functions;
     Alcotest.test_case "user functions" `Quick test_user_functions;
+    Alcotest.test_case "function scope" `Quick test_function_scope;
     Alcotest.test_case "dynamic errors" `Quick test_errors;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "no-focus errors" `Quick test_focus_errors;

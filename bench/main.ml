@@ -956,6 +956,143 @@ let n1_navigation () =
         queries)
     [ 50; 200; 400 ]
 
+(* ---------------------------------------------------------------- U1 *)
+
+(* A live update's own cost, and what it costs the queries after it.  The
+   index tables are persistent maps, so adding or removing one book should
+   allocate about the same at 50 books as at 3,200; the expansion cache
+   outlives updates, so a query after an update batch should allocate
+   about what it does with no updates at all. *)
+let update_book rng vocab n =
+  let para () =
+    String.concat " " (List.init 30 (fun _ -> Corpus.Vocab.sample vocab rng))
+  in
+  let section k =
+    Printf.sprintf "<section><title>Section %d</title>%s</section>" k
+      (String.concat "" (List.init 3 (fun _ -> "<p>" ^ para () ^ ".</p>")))
+  in
+  Printf.sprintf "<book id=\"u%d\"><title>Update %d</title>%s%s</book>" n n
+    (section 1) (section 2)
+
+let u1_updates () =
+  Harness.section
+    "U1: live updates — one book's cost by corpus size, and the queries after \
+     update batches";
+  let runs = 50 in
+  let measure f =
+    Gc.compact ();
+    let t0 = Unix.gettimeofday ()
+    and m0 = Gc.minor_words ()
+    and b0 = Gc.allocated_bytes () in
+    for _ = 1 to runs do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    let per x = x /. float_of_int runs in
+    ( per ((Unix.gettimeofday () -. t0) *. 1000.0),
+      per ((Gc.minor_words () -. m0) /. 1000.0),
+      per ((Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8) /. 1000.0) )
+  in
+  let source =
+    update_book (Corpus.Splitmix.create 1) (Corpus.Vocab.create 2_000) 1
+  in
+  Harness.row
+    "  one 180-word book added (Wal.apply: parse, tokenize, index), then \
+     removed;\n\
+    \  mean of %d; kw = thousands of minor-heap words, all kw = both heaps\n\n"
+    runs;
+  Harness.row "  %5s %6s  %8s %8s %8s   %8s %8s %8s\n" "books" "words"
+    "add ms" "kw" "all kw" "rm ms" "kw" "all kw";
+  List.iter
+    (fun doc_count ->
+      let base =
+        Corpus.Generator.index_books
+          {
+            Corpus.Generator.default_profile with
+            Corpus.Generator.seed = 4242;
+            doc_count;
+            sections_per_doc = 2;
+            paras_per_section = 3;
+            words_per_para = 30;
+            vocab_size = 2_000;
+          }
+      in
+      let add = Ftindex.Wal.Add_doc { uri = "u1-new.xml"; source } in
+      let added = Ftindex.Wal.apply base add in
+      let a_ms, a_kw, a_all = measure (fun () -> Ftindex.Wal.apply base add) in
+      let r_ms, r_kw, r_all =
+        measure (fun () -> Ftindex.Wal.apply added (Ftindex.Wal.Remove_doc "u1-new.xml"))
+      in
+      Harness.row "  %5d %6d  %8.3f %8.1f %8.1f   %8.3f %8.1f %8.1f\n" doc_count
+        (Ftindex.Inverted.distinct_word_count base)
+        a_ms a_kw a_all r_ms r_kw r_all)
+    [ 50; 200; 800; 3_200 ];
+  (* perfbench read-write's shape: 48 books, two-word templates from the
+     rank band 5-40, an add/replace/remove batch after every 10th query *)
+  let queries =
+    let rng = Corpus.Splitmix.create 17 in
+    let popularity = Corpus.Vocab.create 60 in
+    let templates =
+      Array.init 60 (fun slot ->
+          let w () = Corpus.Vocab.word_for_rank (5 + Corpus.Splitmix.int rng 35) in
+          let a = w () and b = w () in
+          match slot mod 3 with
+          | 0 -> Printf.sprintf {|count(collection()//book[. ftcontains "%s %s"])|} a b
+          | 1 ->
+              Printf.sprintf
+                {|count(collection()//book[. ftcontains "%s" && "%s" window 14 words])|}
+                a b
+          | _ ->
+              Printf.sprintf
+                {|subsequence(for $b in collection()//book let $s := ft:score($b, "%s %s") where $s > 0 order by $s descending return string($b/@id), 1, 5)|}
+                a b)
+    in
+    List.init 1_000 (fun _ ->
+        templates.(fst (Corpus.Vocab.draw popularity rng)))
+  in
+  let replay ~updates =
+    let rng = Corpus.Splitmix.create 31 and vocab = Corpus.Vocab.create 150 in
+    let eng = ref (Galatex.Engine.create (navigation_corpus 48)) in
+    let live = ref (List.init 48 (Printf.sprintf "book%d.xml")) and n = ref 0 in
+    let add uri =
+      incr n;
+      Ftindex.Wal.Add_doc { uri; source = update_book rng vocab !n }
+    in
+    let batch () =
+      let any () = Corpus.Splitmix.pick rng (Array.of_list !live) in
+      let fresh = Printf.sprintf "upd-%d.xml" (!n + 1) in
+      live := fresh :: !live;
+      let replaced = add (any ()) in
+      let gone = any () in
+      live := List.filter (( <> ) gone) !live;
+      [ add fresh; replaced; Ftindex.Wal.Remove_doc gone ]
+    in
+    Gc.compact ();
+    let time = ref 0.0 and words = ref 0.0 in
+    List.iteri
+      (fun i q ->
+        let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Galatex.Engine.run !eng q));
+        time := !time +. (Unix.gettimeofday () -. t0);
+        words := !words +. (Gc.minor_words () -. w0);
+        if updates && i mod 10 = 9 then
+          eng := List.fold_left Galatex.Engine.apply_update !eng (batch ()))
+      queries;
+    let per x = x /. float_of_int (List.length queries) in
+    ( per (!time *. 1000.0),
+      per (!words /. 1000.0),
+      Galatex.Env.misses (Galatex.Engine.env !eng) )
+  in
+  Harness.row
+    "\n  queries after updates: the same %d queries on 48 books from a cold\n\
+    \  cache; kw = thousands of minor-heap words per query (queries only)\n\n"
+    (List.length queries);
+  Harness.row "  %-34s %8s %8s %8s\n" "" "ms" "kw" "misses";
+  List.iter
+    (fun (label, updates) ->
+      let ms, kw, misses = replay ~updates in
+      Harness.row "  %-34s %8.3f %8.1f %8d\n" label ms kw misses)
+    [ ("no updates", false); ("update batch after every 10th", true) ]
+
 (* ---------------------------------------------------------------- main *)
 
 let experiments =
@@ -965,6 +1102,7 @@ let experiments =
     ("S1", s1_scoring); ("S2", s2_topk); ("S4", s4_strategies);
     ("A1", a1_expansion_cache); ("A2", a2_translated_decomposition);
     ("R1", r1_governance); ("R2", r2_cold_start); ("N1", n1_navigation);
+    ("U1", u1_updates);
   ]
 
 let () =

@@ -27,10 +27,11 @@ let token_info_element p = token_info p []
 (* the translated strategy multiplies [$pos/@score]: one score per run *)
 let inverted_list_document index word =
   let word = Tokenize.Normalize.casefold word in
+  let score_of = Inverted.scorer index word in
   let entries =
     Inverted.Doc_map.fold
       (fun doc run acc ->
-        let score = Printf.sprintf "%.17g" (Inverted.score index ~doc run) in
+        let score = Printf.sprintf "%.17g" (score_of ~doc run) in
         let score = Node.attribute "score" score in
         Array.fold_left (fun acc p -> token_info p [ score ] :: acc) acc run)
       (Inverted.runs index word) []

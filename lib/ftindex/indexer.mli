@@ -3,8 +3,8 @@
 val index_tokenized :
   (string * Xmlkit.Node.t * Tokenize.Token.t array) list -> Inverted.t
 (** Build an index from already tokenized documents (uri, sealed root,
-    token stream in position order), in one pass over the streams.  The
-    one bulk builder: {!index_documents} and a snapshot load both
+    token stream in position order), adding them in order with
+    {!Inverted.add_document}.  The one bulk builder: {!index_documents} and a snapshot load both
     tokenize with {!tokenize} and call it.
     @raise Invalid_argument on duplicate uri. *)
 

@@ -14,42 +14,108 @@ open Xmlkit
    - Documents iterate in uri order, so [postings] returns the whole list
      sorted by (document, absolute position) — the order the pipelined
      operators of Section 4.1 sort-merge on — whatever the indexing order.
-   - Runs are never mutated after they are built, so successive index
-     versions (live updates) share them; the word table itself is copied on
-     write. *)
+   - Runs are never mutated after they are built, and every table is a
+     persistent map, so adding or removing a document allocates O(words in
+     the document x log V) and successive index versions (live updates)
+     share everything else. *)
 
 module Doc_map = Map.Make (String)
+module Word_map = Map.Make (String)
+module Int_map = Map.Make (Int)
+
+(* Document order is insertion order.  Sequence numbers key the order map
+   in descending order, so a fold that conses lists the first document
+   first. *)
+module Order = Map.Make (struct
+  type t = int
+
+  let compare a b = Int.compare b a
+end)
 
 type run = Posting.t array
 
+type doc = {
+  seq : int;  (** insertion sequence number *)
+  entry : string * Node.t;  (** (uri, sealed root), shared with [order] *)
+  tokens : Tokenize.Token.t array;
+      (** the full token stream, in position order; used for node
+          word-extents, window/anchor checks and highlighting *)
+}
+
 type t = {
-  documents : (string * Node.t) list;  (** uri -> sealed document root *)
-  roots : (int, string * Node.t) Hashtbl.t;
-      (** root tree id -> (uri, root), first document first under
-          [Hashtbl.find_all] *)
-  postings : (string, run Doc_map.t) Hashtbl.t;
-  doc_tokens : (string, Tokenize.Token.t array) Hashtbl.t;
-      (** the full token stream of each document, in position order; used for
-          node word-extents, window/anchor checks and highlighting *)
+  docs : doc Doc_map.t;
+  order : (string * Node.t) Order.t;  (** seq -> (uri, root) *)
+  next_seq : int;
+  roots : (string * Node.t) list Int_map.t;
+      (** root tree id -> documents with that root, first document first *)
+  postings : run Doc_map.t Word_map.t;
   stats : Stats.t;
   total_postings : int;
 }
 
-let make ~documents ~postings ~doc_tokens ~stats ~total_postings =
-  let roots = Hashtbl.create (max 16 (List.length documents)) in
-  (* added last-to-first so that [find_all] lists documents in order *)
-  List.iter
-    (fun ((_, root) as doc) -> Hashtbl.add roots (Node.tree_id root) doc)
-    (List.rev documents);
-  { documents; roots; postings; doc_tokens; stats; total_postings }
-
 let empty () =
-  make ~documents:[] ~postings:(Hashtbl.create 16)
-    ~doc_tokens:(Hashtbl.create 16) ~stats:(Stats.create ()) ~total_postings:0
+  {
+    docs = Doc_map.empty;
+    order = Order.empty;
+    next_seq = 0;
+    roots = Int_map.empty;
+    postings = Word_map.empty;
+    stats = Stats.empty;
+    total_postings = 0;
+  }
 
-let documents t = t.documents
+let documents t = Order.fold (fun _ entry acc -> entry :: acc) t.order []
+let document_roots t = Order.fold (fun _ (_, root) acc -> root :: acc) t.order []
+
+let first_document t =
+  (* the largest key under the descending order: the smallest seq *)
+  Option.map snd (Order.max_binding_opt t.order)
+
 let stats t = t.stats
 let total_postings t = t.total_postings
+
+(* Group one document's token stream by normalized word: tokens arrive in
+   ascending position, so every run is already sorted. *)
+let runs_by_word ~uri tokens =
+  let by_word = Hashtbl.create 256 in
+  Array.iter
+    (fun (tok : Tokenize.Token.t) ->
+      let w = tok.Tokenize.Token.norm in
+      Hashtbl.replace by_word w
+        (tok :: Option.value ~default:[] (Hashtbl.find_opt by_word w)))
+    tokens;
+  Hashtbl.fold
+    (fun w toks acc ->
+      (w, Array.of_list (List.rev_map (Posting.make ~doc:uri) toks)) :: acc)
+    by_word []
+
+let add_document t ~uri root tokens =
+  if Doc_map.mem uri t.docs then
+    invalid_arg ("Inverted.add_document: duplicate document uri " ^ uri);
+  let runs = runs_by_word ~uri tokens in
+  let entry = (uri, root) in
+  {
+    docs = Doc_map.add uri { seq = t.next_seq; entry; tokens } t.docs;
+    order = Order.add t.next_seq entry t.order;
+    next_seq = t.next_seq + 1;
+    roots =
+      Int_map.update (Node.tree_id root)
+        (fun docs -> Some (Option.value ~default:[] docs @ [ entry ]))
+        t.roots;
+    postings =
+      List.fold_left
+        (fun postings (w, run) ->
+          Word_map.update w
+            (fun runs ->
+              Some (Doc_map.add uri run (Option.value ~default:Doc_map.empty runs)))
+            postings)
+        t.postings runs;
+    stats =
+      Stats.add_document t.stats ~doc:uri
+        ~max_tf:(List.fold_left (fun m (_, run) -> max m (Array.length run)) 1 runs)
+        (List.map fst runs);
+    total_postings = t.total_postings + Array.length tokens;
+  }
 
 (* Exact postings reclamation: the document's run leaves each of its own
    words (found through its token stream, so no other word is visited),
@@ -57,35 +123,51 @@ let total_postings t = t.total_postings
    statistics forget the document — so the result matches an index that
    never contained it. *)
 let remove_document t ~uri =
-  match Hashtbl.find_opt t.doc_tokens uri with
+  match Doc_map.find_opt uri t.docs with
   | None -> t
-  | Some tokens ->
-      let postings = Hashtbl.copy t.postings in
+  | Some d ->
       let words = ref [] in
-      Array.iter
-        (fun (tok : Tokenize.Token.t) ->
-          let w = tok.Tokenize.Token.norm in
-          match Hashtbl.find_opt postings w with
-          | Some runs when Doc_map.mem uri runs ->
-              words := w :: !words;
-              let runs = Doc_map.remove uri runs in
-              if Doc_map.is_empty runs then Hashtbl.remove postings w
-              else Hashtbl.replace postings w runs
-          | Some _ | None -> ())
-        tokens;
-      let doc_tokens = Hashtbl.copy t.doc_tokens in
-      Hashtbl.remove doc_tokens uri;
-      make
-        ~documents:(List.filter (fun (u, _) -> u <> uri) t.documents)
-        ~postings ~doc_tokens
-        ~stats:(Stats.remove_document t.stats ~doc:uri !words)
-        ~total_postings:(t.total_postings - Array.length tokens)
+      let postings =
+        Array.fold_left
+          (fun postings (tok : Tokenize.Token.t) ->
+            let w = tok.Tokenize.Token.norm in
+            match Word_map.find w postings with
+            | runs when Doc_map.mem uri runs ->
+                words := w :: !words;
+                let runs = Doc_map.remove uri runs in
+                if Doc_map.is_empty runs then Word_map.remove w postings
+                else Word_map.add w runs postings
+            | _ | (exception Not_found) -> postings)
+          t.postings d.tokens
+      in
+      let tree_id = Node.tree_id (snd d.entry) in
+      {
+        t with
+        docs = Doc_map.remove uri t.docs;
+        order = Order.remove d.seq t.order;
+        roots =
+          Int_map.update tree_id
+            (function
+              | Some docs -> (
+                  match List.filter (fun e -> e != d.entry) docs with
+                  | [] -> None
+                  | docs -> Some docs)
+              | None -> None)
+            t.roots;
+        postings;
+        stats = Stats.remove_document t.stats ~doc:uri !words;
+        total_postings = t.total_postings - Array.length d.tokens;
+      }
 
-let document_root t uri = List.assoc_opt uri t.documents
+let document_root t uri =
+  match Doc_map.find uri t.docs with
+  | d -> Some (snd d.entry)
+  | exception Not_found -> None
 
 let runs t word =
-  Option.value ~default:Doc_map.empty
-    (Hashtbl.find_opt t.postings (Tokenize.Normalize.casefold word))
+  match Word_map.find (Tokenize.Normalize.casefold word) t.postings with
+  | runs -> runs
+  | exception Not_found -> Doc_map.empty
 
 let list_of_runs runs =
   Doc_map.fold (fun _ run acc -> List.rev_append (Array.to_list run) acc) runs []
@@ -97,14 +179,24 @@ let postings_of_doc t ~doc word =
   Option.value ~default:[||] (Doc_map.find_opt doc (runs t word))
 
 (* tf is the run's length *)
+let scorer t word =
+  let idf = Stats.idf_norm t.stats (Tokenize.Normalize.casefold word) in
+  fun ~doc run ->
+    if Array.length run = 0 then 1.0
+    else Stats.score t.stats ~doc ~tf:(Array.length run) ~idf
+
 let score t ~doc run =
-  if Array.length run = 0 then 1.0
-  else Stats.score t.stats ~doc ~tf:(Array.length run) (Posting.word run.(0))
+  if Array.length run = 0 then 1.0 else scorer t (Posting.word run.(0)) ~doc run
 
-let distinct_words t =
-  Hashtbl.fold (fun w _ acc -> w :: acc) t.postings [] |> List.sort compare
+let filter_words t keep =
+  List.rev
+    (Word_map.fold
+       (fun w _ acc -> if keep w then w :: acc else acc)
+       t.postings [])
 
-let distinct_word_count t = Hashtbl.length t.postings
+let distinct_words t = filter_words t (fun _ -> true)
+let distinct_word_count t = Word_map.cardinal t.postings
+let mem_word t word = Word_map.mem word t.postings
 
 (* containsPos (Section 3.2.1): a position is inside a context node when the
    position's Dewey label is contained in the node's and they belong to the
@@ -161,12 +253,32 @@ let postings_in t ~doc ~node_dewey word =
    root of a replaced document, is no indexed document). *)
 let doc_of_node t node =
   let root = Node.root node in
-  List.find_map
-    (fun (uri, droot) -> if Node.equal droot root then Some uri else None)
-    (Hashtbl.find_all t.roots (Node.tree_id root))
+  match Int_map.find (Node.tree_id root) t.roots with
+  | docs ->
+      List.find_map
+        (fun (uri, droot) -> if Node.equal droot root then Some uri else None)
+        docs
+  | exception Not_found -> None
 
 let tokens_of_doc t ~doc =
-  Option.value ~default:[||] (Hashtbl.find_opt t.doc_tokens doc)
+  match Doc_map.find doc t.docs with
+  | d -> d.tokens
+  | exception Not_found -> [||]
+
+(* Only the document's own words, before and after, can have entered or
+   left the distinct-word list: a word of its new version absent from
+   [before] was added, a word of its old version absent from [after] was
+   removed.  Most are neither, so only the changed words are sorted. *)
+let word_delta ~before ~after ~uri =
+  let absent ~from t =
+    Array.fold_left
+      (fun acc (tok : Tokenize.Token.t) ->
+        let w = tok.Tokenize.Token.norm in
+        if mem_word t w then acc else w :: acc)
+      [] (tokens_of_doc from ~doc:uri)
+    |> List.sort_uniq String.compare
+  in
+  (absent ~from:after before, absent ~from:before after)
 
 (* The word-position extent of a node: positions of a node's tokens are
    contiguous (pre-order Dewey containment), so the extent is the (first,

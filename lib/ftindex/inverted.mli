@@ -7,29 +7,30 @@ type run = Posting.t array
 (** One word's positions inside one document, ascending by absolute
     position.  Runs are shared between index versions: never mutate one. *)
 
-type t = private {
-  documents : (string * Xmlkit.Node.t) list;
-  roots : (int, string * Xmlkit.Node.t) Hashtbl.t;
-  postings : (string, run Doc_map.t) Hashtbl.t;
-  doc_tokens : (string, Tokenize.Token.t array) Hashtbl.t;
-  stats : Stats.t;
-  total_postings : int;
-}
-
-val make :
-  documents:(string * Xmlkit.Node.t) list ->
-  postings:(string, run Doc_map.t) Hashtbl.t ->
-  doc_tokens:(string, Tokenize.Token.t array) Hashtbl.t ->
-  stats:Stats.t ->
-  total_postings:int ->
-  t
-(** Assemble an index from its parts; derives the node -> document table
-    from [documents].  Every run must be non-empty and ascending. *)
+type t
+(** One index version.  Every table is a persistent map: an update returns
+    a new version sharing all it does not touch, and the old version stays
+    valid for its readers. *)
 
 val empty : unit -> t
-(** A fresh empty index (internal tables are not shared). *)
+
+val add_document :
+  t -> uri:string -> Xmlkit.Node.t -> Tokenize.Token.t array -> t
+(** Add one sealed document given its token stream (in position order): its
+    runs join its words, it goes last in document order, and the corpus
+    statistics count it.  Allocates O(words in the document x log V).
+    @raise Invalid_argument on a duplicate uri. *)
 
 val documents : t -> (string * Xmlkit.Node.t) list
+(** (uri, root) in document order: the order documents were added in, a
+    replaced document counting as added last. *)
+
+val document_roots : t -> Xmlkit.Node.t list
+(** The roots of {!documents}, in the same order. *)
+
+val first_document : t -> (string * Xmlkit.Node.t) option
+(** The head of {!documents}, in O(log documents). *)
+
 val stats : t -> Stats.t
 
 val total_postings : t -> int
@@ -60,6 +61,10 @@ val score : t -> doc:string -> run -> float
 (** The Section 3.3 score shared by every entry of [run], [doc]'s run of
     one word, under this index version's statistics. *)
 
+val scorer : t -> string -> doc:string -> run -> float
+(** [scorer t word] is {!score} for the runs of [word] (case-folded), with
+    the word's document frequency looked up once rather than per run. *)
+
 val run_within : run -> Xmlkit.Dewey.t list -> Posting.t list
 (** The entries of a run inside any of the given nodes of its document, each
     once, in position order: one binary search per node. *)
@@ -67,7 +72,17 @@ val run_within : run -> Xmlkit.Dewey.t list -> Posting.t list
 val distinct_words : t -> string list
 (** Sorted distinct-word list ("list_distinct_words.xml" in the paper). *)
 
+val filter_words : t -> (string -> bool) -> string list
+(** The distinct words satisfying a predicate, in {!distinct_words} order. *)
+
 val distinct_word_count : t -> int
+
+val word_delta :
+  before:t -> after:t -> uri:string -> string list * string list
+(** [(added, removed)]: the distinct words of [after] absent from [before],
+    and those of [before] gone from [after], each sorted, when [after]
+    differs from [before] in document [uri] alone.  Reads only that
+    document's tokens in both versions: O(words in the document x log V). *)
 
 val position_in_node :
   t -> Posting.t -> doc:string -> node_dewey:Xmlkit.Dewey.t -> bool

@@ -10,70 +10,68 @@
    Both factors lie in (0,1], so the product does too, and the score grows
    with term frequency and rarity — enough for the probabilistic algebra's
    requirements to hold downstream.  tf(w,d) is the length of d's run of w,
-   supplied by the caller when a query reads the run. *)
+   supplied by the caller when a query reads the run.
+
+   The tables are persistent maps: recording or forgetting a document
+   touches only its own words, and successive index versions share the
+   rest. *)
+
+module String_map = Map.Make (String)
 
 type t = {
-  max_tf : (string, int) Hashtbl.t;  (** doc -> largest tf of any word *)
-  df : (string, int) Hashtbl.t;  (** word -> number of documents containing it *)
+  max_tf : int String_map.t;  (** doc -> largest tf of any word *)
+  df : int String_map.t;  (** word -> number of documents containing it *)
+  doc_count : int;
 }
 
-let create () = { max_tf = Hashtbl.create 16; df = Hashtbl.create 256 }
+let empty = { max_tf = String_map.empty; df = String_map.empty; doc_count = 0 }
 
-(* Record one document in place. *)
-let record t ~doc tokens =
-  if Hashtbl.mem t.max_tf doc then
+let add_document t ~doc ~max_tf words =
+  if String_map.mem doc t.max_tf then
     invalid_arg ("Stats.add_document: duplicate document " ^ doc);
-  let counts = Hashtbl.create 64 in
-  Array.iter
-    (fun (tok : Tokenize.Token.t) ->
-      let w = tok.Tokenize.Token.norm in
-      Hashtbl.replace counts w (1 + Option.value ~default:0 (Hashtbl.find_opt counts w)))
-    tokens;
-  Hashtbl.replace t.max_tf doc (Hashtbl.fold (fun _ c m -> max c m) counts 1);
-  Hashtbl.iter
-    (fun w _ ->
-      Hashtbl.replace t.df w (1 + Option.value ~default:0 (Hashtbl.find_opt t.df w)))
-    counts
-
-let of_documents docs =
-  let t = create () in
-  List.iter (fun (doc, tokens) -> record t ~doc tokens) docs;
-  t
-
-(* functional update: callers hold on to earlier snapshots *)
-let add_document t ~doc tokens =
-  let t = { max_tf = Hashtbl.copy t.max_tf; df = Hashtbl.copy t.df } in
-  record t ~doc tokens;
-  t
+  {
+    max_tf = String_map.add doc max_tf t.max_tf;
+    df =
+      List.fold_left
+        (fun df w ->
+          String_map.update w
+            (fun n -> Some (1 + Option.value ~default:0 n))
+            df)
+        t.df words;
+    doc_count = t.doc_count + 1;
+  }
 
 let remove_document t ~doc words =
-  if not (Hashtbl.mem t.max_tf doc) then t
-  else begin
-    let max_tf = Hashtbl.copy t.max_tf and df = Hashtbl.copy t.df in
-    Hashtbl.remove max_tf doc;
-    List.iter
-      (fun w ->
-        (* drop zero entries so the tables match a from-scratch build *)
-        match Hashtbl.find_opt df w with
-        | Some n when n > 1 -> Hashtbl.replace df w (n - 1)
-        | Some _ | None -> Hashtbl.remove df w)
-      words;
-    { max_tf; df }
-  end
+  if not (String_map.mem doc t.max_tf) then t
+  else
+    {
+      max_tf = String_map.remove doc t.max_tf;
+      df =
+        List.fold_left
+          (fun df w ->
+            (* drop zero entries so the tables match a from-scratch build *)
+            String_map.update w
+              (function Some n when n > 1 -> Some (n - 1) | _ -> None)
+              df)
+          t.df words;
+      doc_count = t.doc_count - 1;
+    }
 
-let doc_count t = Hashtbl.length t.max_tf
-let document_frequency t w = Option.value ~default:0 (Hashtbl.find_opt t.df w)
+let doc_count t = t.doc_count
+
+let document_frequency t w =
+  match String_map.find w t.df with n -> n | exception Not_found -> 0
 
 let idf_norm t w =
   let n = float_of_int (max 1 (doc_count t)) in
   let df = float_of_int (max 1 (document_frequency t w)) in
   log (1.0 +. (n /. df)) /. log (1.0 +. n)
 
-let score t ~doc ~tf w =
-  match Hashtbl.find_opt t.max_tf doc with
-  | None -> 1.0
-  | Some max_tf ->
+let score t ~doc ~tf ~idf =
+  match String_map.find doc t.max_tf with
+  | exception Not_found -> 1.0
+  | max_tf ->
       let tf_part = 0.5 +. (0.5 *. float_of_int tf /. float_of_int (max 1 max_tf)) in
-      let s = tf_part *. idf_norm t w in
+      let s = tf_part *. idf in
       (* clamp away from 0 for pathological corpora; scores must be (0,1] *)
       if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else s

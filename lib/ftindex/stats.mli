@@ -1,16 +1,14 @@
 (** Corpus tf/idf statistics backing the per-entry probabilistic scores of
-    paper Section 3.3. *)
+    paper Section 3.3.  Values are persistent: updates return a new [t]
+    sharing everything the document does not touch. *)
 
 type t
 
-val create : unit -> t
+val empty : t
 
-val of_documents : (string * Tokenize.Token.t array) list -> t
-(** Statistics of a corpus, given each document's token stream.
-    @raise Invalid_argument on a duplicate document name. *)
-
-val add_document : t -> doc:string -> Tokenize.Token.t array -> t
-(** Record one more document's token stream; [t] itself is unchanged.
+val add_document : t -> doc:string -> max_tf:int -> string list -> t
+(** Record one more document, given the largest term frequency of any of
+    its words and its distinct words; [t] itself is unchanged.
     @raise Invalid_argument on a duplicate document name. *)
 
 val remove_document : t -> doc:string -> string list -> t
@@ -25,7 +23,7 @@ val document_frequency : t -> string -> int
 val idf_norm : t -> string -> float
 (** Normalized inverse document frequency in (0,1]. *)
 
-val score : t -> doc:string -> tf:int -> string -> float
-(** Per-entry score in (0,1] of a word occurring [tf >= 1] times in [doc]:
-    bounded tf.idf, monotone in term frequency and rarity.  1.0 for unknown
-    documents (neutral). *)
+val score : t -> doc:string -> tf:int -> idf:float -> float
+(** Per-entry score in (0,1] of a word occurring [tf >= 1] times in [doc],
+    given the word's {!idf_norm}: bounded tf.idf, monotone in term
+    frequency and rarity.  1.0 for unknown documents (neutral). *)

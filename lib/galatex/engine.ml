@@ -81,17 +81,13 @@ type t = {
 
 and wal_recovery = { replayed : int; truncated_tail : bool }
 
+let context_doc_of index = Option.map snd (Ftindex.Inverted.first_document index)
+
 let of_index ?(config = Tokenize.Segmenter.default_config) ?thesauri
     ?default_thesaurus index =
-  let env = Env.create ?thesauri ?default_thesaurus index in
-  let context_doc =
-    match Ftindex.Inverted.documents index with
-    | (_, doc) :: _ -> Some doc
-    | [] -> None
-  in
   {
-    env;
-    context_doc;
+    env = Env.create ?thesauri ?default_thesaurus index;
+    context_doc = context_doc_of index;
     config;
     fallbacks = Atomic.make 0;
     salvage = None;
@@ -153,21 +149,16 @@ let of_store ?io ?(limits = Xquery.Limits.defaults) ?sources ?thesauri
 
 (* Live updates: apply one WAL operation, producing a new engine over the
    updated index.  The caller (the serving layer) appends to the log first
-   and swaps engines atomically; readers keep the old [t].  The fallback
-   counter cell is shared so the engine-wide degradation count survives
-   updates. *)
+   and swaps engines atomically; readers keep the old [t].  The new
+   environment carries the expansion memo table over, revised by the
+   words the operation added and removed.  The fallback counter cell is
+   shared so the engine-wide degradation count survives updates. *)
 let apply_update t op =
   let index' = Ftindex.Wal.apply ~config:t.config (index t) op in
-  let env =
-    Env.create ~thesauri:t.env.Env.thesauri
-      ?default_thesaurus:t.env.Env.default_thesaurus index'
+  let uri =
+    match op with Ftindex.Wal.Add_doc { uri; _ } | Ftindex.Wal.Remove_doc uri -> uri
   in
-  let context_doc =
-    match Ftindex.Inverted.documents index' with
-    | (_, doc) :: _ -> Some doc
-    | [] -> None
-  in
-  { t with env; context_doc }
+  { t with env = Env.update t.env index' ~uri; context_doc = context_doc_of index' }
 
 (* Hot reload builds a fresh engine via [of_store], which starts its
    counters from zero; carrying the predecessor's cells across the swap
@@ -193,8 +184,7 @@ let compact ?io t ~dir =
    depend on the default context node. *)
 let register_collection t ctx =
   Xquery.Context.register_builtin ctx "collection" 0 (fun _ _ ->
-      Xquery.Value.of_nodes
-        (List.map snd (Ftindex.Inverted.documents (Env.index t.env))))
+      Xquery.Value.of_nodes (Ftindex.Inverted.document_roots (Env.index t.env)))
 
 let focus_context t ?context ctx =
   let node =
@@ -251,39 +241,31 @@ let attempt t ~tr ~governor ~strategy ~optimizations ?context
       Obs.Trace.with_span tr "rewrite" (fun () ->
           apply_optimizations ~governor optimizations q)
   in
-  match strategy with
-  | Translated ->
-      let translated =
-        Obs.Trace.with_span tr "translate" (fun () ->
-            Translate.translate_query q)
-      in
-      let ctx = Fts_module.setup_context ~governor t.env translated in
-      register_collection t ctx;
-      let ctx = focus_context t ?context ctx in
-      Obs.Trace.with_span tr "eval" (fun () ->
-          Xquery.Eval.eval ctx translated.Xquery.Ast.body)
-  | Native_materialized ->
-      let resolve_doc = Fts_module.make_resolver t.env in
-      let ctx =
-        Xquery.Eval.setup_context ~resolve_doc
-          ~ft:(traced_handler tr "ft_eval" (Ft_eval.handler t.env))
-          ~governor q
-      in
-      register_collection t ctx;
-      let ctx = focus_context t ?context ctx in
-      Obs.Trace.with_span tr "eval" (fun () ->
-          Xquery.Eval.eval ctx q.Xquery.Ast.body)
-  | Native_pipelined ->
-      let resolve_doc = Fts_module.make_resolver t.env in
-      let ctx =
-        Xquery.Eval.setup_context ~resolve_doc
-          ~ft:(traced_handler tr "ft_stream" (Ft_stream.handler t.env))
-          ~governor q
-      in
-      register_collection t ctx;
-      let ctx = focus_context t ?context ctx in
-      Obs.Trace.with_span tr "eval" (fun () ->
-          Xquery.Eval.eval ctx q.Xquery.Ast.body)
+  (* collection() and the context item exist before the prolog runs, so
+     a prolog variable can read the indexed documents *)
+  let prepare ctx =
+    register_collection t ctx;
+    focus_context t ?context ctx
+  in
+  let native name handler =
+    Xquery.Eval.setup_context ~prepare ~governor
+      ~resolve_doc:(Fts_module.make_resolver t.env)
+      ~ft:(traced_handler tr name (handler t.env))
+      q
+  in
+  let ctx, body =
+    match strategy with
+    | Translated ->
+        let translated =
+          Obs.Trace.with_span tr "translate" (fun () ->
+              Translate.translate_query q)
+        in
+        ( Fts_module.setup_context ~governor ~prepare t.env translated,
+          translated.Xquery.Ast.body )
+    | Native_materialized -> (native "ft_eval" Ft_eval.handler, q.Xquery.Ast.body)
+    | Native_pipelined -> (native "ft_stream" Ft_stream.handler, q.Xquery.Ast.body)
+  in
+  Obs.Trace.with_span tr "eval" (fun () -> Xquery.Eval.eval ctx body)
 
 (* The boundary guarantee: everything an attempt raises leaves this
    function as a structured Errors.Error. *)

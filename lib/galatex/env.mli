@@ -1,15 +1,7 @@
 (** The full-text evaluation environment: the index plus match-option
     resources (thesauri) and the expansion memo table. *)
 
-type t = {
-  index : Ftindex.Inverted.t;
-  thesauri : (string * Tokenize.Thesaurus.t) list;
-  default_thesaurus : Tokenize.Thesaurus.t option;
-  expansion_cache : (string, string list) Hashtbl.t;
-  cache_lock : Mutex.t;
-      (** guards [expansion_cache]: one environment serves many concurrent
-          requests in the query daemon *)
-}
+type t
 
 val create :
   ?thesauri:(string * Tokenize.Thesaurus.t) list ->
@@ -22,9 +14,26 @@ val index : t -> Ftindex.Inverted.t
 val find_thesaurus : t -> string option -> Tokenize.Thesaurus.t option
 (** [None] selects the default thesaurus; [Some name] a registered one. *)
 
-val cached : t -> string -> (unit -> string list) -> string list
-(** Memoized word-expansion lookup keyed by token + option signature.
-    Thread-safe: the memo table is mutex-guarded and [compute] (which is
-    deterministic) runs outside the lock. *)
+val cached : t -> string -> (unit -> string -> bool) -> string list
+(** [cached t key matcher]: the distinct words of the index satisfying the
+    predicate [matcher ()] builds, in {!Ftindex.Inverted.distinct_words}
+    order, memoized under [key] (token + option signature).  The entry
+    keeps the predicate, so {!update} can revise it.  Thread-safe: the
+    memo table is mutex-guarded, and the predicate (which must be
+    deterministic) is built and run outside the lock. *)
+
+val update : t -> Ftindex.Inverted.t -> uri:string -> t
+(** The environment over [index], an index that differs from [t]'s in
+    document [uri] alone (one live update).  It starts with [t]'s memo
+    table revised by the update's vocabulary delta
+    ({!Ftindex.Inverted.word_delta}): removed words leave each entry's
+    keys, and each added word joins the entries whose predicate it
+    satisfies.  Costs O(words in the document x log V) plus one pass over
+    the entries; [t] itself is unchanged, so its readers go on as they
+    were. *)
+
+val misses : t -> int
+(** Expansions computed by scanning the distinct-word list, over this
+    environment and every one derived from it by {!update}. *)
 
 val clear_cache : t -> unit

@@ -84,10 +84,10 @@ let leaf_words leaves env ~outer_options ~query_pos options anyall phrases =
       leaves := (query_pos, (phrases, words)) :: !leaves;
       words
 
-let words_matches ?g ?within env ~query_pos ~weight words =
+let words_matches ?g ?within ~query_pos ~weight words =
   let unit_ms expansions =
     All_matches.of_matches
-      (Ft_ops.phrase_matches ?g ?within env ~query_pos ~weight expansions)
+      (Ft_ops.phrase_matches ?g ?within ~query_pos ~weight expansions)
   in
   match words.units with
   | first :: rest when words.conjunctive ->
@@ -121,7 +121,7 @@ let rec eval_selection ?within ?(approximate = false) ~leaves env ~eval ctx
       let query_pos = !counter in
       let weight = Option.map (eval_weight ~eval ctx) weight in
       let phrases = source_phrases ~eval ctx source in
-      words_matches ~g ?within env ~query_pos ~weight
+      words_matches ~g ?within ~query_pos ~weight
         (leaf_words leaves env ~outer_options ~query_pos options anyall phrases)
   | Ft_with_options (inner, options) ->
       let outer_options = Match_options.resolve_with ~outer:outer_options options in

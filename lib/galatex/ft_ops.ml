@@ -44,17 +44,16 @@ let context_by_doc nodes =
        []
   |> List.rev
 
-let posting_entries ?g ?within env expansion =
-  let index = Env.index env in
-  let keys = expansion.Match_options.keys in
+let posting_entries ?g ?within expansion =
+  let keys = expansion.Match_options.key_runs in
   let read = ref 0 in
   (* one score per run read, from the index version being read *)
-  let scored ~doc run entries =
+  let scored score ~doc run entries =
     read := !read + Array.length run;
     match entries with
     | [] -> []
     | _ ->
-        let score = Ftindex.Inverted.score index ~doc run in
+        let score = score ~doc run in
         List.map (fun p -> (p, score)) entries
   in
   let by_position = function
@@ -70,19 +69,23 @@ let posting_entries ?g ?within env expansion =
     | None ->
         by_position
           (List.map
-             (fun key ->
-               Ftindex.Inverted.Doc_map.bindings (Ftindex.Inverted.runs index key)
+             (fun (runs, score) ->
+               Ftindex.Inverted.Doc_map.bindings runs
                |> List.concat_map (fun (doc, run) ->
-                      scored ~doc run (Array.to_list run)))
+                      scored score ~doc run (Array.to_list run)))
              keys)
     | Some nodes ->
         List.concat_map
           (fun (doc, deweys) ->
             by_position
               (List.map
-                 (fun key ->
-                   let run = Ftindex.Inverted.postings_of_doc index ~doc key in
-                   scored ~doc run (Ftindex.Inverted.run_within run deweys))
+                 (fun (runs, score) ->
+                   let run =
+                     match Ftindex.Inverted.Doc_map.find doc runs with
+                     | run -> run
+                     | exception Not_found -> [||]
+                   in
+                   scored score ~doc run (Ftindex.Inverted.run_within run deweys))
                  keys))
           (context_by_doc nodes)
   in
@@ -99,7 +102,7 @@ let posting_entries ?g ?within env expansion =
    stop-word list) are dropped and allow a corresponding gap between the
    surviving tokens (the paper: distance and window "skip stop words when
    specified"). *)
-let phrase_occurrences ?g ?within env expansions =
+let phrase_occurrences ?g ?within expansions =
   (* surviving tokens with the number of dropped stop tokens preceding them *)
   let survivors =
     let rec walk gap = function
@@ -113,7 +116,7 @@ let phrase_occurrences ?g ?within env expansions =
   match survivors with
   | [] -> []
   | (_, first) :: rest ->
-      let first_postings = posting_entries ?g ?within env first in
+      let first_postings = posting_entries ?g ?within first in
       (* index follower postings by (doc, position) for O(1) extension *)
       let follower_tables =
         List.map
@@ -122,7 +125,7 @@ let phrase_occurrences ?g ?within env expansions =
             List.iter
               (fun ((p, _) as e) ->
                 Hashtbl.replace tbl (p.Ftindex.Posting.doc, Ftindex.Posting.abs_pos p) e)
-              (posting_entries ?g ?within env e);
+              (posting_entries ?g ?within e);
             (gap, tbl))
           rest
       in
@@ -175,8 +178,8 @@ let phrase_expansions env resolved phrase =
   List.map (Match_options.expand env resolved) (phrase_tokens resolved phrase)
 
 (* One phrase's expansions -> AllMatches with one Match per occurrence. *)
-let phrase_matches ?g ?within env ~query_pos ~weight expansions =
-  phrase_occurrences ?g ?within env expansions
+let phrase_matches ?g ?within ~query_pos ~weight expansions =
+  phrase_occurrences ?g ?within expansions
   |> List.map (match_of_postings ~query_pos ~weight)
 
 (* --- Boolean connectives --- *)

@@ -44,7 +44,6 @@ val phrase_expansions :
 val phrase_occurrences :
   ?g:Xquery.Limits.governor ->
   ?within:(string * Xmlkit.Dewey.t) list ->
-  Env.t ->
   Match_options.expansion list ->
   (Ftindex.Posting.t * float) list list
 (** All occurrences of a phrase given as {!phrase_expansions}
@@ -60,7 +59,6 @@ val match_of_postings :
 val phrase_matches :
   ?g:Xquery.Limits.governor ->
   ?within:(string * Xmlkit.Dewey.t) list ->
-  Env.t ->
   query_pos:int ->
   weight:float option ->
   Match_options.expansion list ->

@@ -31,12 +31,12 @@ let to_all_matches s =
 
 (* --- FTWords, lazily over the leading token's postings --- *)
 
-let words_stream ?g ?within env ~query_pos ~weight (words : Ft_eval.words) =
+let words_stream ?g ?within ~query_pos ~weight (words : Ft_eval.words) =
   (* The phrase extension machinery of Ft_ops is reused; only the iteration
      over occurrences is lazy.  Expansion (vocabulary scan) happens on
      compilation, like GalaTex's inverted-list reads. *)
   let unit_seq expansions =
-    List.to_seq (Ft_ops.phrase_occurrences ?g ?within env expansions)
+    List.to_seq (Ft_ops.phrase_occurrences ?g ?within expansions)
     |> Seq.map (Ft_ops.match_of_postings ~query_pos ~weight)
   in
   let parts = List.map unit_seq words.units in
@@ -165,7 +165,7 @@ let rec eval_stream ?within ~leaves env ~eval ctx ~outer_options counter
       let phrases = Ft_eval.source_phrases ~eval ctx source in
       {
         seq =
-          words_stream ~g:ctx.Xquery.Context.governor ?within env ~query_pos
+          words_stream ~g:ctx.Xquery.Context.governor ?within ~query_pos
             ~weight
             (Ft_eval.leaf_words leaves env ~outer_options ~query_pos options
                anyall phrases);

@@ -833,8 +833,8 @@ let make_resolver env =
                       | None -> (spec, None, None))
                 in
                 let th =
-                  if name = "default" then env.Env.default_thesaurus
-                  else Env.find_thesaurus env (Some name)
+                  Env.find_thesaurus env
+                    (if name = "default" then None else Some name)
                 in
                 Some (thesaurus_document ?relationship ?levels spec th)
               end
@@ -849,8 +849,8 @@ let parsed_library = lazy (Xquery.Parser.parse_module library_source)
 
 (* Set up a context that can run translated (full-text free) queries: fn:
    builtins, the fts primitives, the fts XQuery module, and the resolver. *)
-let setup_context ?governor env (q : Xquery.Ast.query) =
+let setup_context ?governor ?(prepare = Fun.id) env (q : Xquery.Ast.query) =
   let resolve_doc = make_resolver env in
-  let ctx = Xquery.Eval.setup_context ~resolve_doc ?governor q in
-  register_primitives ctx env;
-  Xquery.Eval.load_module ctx (Lazy.force parsed_library)
+  Xquery.Eval.setup_context ~resolve_doc ?governor q ~prepare:(fun ctx ->
+      register_primitives ctx env;
+      prepare (Xquery.Eval.load_module ctx (Lazy.force parsed_library)))

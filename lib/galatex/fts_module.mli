@@ -21,6 +21,11 @@ val make_resolver : Env.t -> string -> Xmlkit.Node.t option
     ["stopwords_default.xml"], ["thesaurus_<name>.xml"]. *)
 
 val setup_context :
-  ?governor:Xquery.Limits.governor -> Env.t -> Xquery.Ast.query -> Xquery.Context.t
+  ?governor:Xquery.Limits.governor ->
+  ?prepare:(Xquery.Context.t -> Xquery.Context.t) ->
+  Env.t ->
+  Xquery.Ast.query ->
+  Xquery.Context.t
 (** A context ready to run translated queries: fn: builtins, primitives, the
-    fts module, the resolver, and the query's own prolog. *)
+    fts module, the resolver, then [prepare] (as in
+    {!Xquery.Eval.setup_context}), then the query's own prolog. *)

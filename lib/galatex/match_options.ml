@@ -92,30 +92,49 @@ type expansion = {
   token : string;
   is_stop : bool;
   keys : string list;
+  key_runs :
+    (Ftindex.Inverted.run Ftindex.Inverted.Doc_map.t
+    * (doc:string -> Ftindex.Inverted.run -> float))
+    list;
   accept : Ftindex.Posting.t -> bool;
 }
 
 let fold_diac sensitive w =
   if sensitive then w else Tokenize.Normalize.strip_diacritics w
 
-(* Key-level predicate: does the distinct word [dw] (already case-folded)
-   match the query term under the options, ignoring surface case? *)
-let key_matches resolved term dw =
-  let dw_cmp = fold_diac resolved.diacritics_sensitive dw in
-  let term_cf = Tokenize.Normalize.casefold term in
-  let term_cmp = fold_diac resolved.diacritics_sensitive term_cf in
-  if resolved.wildcards then
-    match Tokenize.Regex.compile term_cmp with
-    | re -> Tokenize.Regex.matches_whole re dw_cmp
-    | exception Tokenize.Regex.Parse_error _ -> dw_cmp = term_cmp
+(* Key-level predicate: does a distinct word (already case-folded) match
+   any of the query terms under the options, ignoring surface case?  The
+   term side (case and diacritic folding, its stem, its compiled pattern)
+   is computed once here, not once per distinct word. *)
+let key_matcher resolved terms =
+  let fold = fold_diac resolved.diacritics_sensitive in
+  let terms_cmp =
+    List.map (fun term -> fold (Tokenize.Normalize.casefold term)) terms
+  in
+  let pattern_or_equal to_pattern =
+    let tests =
+      List.map
+        (fun term_cmp ->
+          match Tokenize.Regex.compile (to_pattern term_cmp) with
+          | re -> Tokenize.Regex.matches_whole re
+          | exception Tokenize.Regex.Parse_error _ -> String.equal term_cmp)
+        terms_cmp
+    in
+    fun dw ->
+      let dw_cmp = fold dw in
+      List.exists (fun test -> test dw_cmp) tests
+  in
+  if resolved.wildcards then pattern_or_equal Fun.id
   else if resolved.special_chars then
-    let pattern = Tokenize.Normalize.special_chars_to_pattern term_cmp in
-    match Tokenize.Regex.compile pattern with
-    | re -> Tokenize.Regex.matches_whole re dw_cmp
-    | exception Tokenize.Regex.Parse_error _ -> dw_cmp = term_cmp
+    pattern_or_equal Tokenize.Normalize.special_chars_to_pattern
   else if resolved.stemming then
-    Tokenize.Porter.stem dw_cmp = Tokenize.Porter.stem term_cmp
-  else dw_cmp = term_cmp
+    let stems = List.map Tokenize.Porter.stem terms_cmp in
+    fun dw ->
+      let stem = Tokenize.Porter.stem (fold dw) in
+      List.exists (String.equal stem) stems
+  else fun dw ->
+    let dw_cmp = fold dw in
+    List.exists (String.equal dw_cmp) terms_cmp
 
 (* Surface-level predicate for case-sensitive comparisons.  With stemming or
    wildcards the comparison is inherently case-folded and every surface is
@@ -154,14 +173,15 @@ let expand env resolved token =
   let is_stop = is_stop_word resolved token in
   let terms = thesaurus_terms env resolved token in
   let cache_key = String.concat "\x00" (token :: signature resolved :: terms) in
-  let keys =
-    Env.cached env cache_key (fun () ->
-        (* the paper's loop over ListDistinctWords/invlist/@word *)
-        let all = Ftindex.Inverted.distinct_words (Env.index env) in
-        List.filter
-          (fun dw -> List.exists (fun term -> key_matches resolved term dw) terms)
-          all)
-  in
+  (* on a miss, the paper's loop over ListDistinctWords/invlist/@word *)
+  let keys = Env.cached env cache_key (fun () -> key_matcher resolved terms) in
   let accepts = List.map (surface_predicate resolved) terms in
   let accept p = List.exists (fun f -> f p) accepts in
-  { token; is_stop; keys; accept }
+  let index = Env.index env in
+  let key_runs =
+    List.map
+      (fun key ->
+        (Ftindex.Inverted.runs index key, Ftindex.Inverted.scorer index key))
+      keys
+  in
+  { token; is_stop; keys; key_runs; accept }

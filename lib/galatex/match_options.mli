@@ -36,6 +36,12 @@ type expansion = {
   token : string;
   is_stop : bool;  (** drop from phrases / skip in counting *)
   keys : string list;  (** matching distinct document words (index keys) *)
+  key_runs :
+    (Ftindex.Inverted.run Ftindex.Inverted.Doc_map.t
+    * (doc:string -> Ftindex.Inverted.run -> float))
+    list;
+      (** each key's runs and {!Ftindex.Inverted.scorer}, looked up once
+          per expansion rather than once per context node *)
   accept : Ftindex.Posting.t -> bool;
       (** surface-form filter (case sensitivity) on individual postings *)
 }

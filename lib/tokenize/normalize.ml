@@ -3,8 +3,6 @@
    Diacritic stripping maps Latin-1 Supplement and Latin Extended-A code
    points to their base ASCII letters; other characters pass through. *)
 
-let lowercase_ascii = String.lowercase_ascii
-
 (* Map a Unicode code point carrying a diacritic to its base letter(s). *)
 let strip_diacritic_uchar u =
   match Uchar.to_int u with
@@ -70,7 +68,12 @@ let strip_diacritics s =
     Buffer.contents buf
   end
 
-let casefold s = lowercase_ascii s
+(* Most words are already lowercase: return those as they are, so a
+   token's key shares its surface string and a lookup allocates nothing. *)
+let casefold s =
+  if String.exists (fun c -> c >= 'A' && c <= 'Z') s then
+    String.lowercase_ascii s
+  else s
 
 (* The paper's "special characters" option replaces each special character
    with the regular expression ".?" (Section 3.2.3.2).  A character is

@@ -3,7 +3,9 @@
 
 val casefold : string -> string
 (** ASCII case folding (search and document words are compared through this
-    when the query is case insensitive — the spec default). *)
+    when the query is case insensitive — the spec default).  Equal to
+    [String.lowercase_ascii s], and [s] itself when [s] has no ASCII
+    uppercase letter. *)
 
 val strip_diacritics : string -> string
 (** Strip Latin-1 Supplement / Latin Extended-A diacritics to base ASCII

@@ -459,9 +459,11 @@ and eval_constructor ctx name attrs content =
 
 (* --- query entry points --- *)
 
-let setup_context ?resolve_doc ?ft ?governor (q : query) =
+let setup_context ?resolve_doc ?ft ?governor ?(prepare = Fun.id) (q : query) =
   let ctx = Context.create ?resolve_doc ?ft ?governor () in
   Functions.register ctx;
+  (* the prolog's initializers see what [prepare] installs *)
+  let ctx = prepare ctx in
   List.iter (Context.register_function ctx) q.functions;
   List.fold_left
     (fun c (name, e) -> Context.bind_global c name (eval c e))
@@ -474,13 +476,12 @@ let load_module ctx (m : query) =
     ctx m.variables
 
 let run ?resolve_doc ?ft ?governor ?context_node (q : query) =
-  let ctx = setup_context ?resolve_doc ?ft ?governor q in
-  let ctx =
+  let prepare ctx =
     match context_node with
     | Some n -> Context.with_focus ctx (Value.Node n) ~position:1 ~size:1
     | None -> ctx
   in
-  eval ctx q.body
+  eval (setup_context ?resolve_doc ?ft ?governor ~prepare q) q.body
 
 let run_string ?resolve_doc ?ft ?governor ?context_node src =
   run ?resolve_doc ?ft ?governor ?context_node (Query_parser.parse_query src)

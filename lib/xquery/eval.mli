@@ -12,10 +12,13 @@ val setup_context :
   ?resolve_doc:(string -> Xmlkit.Node.t option) ->
   ?ft:Context.ft_handler ->
   ?governor:Limits.governor ->
+  ?prepare:(Context.t -> Context.t) ->
   Ast.query ->
   Context.t
-(** Fresh context with the fn: library registered, the query's declared
-    functions installed, and its global variables evaluated in order. *)
+(** Fresh context with the fn: library registered, then [prepare] applied
+    (more builtins, modules, the context item), then the query's declared
+    functions installed and its global variables evaluated in order — so
+    the initializers see everything [prepare] installs. *)
 
 val load_module : Context.t -> Ast.query -> Context.t
 (** Register a parsed library module's functions and variables. *)

@@ -81,6 +81,20 @@ let test_strategies_share_resolver () =
     (run ~strategy:Engine.Translated
        {|exists(fn:doc("list_distinct_words.xml")/ListDistinctWords)|})
 
+(* Prolog variables are initialized after collection() and the context
+   item are installed, under every strategy. *)
+let test_prolog_sees_documents () =
+  List.iter
+    (fun strategy ->
+      let name = Engine.strategy_name strategy in
+      check_string (name ^ ": collection() in a prolog variable") "1"
+        (run ~strategy
+           {|declare variable $v := collection()//book[. ftcontains "databases"]; count($v)|});
+      check_string (name ^ ": context item in a prolog variable") "1"
+        (run ~strategy
+           {|declare variable $v := //book[. ftcontains "usability"]; count($v)|}))
+    [ Engine.Translated; Engine.Native_materialized; Engine.Native_pipelined ]
+
 let test_segmenter_config_respected () =
   (* index with titles ignored: words in titles are unsearchable *)
   let eng =
@@ -113,6 +127,8 @@ let tests =
     Alcotest.test_case "selection parse guard" `Quick test_selection_all_matches_guard;
     Alcotest.test_case "resolver in translated strategy" `Quick
       test_strategies_share_resolver;
+    Alcotest.test_case "prolog variables see the documents" `Quick
+      test_prolog_sees_documents;
     Alcotest.test_case "segmenter config respected" `Quick
       test_segmenter_config_respected;
   ]

@@ -195,6 +195,21 @@ let test_diacritics () =
   check Alcotest.string "ascii untouched" "plain" (Normalize.strip_diacritics "plain");
   check Alcotest.string "upper" "Elan" (Normalize.strip_diacritics "Élan")
 
+let prop_casefold_lowercase =
+  QCheck2.Test.make ~name:"casefold = String.lowercase_ascii" ~count:300
+    QCheck2.Gen.(
+      string_size
+        ~gen:(oneofl [ 'a'; 'Z'; 'M'; 'q'; '0'; '-'; '\xc3'; '\xa9'; '@'; '[' ])
+        (int_range 0 10))
+    (fun s -> Normalize.casefold s = String.lowercase_ascii s)
+
+let test_lowercase_token_shares_word () =
+  let lower = Token.make ~abs_pos:1 "usability" in
+  check Alcotest.bool "lowercase: norm == word" true
+    (lower.Token.norm == lower.Token.word);
+  let mixed = Token.make ~abs_pos:2 "Usability" in
+  check Alcotest.string "mixed case folded" "usability" mixed.Token.norm
+
 let test_special_chars_pattern () =
   check Alcotest.string "pattern" "non.?immigrant"
     (Normalize.special_chars_to_pattern "non-immigrant");
@@ -270,6 +285,9 @@ let tests =
     Alcotest.test_case "porter vectors" `Quick test_porter;
     Alcotest.test_case "porter short words" `Quick test_porter_short_words;
     Alcotest.test_case "diacritics" `Quick test_diacritics;
+    QCheck_alcotest.to_alcotest prop_casefold_lowercase;
+    Alcotest.test_case "lowercase token shares its word" `Quick
+      test_lowercase_token_shares_word;
     Alcotest.test_case "special chars pattern" `Quick test_special_chars_pattern;
     Alcotest.test_case "stop words" `Quick test_stopwords;
     Alcotest.test_case "thesaurus" `Quick test_thesaurus;

@@ -99,12 +99,9 @@ let test_apply_exact () =
     (Xquery.Value.to_display_string
        (Galatex.Engine.run (Galatex.Engine.of_index applied) q))
 
-let gen_ops =
+let gen_ops_over vocab =
   let open QCheck2.Gen in
   let uris = [| "a.xml"; "b.xml"; "d0.xml"; "d1.xml" |] in
-  let vocab =
-    [| "usability"; "testing"; "web"; "design"; "zebra"; "quokka"; "goals" |]
-  in
   let gen_doc =
     let* words = list_size (int_range 1 12) (oneofa vocab) in
     return (Printf.sprintf "<doc><p>%s</p></doc>" (String.concat " " words))
@@ -121,6 +118,10 @@ let gen_ops =
   in
   list_size (int_range 0 10) gen_op
 
+let gen_ops =
+  gen_ops_over
+    [| "usability"; "testing"; "web"; "design"; "zebra"; "quokka"; "goals" |]
+
 let prop_apply_exact =
   QCheck2.Test.make ~name:"Wal.apply sequence = reindex from scratch"
     ~count:40 gen_ops (fun ops ->
@@ -132,12 +133,15 @@ let prop_apply_exact =
       in
       index_eq applied scratch)
 
-(* An update costs O(document + distinct words + documents), not
-   O(postings): the words one replace plus one remove allocate may not grow
-   with the corpus the way a whole-index rewrite per record would make
-   them (4x the books, at most 2x the words). *)
+(* An update costs O(words in the document x log V), not O(postings) nor
+   O(vocabulary + documents): what one replace plus one remove allocate may
+   not grow with the corpus the way a whole-index rewrite per record, or a
+   copy of every table, would make it.  Minor-heap words at 4x the books
+   over a 150-word vocabulary, and both heaps ([Gc.allocated_bytes]) at
+   64x the books over a 2,000-word vocabulary, where a copied table is
+   large enough to go straight to the major heap. *)
 let test_update_cost_not_corpus_sized () =
-  let profile docs =
+  let profile ~vocab docs =
     {
       Corpus.Generator.default_profile with
       Corpus.Generator.seed = 7919;
@@ -145,28 +149,98 @@ let test_update_cost_not_corpus_sized () =
       sections_per_doc = 2;
       paras_per_section = 3;
       words_per_para = 30;
-      vocab_size = 150;
+      vocab_size = vocab;
     }
   in
-  let source =
-    Xmlkit.Printer.to_string
-      (snd (List.hd (Corpus.Generator.books { (profile 1) with seed = 1 })))
-  in
-  let words_allocated docs =
-    let base = Corpus.Generator.index_books (profile docs) in
+  let allocated ~vocab ~measure docs =
+    let source =
+      Xmlkit.Printer.to_string
+        (snd
+           (List.hd (Corpus.Generator.books { (profile ~vocab 1) with seed = 1 })))
+    in
+    let base = Corpus.Generator.index_books (profile ~vocab docs) in
     let once () =
-      let before = Gc.minor_words () in
+      let before = measure () in
       let index = Wal.apply base (Wal.Add_doc { uri = "book1.xml"; source }) in
       ignore (Wal.apply index (Wal.Remove_doc "book2.xml"));
-      Gc.minor_words () -. before
+      measure () -. before
     in
     (* the least of two runs: any other thread's allocation only adds *)
     Float.min (once ()) (once ())
   in
-  let small = words_allocated 50 and large = words_allocated 200 in
-  if large > 2.0 *. small then
-    Alcotest.failf "update allocated %.0f words at 200 books vs %.0f at 50 (%.1fx)"
-      large small (large /. small)
+  let check ~vocab ~measure ~what small_docs large_docs =
+    let small = allocated ~vocab ~measure small_docs
+    and large = allocated ~vocab ~measure large_docs in
+    if large > 2.0 *. small then
+      Alcotest.failf
+        "vocabulary %d: update allocated %.0f %s at %d books vs %.0f at %d \
+         (%.1fx)"
+        vocab large what large_docs small small_docs (large /. small)
+  in
+  check ~vocab:150 ~measure:Gc.minor_words ~what:"minor words" 50 200;
+  check ~vocab:2_000 ~measure:Gc.allocated_bytes ~what:"bytes" 50 3_200
+
+(* The expansion cache outlives updates: an environment carried through
+   [Engine.apply_update] expands every token to what a fresh environment
+   over the same index does.  The generated documents bring words into the
+   index (zebras, café, connects) and take them out again, and the tokens
+   are expanded before the updates and after each one, so the cache is
+   warm at every version. *)
+let prop_expansion_cache_survives_updates =
+  let vocab =
+    [| "usability"; "testing"; "tests"; "web"; "zebra"; "zebras"; "quokka";
+       "caf\xc3\xa9"; "cafe"; "connects"; "connection"; "Goals" |]
+  in
+  let thesaurus =
+    Tokenize.Thesaurus.synonym_ring ~name:"default"
+      [ [ "zebra"; "quokka" ]; [ "web"; "site" ] ]
+  in
+  let option_sets =
+    let open Xquery.Ast in
+    [
+      [];
+      [ Opt_stemming true ];
+      [ Opt_wildcards true ];
+      [ Opt_diacritics true ];
+      [ Opt_thesaurus
+          (Some { th_name = None; th_relationship = None; th_levels = None }) ];
+    ]
+  in
+  let tokens =
+    [ "usability"; "zebra"; "cafe"; "connected"; "test"; "zeb.*"; "caf."; "goals";
+      "web"; "quokka" ]
+  in
+  let expansions env =
+    List.concat_map
+      (fun options ->
+        let resolved =
+          Galatex.Match_options.resolve_with
+            ~outer:Galatex.Match_options.defaults options
+        in
+        List.map
+          (fun token ->
+            (Galatex.Match_options.expand env resolved token)
+              .Galatex.Match_options.keys)
+          tokens)
+      option_sets
+  in
+  QCheck2.Test.make
+    ~name:"expansion cache carried through updates = fresh expansion"
+    ~count:40 (gen_ops_over vocab) (fun ops ->
+      let engine =
+        Galatex.Engine.of_index ~default_thesaurus:thesaurus (base_index ())
+      in
+      ignore (expansions (Galatex.Engine.env engine));
+      List.fold_left
+        (fun (ok, engine) op ->
+          let engine = Galatex.Engine.apply_update engine op in
+          let fresh =
+            Galatex.Env.create ~default_thesaurus:thesaurus
+              (Galatex.Engine.index engine)
+          in
+          (ok && expansions (Galatex.Engine.env engine) = expansions fresh, engine))
+        (true, engine) ops
+      |> fst)
 
 (* --- 2. append / recover round trips --- *)
 
@@ -817,6 +891,7 @@ let tests =
   [
     Alcotest.test_case "apply is exact" `Quick test_apply_exact;
     QCheck_alcotest.to_alcotest prop_apply_exact;
+    QCheck_alcotest.to_alcotest prop_expansion_cache_survives_updates;
     Alcotest.test_case "update cost is not corpus-sized" `Quick
       test_update_cost_not_corpus_sized;
     Alcotest.test_case "writer round trip" `Quick test_writer_roundtrip;

@@ -1,10 +1,10 @@
 (* The experiment harness: one section per paper artifact (Figures 1-7,
-   Table 1) plus the Section 3.3/4.x claims (S1, S2, S4), per the experiment
+   Table 1) plus the Section 3.3/4.x claims (S1, S4), per the experiment
    index in DESIGN.md.  Each section regenerates the paper's artifact or
    measures its performance claim and prints the series; a Bechamel
    micro-benchmark accompanies the timed experiments.
 
-   Usage: dune exec bench/main.exe [-- F1 F3 S2 ...]  (default: all) *)
+   Usage: dune exec bench/main.exe [-- F1 F3 S4 ...]  (default: all) *)
 
 open Bechamel
 
@@ -532,70 +532,6 @@ let s1_scoring () =
   Harness.row
     "  formulas: FTAnd s1*s2, FTOr 1-(1-s1)(1-s2), node noisy-or composition\n"
 
-(* ---------------------------------------------------------------- S2 *)
-
-let s2_topk () =
-  Harness.section "S2 (Section 4.2): top-k with score upper-bound pruning";
-  let index =
-    Corpus.Generator.index_books
-      {
-        Corpus.Generator.default_profile with
-        Corpus.Generator.seed = 700;
-        doc_count = 60;
-        vocab_size = 250;
-        plant =
-          Some
-            {
-              Corpus.Generator.phrase = [ "usability"; "testing" ];
-              doc_selectivity = 0.5;
-              para_selectivity = 0.3;
-              max_gap = 2;
-              in_order = true;
-            };
-      }
-  in
-  let eng = Galatex.Engine.of_index index in
-  let env = Galatex.Engine.env eng in
-  let sections =
-    List.concat_map
-      (fun (_, d) ->
-        List.filter
-          (fun n -> Xmlkit.Node.name n = Some "section")
-          (Xmlkit.Node.descendants d))
-      (Ftindex.Inverted.documents index)
-  in
-  let am =
-    Galatex.Engine.selection_all_matches eng
-      {|"usability" && "testing" window 8 words|} ~context_nodes:()
-  in
-  Harness.row "  %d candidate nodes, %d matches\n\n" (List.length sections)
-    (Galatex.All_matches.size am);
-  Harness.row "     k   tests naive   tests pruned   saved   nodes cut early\n";
-  List.iter
-    (fun k ->
-      let _, naive = Galatex.Topk.top_k ~pruned:false env sections am k in
-      let _, pruned = Galatex.Topk.top_k ~pruned:true env sections am k in
-      Harness.row "  %4d   %11d   %12d   %4.0f%%   %15d\n" k
-        naive.Galatex.Topk.match_tests pruned.Galatex.Topk.match_tests
-        (100.0
-        *. (1.0
-           -. float_of_int pruned.Galatex.Topk.match_tests
-              /. float_of_int (max 1 naive.Galatex.Topk.match_tests)))
-        pruned.Galatex.Topk.nodes_pruned)
-    [ 1; 3; 5; 10; 20 ];
-  Harness.row
-    "  (expected shape: smaller k prunes more — the threshold rises faster)\n";
-  Harness.run_bechamel
-    (Test.make_grouped ~name:"S2" ~fmt:"%s %s"
-       [
-         Test.make ~name:"naive"
-           (Harness.staged (fun () ->
-                Galatex.Topk.top_k ~pruned:false env sections am 5));
-         Test.make ~name:"pruned"
-           (Harness.staged (fun () ->
-                Galatex.Topk.top_k ~pruned:true env sections am 5));
-       ])
-
 (* ---------------------------------------------------------------- S4 *)
 
 let s4_strategies () =
@@ -1099,7 +1035,7 @@ let experiments =
   [
     ("F1", fig1); ("F2", fig2); ("F3", fig3); ("F4", fig4); ("F5", fig5);
     ("F6a", fig6a); ("F6b", fig6b); ("F7", fig7); ("T1", table1);
-    ("S1", s1_scoring); ("S2", s2_topk); ("S4", s4_strategies);
+    ("S1", s1_scoring); ("S4", s4_strategies);
     ("A1", a1_expansion_cache); ("A2", a2_translated_decomposition);
     ("R1", r1_governance); ("R2", r2_cold_start); ("N1", n1_navigation);
     ("U1", u1_updates);

@@ -1,6 +1,5 @@
-(* Scoring and top-k ranking (paper Sections 2.2, 3.3, 4.2): weighted
-   ft:score, the paper's own top-10 FLWOR pattern, and the score
-   upper-bound-pruned top-k evaluator. *)
+(* Scoring and top-k ranking (paper Sections 2.2, 3.3): weighted ft:score
+   and the paper's own top-10 FLWOR pattern. *)
 
 let () =
   let engine =
@@ -50,35 +49,4 @@ let () =
   print_endline "\nSelect on one condition, score on another:";
   List.iter
     (fun item -> Printf.printf "  %s\n" (Xquery.Value.item_to_string item))
-    (Galatex.Engine.run engine mixed);
-
-  (* the Section 4.2 engine-level top-k with upper-bound pruning *)
-  let env = Galatex.Engine.env engine in
-  let books =
-    List.filter_map
-      (fun (_, doc) ->
-        List.find_opt
-          (fun n -> Xmlkit.Node.name n = Some "book")
-          (Xmlkit.Node.children doc))
-      (Ftindex.Inverted.documents (Galatex.Engine.index engine))
-  in
-  let am =
-    Galatex.Engine.selection_all_matches engine
-      {|"usability" && "testing" window 10 words|} ~context_nodes:()
-  in
-  let naive, naive_stats = Galatex.Topk.top_k ~pruned:false env books am 5 in
-  let pruned, pruned_stats = Galatex.Topk.top_k ~pruned:true env books am 5 in
-  Printf.printf
-    "\nTop-5 via the engine API: naive %d satisfiesMatch tests, pruned %d (%d nodes cut early)\n"
-    naive_stats.Galatex.Topk.match_tests pruned_stats.Galatex.Topk.match_tests
-    pruned_stats.Galatex.Topk.nodes_pruned;
-  Printf.printf "same answers: %b\n"
-    (List.sort compare (List.map (fun r -> r.Galatex.Topk.score) naive)
-    = List.sort compare (List.map (fun r -> r.Galatex.Topk.score) pruned));
-  List.iter
-    (fun (r : Galatex.Topk.result) ->
-      Printf.printf "  %-8s %.4f\n"
-        (Option.value ~default:"?"
-           (Xmlkit.Node.attribute_value r.Galatex.Topk.node "id"))
-        r.Galatex.Topk.score)
-    pruned
+    (Galatex.Engine.run engine mixed)

@@ -16,7 +16,8 @@ open Xmlkit
    Every run is resource-governed: a Limits.governor accounts eval steps,
    recursion depth, materialization and wall-clock time, and the engine
    boundary guarantees that the only exceptions escaping [run] /
-   [run_query] / [run_report] are structured [Xquery.Errors.Error] values.
+   [run_report] / [run_query_report] are structured [Xquery.Errors.Error]
+   values.
    When an optimized strategy (pipelined, or any rewriting flags) dies on
    an *internal* error, [run_report] can degrade gracefully to the
    reference materialized path and record that it did. *)
@@ -348,12 +349,6 @@ let run_report t ?clock ?strategy ?optimizations ?limits ?fault_at ?fallback
   | Ok q ->
       run_in t ~tr ?strategy ?optimizations ?limits ?fault_at ?fallback
         ?context q
-
-let run_query t ?clock ?strategy ?optimizations ?limits ?fault_at ?fallback
-    ?context q =
-  (run_query_report t ?clock ?strategy ?optimizations ?limits ?fault_at
-     ?fallback ?context q)
-    .value
 
 let run t ?clock ?strategy ?optimizations ?limits ?fault_at ?fallback ?context
     src =

@@ -2,8 +2,8 @@
     evaluate XQuery Full-Text queries under one of three strategies, inside
     a resource-governed boundary.
 
-    The boundary guarantee: the only exception {!run}, {!run_query},
-    {!run_report} and {!run_query_report} let escape is a structured
+    The boundary guarantee: the only exception {!run}, {!run_report} and
+    {!run_query_report} let escape is a structured
     {!Xquery.Errors.Error} — parse errors surface as [XPST0003], dynamic /
     type errors with their W3C codes, exhausted limits as
     [GTLX0001..GTLX0004], and any internal failure (including injected
@@ -168,10 +168,10 @@ type report = {
           A fallback leaves both attempts' spans under the same root. *)
   counters : Xquery.Limits.counters;
       (** snapshot of this run's observability counters (materializations,
-          postings read, rewrite firings, top-k work) *)
+          postings read, rewrite firings, full-text dispatches) *)
 }
 
-val run_query_report :
+val run_report :
   t ->
   ?clock:Obs.Clock.t ->
   ?strategy:strategy ->
@@ -180,9 +180,10 @@ val run_query_report :
   ?fault_at:int ->
   ?fallback:bool ->
   ?context:string ->
-  Xquery.Ast.query ->
+  string ->
   report
-(** Evaluate a parsed query under a fresh {!Xquery.Limits.governor}.
+(** Parse (wrapping syntax errors as [XPST0003]) then evaluate under a
+    fresh {!Xquery.Limits.governor}.
 
     [clock] is the time source for the report's {!report.trace} span tree
     (default {!Obs.Clock.real}; tests inject {!Obs.Clock.manual} so span
@@ -205,21 +206,7 @@ val run_query_report :
 
     @raise Xquery.Errors.Error and nothing else. *)
 
-val run_report :
-  t ->
-  ?clock:Obs.Clock.t ->
-  ?strategy:strategy ->
-  ?optimizations:optimizations ->
-  ?limits:Xquery.Limits.t ->
-  ?fault_at:int ->
-  ?fallback:bool ->
-  ?context:string ->
-  string ->
-  report
-(** Parse (wrapping syntax errors as [XPST0003]) then
-    {!run_query_report}. *)
-
-val run_query :
+val run_query_report :
   t ->
   ?clock:Obs.Clock.t ->
   ?strategy:strategy ->
@@ -229,8 +216,10 @@ val run_query :
   ?fallback:bool ->
   ?context:string ->
   Xquery.Ast.query ->
-  Xquery.Value.t
-(** [run_query_report] returning only the value. *)
+  report
+(** {!run_report} on a query parsed already with {!parse}: the report has
+    no ["parse"] span.  [perfbench] uses it to time evaluation without
+    the parse. *)
 
 val run :
   t ->

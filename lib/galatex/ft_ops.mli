@@ -98,7 +98,10 @@ val ft_scope : Xquery.Ast.ft_scope_kind -> All_matches.t -> All_matches.t
 val ft_times : range -> All_matches.t -> All_matches.t
 (** "occurs ... times" via consecutive windows of occurrences (a node's
     positions are contiguous in document order, so this covers every
-    per-node count without the exponential subset construction). *)
+    per-node count without the exponential subset construction).  A
+    match's occurrence key is its first include in (document, position)
+    order: matches are grouped by the key's document and windowed in key
+    position order, ties keeping input order. *)
 
 val ft_content : Xquery.Ast.ft_anchor -> All_matches.t -> All_matches.t
 

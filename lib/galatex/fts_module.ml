@@ -465,9 +465,11 @@ declare function fts:toExcludes($m as element()) as element()* {
   return <fts:StringExclude queryPos="{$si/@queryPos}">{$si/*}</fts:StringExclude>
 };
 
+(: last window first, as the native implementation emits them: an
+   enclosing FTTimes breaks ties on its key by this order :)
 declare function fts:timesWindows($ms as element()*, $k as xs:integer,
                                   $excl as xs:boolean) as element()* {
-  for $i in (1 to count($ms) - $k + 1)
+  for $i in fn:reverse(1 to count($ms) - $k + 1)
   let $window := fn:subsequence($ms, $i, $k)
   return <fts:Match score="{fts:clampScore(fts:productScores($window))}">{
     $window/fts:StringInclude,
@@ -478,41 +480,53 @@ declare function fts:timesWindows($ms as element()*, $k as xs:integer,
   }</fts:Match>
 };
 
-(: occurrences are grouped per document and combined as consecutive windows
-   — a node's positions are contiguous in document order, so consecutive
-   windows cover every per-node count; see the native implementation for the
-   full argument.  $hi < 0 encodes "no upper bound". :)
+(: a match's occurrence key: its first include in (document, position)
+   order — the include the native implementation's position-sorted match
+   puts first.  Construction order differs whenever FTAnd pairs a later
+   document's occurrence with an earlier one's. :)
+declare function fts:firstInclude($m as element()) as element()? {
+  (for $si in $m/fts:StringInclude
+   order by fn:string($si/fts:TokenInfo/@doc) ascending,
+            number($si/fts:TokenInfo/@absPos) ascending
+   return $si)[1]
+};
+
+(: occurrences are grouped by the document of their key and combined as
+   consecutive windows in key order — a node's positions are contiguous in
+   document order, so consecutive windows cover every per-node count; see
+   the native implementation for the full argument.  The order by is
+   stable, so ties (FTAnd can duplicate a word) keep input order, as the
+   native sort does; the widest windows come first, the zero-occurrence
+   match before them all, again in native order.  $hi < 0 encodes "no
+   upper bound". :)
 declare function fts:FTTimesImpl($lo as xs:integer, $hi as xs:integer,
                                  $a as element()) as element() {
   <fts:AllMatches anchors="{fn:string($a/@anchors)}">{
-    (for $doc in distinct-values(
-        for $m in $a/fts:Match
-        where exists($m/fts:StringInclude)
-        return fn:string($m/fts:StringInclude[1]/fts:TokenInfo/@doc))
-     let $ms := for $m in $a/fts:Match
-                where exists($m/fts:StringInclude)
-                  and fn:string($m/fts:StringInclude[1]/fts:TokenInfo/@doc) = $doc
-                (: the native implementation keeps includes position-sorted,
-                   so its occurrence key is the *minimum* position; order by
-                   the same key or window enumeration diverges when FTAnd
-                   duplicates a word :)
-                order by min(for $si in $m/fts:StringInclude
-                             return number($si/fts:TokenInfo/@absPos)) ascending
-                return $m
-     let $n := count($ms)
-     return
-       if ($hi < 0) then
-         (if ($lo >= 1 and $lo <= $n) then fts:timesWindows($ms, $lo, fn:false()) else ())
-       else
-         for $k in (max((1, $lo)) to min(($hi, $n)))
-         return fts:timesWindows($ms, $k, fn:true())),
     (: the zero-occurrence case spans all documents :)
     (if ($lo = 0) then
        (if ($hi < 0) then <fts:Match score="1"/>
         else <fts:Match score="1">{
           for $m in $a/fts:Match return fts:toExcludes($m)
         }</fts:Match>)
-     else ())
+     else ()),
+    for $doc in distinct-values(
+        for $m in $a/fts:Match
+        let $first := fts:firstInclude($m)
+        where exists($first)
+        return fn:string($first/fts:TokenInfo/@doc))
+    let $ms := for $m in $a/fts:Match
+               let $first := fts:firstInclude($m)
+               where exists($first)
+                 and fn:string($first/fts:TokenInfo/@doc) = $doc
+               order by number($first/fts:TokenInfo/@absPos) ascending
+               return $m
+    let $n := count($ms)
+    return
+      if ($hi < 0) then
+        (if ($lo >= 1 and $lo <= $n) then fts:timesWindows($ms, $lo, fn:false()) else ())
+      else
+        for $k in fn:reverse(max((1, $lo)) to min(($hi, $n)))
+        return fts:timesWindows($ms, $k, fn:true())
   }</fts:AllMatches>
 };
 
@@ -602,8 +616,10 @@ declare function fts:FTContainsWithIgnore($evalCtx as element()*, $am as element
 
 (: ===== scoring (Section 3.3) ===== :)
 
+(: the literals are doubles (0e0, not 0): the host does not cast a result
+   to its declared type, and ft:score yields xs:double on every strategy :)
 declare function fts:noisyOr($scores as xs:double*) as xs:double {
-  if (fn:empty($scores)) then 0
+  if (fn:empty($scores)) then 0e0
   else 1 - (1 - $scores[1]) * (1 - fts:noisyOr($scores[position() > 1]))
 };
 
@@ -611,7 +627,7 @@ declare function fts:nodeScore($node as element(), $am as element()) as xs:doubl
   let $scores := for $m in $am/fts:Match
                  where fts:satisfiesMatch($node, $m, fn:string($am/@anchors))
                  return number($m/@score)
-  return if (fn:empty($scores)) then 0 else fts:clampScore(fts:noisyOr($scores))
+  return if (fn:empty($scores)) then 0e0 else fts:clampScore(fts:noisyOr($scores))
 };
 
 declare function fts:FTScore($evalCtx as element()*, $am as element()) as xs:double* {

@@ -1,31 +1,23 @@
 (* Per-node answer scoring (paper Section 3.3): the final AllMatches carries
    one score per match; the score of a query answer (an XML node in the
    evaluation context) composes the scores of the matches the node
-   satisfies.  The paper composes with the FTOr formula (noisy-or) and notes
-   [max] as an alternative; both are provided. *)
-
-type composition = Noisy_or | Max
+   satisfies.  The paper composes with the FTOr formula (noisy-or). *)
 
 let compose_noisy_or scores =
   (* right-associated product, matching the fts:noisyOr recursion in the
      XQuery module so the strategies agree bit-for-bit *)
   1.0 -. List.fold_right (fun s acc -> (1.0 -. s) *. acc) scores 1.0
 
-let compose_max scores = List.fold_left Float.max 0.0 scores
-
-let compose = function Noisy_or -> compose_noisy_or | Max -> compose_max
-
 (* Score of one node against a final AllMatches. *)
-let node_score ?(composition = Noisy_or) env node am =
+let node_score env node am =
   match Ft_ops.matches_for_node env node am with
   | [] -> 0.0
   | ms ->
-      let s = compose composition (List.map (fun m -> m.All_matches.score) ms) in
+      let s = compose_noisy_or (List.map (fun m -> m.All_matches.score) ms) in
       (* requirement (i): a satisfying node scores in (0,1] *)
       if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else s
 
-let scores ?composition env nodes am =
-  List.map (fun n -> node_score ?composition env n am) nodes
+let scores env nodes am = List.map (fun n -> node_score env n am) nodes
 
 (* The two W3C scoring requirements (Section 2.2): used by tests and the S1
    experiment. *)

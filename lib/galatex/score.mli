@@ -1,25 +1,14 @@
 (** Per-node answer scoring (paper Section 3.3): compose the scores of the
     matches a node satisfies. *)
 
-type composition = Noisy_or | Max
-
 val compose_noisy_or : float list -> float
 (** The FTOr formula, 1 - prod(1 - s_i), right-associated to match the
     XQuery module's recursion bit-for-bit. *)
 
-val compose_max : float list -> float
-val compose : composition -> float list -> float
-
-val node_score :
-  ?composition:composition -> Env.t -> Xmlkit.Node.t -> All_matches.t -> float
+val node_score : Env.t -> Xmlkit.Node.t -> All_matches.t -> float
 (** 0.0 when the node satisfies no match, otherwise in (0,1]. *)
 
-val scores :
-  ?composition:composition ->
-  Env.t ->
-  Xmlkit.Node.t list ->
-  All_matches.t ->
-  float list
+val scores : Env.t -> Xmlkit.Node.t list -> All_matches.t -> float list
 (** One score per context node, in order — the ft:score result. *)
 
 val requirement_zero_iff_no_match : Env.t -> Xmlkit.Node.t -> All_matches.t -> bool

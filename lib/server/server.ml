@@ -410,8 +410,8 @@ let metrics_text t =
 let slowlog_entries t = Obs.Ring.entries t.slowlog
 
 (* ------------------------------------------------------------------ *)
-(* Live updates: WAL append first, then apply, then atomic engine swap.
-   All under [update_lock]; readers keep serving the old engine.        *)
+(* Live updates: apply, then WAL append, then atomic engine swap.  All
+   under [update_lock]; readers keep serving the old engine.            *)
 
 let mirror_wal t =
   match t.writer with
@@ -435,13 +435,6 @@ let ensure_writer t =
       in
       t.writer <- Some w;
       w
-
-(* Reject unparseable documents before anything reaches the log, so the
-   log stays replayable by construction. *)
-let validate_op = function
-  | Ftindex.Wal.Add_doc { uri; source } ->
-      ignore (Xmlkit.Parser.parse_document ~uri source)
-  | Ftindex.Wal.Remove_doc _ -> ()
 
 (* The fence: a write-path request stamped with an epoch other than ours
    is refused with GTLX0013 — lower means the caller rode a superseded
@@ -467,46 +460,53 @@ let fence t ~what ~epoch =
   end
 
 let handle_update t ops =
+  let failure exn =
+    Atomic.incr t.update_errors;
+    Protocol.Failure (Protocol.error_of (Xquery.Errors.wrap_exn exn))
+  in
+  let append w =
+    List.fold_left
+      (fun _ op -> (Ftindex.Wal.append w op).Ftindex.Wal.seq)
+      (Ftindex.Wal.next_seq w - 1)
+      ops
+  in
   Serving.unless_draining t.core (fun () ->
     Mutex.protect t.update_lock (fun () ->
-        match
-          List.iter validate_op ops;
-          let w = ensure_writer t in
-          let last_seq =
-            List.fold_left
-              (fun _ op -> (Ftindex.Wal.append w op).Ftindex.Wal.seq)
-              (Ftindex.Wal.next_seq w - 1)
-              ops
-          in
-          let engine = current_engine t in
-          let engine' = List.fold_left Galatex.Engine.apply_update engine ops in
-          (w, last_seq, engine')
-        with
-        | exception exn ->
-            Atomic.incr t.update_errors;
-            (* a failure after a partial append leaves records in the log
-               that the serving engine has not applied; re-sync the engine
-               from the directory at the next maintenance tick so memory
-               and log never drift apart *)
-            Atomic.set t.reload_flag true;
-            mirror_wal t;
-            Protocol.Failure (Protocol.error_of (Xquery.Errors.wrap_exn exn))
-        | w, last_seq, engine' ->
-            locked t (fun () -> t.engine <- engine');
-            List.iter (fun _ -> Atomic.incr t.updates) ops;
-            mirror_wal t;
-            (match t.cfg.wal_compact_bytes with
-            | Some limit when Ftindex.Wal.wal_bytes w >= limit ->
-                Atomic.set t.compact_flag true
-            | Some _ | None -> ());
-            Protocol.Update_reply
-              {
-                Protocol.u_generation = Ftindex.Wal.writer_generation w;
-                u_last_seq = last_seq;
-                u_records = Ftindex.Wal.wal_records w;
-                u_bytes = Ftindex.Wal.wal_bytes w;
-                u_epoch = Atomic.get t.epoch_now;
-              }))
+        (* the index is persistent, so applying first leaves the serving
+           engine untouched, and a document that does not parse raises
+           here, before anything reaches the log: the log stays replayable
+           by construction *)
+        match List.fold_left Galatex.Engine.apply_update (current_engine t) ops with
+        | exception exn -> failure exn
+        | engine' -> (
+            match
+              let w = ensure_writer t in
+              (w, append w)
+            with
+            | exception exn ->
+                (* a failure after a partial append leaves records in the
+                   log that the serving engine has not applied; re-sync the
+                   engine from the directory at the next maintenance tick so
+                   memory and log never drift apart *)
+                Atomic.set t.reload_flag true;
+                mirror_wal t;
+                failure exn
+            | w, last_seq ->
+                locked t (fun () -> t.engine <- engine');
+                List.iter (fun _ -> Atomic.incr t.updates) ops;
+                mirror_wal t;
+                (match t.cfg.wal_compact_bytes with
+                | Some limit when Ftindex.Wal.wal_bytes w >= limit ->
+                    Atomic.set t.compact_flag true
+                | Some _ | None -> ());
+                Protocol.Update_reply
+                  {
+                    Protocol.u_generation = Ftindex.Wal.writer_generation w;
+                    u_last_seq = last_seq;
+                    u_records = Ftindex.Wal.wal_records w;
+                    u_bytes = Ftindex.Wal.wal_bytes w;
+                    u_epoch = Atomic.get t.epoch_now;
+                  })))
 
 (* Fold the log into a fresh snapshot generation.  On failure the directory
    may already carry the new manifest (making the live log stale), so the

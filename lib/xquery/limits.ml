@@ -46,8 +46,6 @@ type counters = {
   mutable pushdown_fired : int;  (** Figure 6(a) rewrites that changed the plan *)
   mutable or_short_circuit_fired : int;
       (** Figure 6(b) rewrites that changed the plan *)
-  mutable topk_match_tests : int;  (** satisfiesMatch tests spent in top-k *)
-  mutable topk_nodes_pruned : int;  (** nodes abandoned by top-k pruning *)
   mutable ft_dispatches : int;  (** calls of the full-text handler *)
 }
 
@@ -57,8 +55,6 @@ let fresh_counters () =
     postings_read = 0;
     pushdown_fired = 0;
     or_short_circuit_fired = 0;
-    topk_match_tests = 0;
-    topk_nodes_pruned = 0;
     ft_dispatches = 0;
   }
 
@@ -68,8 +64,6 @@ let copy_counters c =
     postings_read = c.postings_read;
     pushdown_fired = c.pushdown_fired;
     or_short_circuit_fired = c.or_short_circuit_fired;
-    topk_match_tests = c.topk_match_tests;
-    topk_nodes_pruned = c.topk_nodes_pruned;
     ft_dispatches = c.ft_dispatches;
   }
 
@@ -79,8 +73,6 @@ let counters_to_list c =
     ("postings_read", c.postings_read);
     ("pushdown_fired", c.pushdown_fired);
     ("or_short_circuit_fired", c.or_short_circuit_fired);
-    ("topk_match_tests", c.topk_match_tests);
-    ("topk_nodes_pruned", c.topk_nodes_pruned);
     ("ft_dispatches", c.ft_dispatches);
   ]
 
@@ -130,10 +122,6 @@ let count_pushdown g =
 
 let count_or_short_circuit g =
   g.counters.or_short_circuit_fired <- g.counters.or_short_circuit_fired + 1
-
-let count_topk g ~match_tests ~nodes_pruned =
-  g.counters.topk_match_tests <- g.counters.topk_match_tests + match_tests;
-  g.counters.topk_nodes_pruned <- g.counters.topk_nodes_pruned + nodes_pruned
 
 let count_ft_dispatch g =
   g.counters.ft_dispatches <- g.counters.ft_dispatches + 1

@@ -25,10 +25,10 @@ val defaults : t
 val default_max_depth : int
 
 (** Per-run observability counters, carried by the governor so every hook
-    site (operator outputs, posting reads, plan rewrites, top-k pruning)
-    is a single plain-int increment on a path that already holds the
-    governor for limit checks.  One governor serves one run on one thread;
-    the serving layer aggregates across runs with atomics. *)
+    site (operator outputs, posting reads, plan rewrites, full-text
+    dispatches) is a single plain-int increment on a path that already
+    holds the governor for limit checks.  One governor serves one run on
+    one thread; the serving layer aggregates across runs with atomics. *)
 type counters = {
   mutable allmatches_materialized : int;
       (** materialized strategy: sum of AllMatches sizes at every operator
@@ -43,10 +43,6 @@ type counters = {
       (** Figure 6(a) pushdown rewrites that changed the plan *)
   mutable or_short_circuit_fired : int;
       (** Figure 6(b) FTOr rewrites that changed the plan *)
-  mutable topk_match_tests : int;
-      (** satisfiesMatch tests spent inside top-k evaluation *)
-  mutable topk_nodes_pruned : int;
-      (** candidate nodes abandoned early by top-k pruning *)
   mutable ft_dispatches : int;
       (** calls of the full-text handler: one per [ftcontains] or
           [ft:score] evaluated alone, one per batch the evaluator hands
@@ -84,7 +80,6 @@ val count_materialized : governor -> int -> unit
 val count_postings : governor -> int -> unit
 val count_pushdown : governor -> unit
 val count_or_short_circuit : governor -> unit
-val count_topk : governor -> match_tests:int -> nodes_pruned:int -> unit
 val count_ft_dispatch : governor -> unit
 
 val tick : governor -> unit

@@ -852,8 +852,6 @@ let server_families =
     ("galatex_engine_postings_read_total", "counter");
     ("galatex_engine_pushdown_fired_total", "counter");
     ("galatex_engine_or_short_circuit_fired_total", "counter");
-    ("galatex_engine_topk_match_tests_total", "counter");
-    ("galatex_engine_topk_nodes_pruned_total", "counter");
     ("galatex_engine_ft_dispatches_total", "counter");
     ("galatex_query_duration_seconds", "histogram") ]
 

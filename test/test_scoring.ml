@@ -67,7 +67,6 @@ let test_ftor_keeps_scores () =
 
 let test_noisy_or_composition () =
   checkf "noisy or" 0.75 (Score.compose_noisy_or [ 0.5; 0.5 ]);
-  checkf "max" 0.5 (Score.compose_max [ 0.5; 0.2 ]);
   checkf "empty" 0.0 (Score.compose_noisy_or []);
   (* monotonicity: more matches, higher score *)
   check_bool "monotone" true

@@ -1026,7 +1026,25 @@ let test_update_over_wire () =
              [ Ftindex.Wal.Add_doc { uri = "bad.xml"; source = "<broken" } ])
       in
       Alcotest.(check string) "syntax code" "err:XPST0003" e.Protocol.code;
-      Alcotest.(check int) "log untouched" 2 (stat t "wal_records"))
+      Alcotest.(check int) "log untouched" 2 (stat t "wal_records");
+      (* a batch is all or nothing: the valid add ahead of a malformed one
+         reaches neither the log nor the served index *)
+      let zebra_titles () =
+        (ok_value "zebra" (ask sock {|collection()//title[. ftcontains "zebra"]|}))
+          .Protocol.items
+      in
+      let before = zebra_titles () in
+      let e =
+        ok_failure "batch with a malformed add"
+          (send_update sock
+             [
+               Ftindex.Wal.Add_doc { uri = "c.xml"; source = zebra_doc };
+               Ftindex.Wal.Add_doc { uri = "bad.xml"; source = "<broken" };
+             ])
+      in
+      Alcotest.(check string) "batch syntax code" "err:XPST0003" e.Protocol.code;
+      Alcotest.(check int) "log untouched by the batch" 2 (stat t "wal_records");
+      Alcotest.(check (list string)) "batch not served" before (zebra_titles ()))
 
 let test_update_survives_restart () =
   with_dir (fun dir ->

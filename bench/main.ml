@@ -1029,6 +1029,112 @@ let u1_updates () =
       Harness.row "  %-34s %8.3f %8.1f %8d\n" label ms kw misses)
     [ ("no updates", false); ("update batch after every 10th", true) ]
 
+(* ---------------------------------------------------------------- C1 *)
+
+(* What the cluster router costs.  perfbench sharded-ranked's corpus (48
+   books, seed 7919) is split over two shard daemons behind a router, all
+   in this process, as lib/workload's scenarios start them.  The same
+   paced phrase and ranked queries go once through the router and once
+   straight to both shards; the process's CPU per query differs by what
+   the router spends on a query, less one client exchange. *)
+let c1_router_cost () =
+  Harness.section
+    "C1: router CPU per query — through the router vs straight to the shards";
+  let module Srv = Galatex_server.Server in
+  let module Client = Galatex_server.Client in
+  let module Protocol = Galatex_server.Protocol in
+  let module Router = Galatex_cluster.Router in
+  let root = Printf.sprintf "c1-scratch-%d" (Unix.getpid ()) in
+  let sock part = Printf.sprintf "c1-%d-%s.sock" (Unix.getpid ()) part in
+  Unix.mkdir root 0o755;
+  let sources =
+    List.map
+      (fun (uri, d) -> (uri, Xmlkit.Printer.to_string d))
+      (navigation_corpus 48)
+  in
+  let shards =
+    Array.mapi
+      (fun i part ->
+        let index_dir = Filename.concat root (Printf.sprintf "s%d" i) in
+        let socket_path = sock (Printf.sprintf "s%d" i) in
+        Ftindex.Store.save ~dir:index_dir (Ftindex.Indexer.index_strings part);
+        (socket_path, Srv.start (Srv.default_config ~index_dir ~socket_path)))
+      (Corpus.Partition.split ~shards:2 sources)
+  in
+  let router_sock = sock "rt" in
+  let router =
+    Router.start
+      (Router.default_config
+         ~shards:
+           (Array.to_list
+              (Array.map
+                 (fun (primary, _) -> { Router.primary; replicas = [] })
+                 shards))
+         ~socket_path:router_sock)
+  in
+  (* perfbench's two-word templates from the rank band 5-40: phrase counts
+     and scored top-5, alternating *)
+  let queries =
+    let rng = Corpus.Splitmix.create 7919 in
+    Array.init 40 (fun slot ->
+        let w () = Corpus.Vocab.word_for_rank (5 + Corpus.Splitmix.int rng 35) in
+        let a = w () and b = w () in
+        if slot mod 2 = 0 then
+          Protocol.query_request
+            (Printf.sprintf
+               {|count(collection()//book[. ftcontains "%s %s"])|} a b)
+        else
+          Protocol.query_request ~merge:(Protocol.Merge_topk 5)
+            (Printf.sprintf
+               {|subsequence(for $b in collection()//book let $s := ft:score($b, "%s %s") where $s > 0 order by $s descending return concat(string($s), " ", string($b/@id)), 1, 5)|}
+               a b))
+  in
+  let count = 500 and rate = 500.0 and rounds = 5 in
+  let failures = ref 0 in
+  let ask socket_path q =
+    match Client.request ~recv_timeout:5.0 ~socket_path (Protocol.Query q) with
+    | Ok (Protocol.Value { Protocol.partial = None; _ }) -> ()
+    | Ok _ | Error _ -> incr failures
+  in
+  (* process CPU (every thread: client, router, shards) per query, in ms *)
+  let paced send =
+    let cpu () =
+      let t = Unix.times () in
+      t.Unix.tms_utime +. t.Unix.tms_stime
+    in
+    let c0 = cpu () and t0 = Unix.gettimeofday () in
+    for i = 0 to count - 1 do
+      let wait = t0 +. (float_of_int i /. rate) -. Unix.gettimeofday () in
+      if wait > 0. then Unix.sleepf wait;
+      send queries.(i mod Array.length queries)
+    done;
+    (cpu () -. c0) *. 1000.0 /. float_of_int count
+  in
+  let through q = ask router_sock q in
+  let direct q = Array.iter (fun (s, _) -> ask s q) shards in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      Array.iter (fun (_, d) -> Srv.stop d) shards;
+      rm_rf root)
+    (fun () ->
+      ignore (paced through);
+      Harness.row
+        "  %d queries at %.0f/s per row (half phrase counts, half scored top-5);\n\
+        \  process CPU ms per query; the router's share = through - direct\n\n"
+        count rate;
+      Harness.row "  %5s %10s %10s %10s\n" "round" "through" "direct" "router";
+      let rows =
+        List.init rounds (fun round ->
+            let r = paced through in
+            let d = paced direct in
+            Harness.row "  %5d %10.3f %10.3f %10.3f\n" (round + 1) r d (r -. d);
+            r -. d)
+      in
+      Harness.row "  median router share %.3f ms per query; %d failed requests\n"
+        (List.nth (List.sort compare rows) (rounds / 2))
+        !failures)
+
 (* ---------------------------------------------------------------- main *)
 
 let experiments =
@@ -1038,7 +1144,7 @@ let experiments =
     ("S1", s1_scoring); ("S4", s4_strategies);
     ("A1", a1_expansion_cache); ("A2", a2_translated_decomposition);
     ("R1", r1_governance); ("R2", r2_cold_start); ("N1", n1_navigation);
-    ("U1", u1_updates);
+    ("U1", u1_updates); ("C1", c1_router_cost);
   ]
 
 let () =

@@ -5,8 +5,9 @@
    uses too (Galatex_server.Serving).  This module supplies its two parts:
 
      [handle]        one framed request to one response; a query scatters
-                     to the shards on short-lived per-shard threads and
-                     joins them before replying.
+                     to every shard from the worker that received it, one
+                     [select] loop over the requests in flight, and
+                     merges the answers before replying.
      [tick]          the maintenance pass: runs a requested rolling reload
                      (so a SIGHUP on an idle router still rolls the shards)
                      and the failover sweep.
@@ -242,8 +243,8 @@ let describe_lag = function
   | Some l -> Printf.sprintf "lag %d" l
 
 (* ------------------------------------------------------------------ *)
-(* Scatter: one shard, primary then replicas, breaker-gated, within the
-   query's remaining deadline.                                          *)
+(* Scatter: per shard, primary then replicas, breaker-gated, within the
+   query's remaining deadline; all shards at once, in one loop.         *)
 
 type missing_info = {
   reason : string;
@@ -260,132 +261,236 @@ type shard_outcome =
           the shard's — the shard is healthy and the error propagates *)
   | Missing of missing_info
 
-(* One endpoint sweep (primary first).  [`Got outcome] ends the shard's
-   scatter; [`Swept admitted] means every endpoint failed softly, with
-   [admitted = false] when the breakers bypassed all of them — the
-   fast-fail case: the shard is known down, don't wait out the budget. *)
-let sweep_endpoints t ~deadline q i eps =
-  let primary = shard_primary t i in
-  let admitted = ref false in
-  let stale = ref false in
-  let last = ref "all endpoints breaker-open" in
-  let result = ref None in
-  List.iter
-    (fun path ->
-      if Option.is_none !result then
-        let left = deadline -. now () in
-        if left <= 0. then last := "deadline exhausted"
-        else
-          match Breaker.route t.breakers path with
-          | Breaker.Bypass -> Atomic.incr t.shard_bypassed
-          | Breaker.Run | Breaker.Probe -> (
-              admitted := true;
-              Atomic.incr t.shard_attempts;
-              let q = { q with Protocol.deadline_left = Some left } in
-              match
-                Client.request ~recv_timeout:(left +. 0.5) ~socket_path:path
-                  (Protocol.Query q)
-              with
-              | Ok (Protocol.Value v) -> (
-                  Breaker.record t.breakers path ~ok:true;
-                  let pos = (v.Protocol.generation, v.Protocol.seq) in
-                  note_freshness t i path pos;
-                  if path = primary then result := Some (Answered v)
-                  else
-                    (* failover read from a replica: gate on the staleness
-                       bound against the freshest position this router has
-                       ever seen for the shard — which still works when the
-                       primary itself is the thing that just died *)
-                    let lag = lag_of ~latest:(shard_latest t i) pos in
-                    match t.cfg.max_lag with
-                    | Some bound
-                      when match lag with None -> true | Some l -> l > bound
-                      ->
-                        (* healthy endpoint, just too far behind: skip it
-                           like a down one, but don't punish its breaker *)
-                        Atomic.incr t.stale_skips;
-                        stale := true;
-                        last :=
-                          Printf.sprintf "%s: replica too stale (%s, bound %d)"
-                            path (describe_lag lag) bound
-                    | Some _ -> result := Some (Answered v)
-                    | None ->
-                        (match lag with
-                        | Some 0 -> ()
-                        | _ ->
-                            Atomic.incr t.stale_served;
-                            Log.warn (fun m ->
-                                m
-                                  "serving replica %s of partition %d \
-                                   unbounded (%s); set --max-lag to gate \
-                                   failover freshness"
-                                  path i (describe_lag lag)));
-                        result := Some (Answered v))
-              | Ok (Protocol.Failure e) -> (
-                  match e.Protocol.error_class with
-                  | "static" | "dynamic" | "type" ->
-                      (* the shard did its job; the query is at fault *)
-                      Breaker.record t.breakers path ~ok:true;
-                      result := Some (Authoritative e)
-                  | _ ->
-                      (* resource (shed, budget) or internal: the shard
-                         could not serve — fail over *)
-                      Breaker.record t.breakers path ~ok:false;
-                      Atomic.incr t.shard_errors;
-                      last :=
-                        Printf.sprintf "%s: %s: %s" path e.Protocol.code
-                          e.Protocol.message)
-              | Ok
-                  ( Protocol.Stats_reply _ | Protocol.Update_reply _
-                  | Protocol.Compact_reply _ | Protocol.Metrics_reply _
-                  | Protocol.Slowlog_reply _ | Protocol.Health_reply _
-                  | Protocol.Wal_reply _ | Protocol.Snapshot_reply _ ) ->
-                  Breaker.record t.breakers path ~ok:false;
-                  Atomic.incr t.shard_errors;
-                  last := Printf.sprintf "%s: unexpected response" path
-              | Error reason ->
-                  Breaker.record t.breakers path ~ok:false;
-                  Atomic.incr t.shard_errors;
-                  last := Printf.sprintf "%s: %s" path reason))
-    eps;
-  match !result with
-  | Some outcome ->
-      mark_up t i true;
-      `Got outcome
-  | None -> `Swept (!admitted, !last, !stale)
+(* One shard's scatter: a cursor over its endpoints — the current primary
+   first, then the others — walked once per sweep, for up to [1 + retries]
+   sweeps with a backoff between them.  At most one attempt is in flight;
+   [advance] starts the next one and [settle] classifies its reply. *)
+type scan = {
+  shard : int;
+  eps : string array;
+  mutable sweep : int;  (** 1-based *)
+  mutable cursor : int;  (** next endpoint of this sweep; 0 = not begun *)
+  mutable primary : string;  (** the shard's primary when the sweep began *)
+  mutable admitted : bool;  (** some endpoint of this sweep was tried *)
+  mutable last : string;  (** why the latest endpoint did not answer *)
+  mutable stale : bool;  (** a live replica was skipped as too stale *)
+  mutable resume_at : float;  (** backoff: begin no sweep before this instant *)
+  mutable flight : (string * Client.pending) option;
+  mutable outcome : shard_outcome option;
+}
 
-let ask_shard t ~deadline q i =
+let scan_of t i =
   let ep = t.shards.(i) in
-  (* current primary first: reads prefer the node taking the writes *)
   let cur = shard_primary t i in
-  let eps =
-    cur :: List.filter (fun p -> p <> cur) (ep.primary :: ep.replicas)
+  {
+    shard = i;
+    (* current primary first: reads prefer the node taking the writes *)
+    eps =
+      Array.of_list
+        (cur :: List.filter (fun p -> p <> cur) (ep.primary :: ep.replicas));
+    sweep = 1;
+    cursor = 0;
+    primary = cur;
+    admitted = false;
+    last = "unasked";
+    stale = false;
+    resume_at = 0.;
+    flight = None;
+    outcome = None;
+  }
+
+let finish t s outcome =
+  s.outcome <- Some outcome;
+  mark_up t s.shard
+    (match outcome with
+    | Answered _ | Authoritative _ -> true
+    | Missing _ -> false)
+
+(* Classify one endpoint's reply.  An answer, or a query error, ends the
+   shard's scatter; anything else leaves the cursor to move on. *)
+let settle t s path reply =
+  let i = s.shard in
+  let fail reason =
+    Breaker.record t.breakers path ~ok:false;
+    Atomic.incr t.shard_errors;
+    s.last <- Printf.sprintf "%s: %s" path reason
   in
+  match reply with
+  | Ok (Protocol.Value v) -> (
+      Breaker.record t.breakers path ~ok:true;
+      let pos = (v.Protocol.generation, v.Protocol.seq) in
+      note_freshness t i path pos;
+      if path = s.primary then finish t s (Answered v)
+      else
+        (* failover read from a replica: gate on the staleness bound
+           against the freshest position this router has ever seen for the
+           shard — which still works when the primary itself is the thing
+           that just died *)
+        let lag = lag_of ~latest:(shard_latest t i) pos in
+        match t.cfg.max_lag with
+        | Some bound when match lag with None -> true | Some l -> l > bound ->
+            (* healthy endpoint, just too far behind: skip it like a down
+               one, but don't punish its breaker *)
+            Atomic.incr t.stale_skips;
+            s.stale <- true;
+            s.last <-
+              Printf.sprintf "%s: replica too stale (%s, bound %d)" path
+                (describe_lag lag) bound
+        | Some _ -> finish t s (Answered v)
+        | None ->
+            (match lag with
+            | Some 0 -> ()
+            | _ ->
+                Atomic.incr t.stale_served;
+                Log.warn (fun m ->
+                    m
+                      "serving replica %s of partition %d unbounded (%s); set \
+                       --max-lag to gate failover freshness"
+                      path i (describe_lag lag)));
+            finish t s (Answered v))
+  | Ok (Protocol.Failure e) -> (
+      match e.Protocol.error_class with
+      | "static" | "dynamic" | "type" ->
+          (* the shard did its job; the query is at fault *)
+          Breaker.record t.breakers path ~ok:true;
+          finish t s (Authoritative e)
+      | _ ->
+          (* resource (shed, budget) or internal: the shard could not
+             serve — fail over *)
+          fail (Printf.sprintf "%s: %s" e.Protocol.code e.Protocol.message))
+  | Ok
+      ( Protocol.Stats_reply _ | Protocol.Update_reply _
+      | Protocol.Compact_reply _ | Protocol.Metrics_reply _
+      | Protocol.Slowlog_reply _ | Protocol.Health_reply _
+      | Protocol.Wal_reply _ | Protocol.Snapshot_reply _ ) ->
+      fail "unexpected response"
+  | Error reason -> fail reason
+
+(* Move shard [s] forward until it has an attempt in flight, an outcome,
+   or a backoff to wait out.  Endpoints the breakers bypass are skipped
+   without paying their timeout; a sweep whose endpoints were all
+   bypassed declares the shard down at once instead of waiting out the
+   budget. *)
+let rec advance t ~deadline q s =
   let max_sweeps = 1 + max 0 t.cfg.retries in
-  let rec go sweep last stale =
-    if sweep > max_sweeps || deadline -. now () <= 0. then
-      Missing { reason = last; stale }
-    else
-      match sweep_endpoints t ~deadline q i eps with
-      | `Got outcome -> outcome
-      | `Swept (false, _, _) ->
-          (* every endpoint breaker-open: the shard is known down; declare
-             it missing now instead of waiting out the budget *)
-          Missing { reason = "all endpoints breaker-open"; stale }
-      | `Swept (true, last, stale_now) ->
-          let left = deadline -. now () in
-          if sweep < max_sweeps && left > 0. then
-            t.cfg.sleep
-              (Float.min
-                 (t.cfg.jitter
-                    (Client.backoff_bound ~base_ms:t.cfg.retry_after_ms
-                       ~cap_ms:1000 ~attempt:sweep))
-                 left);
-          go (sweep + 1) last (stale || stale_now)
+  if Option.is_some s.outcome || Option.is_some s.flight || now () < s.resume_at
+  then ()
+  else if s.cursor = 0 && (s.sweep > max_sweeps || deadline -. now () <= 0.) then
+    finish t s (Missing { reason = s.last; stale = s.stale })
+  else begin
+    if s.cursor = 0 then begin
+      s.primary <- shard_primary t s.shard;
+      s.admitted <- false
+    end;
+    if s.cursor < Array.length s.eps then begin
+      let path = s.eps.(s.cursor) in
+      s.cursor <- s.cursor + 1;
+      let left = deadline -. now () in
+      (if left <= 0. then s.last <- "deadline exhausted"
+       else
+         match Breaker.route t.breakers path with
+         | Breaker.Bypass -> Atomic.incr t.shard_bypassed
+         | Breaker.Run | Breaker.Probe -> (
+             s.admitted <- true;
+             Atomic.incr t.shard_attempts;
+             let q = { q with Protocol.deadline_left = Some left } in
+             match
+               Client.send ~recv_timeout:(left +. 0.5) ~socket_path:path
+                 (Protocol.Query q)
+             with
+             | Ok pending -> s.flight <- Some (path, pending)
+             | Error reason -> settle t s path (Error reason)));
+      advance t ~deadline q s
+    end
+    else if not s.admitted then
+      finish t s
+        (Missing { reason = "all endpoints breaker-open"; stale = s.stale })
+    else begin
+      let left = deadline -. now () in
+      if s.sweep < max_sweeps && left > 0. then
+        s.resume_at <-
+          now ()
+          +. Float.min
+               (t.cfg.jitter
+                  (Client.backoff_bound ~base_ms:t.cfg.retry_after_ms
+                     ~cap_ms:1000 ~attempt:s.sweep))
+               left;
+      s.sweep <- s.sweep + 1;
+      s.cursor <- 0;
+      advance t ~deadline q s
+    end
+  end
+
+(* Every shard's sweep advances together in the calling worker: start
+   each shard's next attempt, wait in one [select] for a reply, the
+   earliest reply deadline or the earliest backoff instant, classify what
+   arrived, repeat until every shard has an outcome.  Each attempt carries
+   the query's remaining budget and is cut off half a second after it, so
+   the whole scatter spends the caller's one deadline. *)
+let scatter t ~deadline q =
+  let scans = Array.init (Array.length t.shards) (scan_of t) in
+  let guarded s f =
+    try f ()
+    with exn ->
+      finish t s (Missing { reason = Printexc.to_string exn; stale = false })
   in
-  let outcome = go 1 "unasked" false in
-  (match outcome with Missing _ -> mark_up t i false | _ -> ());
-  outcome
+  let advance_all () =
+    Array.iter (fun s -> guarded s (fun () -> advance t ~deadline q s)) scans
+  in
+  let receive s ((path, pending) as flight) =
+    (* off the scan while it is read: a read that raises has closed it *)
+    s.flight <- None;
+    match Client.try_receive pending with
+    | None -> s.flight <- Some flight
+    | Some reply -> settle t s path reply
+  in
+  (* the instant a scan needs attention without a reply: its attempt's
+     deadline, or the end of its backoff *)
+  let due s =
+    match s.flight with
+    | Some (_, p) -> Option.value (Client.deadline p) ~default:infinity
+    | None -> s.resume_at
+  in
+  let rec loop () =
+    match
+      List.filter (fun s -> Option.is_none s.outcome) (Array.to_list scans)
+    with
+    | [] -> ()
+    | open_scans ->
+        let wake =
+          List.fold_left (fun acc s -> Float.min acc (due s)) infinity open_scans
+        in
+        let fds =
+          List.filter_map
+            (fun s -> Option.map (fun (_, p) -> Client.fd p) s.flight)
+            open_scans
+        in
+        let ready =
+          match Unix.select fds [] [] (Float.max 0. (wake -. now ())) with
+          | ready, _, _ -> ready
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+        in
+        let t_now = now () in
+        List.iter
+          (fun s ->
+            match s.flight with
+            | Some ((_, p) as flight)
+              when List.mem (Client.fd p) ready || due s <= t_now ->
+                guarded s (fun () -> receive s flight)
+            | Some _ | None -> ())
+          open_scans;
+        advance_all ();
+        loop ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun s -> Option.iter (fun (_, p) -> Client.abandon p) s.flight)
+        scans)
+    (fun () ->
+      advance_all ();
+      loop ());
+  Array.map (fun s -> Option.get s.outcome) scans
 
 (* ------------------------------------------------------------------ *)
 (* Gather: merge per-shard outcomes into one reply.                     *)
@@ -401,21 +506,7 @@ let scatter_query t q =
         | Some tmo -> tmo
         | None -> t.cfg.default_deadline)
   in
-  let deadline = now () +. budget in
-  let outcomes =
-    Array.make n (Missing { reason = "unasked"; stale = false })
-  in
-  let threads =
-    List.init n (fun i ->
-        Thread.create
-          (fun () ->
-            outcomes.(i) <-
-              (try ask_shard t ~deadline q i
-               with exn ->
-                 Missing { reason = Printexc.to_string exn; stale = false }))
-          ())
-  in
-  List.iter Thread.join threads;
+  let outcomes = scatter t ~deadline:(now () +. budget) q in
   (* a structured query error from any healthy shard is authoritative:
      the same query would fail the same way on every partition *)
   let authoritative =
@@ -442,7 +533,7 @@ let scatter_query t q =
       match answered with
       | [] ->
           Atomic.incr t.failed;
-          if List.exists (fun (_, m) -> m.stale) missing then
+          if List.exists (fun (_, (m : missing_info)) -> m.stale) missing then
             (* some partition had a live replica we refused to serve: the
                caller's bound, not an outage — distinct code, same exit
                class, so callers can loosen --max-lag deliberately *)

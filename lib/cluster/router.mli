@@ -9,9 +9,11 @@
     queue with [GTLX0009] shedding, worker pool, ticker, drain); the
     router supplies the request handler and the tick.  Per request kind:
 
-    - {b queries} scatter to every shard in parallel, each carrying the
-      remaining deadline budget ([deadline_left]) so the whole fan-out
-      spends the caller's one budget, and the answers merge per
+    - {b queries} scatter to every shard concurrently — from the worker
+      that received the query, one [select] loop over the shard requests
+      in flight, no thread per shard — each carrying the remaining
+      deadline budget ([deadline_left]) so the whole fan-out spends the
+      caller's one budget, and the answers merge per
       {!Merge}: concat in cluster document order, summed counts, or
       top-k by score upper bound;
     - {b partial results}: a shard that stays down past retries (primary
@@ -116,7 +118,10 @@ type config = {
   jitter : float -> float;
       (** maps the deterministic backoff bound to the actual wait
           (default: uniform in [0.5x, 1.0x]) *)
-  sleep : float -> unit;  (** test hook (default [Unix.sleepf]) *)
+  sleep : float -> unit;
+      (** test hook for the backoff of update and compaction retries
+          (default [Unix.sleepf]); a query's backoff between sweeps is a
+          wait in the scatter loop *)
 }
 
 val default_config : shards:endpoint list -> socket_path:string -> config

@@ -59,6 +59,15 @@ val apply : ?config:Tokenize.Segmenter.config -> Inverted.t -> op -> Inverted.t
     no-op.  Raises whatever parsing / indexing raises — callers replaying a
     log wrap failures (see {!replay}). *)
 
+val apply_delta :
+  ?config:Tokenize.Segmenter.config ->
+  Inverted.t ->
+  op ->
+  Inverted.t * (string list * string list)
+(** {!apply}, and the operation's net change to the distinct-word list,
+    [(added, removed)] as {!Inverted.word_delta}: read off the remove and
+    add that made it, with no further lookups. *)
+
 val fold_sources : (string * string) list -> op list -> (string * string) list
 (** The document-set semantics of a log: the [(uri, source)] list that
     re-indexing from scratch after the operations would see.  Used by

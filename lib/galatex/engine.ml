@@ -155,11 +155,14 @@ let of_store ?io ?(limits = Xquery.Limits.defaults) ?sources ?thesauri
    words the operation added and removed.  The fallback counter cell is
    shared so the engine-wide degradation count survives updates. *)
 let apply_update t op =
-  let index' = Ftindex.Wal.apply ~config:t.config (index t) op in
-  let uri =
-    match op with Ftindex.Wal.Add_doc { uri; _ } | Ftindex.Wal.Remove_doc uri -> uri
+  let index', (added, removed) =
+    Ftindex.Wal.apply_delta ~config:t.config (index t) op
   in
-  { t with env = Env.update t.env index' ~uri; context_doc = context_doc_of index' }
+  {
+    t with
+    env = Env.update t.env index' ~added ~removed;
+    context_doc = context_doc_of index';
+  }
 
 (* Hot reload builds a fresh engine via [of_store], which starts its
    counters from zero; carrying the predecessor's cells across the swap

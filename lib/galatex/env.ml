@@ -79,10 +79,7 @@ let revise ~added ~removed e =
   | fresh ->
       { e with keys = merge (List.filter (fun k -> not (gone k)) e.keys) fresh }
 
-let update t index ~uri =
-  let added, removed =
-    Ftindex.Inverted.word_delta ~before:t.index ~after:index ~uri
-  in
+let update t index ~added ~removed =
   let cache = locked t (fun () -> Hashtbl.copy t.expansion_cache) in
   if added <> [] || removed <> [] then
     Hashtbl.filter_map_inplace

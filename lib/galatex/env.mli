@@ -22,15 +22,15 @@ val cached : t -> string -> (unit -> string -> bool) -> string list
     memo table is mutex-guarded, and the predicate (which must be
     deterministic) is built and run outside the lock. *)
 
-val update : t -> Ftindex.Inverted.t -> uri:string -> t
-(** The environment over [index], an index that differs from [t]'s in
-    document [uri] alone (one live update).  It starts with [t]'s memo
-    table revised by the update's vocabulary delta
-    ({!Ftindex.Inverted.word_delta}): removed words leave each entry's
-    keys, and each added word joins the entries whose predicate it
-    satisfies.  Costs O(words in the document x log V) plus one pass over
-    the entries; [t] itself is unchanged, so its readers go on as they
-    were. *)
+val update :
+  t -> Ftindex.Inverted.t -> added:string list -> removed:string list -> t
+(** The environment over [index], an index that differs from [t]'s by one
+    live update whose vocabulary delta is [added] and [removed], sorted
+    ({!Ftindex.Wal.apply_delta}).  It starts with [t]'s memo table
+    revised by that delta: removed words leave each entry's keys, and
+    each added word joins the entries whose predicate it satisfies.
+    Costs one pass over the entries; [t] itself is unchanged, so its
+    readers go on as they were. *)
 
 val misses : t -> int
 (** Expansions computed by scanning the distinct-word list, over this

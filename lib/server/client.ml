@@ -6,14 +6,22 @@ let default_io_timeout = 10.
 let deadline_reason (e : Xquery.Errors.t) =
   Printf.sprintf "%s: %s" (Xquery.Errors.code_string e.code) e.message
 
-let request ?recv_timeout ~socket_path req =
-  (* [recv_timeout] is an absolute budget for the {e whole} exchange —
-     connect, request write, reply read — enforced by Netio, so a mute or
-     slow-loris peer (hung daemon, half-dead shard, stalled transfer)
-     surfaces as a ["gtlx:GTLX0014: ..."] transport error, never a hang.
-     The router's scatter path and every one-shot CLI command depend on
-     this bound.  A per-syscall [SO_RCVTIMEO] cannot give it: one byte
-     per interval resets that clock forever. *)
+(* An exchange is a send half and a receive half, so a caller can keep
+   several requests in flight on one thread (the cluster router's scatter)
+   while {!request} stays the one blocking round trip.  [recv_timeout]
+   is an absolute budget for the {e whole} exchange — connect, request
+   write, reply read — enforced by Netio, so a mute or slow-loris peer
+   (hung daemon, half-dead shard, stalled transfer) surfaces as a
+   ["gtlx:GTLX0014: ..."] transport error, never a hang.  A per-syscall
+   [SO_RCVTIMEO] cannot give it: one byte per interval resets that clock
+   forever. *)
+type pending = {
+  fd : Unix.file_descr;
+  limits : Netio.limits;
+  reader : Netio.frame_reader;
+}
+
+let send ?recv_timeout ~socket_path req =
   let limits =
     match recv_timeout with
     | Some s when s > 0. -> Netio.within s
@@ -23,37 +31,55 @@ let request ?recv_timeout ~socket_path req =
   | exception Unix.Unix_error (e, fn, _) ->
       Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
   | exception Xquery.Errors.Error e -> Error (deadline_reason e)
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> close_quietly fd)
-        (fun () ->
-          (* an admission-control shed answers before reading the
-             request and closes; on a Unix socket the delivered reply
-             stays readable, only our late send sees EPIPE — swallow
-             it and read the reply *)
-          let sent =
-            try
-              Netio.write_frame ~limits fd (Protocol.encode_request req);
-              Unix.shutdown fd Unix.SHUTDOWN_SEND;
-              Ok ()
-            with
-            | Unix.Unix_error
-                ((Unix.EPIPE | Unix.ECONNRESET | Unix.ESHUTDOWN), _, _) ->
-                Ok ()
-            | Xquery.Errors.Error e -> Error (deadline_reason e)
-          in
-          match sent with
-          | Error reason -> Error reason
-          | Ok () -> (
-              match Netio.read_frame ~limits fd with
-              | Ok data -> Protocol.decode_response data
-              | Error reason -> Error reason
-              | exception Xquery.Errors.Error e -> Error (deadline_reason e)
-              | exception
-                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                  Error "receive timeout"
-              | exception Unix.Unix_error (e, fn, _) ->
-                  Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))))
+  | fd -> (
+      match
+        Netio.write_frame ~limits fd (Protocol.encode_request req);
+        Unix.shutdown fd Unix.SHUTDOWN_SEND
+      with
+      | ()
+      (* an admission-control shed answers before reading the request and
+         closes; on a Unix socket the delivered reply stays readable, only
+         our late send sees EPIPE — swallow it and read the reply *)
+      | exception
+          Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.ESHUTDOWN), _, _)
+        ->
+          Ok { fd; limits; reader = Netio.frame_reader () }
+      | exception Xquery.Errors.Error e ->
+          close_quietly fd;
+          Error (deadline_reason e)
+      | exception exn ->
+          close_quietly fd;
+          raise exn)
+
+let fd p = p.fd
+let deadline p = p.limits.Netio.deadline
+let abandon p = close_quietly p.fd
+
+(* Decode what [read] produces, then close the connection. *)
+let finish p read =
+  Fun.protect
+    ~finally:(fun () -> close_quietly p.fd)
+    (fun () ->
+      match read () with
+      | Ok data -> Protocol.decode_response data
+      | Error reason -> Error reason
+      | exception Xquery.Errors.Error e -> Error (deadline_reason e)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Error "receive timeout"
+      | exception Unix.Unix_error (e, fn, _) ->
+          Error (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
+
+let receive p =
+  finish p (fun () -> Netio.read_frame ~limits:p.limits ~reader:p.reader p.fd)
+
+let try_receive p =
+  match Netio.read_frame_step ~limits:p.limits p.reader p.fd with
+  | None -> None
+  | Some read -> Some (finish p (fun () -> read))
+  | exception exn -> Some (finish p (fun () -> raise exn))
+
+let request ?recv_timeout ~socket_path req =
+  Result.bind (send ?recv_timeout ~socket_path req) receive
 
 let shed_reply = function
   | Protocol.Failure e when e.Protocol.code = "gtlx:GTLX0009" -> Some e

@@ -16,14 +16,47 @@ val request :
   socket_path:string ->
   Protocol.request ->
   (Protocol.response, string) result
-(** One round trip on a fresh connection.  [Error reason] covers transport
-    failures only (connect/read/write/decode); a structured evaluation
-    failure is [Ok (Failure _)].  [recv_timeout] (seconds) is an absolute
-    budget for the whole exchange — connect, request write, reply read —
-    enforced by {!Netio}, so a mute, stalled, or slow-loris peer surfaces
-    as [Error "gtlx:GTLX0014: ..."] instead of a hang (the cluster
-    router's scatter path and every CLI one-shot rely on it).  Omitted =
+(** One round trip on a fresh connection: {!send} then {!receive}.
+    [Error reason] covers transport failures only
+    (connect/read/write/decode); a structured evaluation failure is
+    [Ok (Failure _)].  [recv_timeout] (seconds) is an absolute budget for
+    the whole exchange — connect, request write, reply read — enforced by
+    {!Netio}, so a mute, stalled, or slow-loris peer surfaces as
+    [Error "gtlx:GTLX0014: ..."] instead of a hang (the cluster router's
+    scatter path and every CLI one-shot rely on it).  Omitted =
     unbounded. *)
+
+type pending
+(** A request written to its connection whose reply has not been read. *)
+
+val send :
+  ?recv_timeout:float ->
+  socket_path:string ->
+  Protocol.request ->
+  (pending, string) result
+(** The send half of {!request}: connect, write the request frame and
+    shut down the sending side, all within [recv_timeout], which goes on
+    bounding the receive half.  [Error] as {!request}; on [Error] no
+    connection stays open. *)
+
+val receive : pending -> (Protocol.response, string) result
+(** The receive half of {!request}: wait for the reply within the
+    exchange's budget, then close the connection. *)
+
+val try_receive : pending -> (Protocol.response, string) result option
+(** {!receive} without waiting: read what the socket holds.  [None] =
+    the reply is incomplete and the budget still holds (call again when
+    {!fd} is readable, or once {!deadline} has passed, which turns it
+    into the [GTLX0014] error); [Some] = done, connection closed. *)
+
+val fd : pending -> Unix.file_descr
+(** The connection, for a caller's [select]. *)
+
+val deadline : pending -> float option
+(** The exchange's absolute deadline ([Unix.gettimeofday] clock). *)
+
+val abandon : pending -> unit
+(** Close the connection without reading the reply. *)
 
 val shed_reply : Protocol.response -> Protocol.error_reply option
 (** The overload-shed failure ([GTLX0009]) carried by a response, if that

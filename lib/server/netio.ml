@@ -125,15 +125,84 @@ let write_frame ?(limits = no_limits) fd payload =
   Buffer.add_string b payload;
   translate (fun () -> write_all_raw ~what:"frame write" limits fd (Buffer.contents b))
 
-let read_frame ?(limits = no_limits) fd =
-  translate (fun () ->
-      match read_exact_raw ~what:"frame header read" limits fd 4 with
-      | Error _ -> Error "connection closed before a frame"
-      | Ok header ->
-          let len = Ftindex.Codec.(get_u32 (reader header)) in
+(* A frame read in progress: the 4-byte header, then the body it
+   announces.  Each step reads no further than the frame's end, so bytes
+   after it stay in the socket. *)
+type frame_reader = {
+  header : Bytes.t;
+  mutable body : Bytes.t option;  (** allocated once the header is in *)
+  mutable got : int;  (** bytes of the current part *)
+  mutable last : float;  (** instant of the last byte received *)
+}
+
+let frame_reader () =
+  { header = Bytes.create 4; body = None; got = 0; last = now () }
+
+(* The part being read, and its name in a timeout message. *)
+let part r =
+  match r.body with
+  | None -> (r.header, "frame header read")
+  | Some b -> (b, "frame read")
+
+(* Read what the (non-blocking) socket holds toward the frame.  [None]:
+   the frame is not complete yet and the limits still hold. *)
+let step limits r fd =
+  let rec go () =
+    let buf, what = part r in
+    let total = Bytes.length buf in
+    if r.got = total then
+      match r.body with
+      | Some b -> Some (Ok (Bytes.unsafe_to_string b))
+      | None ->
+          let len =
+            Ftindex.Codec.(get_u32 (reader (Bytes.to_string r.header)))
+          in
           if len > max_frame then
-            Error (Printf.sprintf "oversized frame (%d bytes)" len)
-          else read_exact_raw ~what:"frame read" limits fd len)
+            Some (Error (Printf.sprintf "oversized frame (%d bytes)" len))
+          else begin
+            r.body <- Some (Bytes.create len);
+            r.got <- 0;
+            go ()
+          end
+    else
+      match Unix.read fd buf r.got (total - r.got) with
+      | 0 ->
+          Some
+            (Error
+               (match r.body with
+               | None -> "connection closed before a frame"
+               | Some _ ->
+                   Printf.sprintf "torn frame: %d of %d bytes" r.got total))
+      | k ->
+          r.got <- r.got + k;
+          r.last <- now ();
+          go ()
+      | exception
+          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        ->
+          (* raises [Timeout] once a bound has passed *)
+          ignore (budget ~what ~moved:r.got ~total limits r.last);
+          None
+  in
+  go ()
+
+let read_frame_step ?(limits = no_limits) r fd =
+  translate (fun () -> step limits r fd)
+
+let read_frame ?(limits = no_limits) ?(reader = frame_reader ()) fd =
+  translate (fun () ->
+      Unix.set_nonblock fd;
+      let rec go () =
+        let buf, what = part reader in
+        let seconds =
+          budget ~what ~moved:reader.got ~total:(Bytes.length buf) limits
+            reader.last
+        in
+        if wait_readable fd seconds then
+          match step limits reader fd with Some result -> result | None -> go ()
+        else go ()
+      in
+      go ())
 
 let connect ?(limits = no_limits) path =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in

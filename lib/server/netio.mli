@@ -62,10 +62,33 @@ val connect : ?limits:limits -> string -> Unix.file_descr
 (** Connect to a Unix-domain socket under the limits.  Raises
     [GTLX0014] on deadline expiry, [Unix.Unix_error] on refusal. *)
 
-val read_frame : ?limits:limits -> Unix.file_descr -> (string, string) result
-(** Read one length-prefixed frame.  [Error _] on EOF mid-frame ("torn
-    frame"), oversized length, or closed peer; raises [GTLX0014] if the
-    limits expire first. *)
+type frame_reader
+(** One frame read in progress.  A read never takes bytes past the
+    frame's end. *)
+
+val frame_reader : unit -> frame_reader
+(** A fresh read; the idle bound counts from now. *)
+
+val read_frame :
+  ?limits:limits ->
+  ?reader:frame_reader ->
+  Unix.file_descr ->
+  (string, string) result
+(** Read one length-prefixed frame, continuing [reader] (default: a fresh
+    one).  [Error _] on EOF mid-frame ("torn frame"), oversized length,
+    or closed peer; raises [GTLX0014] if the limits expire first. *)
+
+val read_frame_step :
+  ?limits:limits ->
+  frame_reader ->
+  Unix.file_descr ->
+  (string, string) result option
+(** Take whatever the socket holds toward the frame without waiting: the
+    non-blocking half of {!read_frame}, for callers that multiplex many
+    sockets over one [select].  [fd] must be non-blocking (as
+    {!connect} leaves it).  [None] = the frame is incomplete and the
+    limits still hold; [Some] as {!read_frame}; raises [GTLX0014] when
+    nothing more can be read and the limits have passed. *)
 
 val write_frame : ?limits:limits -> Unix.file_descr -> string -> unit
 (** Write one length-prefixed frame.  Raises [GTLX0014] if the limits

@@ -867,8 +867,17 @@ let pull_snapshot ?(follow_timeout = 2.0) ~dir ~primary () =
             | exception Unix.Unix_error (e, fn, _) ->
                 Error (fn ^ ": " ^ Unix.error_message e)))
 
-let snapshot_resync t ~primary ~reason =
+(* Run a sync step under [update_lock] only if this node still follows
+   [primary].  The ticker chose the step before taking the lock; a
+   promotion or demotion that got the lock first has changed whom the
+   node follows, and installing the old primary's state then would roll
+   a promoted node back to its old epoch. *)
+let while_following t primary f =
   Mutex.protect t.update_lock (fun () ->
+      if current_follow t = Some primary then f ())
+
+let snapshot_resync t ~primary ~reason =
+  while_following t primary (fun () ->
       Log.info (fun m ->
           m "follow: snapshot re-sync from %s (%s)" primary reason);
       match
@@ -899,7 +908,7 @@ let snapshot_resync t ~primary ~reason =
                   m "follow: re-synced, now bit-identical at generation %d" gen)))
 
 let catch_up_wal t ~primary =
-  Mutex.protect t.update_lock (fun () ->
+  while_following t primary (fun () ->
       match
         let w = ensure_writer t in
         let applied = Ftindex.Wal.wal_records w in

@@ -175,3 +175,16 @@ val set_update_io : t -> (unit -> Ftindex.Store.Io.t) -> unit
 (** Test hook: replace the update I/O layer of a running daemon and drop
     the open WAL writer, so the next update reopens the log with the new
     injector armed (the chaos tests aim faults at specific append ops). *)
+
+val snapshot_resync : t -> primary:string -> reason:string -> unit
+(** The follower's full re-sync step, as the maintenance ticker runs it
+    when its generation or manifest CRC disagrees with [primary]'s: pull
+    the snapshot and swap it in.  Does nothing unless the daemon still
+    follows [primary] once it holds the writer lock, so a step decided
+    before a {!Protocol.Promote} cannot undo the promotion.  Exported so
+    tests can replay such a step. *)
+
+val catch_up_wal : t -> primary:string -> unit
+(** The follower's log catch-up step: fetch and apply [primary]'s
+    acknowledged records past its own.  Guarded like
+    {!snapshot_resync}. *)

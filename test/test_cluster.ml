@@ -341,6 +341,70 @@ let test_replica_failover () =
         "full count" [ string_of_int n_docs ] v.Protocol.items)
 
 (* ------------------------------------------------------------------ *)
+(* The scatter is concurrent: every shard's request is in flight at
+   once, so a query costs its slowest shard, not the sum of them.        *)
+
+let reply_delay = 0.2
+
+(* [with_cluster], with the primaries of the shards in [slow] behind
+   proxies that hold each reply chunk for [reply_delay] seconds *)
+let with_slow_shards ?replicas ~slow f =
+  let proxies = ref [] in
+  let tweak (cfg : Router.config) =
+    {
+      cfg with
+      Router.shards =
+        List.mapi
+          (fun i (ep : Router.endpoint) ->
+            if not (List.mem i slow) then ep
+            else begin
+              let listen = fresh_name (Printf.sprintf "cd%d" i) ^ ".sock" in
+              proxies :=
+                Faultnet.start ~listen ~target:ep.Router.primary
+                  ~plan_for:(fun _ ->
+                    (Faultnet.clean, Faultnet.delayed reply_delay))
+                :: !proxies;
+              { ep with Router.primary = listen }
+            end)
+          cfg.Router.shards;
+    }
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Faultnet.stop !proxies)
+    (fun () -> with_cluster ?replicas ~tweak () f)
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let test_scatter_is_concurrent () =
+  with_slow_shards ~slow:[ 0; 1 ] (fun c ->
+      let v, dt =
+        timed (fun () -> ok_value "slow shards" (query c count_query))
+      in
+      Alcotest.(check bool) "complete" true (v.Protocol.partial = None);
+      Alcotest.(check (list string))
+        "full count" [ string_of_int n_docs ] v.Protocol.items;
+      (* asked one after the other, two 0.2 s shards take 0.4 s *)
+      if dt >= 1.5 *. reply_delay then
+        Alcotest.failf "two %.1f s shards answered in %.3f s: not concurrent"
+          reply_delay dt)
+
+let test_failover_beside_slow_shard () =
+  with_slow_shards ~replicas:true ~slow:[ 1 ] (fun c ->
+      kill_shard c 0;
+      let v, dt = timed (fun () -> ok_value "failover" (query c count_query)) in
+      Alcotest.(check bool) "complete: partition 0 from its replica" true
+        (v.Protocol.partial = None);
+      Alcotest.(check (list string))
+        "full count" [ string_of_int n_docs ] v.Protocol.items;
+      let deadline = Option.get short_limits.Xquery.Limits.timeout in
+      if dt >= deadline then
+        Alcotest.failf "answered in %.3f s, past the %.1f s deadline" dt
+          deadline)
+
+(* ------------------------------------------------------------------ *)
 (* Bounded-staleness failover: the router tracks each shard's freshest
    known (generation, seq) from update acks, query replies and probes;
    --max-lag gates how far behind a failover replica may serve from.    *)
@@ -970,6 +1034,9 @@ let tests =
       test_partial_when_shard_down;
     Alcotest.test_case "all partitions down" `Quick test_all_down_fails_gtlx0011;
     Alcotest.test_case "replica failover" `Quick test_replica_failover;
+    Alcotest.test_case "scatter is concurrent" `Quick test_scatter_is_concurrent;
+    Alcotest.test_case "failover beside a slow shard" `Quick
+      test_failover_beside_slow_shard;
     Alcotest.test_case "stale replicas fail (GTLX0012)" `Quick
       test_stale_replicas_fail_gtlx0012;
     Alcotest.test_case "stale replica served when unbounded" `Quick

@@ -439,6 +439,55 @@ let test_promote_over_wire () =
         (stat fsock "promotions" >= 1);
       Alcotest.(check bool) "demotion counted" true (stat psock "demotions" >= 1))
 
+(* A sync step the follower's ticker chose before a promotion, run after
+   it: the re-sync and the catch-up must leave the promoted node alone —
+   still primary, still at epoch 2, keeping the write it took on the new
+   timeline — instead of installing the old primary's state (the step
+   used to reset the epoch to 1 on a node reporting itself primary). *)
+let test_sync_step_after_promote () =
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let pdir = Filename.concat dir "primary" in
+      let fdir = Filename.concat dir "follower" in
+      save_corpus ~dir:pdir corpus;
+      let psock = fresh_name "rp" ^ ".sock" in
+      let fsock = fresh_name "rf" ^ ".sock" in
+      let primary = Server.start (daemon_config ~dir:pdir ~sock:psock ()) in
+      Fun.protect
+        ~finally:(fun () -> Server.stop primary)
+        (fun () ->
+          let follower =
+            Server.start (daemon_config ~follow:psock ~dir:fdir ~sock:fsock ())
+          in
+          Fun.protect
+            ~finally:(fun () -> Server.stop follower)
+            (fun () ->
+              ignore (update psock [ add_doc 0 ]);
+              poll "follower caught up" (fun () -> converged psock fsock);
+              let h =
+                ok "promote" (Client.promote ~socket_path:fsock ~epoch:0 ())
+              in
+              Alcotest.(check int) "promoted to epoch 2" 2 h.Protocol.h_epoch;
+              (match
+                 Client.request ~socket_path:fsock
+                   (Protocol.Update { ops = [ add_doc 1 ]; epoch = 2 })
+               with
+              | Ok (Protocol.Update_reply _) -> ()
+              | _ -> Alcotest.fail "promoted node refused a write");
+              (* the old primary moves on too, so a catch-up has records *)
+              ignore (update psock [ add_doc 2 ]);
+              Server.snapshot_resync follower ~primary:psock
+                ~reason:"decided before the promotion";
+              Server.catch_up_wal follower ~primary:psock;
+              let h = health fsock in
+              Alcotest.(check string)
+                "still primary" "primary" h.Protocol.h_role;
+              Alcotest.(check int) "still epoch 2" 2 h.Protocol.h_epoch;
+              Alcotest.(check (list string))
+                "the new timeline's write is kept"
+                [ string_of_int (List.length corpus + 2) ]
+                (query fsock count_query).Protocol.items)))
+
 (* The tentpole interleaving: primary + two followers under a fenced
    concurrent writer (stamps every update with the highest epoch it has
    observed, exactly like the router).  Kill the primary, promote the
@@ -594,6 +643,8 @@ let tests =
       test_anti_entropy_repairs_divergence;
     Alcotest.test_case "convergence chaos" `Quick test_convergence_chaos;
     Alcotest.test_case "promote over the wire" `Quick test_promote_over_wire;
+    Alcotest.test_case "sync step after promote" `Quick
+      test_sync_step_after_promote;
     Alcotest.test_case "failover and fencing chaos" `Quick
       test_failover_fencing_chaos;
   ]

@@ -4,7 +4,8 @@
 
 let index_tokenized docs =
   List.fold_left
-    (fun index (uri, root, tokens) -> Inverted.add_document index ~uri root tokens)
+    (fun index (uri, root, tokens) ->
+      fst (Inverted.add_document index ~uri root tokens))
     (Inverted.empty ()) docs
 
 let tokenize ?config root =

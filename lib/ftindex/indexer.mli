@@ -17,11 +17,13 @@ val add_document :
   Inverted.t ->
   uri:string ->
   Xmlkit.Node.t ->
-  Inverted.t
+  Inverted.t * string list
 (** Tokenize one sealed document, merge its postings and add it to the
     corpus statistics that scores are computed from at query time; the
-    incremental path of live updates.  The result equals
-    {!index_documents} over the extended document list.
+    incremental path of live updates.  The index equals
+    {!index_documents} over the extended document list; the words are
+    those the document put on the distinct-word list
+    ({!Inverted.add_document}).
     @raise Invalid_argument on duplicate uri. *)
 
 val index_documents :

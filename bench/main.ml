@@ -844,6 +844,8 @@ let n1_navigation () =
       ("//book", "count(collection()//book)");
       ( "//book[ftcontains]",
         Printf.sprintf "count(collection()//book[. ftcontains %s])" sel );
+      ( "//p[ftcontains]",
+        Printf.sprintf "count(collection()//p[. ftcontains %s])" sel );
       ( "//book[window]",
         Printf.sprintf
           {|count(collection()//book[. ftcontains "%s" && "%s" window 14 words])|}
@@ -861,8 +863,11 @@ let n1_navigation () =
   Harness.row
     "  after one warm-up and a Gc.compact; kw = thousands of minor-heap words \
      per query;\n\
-    \  disp = full-text handler calls per query\n\n";
-  Harness.row "  %5s  %-20s %10s %10s %6s\n" "docs" "query" "ms" "kw" "disp";
+    \  disp = full-text handler calls, read = postings_read, mat =\n\
+    \  allmatches_materialized, steps = governor steps: one query's exact \
+     counters\n\n";
+  Harness.row "  %5s  %-20s %10s %10s %6s %8s %8s %8s\n" "docs" "query" "ms" "kw"
+    "disp" "read" "mat" "steps";
   List.iter
     (fun doc_count ->
       let eng = Galatex.Engine.create (navigation_corpus doc_count) in
@@ -872,12 +877,12 @@ let n1_navigation () =
             Galatex.Engine.run eng
               ~strategy:Galatex.Engine.Native_materialized q
           in
-          (* the warm-up run, which also counts the handler calls *)
-          let dispatches =
-            (Galatex.Engine.run_report eng
-               ~strategy:Galatex.Engine.Native_materialized q)
-              .Galatex.Engine.counters.Xquery.Limits.ft_dispatches
+          (* the warm-up run, which also reads the counters *)
+          let report =
+            Galatex.Engine.run_report eng
+              ~strategy:Galatex.Engine.Native_materialized q
           in
+          let c = report.Galatex.Engine.counters in
           Gc.compact ();
           let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
           for _ = 1 to runs do
@@ -885,10 +890,12 @@ let n1_navigation () =
           done;
           let t1 = Unix.gettimeofday () and w1 = Gc.minor_words () in
           let per_run x = x /. float_of_int runs in
-          Harness.row "  %5d  %-20s %10.3f %10.1f %6d\n" doc_count label
+          Harness.row "  %5d  %-20s %10.3f %10.1f %6d %8d %8d %8d\n" doc_count
+            label
             (per_run ((t1 -. t0) *. 1000.0))
             (per_run ((w1 -. w0) /. 1000.0))
-            dispatches)
+            c.Xquery.Limits.ft_dispatches c.Xquery.Limits.postings_read
+            c.Xquery.Limits.allmatches_materialized report.Galatex.Engine.steps)
         queries)
     [ 50; 200; 400 ]
 

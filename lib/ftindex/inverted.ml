@@ -211,9 +211,11 @@ let postings t word = list_of_runs (runs t word)
 let postings_of_doc t ~doc word =
   Option.value ~default:[||] (Doc_map.find_opt doc (runs t word))
 
+let idf t word = Stats.idf_norm t.stats (Tokenize.Normalize.casefold word)
+
 (* tf is the run's length *)
 let scorer t word =
-  let idf = Stats.idf_norm t.stats (Tokenize.Normalize.casefold word) in
+  let idf = idf t word in
   fun ~doc run ->
     if Array.length run = 0 then 1.0
     else Stats.score t.stats ~doc ~tf:(Array.length run) ~idf
@@ -235,47 +237,60 @@ let distinct_word_count t = Word_map.cardinal t.postings
    same document. *)
 let position_in_node t posting ~doc ~node_dewey =
   ignore t;
-  posting.Posting.doc = doc && Dewey.contains node_dewey (Posting.node posting)
+  String.equal posting.Posting.doc doc
+  && Dewey.contains node_dewey (Posting.node posting)
 
-(* The half-open slice [lo, hi) of a run inside a node: along a run, labels
-   before the node come first, then the labels it contains, then the rest. *)
-let slice run node_dewey =
-  let first_not pred =
-    let rec go lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if pred run.(mid) then go (mid + 1) hi else go lo mid
-    in
-    go 0 (Array.length run)
-  in
-  let before p = Dewey.compare (Posting.node p) node_dewey < 0 in
-  ( first_not before,
-    first_not (fun p -> before p || Dewey.contains node_dewey (Posting.node p)) )
+(* The half-open slice [lo, hi) of a position-ordered array (a run, or a
+   document's token stream) inside a node: along it, labels before the
+   node come first, then the labels it contains, then the rest.  Two
+   binary searches, each for the first element of [lo, hi) past its
+   part; [label] reads an element's Dewey label. *)
+let rec past_before label a node_dewey lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if Dewey.compare (label a.(mid)) node_dewey < 0 then
+      past_before label a node_dewey (mid + 1) hi
+    else past_before label a node_dewey lo mid
 
-let prepend_slice run (lo, hi) acc =
+let rec past_inside label a node_dewey lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if Dewey.contains node_dewey (label a.(mid)) then
+      past_inside label a node_dewey (mid + 1) hi
+    else past_inside label a node_dewey lo mid
+
+let slice_by label a node_dewey =
+  let n = Array.length a in
+  let lo = past_before label a node_dewey 0 n in
+  (lo, past_inside label a node_dewey lo n)
+
+let slice run node_dewey = slice_by Posting.node run node_dewey
+
+let prepend_mapped f run acc (lo, hi) =
   let acc = ref acc in
   for i = hi - 1 downto lo do
-    acc := run.(i) :: !acc
+    acc := f run.(i) :: !acc
   done;
   !acc
 
-let run_within run node_deweys =
+let map_within run node_deweys f tail =
   match node_deweys with
-  | [ d ] -> prepend_slice run (slice run d) []
+  | [ d ] -> prepend_mapped f run tail (slice run d)
   | _ ->
       (* nested or repeated context nodes give overlapping slices: merge
          them so every entry is read once, in position order *)
-      let merged =
-        List.fold_left
-          (fun acc (lo, hi) ->
-            match acc with
-            | (l, h) :: rest when lo <= h -> (l, max h hi) :: rest
-            | _ -> (lo, hi) :: acc)
-          []
-          (List.sort compare (List.map (slice run) node_deweys))
-      in
-      List.fold_left (fun acc s -> prepend_slice run s acc) [] merged
+      List.sort compare (List.map (slice run) node_deweys)
+      |> List.fold_left
+           (fun acc (lo, hi) ->
+             match acc with
+             | (l, h) :: rest when lo <= h -> (l, Int.max h hi) :: rest
+             | _ -> (lo, hi) :: acc)
+           []
+      |> List.fold_left (prepend_mapped f run) tail
+
+let run_within run node_deweys = map_within run node_deweys Fun.id []
 
 let postings_in t ~doc ~node_dewey word =
   run_within (postings_of_doc t ~doc word) [ node_dewey ]
@@ -299,33 +314,15 @@ let tokens_of_doc t ~doc =
 
 (* The word-position extent of a node: positions of a node's tokens are
    contiguous (pre-order Dewey containment), so the extent is the (first,
-   last) absolute position of tokens whose Dewey label the node contains.
-   None when the node contains no tokens. *)
+   last) absolute position of the token slice the node contains.  None
+   when the node contains no tokens. *)
+let token_node (tok : Tokenize.Token.t) = tok.Tokenize.Token.node
+
 let node_extent t ~doc ~node_dewey =
   let tokens = tokens_of_doc t ~doc in
-  let n = Array.length tokens in
-  let contained i =
-    Dewey.contains node_dewey tokens.(i).Tokenize.Token.node
-  in
-  (* binary search for the first contained token: containment over a
-     pre-order position array is a contiguous run, and tokens before the run
-     have Dewey labels ordered before the node *)
-  let rec first lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if Dewey.compare tokens.(mid).Tokenize.Token.node node_dewey < 0 then
-        first (mid + 1) hi
-      else first lo mid
-  in
-  let start = first 0 n in
-  if start >= n || not (contained start) then None
-  else begin
-    let stop = ref start in
-    while !stop + 1 < n && contained (!stop + 1) do
-      incr stop
-    done;
-    Some
-      ( tokens.(start).Tokenize.Token.abs_pos,
-        tokens.(!stop).Tokenize.Token.abs_pos )
-  end
+  match slice_by token_node tokens node_dewey with
+  | lo, hi when lo < hi ->
+      Some
+        ( tokens.(lo).Tokenize.Token.abs_pos,
+          tokens.(hi - 1).Tokenize.Token.abs_pos )
+  | _ -> None

@@ -74,9 +74,19 @@ val scorer : t -> string -> doc:string -> run -> float
 (** [scorer t word] is {!score} for the runs of [word] (case-folded), with
     the word's document frequency looked up once rather than per run. *)
 
+val idf : t -> string -> float
+(** {!Stats.idf_norm} of a word (case-folded) under this version's
+    statistics: the factor {!scorer} shares across the word's runs. *)
+
+val map_within :
+  run -> Xmlkit.Dewey.t list -> (Posting.t -> 'a) -> 'a list -> 'a list
+(** [map_within run nodes f tail] is [f] of every entry of [run] inside any
+    of [nodes] (nodes of the run's document), each entry once, in position
+    order, in front of [tail]: two binary searches per node, and for a
+    single node no allocation beyond the result and the slice bounds. *)
+
 val run_within : run -> Xmlkit.Dewey.t list -> Posting.t list
-(** The entries of a run inside any of the given nodes of its document, each
-    once, in position order: one binary search per node. *)
+(** [map_within run nodes Fun.id []]. *)
 
 val distinct_words : t -> string list
 (** Sorted distinct-word list ("list_distinct_words.xml" in the paper). *)

@@ -14,6 +14,6 @@ let sentence p = p.token.Tokenize.Token.sentence
 let para p = p.token.Tokenize.Token.para
 
 let compare_pos a b =
-  match compare a.doc b.doc with
-  | 0 -> compare (abs_pos a) (abs_pos b)
+  match String.compare a.doc b.doc with
+  | 0 -> Int.compare (abs_pos a) (abs_pos b)
   | c -> c

@@ -67,11 +67,15 @@ let idf_norm t w =
   let df = float_of_int (max 1 (document_frequency t w)) in
   log (1.0 +. (n /. df)) /. log (1.0 +. n)
 
-let score t ~doc ~tf ~idf =
-  match String_map.find doc t.max_tf with
-  | exception Not_found -> 1.0
-  | max_tf ->
-      let tf_part = 0.5 +. (0.5 *. float_of_int tf /. float_of_int (max 1 max_tf)) in
+let max_tf t ~doc = String_map.find_opt doc t.max_tf
+
+let tf_idf ~max_tf ~tf ~idf =
+  match max_tf with
+  | None -> 1.0
+  | Some max_tf ->
+      let tf_part = 0.5 +. (0.5 *. float_of_int tf /. float_of_int (Int.max 1 max_tf)) in
       let s = tf_part *. idf in
       (* clamp away from 0 for pathological corpora; scores must be (0,1] *)
       if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else s
+
+let score t ~doc ~tf ~idf = tf_idf ~max_tf:(max_tf t ~doc) ~tf ~idf

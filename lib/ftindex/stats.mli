@@ -27,3 +27,11 @@ val score : t -> doc:string -> tf:int -> idf:float -> float
 (** Per-entry score in (0,1] of a word occurring [tf >= 1] times in [doc],
     given the word's {!idf_norm}: bounded tf.idf, monotone in term
     frequency and rarity.  1.0 for unknown documents (neutral). *)
+
+val max_tf : t -> doc:string -> int option
+(** The largest term frequency of any word of [doc]; [None] for an unknown
+    document. *)
+
+val tf_idf : max_tf:int option -> tf:int -> idf:float -> float
+(** {!score} given the document's {!max_tf}, looked up once by a caller
+    that scores many runs of one document. *)

@@ -31,6 +31,16 @@ let entry ?(query_pos = 1) posting = { query_pos; posting }
 let sort_entries entries =
   List.sort (fun a b -> Ftindex.Posting.compare_pos a.posting b.posting) entries
 
+(* A stable merge: on equal positions [a]'s entry comes first, as in
+   [sort_entries (a @ b)]. *)
+let rec merge_entries a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+      if Ftindex.Posting.compare_pos y.posting x.posting < 0 then
+        y :: merge_entries a b'
+      else x :: merge_entries a' b
+
 let make_match ?(excludes = []) ?(score = 1.0) includes =
   { includes = sort_entries includes; excludes; score }
 

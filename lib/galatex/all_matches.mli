@@ -27,6 +27,13 @@ val empty : t
 
 val entry : ?query_pos:int -> Ftindex.Posting.t -> entry
 
+val sort_entries : entry list -> entry list
+(** Stable sort by (document, absolute position). *)
+
+val merge_entries : entry list -> entry list -> entry list
+(** [merge_entries a b] of two sorted lists equals [sort_entries (a @ b)]
+    (on equal positions [a]'s entries come first) in one linear pass. *)
+
 val make_match : ?excludes:entry list -> ?score:float -> entry list -> match_
 (** Build a match; includes are sorted. [score] defaults to 1.0. *)
 

@@ -74,11 +74,10 @@ type leaves = (int * (string list * words)) list ref
 let fresh_leaves () : leaves = ref []
 
 let leaf_words leaves env ~outer_options ~query_pos options anyall phrases =
-  match List.assoc_opt query_pos !leaves with
-  | Some (compiled_from, words)
-    when List.equal String.equal compiled_from phrases ->
+  match List.assoc query_pos !leaves with
+  | compiled_from, words when List.equal String.equal compiled_from phrases ->
       words
-  | _ ->
+  | _ | (exception Not_found) ->
       let resolved = Match_options.resolve_with ~outer:outer_options options in
       let words = compile_words env resolved anyall phrases in
       leaves := (query_pos, (phrases, words)) :: !leaves;
@@ -94,6 +93,7 @@ let words_matches ?g ?within ~query_pos ~weight words =
       List.fold_left
         (fun acc u -> Ft_ops.ft_and acc (unit_ms u))
         (unit_ms first) rest
+  | [ only ] -> unit_ms only
   | units ->
       List.fold_left
         (fun acc u -> Ft_ops.ft_or acc (unit_ms u))
@@ -101,124 +101,125 @@ let words_matches ?g ?within ~query_pos ~weight words =
 
 (* Number the Ft_words leaves left to right (the "1", "2" arguments of the
    paper's translated FTWordsSelectionAny calls). *)
-let rec eval_selection ?within ?(approximate = false) ~leaves env ~eval ctx
-    ~outer_options counter selection =
-  let recur = eval_selection ?within ~approximate ~leaves env ~eval ctx in
+let all_matches ?within ?(approximate = false) ?(leaves = fresh_leaves ()) env
+    ~eval ctx selection =
   let g = ctx.Xquery.Context.governor in
-  (* every operator output is an AllMatches construction point: bound it,
-     and account it — the materialized side of the Section 4 comparison *)
-  let governed am =
+  let counter = ref 0 in
+  let rec go outer_options selection =
+    let am =
+      match selection with
+      | Ft_words { source; anyall; options; weight } ->
+          incr counter;
+          let query_pos = !counter in
+          let weight =
+            match weight with
+            | None -> None
+            | Some w -> Some (eval_weight ~eval ctx w)
+          in
+          let phrases = source_phrases ~eval ctx source in
+          words_matches ~g ?within ~query_pos ~weight
+            (leaf_words leaves env ~outer_options ~query_pos options anyall
+               phrases)
+      | Ft_with_options (inner, options) ->
+          go (Match_options.resolve_with ~outer:outer_options options) inner
+      | Ft_and (a, b) ->
+          let va = go outer_options a in
+          let vb = go outer_options b in
+          (* the FTAnd cross product is the materialization bomb Section 4
+             analyzes — refuse it before building it *)
+          Xquery.Limits.check_product g (All_matches.size va)
+            (All_matches.size vb);
+          Ft_ops.ft_and va vb
+      | Ft_or (a, b) ->
+          let va = go outer_options a in
+          let vb = go outer_options b in
+          Ft_ops.ft_or va vb
+      | Ft_mild_not (a, b) ->
+          let va = go outer_options a in
+          let vb = go outer_options b in
+          Ft_ops.ft_mild_not va vb
+      | Ft_unary_not a ->
+          let va = go outer_options a in
+          (* DNF negation yields one match per choice of entry from every
+             input match: the output size is the product of the entry
+             counts *)
+          List.fold_left
+            (fun acc (m : All_matches.match_) ->
+              let choices =
+                List.length m.All_matches.includes
+                + List.length m.All_matches.excludes
+              in
+              Xquery.Limits.check_product g acc (max 1 choices);
+              acc * max 1 choices)
+            1 va.All_matches.matches
+          |> ignore;
+          Ft_ops.ft_unary_not va
+      | Ft_ordered a -> Ft_ops.ft_ordered (go outer_options a)
+      | Ft_window (a, n, u) ->
+          let counting =
+            Ft_ops.counting ?stops:outer_options.Match_options.stop_words env
+          in
+          let op =
+            if approximate then Ft_ops.ft_window_approx else Ft_ops.ft_window
+          in
+          op ~counting (eval_int ~eval ctx n) (eval_unit u) (go outer_options a)
+      | Ft_distance (a, range, u) ->
+          let counting =
+            Ft_ops.counting ?stops:outer_options.Match_options.stop_words env
+          in
+          let op =
+            if approximate then Ft_ops.ft_distance_approx else Ft_ops.ft_distance
+          in
+          op ~counting (eval_range ~eval ctx range) (eval_unit u)
+            (go outer_options a)
+      | Ft_scope (a, kind) -> Ft_ops.ft_scope kind (go outer_options a)
+      | Ft_times (a, range) ->
+          Ft_ops.ft_times (eval_range ~eval ctx range) (go outer_options a)
+      | Ft_content (a, anchor) -> Ft_ops.ft_content anchor (go outer_options a)
+    in
+    (* every operator output is an AllMatches construction point: bound it,
+       and account it — the materialized side of the Section 4 comparison *)
     let n = All_matches.size am in
     Xquery.Limits.check_matches g n;
     Xquery.Limits.count_materialized g n;
     am
   in
-  governed
-  @@
-  match selection with
-  | Ft_words { source; anyall; options; weight } ->
-      incr counter;
-      let query_pos = !counter in
-      let weight = Option.map (eval_weight ~eval ctx) weight in
-      let phrases = source_phrases ~eval ctx source in
-      words_matches ~g ?within ~query_pos ~weight
-        (leaf_words leaves env ~outer_options ~query_pos options anyall phrases)
-  | Ft_with_options (inner, options) ->
-      let outer_options = Match_options.resolve_with ~outer:outer_options options in
-      recur ~outer_options counter inner
-  | Ft_and (a, b) ->
-      let va = recur ~outer_options counter a in
-      let vb = recur ~outer_options counter b in
-      (* the FTAnd cross product is the materialization bomb Section 4
-         analyzes — refuse it before building it *)
-      Xquery.Limits.check_product g (All_matches.size va) (All_matches.size vb);
-      Ft_ops.ft_and va vb
-  | Ft_or (a, b) ->
-      let va = recur ~outer_options counter a in
-      let vb = recur ~outer_options counter b in
-      Ft_ops.ft_or va vb
-  | Ft_mild_not (a, b) ->
-      let va = recur ~outer_options counter a in
-      let vb = recur ~outer_options counter b in
-      Ft_ops.ft_mild_not va vb
-  | Ft_unary_not a ->
-      let va = recur ~outer_options counter a in
-      (* DNF negation yields one match per choice of entry from every
-         input match: the output size is the product of the entry counts *)
-      List.fold_left
-        (fun acc (m : All_matches.match_) ->
-          let choices =
-            List.length m.All_matches.includes + List.length m.All_matches.excludes
-          in
-          Xquery.Limits.check_product g acc (max 1 choices);
-          acc * max 1 choices)
-        1 va.All_matches.matches
-      |> ignore;
-      Ft_ops.ft_unary_not va
-  | Ft_ordered a -> Ft_ops.ft_ordered (recur ~outer_options counter a)
-  | Ft_window (a, n, u) ->
-      let counting =
-        Ft_ops.counting ?stops:outer_options.Match_options.stop_words env
-      in
-      let op = if approximate then Ft_ops.ft_window_approx else Ft_ops.ft_window in
-      op ~counting (eval_int ~eval ctx n) (eval_unit u)
-        (recur ~outer_options counter a)
-  | Ft_distance (a, range, u) ->
-      let counting =
-        Ft_ops.counting ?stops:outer_options.Match_options.stop_words env
-      in
-      let op =
-        if approximate then Ft_ops.ft_distance_approx else Ft_ops.ft_distance
-      in
-      op ~counting (eval_range ~eval ctx range) (eval_unit u)
-        (recur ~outer_options counter a)
-  | Ft_scope (a, kind) -> Ft_ops.ft_scope kind (recur ~outer_options counter a)
-  | Ft_times (a, range) ->
-      Ft_ops.ft_times (eval_range ~eval ctx range) (recur ~outer_options counter a)
-  | Ft_content (a, anchor) -> Ft_ops.ft_content anchor (recur ~outer_options counter a)
+  go Match_options.defaults selection
 
-let all_matches ?within ?approximate ?(leaves = fresh_leaves ()) env ~eval ctx
-    selection =
-  eval_selection ?within ?approximate ~leaves env ~eval ctx
-    ~outer_options:Match_options.defaults (ref 0) selection
-
-(* the evaluation context as (doc, dewey) pairs for source-level filtering *)
-let context_filter env nodes =
-  Some
-    (List.filter_map
-       (fun n ->
-         match Ftindex.Inverted.doc_of_node (Env.index env) n with
-         | Some doc -> Some (doc, Xmlkit.Node.dewey n)
-         | None -> None)
-       nodes)
+(* the evaluation context, located, for source-level filtering *)
+let context_filter env nodes = Some (Ft_ops.within_sites (Ft_ops.sites env nodes))
 
 (* --- the Context.ft_handler for the native materialized strategy --- *)
 
 let nodes_of value = Xquery.Value.nodes_of "ftcontains evaluation context" value
 
-(* [handle_each] for a strategy: [verdict ~within ~leaves n] evaluates the
-   selection for node [n] alone, as the strategy's [handle_contains] /
-   [handle_score] would; the leaves are compiled once for all the nodes. *)
+(* [handle_each] for a strategy: [verdict ~leaves ~within site] evaluates
+   the selection for one node alone, as the strategy's [handle_contains] /
+   [handle_score] would; each node is located once, and the leaves are
+   compiled once for all the nodes. *)
 let each_node env ~per_node nodes verdict =
   let leaves = fresh_leaves () in
   List.map
     (fun n ->
       per_node ();
-      verdict ~within:(context_filter env [ n ]) ~leaves n)
+      let site = Ft_ops.locate env n in
+      verdict ~leaves ~within:(Ft_ops.within_sites (Option.to_list site)) site)
     (nodes_of nodes)
 
 let handler env : Xquery.Context.ft_handler =
   {
     Xquery.Context.handle_contains =
       (fun ~eval ctx context_nodes selection ignored ->
-        let within = context_filter env (nodes_of context_nodes) in
-        let am = all_matches ?within env ~eval ctx selection in
+        let sites = Ft_ops.sites env (nodes_of context_nodes) in
+        let am =
+          all_matches ~within:(Ft_ops.within_sites sites) env ~eval ctx selection
+        in
         let am =
           match ignored with
           | None -> am
           | Some ig -> Ft_ops.apply_ignore env (nodes_of ig) am
         in
-        Xquery.Value.boolean (Ft_ops.ft_contains env (nodes_of context_nodes) am));
+        Xquery.Value.boolean (Ft_ops.ft_contains env sites am));
     Xquery.Context.handle_score =
       (fun ~eval ctx context_nodes selection ->
         let within = context_filter env (nodes_of context_nodes) in
@@ -228,11 +229,17 @@ let handler env : Xquery.Context.ft_handler =
           (Score.scores env (nodes_of context_nodes) am));
     Xquery.Context.handle_each =
       (fun ~eval ctx ~per_node nodes selection verdict ->
-        each_node env ~per_node nodes (fun ~within ~leaves n ->
-            let am = all_matches ?within ~leaves env ~eval ctx selection in
-            match verdict with
-            | Xquery.Context.Contains ->
-                Xquery.Value.Boolean (Ft_ops.node_satisfies env n am)
-            | Xquery.Context.Score ->
-                Xquery.Value.Double (Score.node_score env n am)));
+        each_node env ~per_node nodes (fun ~leaves ~within site ->
+            (* a node of no indexed document reads no entries, but its
+               selection is still evaluated (weights, counters) *)
+            let am = all_matches ~within ~leaves env ~eval ctx selection in
+            match (verdict, site) with
+            | Xquery.Context.Contains, None -> Xquery.Value.Boolean false
+            | Xquery.Context.Contains, Some site ->
+                Xquery.Value.Boolean
+                  (Ft_ops.site_satisfies ~includes_inside:true env site am)
+            | Xquery.Context.Score, None -> Xquery.Value.Double 0.0
+            | Xquery.Context.Score, Some site ->
+                Xquery.Value.Double
+                  (Score.site_score ~includes_inside:true env site am)));
   }

@@ -55,17 +55,17 @@ val leaf_words :
 (** Leaf [query_pos] compiled for these phrases: the earlier compilation
     when the phrases are the same, else a new one (which replaces it). *)
 
-val context_filter :
-  Env.t -> Xmlkit.Node.t list -> (string * Xmlkit.Dewey.t) list option
-(** The evaluation context as (doc, dewey) pairs for source-level position
-    filtering (the paper's getTokenInfo restriction). *)
+val context_filter : Env.t -> Xmlkit.Node.t list -> Ft_ops.within option
+(** The evaluation context, located and grouped by document, for
+    source-level position filtering (the paper's getTokenInfo
+    restriction). *)
 
 val nodes_of : Xquery.Value.t -> Xmlkit.Node.t list
 (** @raise Xquery.Errors.Error ([XPTY0004]) when the value holds
     non-nodes. *)
 
 val all_matches :
-  ?within:(string * Xmlkit.Dewey.t) list ->
+  ?within:Ft_ops.within ->
   ?approximate:bool ->
   ?leaves:leaves ->
   Env.t ->
@@ -83,14 +83,12 @@ val each_node :
   Env.t ->
   per_node:(unit -> unit) ->
   Xquery.Value.t ->
-  (within:(string * Xmlkit.Dewey.t) list option ->
-  leaves:leaves ->
-  Xmlkit.Node.t ->
-  Xquery.Value.item) ->
+  (leaves:leaves -> within:Ft_ops.within -> Ft_ops.site option -> Xquery.Value.item) ->
   Xquery.Value.t
 (** The shape of every strategy's [handle_each]: call [per_node], then
-    the verdict for one node restricted to that node ([within]), for each
-    node in order, sharing one {!leaves}. *)
+    the verdict for one node, located once ({!Ft_ops.locate}), for each
+    node in order, sharing one {!leaves}.  The verdict evaluates the
+    selection [within] that node alone. *)
 
 val handler : Env.t -> Xquery.Context.ft_handler
 (** The ftcontains / ft:score handler installed for the materialized

@@ -26,68 +26,100 @@ type unit_ = Words | Sentences | Paragraphs
 
 let clamp_score s = if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else s
 
+(* --- context sites --- *)
+
+(* A context node resolved against the index once: its document, that
+   document's largest term frequency (every Section 3.3 score of its runs
+   divides by it) and the node's Dewey label. *)
+type site = { doc : string; max_tf : int option; dewey : Xmlkit.Dewey.t }
+
+let locate env node =
+  let index = Env.index env in
+  match Ftindex.Inverted.doc_of_node index node with
+  | None -> None
+  | Some doc ->
+      Some
+        {
+          doc;
+          max_tf = Ftindex.Stats.max_tf (Ftindex.Inverted.stats index) ~doc;
+          dewey = Xmlkit.Node.dewey node;
+        }
+
+let sites env nodes = List.filter_map (locate env) nodes
+
 (* --- FTWords --- *)
 
-(* [within]: the evaluation context as (doc, dewey) pairs.  Like the
-   paper's getTokenInfo, positions outside every context node are dropped at
-   the source — they could never satisfy an FTContains/ft:score over that
-   context, so this is semantics-preserving and avoids materializing
-   irrelevant matches.  Only the context documents' runs are read, and each
-   entry is checked against its own document's context nodes alone. *)
-let context_by_doc nodes =
-  List.stable_sort (fun (a, _) (b, _) -> String.compare a b) nodes
-  |> List.fold_left
-       (fun acc (doc, dewey) ->
-         match acc with
-         | (d, deweys) :: rest when d = doc -> (d, dewey :: deweys) :: rest
-         | _ -> (doc, [ dewey ]) :: acc)
-       []
-  |> List.rev
+(* The evaluation context as the leaves read it: its documents in uri
+   order, each as one of its sites with the Dewey labels of all its
+   context nodes.  Like the paper's getTokenInfo, positions outside every
+   context node are dropped at the source — they could never satisfy an
+   FTContains/ft:score over that context, so this is semantics-preserving
+   and avoids materializing irrelevant matches.  Only the context
+   documents' runs are read, and each entry is checked against its own
+   document's context nodes alone. *)
+type within = (site * Xmlkit.Dewey.t list) list
+
+let within_sites = function
+  | [ site ] -> [ (site, [ site.dewey ]) ]
+  | sites ->
+      List.stable_sort (fun a b -> String.compare a.doc b.doc) sites
+      |> List.fold_left
+           (fun acc site ->
+             match acc with
+             | (first, deweys) :: rest when String.equal first.doc site.doc ->
+                 (first, site.dewey :: deweys) :: rest
+             | _ -> (site, [ site.dewey ]) :: acc)
+           []
+      |> List.rev
+
+let run_score ~max_tf ~idf run =
+  Ftindex.Stats.tf_idf ~max_tf ~tf:(Array.length run) ~idf
+
+let by_position entries =
+  List.stable_sort (fun (a, _) (b, _) -> Ftindex.Posting.compare_pos a b) entries
+
+(* One key's entries in one context document, each paired with its run's
+   one score, in front of [tail]; [read] counts the run. *)
+let key_entries read (site, deweys) (runs, idf) tail =
+  match Ftindex.Inverted.Doc_map.find site.doc runs with
+  | run ->
+      read := !read + Array.length run;
+      let score = run_score ~max_tf:site.max_tf ~idf run in
+      Ftindex.Inverted.map_within run deweys (fun p -> (p, score)) tail
+  | exception Not_found -> tail
+
+let rec within_entries read key_runs = function
+  | [] -> []
+  | context_doc :: rest -> (
+      let tail = within_entries read key_runs rest in
+      match key_runs with
+      | [ key ] -> key_entries read context_doc key tail
+      | keys ->
+          by_position (List.fold_right (key_entries read context_doc) keys [])
+          @ tail)
+
+(* Without a context: every document's whole run of every key. *)
+let all_entries read stats key_runs =
+  let whole (runs, idf) tail =
+    List.fold_right
+      (fun (doc, run) tail ->
+        read := !read + Array.length run;
+        let score = run_score ~max_tf:(Ftindex.Stats.max_tf stats ~doc) ~idf run in
+        Array.fold_right (fun p acc -> (p, score) :: acc) run tail)
+      (Ftindex.Inverted.Doc_map.bindings runs)
+      tail
+  in
+  match key_runs with
+  | [ key ] -> whole key []
+  | keys -> by_position (List.fold_right whole keys [])
 
 let posting_entries ?g ?within expansion =
-  let keys = expansion.Match_options.key_runs in
   let read = ref 0 in
-  (* one score per run read, from the index version being read *)
-  let scored score ~doc run entries =
-    read := !read + Array.length run;
-    match entries with
-    | [] -> []
-    | _ ->
-        let score = score ~doc run in
-        List.map (fun p -> (p, score)) entries
-  in
-  let by_position = function
-    | [] -> []
-    | [ one ] -> one
-    | several ->
-        List.stable_sort
-          (fun (a, _) (b, _) -> Ftindex.Posting.compare_pos a b)
-          (List.concat several)
-  in
+  let key_runs = expansion.Match_options.key_runs in
   let entries =
     match within with
-    | None ->
-        by_position
-          (List.map
-             (fun (runs, score) ->
-               Ftindex.Inverted.Doc_map.bindings runs
-               |> List.concat_map (fun (doc, run) ->
-                      scored score ~doc run (Array.to_list run)))
-             keys)
-    | Some nodes ->
-        List.concat_map
-          (fun (doc, deweys) ->
-            by_position
-              (List.map
-                 (fun (runs, score) ->
-                   let run =
-                     match Ftindex.Inverted.Doc_map.find doc runs with
-                     | run -> run
-                     | exception Not_found -> [||]
-                   in
-                   scored score ~doc run (Ftindex.Inverted.run_within run deweys))
-                 keys))
-          (context_by_doc nodes)
+    | None -> all_entries read expansion.Match_options.stats key_runs
+    | Some within -> within_entries read key_runs within
   in
   (* the observability hook: every entry of the runs this leaf read (the
      context documents' runs, or whole lists without a context), counted
@@ -95,7 +127,49 @@ let posting_entries ?g ?within expansion =
   (match g with
   | Some g -> Xquery.Limits.count_postings g !read
   | None -> ());
-  List.filter (fun (p, _) -> expansion.Match_options.accept p) entries
+  if expansion.Match_options.accepts_all then entries
+  else List.filter (fun (p, _) -> expansion.Match_options.accept p) entries
+
+(* The index of the entry at ([doc], [pos]) in [entries], which ascend by
+   (document, position), or -1. *)
+let rec find_entry entries ~doc pos lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let p = fst entries.(mid) in
+    let c =
+      match String.compare p.Ftindex.Posting.doc doc with
+      | 0 -> Int.compare (Ftindex.Posting.abs_pos p) pos
+      | c -> c
+    in
+    if c = 0 then mid
+    else if c < 0 then find_entry entries ~doc pos (mid + 1) hi
+    else find_entry entries ~doc pos lo mid
+
+(* The nearest entry [d] to [gap + 1] positions after [pos]: adjacent,
+   or past up to [gap] skipped stop-word slots; -1 when none. *)
+let rec next_entry entries ~doc pos gap d =
+  if d > gap + 1 then -1
+  else
+    match find_entry entries ~doc (pos + d) 0 (Array.length entries) with
+    | -1 -> next_entry entries ~doc pos gap (d + 1)
+    | i -> i
+
+let rec extend_phrase ~doc acc pos = function
+  | [] -> Some (List.rev acc)
+  | (gap, entries) :: more -> (
+      match next_entry entries ~doc pos gap 1 with
+      | -1 -> None
+      | i ->
+          let ((p, _) as e) = entries.(i) in
+          extend_phrase ~doc (e :: acc) (Ftindex.Posting.abs_pos p) more)
+
+let join_phrase first followers =
+  List.filter_map
+    (fun ((p0, _) as e0) ->
+      extend_phrase ~doc:p0.Ftindex.Posting.doc [ e0 ]
+        (Ftindex.Posting.abs_pos p0) followers)
+    first
 
 (* Occurrences of a phrase, given as its tokens' expansions: tokens must
    appear consecutively; tokens that are stop words (under the active
@@ -115,50 +189,26 @@ let phrase_occurrences ?g ?within expansions =
   in
   match survivors with
   | [] -> []
+  | [ (_, only) ] -> List.map (fun e -> [ e ]) (posting_entries ?g ?within only)
   | (_, first) :: rest ->
       let first_postings = posting_entries ?g ?within first in
-      (* index follower postings by (doc, position) for O(1) extension *)
-      let follower_tables =
+      let followers =
         List.map
           (fun (gap, e) ->
-            let tbl = Hashtbl.create 64 in
-            List.iter
-              (fun ((p, _) as e) ->
-                Hashtbl.replace tbl (p.Ftindex.Posting.doc, Ftindex.Posting.abs_pos p) e)
-              (posting_entries ?g ?within e);
-            (gap, tbl))
+            (gap, Array.of_list (posting_entries ?g ?within e)))
           rest
       in
-      List.filter_map
-        (fun ((p0, _) as e0) ->
-          let rec extend acc prev_pos = function
-            | [] -> Some (List.rev acc)
-            | (gap, tbl) :: more ->
-                (* allowed next positions: adjacent, plus up to [gap] skipped
-                   stop-word slots *)
-                let rec try_delta d =
-                  if d > gap + 1 then None
-                  else
-                    match
-                      Hashtbl.find_opt tbl (p0.Ftindex.Posting.doc, prev_pos + d)
-                    with
-                    | Some p -> Some p
-                    | None -> try_delta (d + 1)
-                in
-                (match try_delta 1 with
-                | Some ((p, _) as e) -> extend (e :: acc) (Ftindex.Posting.abs_pos p) more
-                | None -> None)
-          in
-          extend [ e0 ] (Ftindex.Posting.abs_pos p0) follower_tables)
-        first_postings
+      join_phrase first_postings followers
 
+(* A phrase occurrence's positions ascend within one document, so they are
+   already the sorted include list. *)
 let match_of_postings ~query_pos ~weight postings =
   let includes = List.map (fun (p, _) -> entry ~query_pos p) postings in
   let base = List.fold_left (fun acc (_, score) -> acc *. score) 1.0 postings in
   let score =
     match weight with None -> base | Some w -> clamp_score (base *. w)
   in
-  make_match ~score:(clamp_score score) includes
+  { includes; excludes = []; score = clamp_score score }
 
 (* Phrase tokenization: under the wildcards / special-characters options
    the pattern characters are part of the token, so the phrase splits on
@@ -187,18 +237,18 @@ let phrase_matches ?g ?within ~query_pos ~weight expansions =
 let ft_or a b =
   { matches = a.matches @ b.matches; anchors = a.anchors @ b.anchors }
 
+(* One match of a conjunction: both include lists are sorted, so a stable
+   merge gives the sorted include list. *)
+let and_match ma mb =
+  {
+    includes = merge_entries ma.includes mb.includes;
+    excludes = ma.excludes @ mb.excludes;
+    score = clamp_score (ma.score *. mb.score);
+  }
+
 let ft_and a b =
   let matches =
-    List.concat_map
-      (fun ma ->
-        List.map
-          (fun mb ->
-            make_match
-              ~excludes:(ma.excludes @ mb.excludes)
-              ~score:(clamp_score (ma.score *. mb.score))
-              (ma.includes @ mb.includes))
-          b.matches)
-      a.matches
+    List.concat_map (fun ma -> List.map (and_match ma) b.matches) a.matches
   in
   { matches; anchors = a.anchors @ b.anchors }
 
@@ -265,13 +315,14 @@ let unit_pos unit_ e =
   | Sentences -> Ftindex.Posting.sentence e.posting
   | Paragraphs -> Ftindex.Posting.para e.posting
 
+let entry_doc e = e.posting.Ftindex.Posting.doc
+
 let same_doc entries =
   match entries with
   | [] -> true
   | e :: rest ->
-      List.for_all
-        (fun e' -> e'.posting.Ftindex.Posting.doc = e.posting.Ftindex.Posting.doc)
-        rest
+      let doc = entry_doc e in
+      List.for_all (fun e' -> String.equal (entry_doc e') doc) rest
 
 (* FTOrdered: include positions must appear in the order of the search words
    in the query (their queryPos), paper Section 3.2.2. *)
@@ -281,7 +332,7 @@ let ordered_ok m =
       List.for_all
         (fun e2 ->
           e1.query_pos >= e2.query_pos
-          || (same_doc [ e1; e2 ]
+          || (String.equal (entry_doc e1) (entry_doc e2)
              && Ftindex.Posting.abs_pos e1.posting
                 <= Ftindex.Posting.abs_pos e2.posting))
         m.includes)
@@ -328,21 +379,20 @@ let words_between c ~doc lo hi =
       !count
   (* clamp so two entries at the same position (FTAnd duplicating a word)
      are 0 apart, like the stop-word-counting branch above *)
-  | _ -> max 0 (hi - lo - 1)
+  | _ -> Int.max 0 (hi - lo - 1)
 
 (* counted window span of [lo, hi]: the two endpoints plus the counted
    words between them *)
 let word_span c ~doc lo hi =
-  if lo = hi then 1 else 2 + words_between c ~doc (min lo hi) (max lo hi)
-
-let entry_doc e = e.posting.Ftindex.Posting.doc
+  if lo = hi then 1
+  else 2 + words_between c ~doc (Int.min lo hi) (Int.max lo hi)
 
 (* Distance between two adjacent positions: counted words in between (unit
    words), or difference of sentence/paragraph ordinals. *)
 let pair_distance c unit_ e1 e2 =
   let p1 = unit_pos unit_ e1 and p2 = unit_pos unit_ e2 in
   match unit_ with
-  | Words -> words_between c ~doc:(entry_doc e1) (min p1 p2) (max p1 p2)
+  | Words -> words_between c ~doc:(entry_doc e1) (Int.min p1 p2) (Int.max p1 p2)
   | Sentences | Paragraphs -> abs (p2 - p1)
 
 (* Range upper bound, used for score damping. *)
@@ -352,96 +402,103 @@ let range_bound = function
   | From_to (_, hi) -> Some hi
   | At_least _ -> None
 
+(* The largest distance between adjacent entries of a sorted include list,
+   or -1 when some distance is out of [range]. *)
+let max_adjacent_distance c range unit_ includes =
+  let rec go max_d = function
+    | x :: (y :: _ as rest) ->
+        let d = pair_distance c unit_ x y in
+        if in_range range d then go (Int.max max_d d) rest else -1
+    | _ -> max_d
+  in
+  go 0 includes
+
+let rec last_entry = function
+  | [ e ] -> e
+  | _ :: rest -> last_entry rest
+  | [] -> invalid_arg "last_entry"
+
+(* Excludes survive a position filter only inside the span [lo, hi] of
+   the includes' document [doc], where they could violate/confirm the
+   condition. *)
+let keep_excludes unit_ ~doc m lo hi =
+  List.filter
+    (fun e ->
+      String.equal (entry_doc e) doc
+      && unit_pos unit_ e >= lo && unit_pos unit_ e <= hi)
+    m.excludes
+
 (* FTDistance: every pair of adjacent include positions satisfies the range
    (the paper's FTWordDistanceAtMost generalized to all four range kinds).
-   Excludes survive only if they fall inside the span where they could
-   violate/confirm the condition. *)
+   Includes are sorted by (document, position), so within one document they
+   ascend by position. *)
 let distance_match ?(counting = plain_counting) range unit_ m =
-  (
-  let c = counting in
-  let filter_match m =
-    if List.length m.includes < 2 then Some m
-    else if not (same_doc m.includes) then None
-    else begin
-      let sorted =
-        List.sort
-          (fun x y ->
-            compare (Ftindex.Posting.abs_pos x.posting) (Ftindex.Posting.abs_pos y.posting))
-          m.includes
-      in
-      let rec distances acc = function
-        | x :: (y :: _ as rest) ->
-            distances (pair_distance c unit_ x y :: acc) rest
-        | _ -> List.rev acc
-      in
-      let ds = distances [] sorted in
-      if List.for_all (in_range range) ds then begin
-        let lo = unit_pos unit_ (List.hd sorted)
-        and hi = unit_pos unit_ (List.nth sorted (List.length sorted - 1)) in
-        let keep_exclude e =
-          same_doc (e :: m.includes)
-          && unit_pos unit_ e >= lo && unit_pos unit_ e <= hi
-        in
-        let max_d = List.fold_left max 0 ds in
-        let damping =
-          match range_bound range with
-          | Some bound when bound > 0 ->
-              1.0 -. (float_of_int max_d /. float_of_int (bound + 1))
-          | _ -> 1.0
-        in
-        Some
-          {
-            m with
-            excludes = List.filter keep_exclude m.excludes;
-            score = clamp_score (m.score *. damping);
-          }
-      end
-      else None
-    end
-  in
-  filter_match m)
+  match m.includes with
+  | [] | [ _ ] -> Some m
+  | first :: _ ->
+      if not (same_doc m.includes) then None
+      else
+        let max_d = max_adjacent_distance counting range unit_ m.includes in
+        if max_d < 0 then None
+        else
+          let lo = unit_pos unit_ first
+          and hi = unit_pos unit_ (last_entry m.includes) in
+          let damping =
+            match range_bound range with
+            | Some bound when bound > 0 ->
+                1.0 -. (float_of_int max_d /. float_of_int (bound + 1))
+            | _ -> 1.0
+          in
+          Some
+            {
+              m with
+              excludes = keep_excludes unit_ ~doc:(entry_doc first) m lo hi;
+              score = clamp_score (m.score *. damping);
+            }
 
 let ft_distance ?counting range unit_ a =
   { a with matches = List.filter_map (distance_match ?counting range unit_) a.matches }
 
+(* The smallest and largest unit position of a non-empty entry list, and
+   its counted span. *)
+let unit_extent c unit_ = function
+  | [] -> invalid_arg "unit_extent"
+  | first :: rest ->
+      let rec go lo hi = function
+        | [] -> (lo, hi)
+        | e :: rest ->
+            let p = unit_pos unit_ e in
+            go (Int.min lo p) (Int.max hi p) rest
+      in
+      let p = unit_pos unit_ first in
+      let lo, hi = go p p rest in
+      let span =
+        match unit_ with
+        | Words -> word_span c ~doc:(entry_doc first) lo hi
+        | Sentences | Paragraphs -> hi - lo + 1
+      in
+      (lo, hi, span)
+
 (* FTWindow: all include positions fit in a window of n units. *)
 let window_match ?(counting = plain_counting) n unit_ m =
-  (
-  let c = counting in
-  let filter_match m =
-    match m.includes with
-    | [] -> Some m
-    | first :: _ ->
-        if not (same_doc m.includes) then None
-        else begin
-          let positions = List.map (unit_pos unit_) m.includes in
-          let lo = List.fold_left min (unit_pos unit_ first) positions
-          and hi = List.fold_left max (unit_pos unit_ first) positions in
-          let span =
-            match unit_ with
-            | Words -> word_span c ~doc:(entry_doc first) lo hi
-            | Sentences | Paragraphs -> hi - lo + 1
+  match m.includes with
+  | [] -> Some m
+  | first :: _ as includes ->
+      if not (same_doc includes) then None
+      else
+        let lo, hi, span = unit_extent counting unit_ includes in
+        if span <= n then
+          let damping =
+            if n > 0 then 1.0 -. (float_of_int (span - 1) /. float_of_int (n + 1))
+            else 1.0
           in
-          if span <= n then begin
-            let keep_exclude e =
-              same_doc (e :: m.includes)
-              && unit_pos unit_ e >= lo && unit_pos unit_ e <= hi
-            in
-            let damping =
-              if n > 0 then 1.0 -. (float_of_int (span - 1) /. float_of_int (n + 1))
-              else 1.0
-            in
-            Some
-              {
-                m with
-                excludes = List.filter keep_exclude m.excludes;
-                score = clamp_score (m.score *. damping);
-              }
-          end
-          else None
-        end
-  in
-  filter_match m)
+          Some
+            {
+              m with
+              excludes = keep_excludes unit_ ~doc:(entry_doc first) m lo hi;
+              score = clamp_score (m.score *. damping);
+            }
+        else None
 
 let ft_window ?counting n unit_ a =
   { a with matches = List.filter_map (window_match ?counting n unit_) a.matches }
@@ -464,19 +521,12 @@ let distance_match_approx ?(counting = plain_counting) range unit_ m =
   | None ->
       if m.includes = [] || not (same_doc m.includes) then None
       else begin
-        let sorted =
-          List.sort
-            (fun x y ->
-              compare (Ftindex.Posting.abs_pos x.posting)
-                (Ftindex.Posting.abs_pos y.posting))
-            m.includes
-        in
         let rec worst acc = function
           | x :: (y :: _ as rest) ->
-              worst (max acc (pair_distance counting unit_ x y)) rest
+              worst (Int.max acc (pair_distance counting unit_ x y)) rest
           | _ -> acc
         in
-        let actual = worst 0 sorted in
+        let actual = worst 0 m.includes in
         let factor =
           match range with
           | At_most b | Exactly b | From_to (_, b) -> miss_factor ~bound:b ~actual
@@ -493,14 +543,7 @@ let window_match_approx ?(counting = plain_counting) n unit_ m =
   | None ->
       if m.includes = [] || not (same_doc m.includes) then None
       else begin
-        let positions = List.map (unit_pos unit_) m.includes in
-        let lo = List.fold_left min max_int positions
-        and hi = List.fold_left max min_int positions in
-        let span =
-          match unit_ with
-          | Words -> word_span counting ~doc:(entry_doc (List.hd m.includes)) lo hi
-          | Sentences | Paragraphs -> hi - lo + 1
-        in
+        let _, _, span = unit_extent counting unit_ m.includes in
         Some
           {
             m with
@@ -537,9 +580,9 @@ let scope_ok kind m =
         same_doc entries
         &&
         let ids = List.map (unit_pos proj) entries in
-        if same then List.for_all (fun i -> i = List.hd ids) ids
+        if same then List.for_all (Int.equal (List.hd ids)) ids
         else
-          let sorted = List.sort compare ids in
+          let sorted = List.sort Int.compare ids in
           let rec distinct = function
             | x :: (y :: _ as rest) -> x <> y && distinct rest
             | _ -> true
@@ -591,7 +634,7 @@ let ft_times range a =
       Array.of_list
         (List.stable_sort
            (fun m1 m2 ->
-             compare
+             Int.compare
                (Ftindex.Posting.abs_pos (List.hd m1.includes).posting)
                (Ftindex.Posting.abs_pos (List.hd m2.includes).posting))
            (List.rev ms))
@@ -648,71 +691,92 @@ let ft_content anchor a = { a with anchors = anchor :: a.anchors }
 
 (* --- FTContains (paper Section 3.2.3.1, satisfiesMatch) --- *)
 
-let entry_in_node index e ~doc ~node_dewey =
-  Ftindex.Inverted.position_in_node index e.posting ~doc ~node_dewey
-
-let anchors_ok env ~doc ~node_dewey anchors m =
+let anchors_ok index site anchors m =
   anchors = []
   ||
-  match Ftindex.Inverted.node_extent (Env.index env) ~doc ~node_dewey with
-  | None -> false
-  | Some (first, last) ->
-      let positions =
-        List.map (fun e -> Ftindex.Posting.abs_pos e.posting) m.includes
+  match
+    ( Ftindex.Inverted.node_extent index ~doc:site.doc ~node_dewey:site.dewey,
+      m.includes )
+  with
+  | None, _ | _, [] -> false
+  | Some (first, last), e :: rest ->
+      let rec bounds lo hi = function
+        | [] -> (lo, hi)
+        | e :: rest ->
+            let p = Ftindex.Posting.abs_pos e.posting in
+            bounds (Int.min lo p) (Int.max hi p) rest
       in
-      (match positions with
-      | [] -> false
-      | _ ->
-          let lo = List.fold_left min max_int positions
-          and hi = List.fold_left max min_int positions in
-          List.for_all
-            (function
-              | Xquery.Ast.At_start -> lo = first
-              | Xquery.Ast.At_end -> hi = last
-              | Xquery.Ast.Entire_content -> lo = first && hi = last)
-            anchors)
+      let p = Ftindex.Posting.abs_pos e.posting in
+      let lo, hi = bounds p p rest in
+      List.for_all
+        (function
+          | Xquery.Ast.At_start -> lo = first
+          | Xquery.Ast.At_end -> hi = last
+          | Xquery.Ast.Entire_content -> lo = first && hi = last)
+        anchors
 
-let satisfies_match env ~doc ~node_dewey anchors m =
+let rec any_inside index site = function
+  | [] -> false
+  | e :: rest ->
+      Ftindex.Inverted.position_in_node index e.posting ~doc:site.doc
+        ~node_dewey:site.dewey
+      || any_inside index site rest
+
+let rec all_inside index site = function
+  | [] -> true
+  | e :: rest ->
+      Ftindex.Inverted.position_in_node index e.posting ~doc:site.doc
+        ~node_dewey:site.dewey
+      && all_inside index site rest
+
+(* satisfiesMatch against one located node: every include inside it, no
+   exclude inside it, the anchors hold.  [includes_inside] says every
+   include was read inside this very node (the per-node path reads its
+   leaves within the node alone, and the operators only combine, drop or
+   flip entries the leaves read), so only the excludes and the anchors
+   need the check. *)
+let satisfies ?(includes_inside = false) env site anchors m =
   let index = Env.index env in
-  List.for_all (entry_in_node index ~doc ~node_dewey) m.includes
-  && (not (List.exists (entry_in_node index ~doc ~node_dewey) m.excludes))
-  && anchors_ok env ~doc ~node_dewey anchors m
+  (includes_inside || all_inside index site m.includes)
+  && (not (any_inside index site m.excludes))
+  && anchors_ok index site anchors m
 
 (* Matches a node satisfies — used both by FTContains (non-empty?) and by
    per-node scoring. *)
+let site_matches ?includes_inside env site a =
+  List.filter (satisfies ?includes_inside env site a.anchors) a.matches
+
+let site_satisfies ?includes_inside env site a =
+  List.exists (satisfies ?includes_inside env site a.anchors) a.matches
+
 let matches_for_node env node a =
-  let index = Env.index env in
-  match Ftindex.Inverted.doc_of_node index node with
+  match locate env node with
   | None -> []
-  | Some doc ->
-      let node_dewey = Xmlkit.Node.dewey node in
-      List.filter (satisfies_match env ~doc ~node_dewey a.anchors) a.matches
+  | Some site -> site_matches env site a
 
-let node_satisfies env node a = matches_for_node env node a <> []
+let node_satisfies env node a =
+  match locate env node with
+  | None -> false
+  | Some site -> site_satisfies env site a
 
-let ft_contains env nodes a = List.exists (fun n -> node_satisfies env n a) nodes
+let ft_contains env sites a = List.exists (fun s -> site_satisfies env s a) sites
 
 (* The FTIgnoreOption ("without content Expr"): positions inside ignored
    subtrees may not contribute to matches.  Matches relying on an ignored
    include are dropped; excludes inside ignored subtrees are waived. *)
-let apply_ignore env ignored_nodes a =
+let ignore_filter env ignored_nodes =
   let index = Env.index env in
+  let ignored_sites = sites env ignored_nodes in
   let ignored e =
     List.exists
-      (fun n ->
-        match Ftindex.Inverted.doc_of_node index n with
-        | None -> false
-        | Some doc ->
-            Ftindex.Inverted.position_in_node index e.posting ~doc
-              ~node_dewey:(Xmlkit.Node.dewey n))
-      ignored_nodes
+      (fun site ->
+        Ftindex.Inverted.position_in_node index e.posting ~doc:site.doc
+          ~node_dewey:site.dewey)
+      ignored_sites
   in
-  {
-    a with
-    matches =
-      List.filter_map
-        (fun m ->
-          if List.exists ignored m.includes then None
-          else Some { m with excludes = List.filter (fun e -> not (ignored e)) m.excludes })
-        a.matches;
-  }
+  fun m ->
+    if List.exists ignored m.includes then None
+    else Some { m with excludes = List.filter (fun e -> not (ignored e)) m.excludes }
+
+let apply_ignore env ignored_nodes a =
+  { a with matches = List.filter_map (ignore_filter env ignored_nodes) a.matches }

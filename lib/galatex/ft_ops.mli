@@ -30,7 +30,34 @@ val words_between : counting -> doc:string -> int -> int -> int
 val word_span : counting -> doc:string -> int -> int -> int
 (** Counted span of a closed position interval (both endpoints count). *)
 
+(** {1 Context sites} *)
+
+type site = {
+  doc : string;
+  max_tf : int option;
+      (** the document's {!Ftindex.Stats.max_tf}: the Section 3.3 score of
+          each of its runs divides by it *)
+  dewey : Xmlkit.Dewey.t;
+}
+(** A context node resolved against the index once: the document it
+    belongs to and its Dewey label. *)
+
+val locate : Env.t -> Xmlkit.Node.t -> site option
+(** [None] for a node of no indexed document (a constructed tree, or a
+    replaced document's old root). *)
+
+val sites : Env.t -> Xmlkit.Node.t list -> site list
+(** The nodes that {!locate} resolves, in order. *)
+
 (** {1 FTWords} *)
+
+type within = (site * Xmlkit.Dewey.t list) list
+(** An evaluation context as the leaves read it: its documents in uri
+    order, each as one of its sites with the Dewey labels of all its
+    context nodes. *)
+
+val within_sites : site list -> within
+(** Group sites by document. *)
 
 val phrase_tokens : Match_options.resolved -> string -> string list
 (** Tokenize a search phrase; under wildcards / special characters the
@@ -43,7 +70,7 @@ val phrase_expansions :
 
 val phrase_occurrences :
   ?g:Xquery.Limits.governor ->
-  ?within:(string * Xmlkit.Dewey.t) list ->
+  ?within:within ->
   Match_options.expansion list ->
   (Ftindex.Posting.t * float) list list
 (** All occurrences of a phrase given as {!phrase_expansions}
@@ -52,13 +79,23 @@ val phrase_occurrences :
     evaluation context, like the paper's getTokenInfo.  [g] accounts every
     inverted-list entry read (before filtering) as [postings_read]. *)
 
+val join_phrase :
+  (Ftindex.Posting.t * float) list ->
+  (int * (Ftindex.Posting.t * float) array) list ->
+  (Ftindex.Posting.t * float) list list
+(** [join_phrase first followers]: the occurrences that extend an entry of
+    [first] through every follower [(gap, entries)] in turn, the follower's
+    entry lying [1] to [gap + 1] positions after the previous one in the
+    same document (the nearest wins).  Each [entries] ascends by (document,
+    position); the join binary-searches it. *)
+
 val match_of_postings :
   query_pos:int -> weight:float option -> (Ftindex.Posting.t * float) list ->
   All_matches.match_
 
 val phrase_matches :
   ?g:Xquery.Limits.governor ->
-  ?within:(string * Xmlkit.Dewey.t) list ->
+  ?within:within ->
   query_pos:int ->
   weight:float option ->
   Match_options.expansion list ->
@@ -69,6 +106,10 @@ val phrase_matches :
 
 val ft_or : All_matches.t -> All_matches.t -> All_matches.t
 val ft_and : All_matches.t -> All_matches.t -> All_matches.t
+
+val and_match : All_matches.match_ -> All_matches.match_ -> All_matches.match_
+(** One match of a conjunction: merged includes, both sides' excludes, the
+    product score. *)
 
 val ft_unary_not : All_matches.t -> All_matches.t
 (** DNF negation: one flipped entry chosen from every input match. *)
@@ -124,18 +165,33 @@ val ft_window_approx :
 
 (** {1 FTContains (satisfiesMatch)} *)
 
-val satisfies_match :
+val satisfies :
+  ?includes_inside:bool ->
   Env.t ->
-  doc:string ->
-  node_dewey:Xmlkit.Dewey.t ->
+  site ->
   Xquery.Ast.ft_anchor list ->
   All_matches.match_ ->
   bool
-(** Every include inside the node, no exclude inside it, anchors hold. *)
+(** [satisfies env site anchors m]: every include inside the node, no
+    exclude inside it, anchors hold.  With [includes_inside] (default
+    false) the caller vouches that every include lies inside the node —
+    true when the selection was evaluated within that node alone
+    ([within_sites [site]]) — and only excludes and anchors are
+    checked. *)
 
+val site_matches :
+  ?includes_inside:bool -> Env.t -> site -> All_matches.t -> All_matches.match_ list
+
+val site_satisfies : ?includes_inside:bool -> Env.t -> site -> All_matches.t -> bool
 val matches_for_node : Env.t -> Xmlkit.Node.t -> All_matches.t -> All_matches.match_ list
 val node_satisfies : Env.t -> Xmlkit.Node.t -> All_matches.t -> bool
-val ft_contains : Env.t -> Xmlkit.Node.t list -> All_matches.t -> bool
+
+val ft_contains : Env.t -> site list -> All_matches.t -> bool
+(** Some site satisfies some match. *)
+
+val ignore_filter :
+  Env.t -> Xmlkit.Node.t list -> All_matches.match_ -> All_matches.match_ option
+(** The FTIgnoreOption for one match, the ignored nodes located once. *)
 
 val apply_ignore : Env.t -> Xmlkit.Node.t list -> All_matches.t -> All_matches.t
 (** The FTIgnoreOption: drop matches relying on positions inside ignored

@@ -50,18 +50,7 @@ let words_stream ?g ?within ~query_pos ~weight (words : Ft_eval.words) =
           (fun acc seq ->
             let materialized = List.of_seq seq in
             Seq.concat_map
-              (fun ma ->
-                List.to_seq
-                  (List.map
-                     (fun mb ->
-                       All_matches.make_match
-                         ~excludes:
-                           (ma.All_matches.excludes @ mb.All_matches.excludes)
-                         ~score:
-                           (Ft_ops.clamp_score
-                              (ma.All_matches.score *. mb.All_matches.score))
-                         (ma.All_matches.includes @ mb.All_matches.includes))
-                     materialized))
+              (fun ma -> List.to_seq (List.map (Ft_ops.and_match ma) materialized))
               acc)
           first rest
 
@@ -76,17 +65,7 @@ let ft_and a b =
   {
     seq =
       Seq.concat_map
-        (fun ma ->
-          List.to_seq
-            (List.map
-               (fun mb ->
-                 All_matches.make_match
-                   ~excludes:(ma.All_matches.excludes @ mb.All_matches.excludes)
-                   ~score:
-                     (Ft_ops.clamp_score
-                        (ma.All_matches.score *. mb.All_matches.score))
-                   (ma.All_matches.includes @ mb.All_matches.includes))
-               b_matches))
+        (fun ma -> List.to_seq (List.map (Ft_ops.and_match ma) b_matches))
         a.seq;
     anchors = a.anchors @ b.anchors;
     pulled = 0;
@@ -143,14 +122,7 @@ let ft_scope kind s = { s with seq = Seq.filter (Ft_ops.scope_ok kind) s.seq }
 let ft_content anchor s = { s with anchors = anchor :: s.anchors }
 
 let apply_ignore env ignored s =
-  (* reuse the materialized single-match logic via a tiny adapter *)
-  let filter m =
-    let tmp = { All_matches.matches = [ m ]; anchors = [] } in
-    match (Ft_ops.apply_ignore env ignored tmp).All_matches.matches with
-    | [ m' ] -> Some m'
-    | _ -> None
-  in
-  { s with seq = Seq.filter_map filter s.seq }
+  { s with seq = Seq.filter_map (Ft_ops.ignore_filter env ignored) s.seq }
 
 (* --- evaluation of a selection into a stream --- *)
 
@@ -233,24 +205,16 @@ let stream ?within ?(leaves = Ft_eval.fresh_leaves ()) env ~eval ctx selection =
 
 (* --- consumers --- *)
 
-(* FTContains with early exit: the first satisfying (match, node) pair ends
-   the scan — the paper's "if succeeded in marking new nodes then break". *)
-let contains env nodes s =
-  let node_infos =
-    List.filter_map
-      (fun n ->
-        match Ftindex.Inverted.doc_of_node (Env.index env) n with
-        | Some doc -> Some (n, doc, Xmlkit.Node.dewey n)
-        | None -> None)
-      nodes
+(* FTContains with early exit: the first satisfying (match, site) pair ends
+   the scan — the paper's "if succeeded in marking new nodes then break".
+   [includes_inside] as in {!Ft_ops.satisfies}. *)
+let contains_at ?includes_inside env sites s =
+  let tests =
+    List.map (fun site -> Ft_ops.satisfies ?includes_inside env site s.anchors) sites
   in
-  Seq.exists
-    (fun m ->
-      List.exists
-        (fun (_, doc, node_dewey) ->
-          Ft_ops.satisfies_match env ~doc ~node_dewey s.anchors m)
-        node_infos)
-    (counted s s.seq)
+  Seq.exists (fun m -> List.exists (fun test -> test m) tests) (counted s s.seq)
+
+let contains env nodes s = contains_at env (Ft_ops.sites env nodes) s
 
 (* --- the Context.ft_handler for the pipelined strategy --- *)
 
@@ -258,14 +222,14 @@ let handler env : Xquery.Context.ft_handler =
   {
     Xquery.Context.handle_contains =
       (fun ~eval ctx context_nodes selection ignored ->
-        let within = Ft_eval.context_filter env (Ft_eval.nodes_of context_nodes) in
-        let s = stream ?within env ~eval ctx selection in
+        let sites = Ft_ops.sites env (Ft_eval.nodes_of context_nodes) in
+        let s = stream ~within:(Ft_ops.within_sites sites) env ~eval ctx selection in
         let s =
           match ignored with
           | None -> s
           | Some ig -> apply_ignore env (Ft_eval.nodes_of ig) s
         in
-        Xquery.Value.boolean (contains env (Ft_eval.nodes_of context_nodes) s));
+        Xquery.Value.boolean (contains_at env sites s));
     Xquery.Context.handle_score =
       (fun ~eval ctx context_nodes selection ->
         (* scoring needs all matches (the Section 4.2 tension between
@@ -278,11 +242,17 @@ let handler env : Xquery.Context.ft_handler =
           (Score.scores env (Ft_eval.nodes_of context_nodes) am));
     Xquery.Context.handle_each =
       (fun ~eval ctx ~per_node nodes selection verdict ->
-        Ft_eval.each_node env ~per_node nodes (fun ~within ~leaves n ->
-            let s = stream ?within ~leaves env ~eval ctx selection in
-            match verdict with
-            | Xquery.Context.Contains ->
-                Xquery.Value.Boolean (contains env [ n ] s)
-            | Xquery.Context.Score ->
-                Xquery.Value.Double (Score.node_score env n (to_all_matches s))));
+        Ft_eval.each_node env ~per_node nodes (fun ~leaves ~within site ->
+            let s = stream ~within ~leaves env ~eval ctx selection in
+            match (verdict, site) with
+            | Xquery.Context.Contains, _ ->
+                Xquery.Value.Boolean
+                  (contains_at ~includes_inside:true env (Option.to_list site) s)
+            | Xquery.Context.Score, None ->
+                ignore (to_all_matches s);
+                Xquery.Value.Double 0.0
+            | Xquery.Context.Score, Some site ->
+                Xquery.Value.Double
+                  (Score.site_score ~includes_inside:true env site
+                     (to_all_matches s))));
   }

@@ -13,7 +13,7 @@ val of_matches : All_matches.match_ list -> stream
 val to_all_matches : stream -> All_matches.t
 
 val stream :
-  ?within:(string * Xmlkit.Dewey.t) list ->
+  ?within:Ft_ops.within ->
   ?leaves:Ft_eval.leaves ->
   Env.t ->
   eval:Ft_eval.eval_callback ->

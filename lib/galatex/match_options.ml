@@ -92,11 +92,10 @@ type expansion = {
   token : string;
   is_stop : bool;
   keys : string list;
-  key_runs :
-    (Ftindex.Inverted.run Ftindex.Inverted.Doc_map.t
-    * (doc:string -> Ftindex.Inverted.run -> float))
-    list;
+  key_runs : (Ftindex.Inverted.run Ftindex.Inverted.Doc_map.t * float) list;
+  stats : Ftindex.Stats.t;
   accept : Ftindex.Posting.t -> bool;
+  accepts_all : bool;
 }
 
 let fold_diac sensitive w =
@@ -136,27 +135,31 @@ let key_matcher resolved terms =
     let dw_cmp = fold dw in
     List.exists (String.equal dw_cmp) terms_cmp
 
-(* Surface-level predicate for case-sensitive comparisons.  With stemming or
-   wildcards the comparison is inherently case-folded and every surface is
-   accepted. *)
+(* Surface-level predicate for case-sensitive comparisons; [None] when every
+   surface is accepted.  With stemming or wildcards the comparison is
+   inherently case-folded and every surface is accepted. *)
 let surface_predicate resolved term =
   match resolved.case with
-  | Case_insensitive -> fun _ -> true
+  | Case_insensitive -> None
   | Case_sensitive ->
-      if resolved.stemming || resolved.wildcards then fun _ -> true
+      if resolved.stemming || resolved.wildcards then None
       else
         let expect = fold_diac resolved.diacritics_sensitive term in
-        fun (p : Ftindex.Posting.t) ->
-          fold_diac resolved.diacritics_sensitive p.Ftindex.Posting.token.Tokenize.Token.word
-          = expect
+        Some
+          (fun (p : Ftindex.Posting.t) ->
+            fold_diac resolved.diacritics_sensitive
+              p.Ftindex.Posting.token.Tokenize.Token.word
+            = expect)
   | Case_lower ->
-      fun (p : Ftindex.Posting.t) ->
-        let surface = p.Ftindex.Posting.token.Tokenize.Token.word in
-        surface = Tokenize.Normalize.casefold surface
+      Some
+        (fun (p : Ftindex.Posting.t) ->
+          let surface = p.Ftindex.Posting.token.Tokenize.Token.word in
+          surface = Tokenize.Normalize.casefold surface)
   | Case_upper ->
-      fun (p : Ftindex.Posting.t) ->
-        let surface = p.Ftindex.Posting.token.Tokenize.Token.word in
-        surface = String.uppercase_ascii surface
+      Some
+        (fun (p : Ftindex.Posting.t) ->
+          let surface = p.Ftindex.Posting.token.Tokenize.Token.word in
+          surface = String.uppercase_ascii surface)
 
 let thesaurus_terms env resolved term =
   match resolved.thesaurus with
@@ -176,12 +179,23 @@ let expand env resolved token =
   (* on a miss, the paper's loop over ListDistinctWords/invlist/@word *)
   let keys = Env.cached env cache_key (fun () -> key_matcher resolved terms) in
   let accepts = List.map (surface_predicate resolved) terms in
-  let accept p = List.exists (fun f -> f p) accepts in
+  let accepts_all = List.exists Option.is_none accepts in
+  let accept p =
+    List.exists (function None -> true | Some f -> f p) accepts
+  in
   let index = Env.index env in
   let key_runs =
     List.map
       (fun key ->
-        (Ftindex.Inverted.runs index key, Ftindex.Inverted.scorer index key))
+        (Ftindex.Inverted.runs index key, Ftindex.Inverted.idf index key))
       keys
   in
-  { token; is_stop; keys; key_runs; accept }
+  {
+    token;
+    is_stop;
+    keys;
+    key_runs;
+    stats = Ftindex.Inverted.stats index;
+    accept;
+    accepts_all;
+  }

@@ -36,14 +36,15 @@ type expansion = {
   token : string;
   is_stop : bool;  (** drop from phrases / skip in counting *)
   keys : string list;  (** matching distinct document words (index keys) *)
-  key_runs :
-    (Ftindex.Inverted.run Ftindex.Inverted.Doc_map.t
-    * (doc:string -> Ftindex.Inverted.run -> float))
-    list;
-      (** each key's runs and {!Ftindex.Inverted.scorer}, looked up once
-          per expansion rather than once per context node *)
+  key_runs : (Ftindex.Inverted.run Ftindex.Inverted.Doc_map.t * float) list;
+      (** each key's runs and {!Ftindex.Inverted.idf}, looked up once per
+          expansion rather than once per context node *)
+  stats : Ftindex.Stats.t;  (** the statistics those runs are scored under *)
   accept : Ftindex.Posting.t -> bool;
       (** surface-form filter (case sensitivity) on individual postings *)
+  accepts_all : bool;
+      (** [accept] holds for every posting (no surface-form constraint: the
+          case-insensitive default), so readers may skip it *)
 }
 
 val expand : Env.t -> resolved -> string -> expansion

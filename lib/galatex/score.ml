@@ -8,14 +8,19 @@ let compose_noisy_or scores =
      XQuery module so the strategies agree bit-for-bit *)
   1.0 -. List.fold_right (fun s acc -> (1.0 -. s) *. acc) scores 1.0
 
-(* Score of one node against a final AllMatches. *)
-let node_score env node am =
-  match Ft_ops.matches_for_node env node am with
+(* Score of one located node against a final AllMatches. *)
+let site_score ?includes_inside env site am =
+  match Ft_ops.site_matches ?includes_inside env site am with
   | [] -> 0.0
   | ms ->
       let s = compose_noisy_or (List.map (fun m -> m.All_matches.score) ms) in
       (* requirement (i): a satisfying node scores in (0,1] *)
       if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else s
+
+let node_score env node am =
+  match Ft_ops.locate env node with
+  | None -> 0.0
+  | Some site -> site_score env site am
 
 let scores env nodes am = List.map (fun n -> node_score env n am) nodes
 

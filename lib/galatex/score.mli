@@ -5,6 +5,11 @@ val compose_noisy_or : float list -> float
 (** The FTOr formula, 1 - prod(1 - s_i), right-associated to match the
     XQuery module's recursion bit-for-bit. *)
 
+val site_score :
+  ?includes_inside:bool -> Env.t -> Ft_ops.site -> All_matches.t -> float
+(** {!node_score} of a located node; [includes_inside] as in
+    {!Ft_ops.satisfies}. *)
+
 val node_score : Env.t -> Xmlkit.Node.t -> All_matches.t -> float
 (** 0.0 when the node satisfies no match, otherwise in (0,1]. *)
 

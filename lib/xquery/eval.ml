@@ -26,17 +26,30 @@ let rec copy_node n =
 
 let is_whitespace s = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') s
 
-(* A conservative syntactic test that a predicate selects the same nodes
-   whatever its context position and size: its value is always a boolean
-   or a node sequence, never a number, and it calls neither position() nor
-   last() anywhere. *)
-let non_positional pred =
+(* Builtins whose value is always a single boolean. *)
+let boolean_builtins =
+  [
+    "true"; "false"; "not"; "boolean"; "empty"; "exists"; "contains";
+    "starts-with"; "ends-with"; "matches"; "doc-available";
+  ]
+
+(* A conservative test that a predicate selects the same nodes whatever its
+   context position and size: its value is always a boolean or a node
+   sequence, never a number, and it calls neither position() nor last()
+   anywhere.  A call counts as boolean only when it resolves to one of the
+   boolean builtins: a prolog function may shadow a builtin's name. *)
+let non_positional ctx pred =
   let always_boolean =
     match pred with
     | Ft_contains _ | General_cmp _ | Value_cmp _ | Node_is _ | Quantified _
     | And _ | Or _
     | Path (_, _ :: _) ->
         true
+    | Call (name, args) -> (
+        match Context.find_function ctx name (List.length args) with
+        | Some (Context.Builtin _) ->
+            List.mem (Context.strip_fn name) boolean_builtins
+        | Some (Context.User _) | None -> false)
     | _ -> false
   in
   let reads_position = function
@@ -319,7 +332,7 @@ and eval_path ctx root steps =
     let filter selected =
       List.fold_left (eval_predicate ctx) selected step.predicates
     in
-    if List.for_all non_positional step.predicates then
+    if List.for_all (non_positional ctx) step.predicates then
       (* no predicate sees a node's position among its context node's
          selection: filter the step's whole selection at once *)
       filter (Value.document_order_dedup (List.concat_map select nodes))
@@ -335,7 +348,7 @@ and eval_path ctx root steps =
     | { axis = Descendant_or_self; test = Kind_node; predicates = [] }
       :: ({ axis = Child; predicates; _ } as next)
       :: rest
-      when List.for_all non_positional predicates ->
+      when List.for_all (non_positional ctx) predicates ->
         go (apply_step input { next with axis = Descendant }) rest
     | step :: rest -> go (apply_step input step) rest
   in
@@ -357,10 +370,15 @@ and eval_predicate ctx (input : Value.t) pred =
         h.Context.handle_each ~eval ctx ~per_node:(per_node_ticks g) input
           selection Context.Contains
       in
-      List.filter_map Fun.id
-        (List.map2
-           (fun item verdict -> if ebv [ verdict ] then Some item else None)
-           input verdicts)
+      let rec keep items verdicts =
+        match (items, verdicts) with
+        | item :: items, verdict :: verdicts ->
+            if ebv [ verdict ] then item :: keep items verdicts
+            else keep items verdicts
+        | [], [] -> []
+        | _ -> invalid_arg "handle_each: one verdict per node"
+      in
+      keep input verdicts
   | _ ->
       let size = List.length input in
       List.filteri

@@ -17,6 +17,7 @@ type op =
   | Occurs_exactly of int * int  (** "exactly" count range *)
   | Occurs_at_most of int * int  (** "at most" count range *)
   | Not_in  (** mild negation, [S1 not in S2] *)
+  | Anchor  (** one of [at start], [at end], [entire content] *)
 
 let selection ?(depth = 2) ~words ~options ~leaf_weight ops =
   let open QCheck2.Gen in
@@ -45,6 +46,9 @@ let selection ?(depth = 2) ~words ~options ~leaf_weight ops =
         | Occurs_at_most (lo, hi) ->
             map2 (Printf.sprintf "(%s occurs at most %d times)") sub (int_range lo hi)
         | Not_in -> map2 (Printf.sprintf "(%s not in %s)") sub sub
+        | Anchor ->
+            map2 (Printf.sprintf "(%s %s)") sub
+              (oneofl [ "at start"; "at end"; "entire content" ])
       in
       frequency ((leaf_weight, leaf) :: List.map (fun (w, op) -> (w, compose op)) ops)
   in

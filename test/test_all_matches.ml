@@ -232,6 +232,100 @@ let prop_xml_round_trip =
       let am = selection src in
       All_matches.equal_solutions am (All_matches.of_xml (All_matches.to_xml am)))
 
+(* --- the two joins of the per-node kernel against their references --- *)
+
+let posting ~doc pos =
+  Ftindex.Posting.make ~doc (Tokenize.Token.make ~abs_pos:pos "w")
+
+(* entries over two documents and a few positions, so equal (document,
+   position) pairs occur; the query position tells tied entries apart *)
+let gen_sorted_entries =
+  QCheck2.Gen.(
+    map All_matches.sort_entries
+      (list_size (int_range 0 6)
+         (map3
+            (fun doc pos query_pos ->
+              All_matches.entry ~query_pos (posting ~doc pos))
+            (oneofl [ "a.xml"; "b.xml" ])
+            (int_range 1 6) (int_range 1 9))))
+
+let prop_merge_is_sort_of_append =
+  QCheck2.Test.make ~name:"include merge equals sorting the appended lists"
+    ~count:500
+    QCheck2.Gen.(pair gen_sorted_entries gen_sorted_entries)
+    (fun (a, b) ->
+      List.equal ( == ) (All_matches.merge_entries a b)
+        (All_matches.sort_entries (a @ b)))
+
+(* The hash join the binary-search join replaced: each follower indexed by
+   (document, position), the nearest of the allowed distances wins. *)
+let hash_join first followers =
+  let tables =
+    List.map
+      (fun (gap, entries) ->
+        let tbl = Hashtbl.create 64 in
+        Array.iter
+          (fun ((p, _) as e) ->
+            Hashtbl.replace tbl
+              (p.Ftindex.Posting.doc, Ftindex.Posting.abs_pos p)
+              e)
+          entries;
+        (gap, tbl))
+      followers
+  in
+  List.filter_map
+    (fun ((p0, _) as e0) ->
+      let rec extend acc prev = function
+        | [] -> Some (List.rev acc)
+        | (gap, tbl) :: more ->
+            let rec try_delta d =
+              if d > gap + 1 then None
+              else
+                match Hashtbl.find_opt tbl (p0.Ftindex.Posting.doc, prev + d) with
+                | Some e -> Some e
+                | None -> try_delta (d + 1)
+            in
+            (match try_delta 1 with
+            | Some ((p, _) as e) ->
+                extend (e :: acc) (Ftindex.Posting.abs_pos p) more
+            | None -> None)
+      in
+      extend [ e0 ] (Ftindex.Posting.abs_pos p0) tables)
+    first
+
+(* one token's entries: ascending positions in each of two documents,
+   each a step of 1 to 3 after the last, so adjacent and gap-skipping
+   extensions both occur *)
+let gen_run =
+  let doc_positions =
+    QCheck2.Gen.(
+      map
+        (fun steps ->
+          List.rev
+            (snd
+               (List.fold_left
+                  (fun (pos, acc) step -> (pos + step, (pos + step) :: acc))
+                  (0, []) steps)))
+        (list_size (int_range 0 8) (int_range 1 3)))
+  in
+  QCheck2.Gen.(
+    map2
+      (fun a b ->
+        Array.of_list
+          (List.map (fun pos -> (posting ~doc:"a.xml" pos, 0.5)) a
+          @ List.map (fun pos -> (posting ~doc:"b.xml" pos, 0.25)) b))
+      doc_positions doc_positions)
+
+let prop_phrase_join_is_hash_join =
+  QCheck2.Test.make ~name:"binary-search phrase join equals a hash join"
+    ~count:500
+    QCheck2.Gen.(pair gen_run (list_size (int_range 1 3) (pair (int_range 0 2) gen_run)))
+    (fun (first, followers) ->
+      let first = Array.to_list first in
+      List.equal (List.equal ( == ))
+        (Ft_ops.join_phrase first followers)
+        (hash_join first followers))
+
 let tests =
   [
     Alcotest.test_case "FTWord positions" `Quick test_ftword_positions;
@@ -256,4 +350,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_filters_shrink;
     QCheck_alcotest.to_alcotest prop_scores_in_unit_interval;
     QCheck_alcotest.to_alcotest prop_xml_round_trip;
+    QCheck_alcotest.to_alcotest prop_merge_is_sort_of_append;
+    QCheck_alcotest.to_alcotest prop_phrase_join_is_hash_join;
   ]

@@ -249,40 +249,76 @@ let prop_paths_match_reference =
 (* perfbench's corpus profile at scan-large's 200 documents: "//book"
    selects the same 200 roots as "/book" and may allocate at most 3x as
    much to do it. *)
+let allocation_books =
+  lazy
+    (Corpus.Generator.books
+       {
+         Corpus.Generator.default_profile with
+         Corpus.Generator.seed = 7919;
+         doc_count = 200;
+         sections_per_doc = 2;
+         paras_per_section = 3;
+         words_per_para = 30;
+         vocab_size = 150;
+       })
+
+(* minor words of one run after a warm-up, and the answer *)
+let measure eng q =
+  let run () =
+    Galatex.Engine.run eng ~strategy:Galatex.Engine.Native_materialized q
+  in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let v = run () in
+  (Gc.minor_words () -. before, Xquery.Value.to_display_string v)
+
 let test_descendant_allocation () =
-  let books =
-    Corpus.Generator.books
-      {
-        Corpus.Generator.default_profile with
-        Corpus.Generator.seed = 7919;
-        doc_count = 200;
-        sections_per_doc = 2;
-        paras_per_section = 3;
-        words_per_para = 30;
-        vocab_size = 150;
-      }
-  in
-  let eng = Galatex.Engine.create books in
-  let measure q =
-    let run () =
-      Galatex.Engine.run eng ~strategy:Galatex.Engine.Native_materialized q
-    in
-    ignore (run ());
-    let before = Gc.minor_words () in
-    let v = run () in
-    (Gc.minor_words () -. before, Xquery.Value.to_display_string v)
-  in
-  let child_words, child = measure "count(collection()/book)" in
-  let desc_words, desc = measure "count(collection()//book)" in
+  let eng = Galatex.Engine.create (Lazy.force allocation_books) in
+  let child_words, child = measure eng "count(collection()/book)" in
+  let desc_words, desc = measure eng "count(collection()//book)" in
   Alcotest.(check string) "/book count" "200" child;
   Alcotest.(check string) "//book count" "200" desc;
   if desc_words > 3.0 *. child_words then
     Alcotest.failf "//book allocated %.0f minor words, /book %.0f (limit 3x)"
       desc_words child_words
 
+(* Calls of the boolean builtins are non-positional predicates, so
+   "//book[not(@id)]" also runs as one descendant step: it may allocate at
+   most 3x what "/book[not(@id)]" does. *)
+let test_boolean_call_predicates () =
+  let eng = Galatex.Engine.create (Lazy.force allocation_books) in
+  List.iter
+    (fun pred ->
+      let child_words, child = measure eng ("count(collection()/book[" ^ pred ^ "])")
+      and desc_words, desc = measure eng ("count(collection()//book[" ^ pred ^ "])") in
+      Alcotest.(check string) (pred ^ ": same count") child desc;
+      if desc_words > 3.0 *. child_words then
+        Alcotest.failf "//book[%s] allocated %.0f minor words, /book[%s] %.0f (limit 3x)"
+          pred desc_words pred child_words)
+    [ "true()"; "not(@id)"; "fn:exists(@id)"; "boolean(title)"; "contains(@id, '1')" ]
+
+(* A prolog function may take a builtin's name: its call is then whatever
+   the function returns, here the number 2, and "//p[true()]" selects each
+   parent's second p. *)
+let test_shadowed_builtin_stays_positional () =
+  let count xml =
+    Xquery.Value.to_display_string
+      (Galatex.Engine.run
+         (Galatex.Engine.of_strings [ ("shelf.xml", xml) ])
+         "declare function true() { 2 }; count(//p[true()])")
+  in
+  Alcotest.(check string) "one parent" "1"
+    (count "<shelf><p>a</p><p>b</p><p>c</p></shelf>");
+  Alcotest.(check string) "two parents" "2"
+    (count "<shelf><box><p>a</p><p>b</p></box><box><p>c</p><p>d</p></box></shelf>")
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_paths_match_reference;
+    Alcotest.test_case "boolean builtin predicates take one step" `Quick
+      test_boolean_call_predicates;
+    Alcotest.test_case "a prolog function shadowing a builtin stays positional"
+      `Quick test_shadowed_builtin_stays_positional;
     Alcotest.test_case "//book allocates at most 3x /book" `Quick
       test_descendant_allocation;
   ]

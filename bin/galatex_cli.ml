@@ -54,12 +54,6 @@ let strategy_arg =
           "Evaluation strategy: $(b,translated) (the paper's all-XQuery path),
            $(b,materialized) or $(b,pipelined).")
 
-let optimize_arg =
-  Arg.(
-    value & flag
-    & info [ "O"; "optimize" ]
-        ~doc:"Enable the Section 4.1 rewritings (pushdown, or-short-circuit).")
-
 let query_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:"The query text.")
 
@@ -195,9 +189,8 @@ let trace_arg =
     value & flag
     & info [ "trace" ]
         ~doc:
-          "Print the evaluation's span tree (parse, rewrite, translate,
-           eval, per-ftcontains dispatch) to stderr.  Local evaluation
-           only.")
+          "Print the evaluation's span tree (parse, translate, eval,
+           per-ftcontains dispatch) to stderr.  Local evaluation only.")
 
 let trace_json_arg =
   Arg.(
@@ -309,11 +302,11 @@ let transport_error server reason =
 
 (* The daemon's answer carries the error class as a string; map it to the
    same exit codes the local path uses (static 1 .. internal 5). *)
-let run_remote_query ~server ~retries ~strategy ~optimize ~context ~limits
-    ~no_fallback ~show_report ~merge query =
+let run_remote_query ~server ~retries ~strategy ~context ~limits ~no_fallback
+    ~show_report ~merge query =
   let q =
-    Galatex_server.Protocol.query_request ~strategy ~optimize
-      ~fallback:(not no_fallback) ?context ~limits ?merge query
+    Galatex_server.Protocol.query_request ~strategy ~fallback:(not no_fallback)
+      ?context ~limits ?merge query
   in
   (* a --timeout budget bounds the whole retry loop, and each attempt
      advertises what is left of it over the wire *)
@@ -356,17 +349,17 @@ let run_remote_query ~server ~retries ~strategy ~optimize ~context ~limits
       exit 5
   | Error reason -> transport_error server reason
 
-let run_query docs index_dir server retries merge strategy optimize context
-    pretty max_steps max_depth max_matches timeout no_fallback show_report
-    quiet trace trace_json query =
+let run_query docs index_dir server retries merge strategy context pretty
+    max_steps max_depth max_matches timeout no_fallback show_report quiet
+    trace trace_json query =
   let limits = limits_of ~max_steps ~max_depth ~max_matches ~timeout in
   match server with
   | Some _ when trace || trace_json ->
       `Error
         (false, "--trace/--trace-json require local evaluation, not --server")
   | Some server ->
-      run_remote_query ~server ~retries ~strategy ~optimize ~context ~limits
-        ~no_fallback ~show_report ~merge query
+      run_remote_query ~server ~retries ~strategy ~context ~limits ~no_fallback
+        ~show_report ~merge query
   | None ->
   if docs = [] && index_dir = None then
     `Error
@@ -383,12 +376,8 @@ let run_query docs index_dir server retries merge strategy optimize context
           | None -> engine_of docs
         in
         print_salvage_report ~quiet engine;
-        let optimizations =
-          if optimize then Galatex.Engine.all_optimizations
-          else Galatex.Engine.no_optimizations
-        in
         let report =
-          Galatex.Engine.run_report engine ~strategy ~optimizations ~limits
+          Galatex.Engine.run_report engine ~strategy ~limits
             ~fallback:(not no_fallback) ?context query
         in
         if report.Galatex.Engine.fell_back then
@@ -429,7 +418,7 @@ let query_cmd =
     Term.(
       ret
         (const run_query $ docs_arg $ index_dir_arg $ server_arg
-       $ retries_arg $ merge_arg $ strategy_arg $ optimize_arg $ context_arg
+       $ retries_arg $ merge_arg $ strategy_arg $ context_arg
        $ pretty_arg $ max_steps_arg $ max_depth_arg $ max_matches_arg
        $ timeout_arg $ no_fallback_arg $ report_arg $ quiet_arg
        $ trace_arg $ trace_json_arg $ query_arg))
@@ -556,28 +545,21 @@ let tokens_cmd =
 
 (* --- explain --- *)
 
-let run_explain optimize query =
+let run_explain query =
   handle_errors (fun () ->
       let q = Galatex.Engine.parse query in
       print_endline "-- parsed --";
       print_endline (Xquery.Printer.query_to_string q);
-      if optimize then begin
-        let q' = Galatex.Rewrite.pushdown_query q in
-        let q' = Galatex.Rewrite.or_short_circuit_query q' in
-        print_endline "\n-- after Section 4.1 rewritings --";
-        print_endline (Xquery.Printer.query_to_string q')
-      end;
       print_endline "\n-- translated (Section 3.2.2) --";
       print_endline (Galatex.Engine.translate_to_text query);
       `Ok ())
 
 let explain_cmd =
   let doc =
-    "Show the parsed plan, the optional Section 4.1 rewriting, and the
-     translated XQuery for a query."
+    "Show the parsed plan and the translated XQuery for a query."
   in
   Cmd.v (Cmd.info "explain" ~doc)
-    Term.(ret (const run_explain $ optimize_arg $ query_arg))
+    Term.(ret (const run_explain $ query_arg))
 
 (* --- module --- *)
 

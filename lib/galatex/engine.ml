@@ -18,7 +18,7 @@ open Xmlkit
    boundary guarantees that the only exceptions escaping [run] /
    [run_report] / [run_query_report] are structured [Xquery.Errors.Error]
    values.
-   When an optimized strategy (pipelined, or any rewriting flags) dies on
+   When an optimized strategy (pipelined or translated) dies on
    an *internal* error, [run_report] can degrade gracefully to the
    reference materialized path and record that it did. *)
 
@@ -28,14 +28,6 @@ let strategy_name = function
   | Translated -> "translated"
   | Native_materialized -> "materialized"
   | Native_pipelined -> "pipelined"
-
-type optimizations = {
-  pushdown : bool;  (** push selective FT filters below FTAnd (Fig 6a) *)
-  or_short_circuit : bool;  (** FTOr -> XQuery or (Fig 6b) *)
-}
-
-let no_optimizations = { pushdown = false; or_short_circuit = false }
-let all_optimizations = { pushdown = true; or_short_circuit = true }
 
 type report = {
   value : Xquery.Value.t;
@@ -202,19 +194,6 @@ let focus_context t ?context ctx =
 
 let parse = Xquery.Parser.parse_query
 
-(* Rewrites count as fired only when they changed the plan: the ASTs are
-   pure data, so a structural compare is exact. *)
-let apply_optimizations ?governor opts (q : Xquery.Ast.query) =
-  let fired f = match governor with Some g -> f g | None -> () in
-  let q' = if opts.pushdown then Rewrite.pushdown_query q else q in
-  if opts.pushdown && q' <> q then fired Xquery.Limits.count_pushdown;
-  let q'' =
-    if opts.or_short_circuit then Rewrite.or_short_circuit_query q' else q'
-  in
-  if opts.or_short_circuit && q'' <> q' then
-    fired Xquery.Limits.count_or_short_circuit;
-  q''
-
 (* Wrap an ft handler so every ftcontains / ft:score dispatch records a
    nested span — this is where the strategies actually diverge, so it is
    the span users look at first. *)
@@ -237,14 +216,7 @@ let traced_handler tr name (h : Xquery.Context.ft_handler) =
   }
 
 (* One strategy attempt under a shared governor and trace. *)
-let attempt t ~tr ~governor ~strategy ~optimizations ?context
-    (q : Xquery.Ast.query) =
-  let q =
-    if optimizations = no_optimizations then q
-    else
-      Obs.Trace.with_span tr "rewrite" (fun () ->
-          apply_optimizations ~governor optimizations q)
-  in
+let attempt t ~tr ~governor ~strategy ?context (q : Xquery.Ast.query) =
   (* collection() and the context item exist before the prolog runs, so
      a prolog variable can read the indexed documents *)
   let prepare ctx =
@@ -280,8 +252,8 @@ let structured f =
    parse phase, recorded by [run_report] before the AST exists, lands in
    the same tree). *)
 let run_in t ~tr ?(strategy = Native_materialized)
-    ?(optimizations = no_optimizations) ?(limits = Xquery.Limits.defaults)
-    ?fault_at ?(fallback = true) ?context (q : Xquery.Ast.query) =
+    ?(limits = Xquery.Limits.defaults) ?fault_at ?(fallback = true) ?context
+    (q : Xquery.Ast.query) =
   let governor = Xquery.Limits.governor ?fault_at limits in
   let finish ~strategy_used ~fell_back ~fallback_error value =
     Obs.Trace.exit tr;
@@ -301,24 +273,21 @@ let run_in t ~tr ?(strategy = Native_materialized)
     }
   in
   match
-    structured (fun () -> attempt t ~tr ~governor ~strategy ~optimizations ?context q)
+    structured (fun () -> attempt t ~tr ~governor ~strategy ?context q)
   with
   | Ok value ->
       finish ~strategy_used:strategy ~fell_back:false ~fallback_error:None value
   | Error err ->
-      let optimized =
-        strategy <> Native_materialized || optimizations <> no_optimizations
-      in
       let internal =
         Xquery.Errors.class_of err.Xquery.Errors.code = Xquery.Errors.Internal
       in
-      if not (fallback && optimized && internal) then
+      if not (fallback && strategy <> Native_materialized && internal) then
         raise (Xquery.Errors.Error err)
       else begin
         (* graceful degradation: retry on the reference materialized path
-           with no rewritings, under the same (partly spent) governor.  The
-           second attempt's spans join the same "query" root, so the trace
-           shows both attempts. *)
+           under the same (partly spent) governor.  The second attempt's
+           spans join the same "query" root, so the trace shows both
+           attempts. *)
         Atomic.incr t.fallbacks;
         Logs.warn (fun m ->
             m "engine: %s strategy failed (%s); falling back to materialized"
@@ -326,8 +295,7 @@ let run_in t ~tr ?(strategy = Native_materialized)
               (Xquery.Errors.to_string err));
         match
           structured (fun () ->
-              attempt t ~tr ~governor ~strategy:Native_materialized
-                ~optimizations:no_optimizations ?context q)
+              attempt t ~tr ~governor ~strategy:Native_materialized ?context q)
         with
         | Ok value ->
             finish ~strategy_used:Native_materialized ~fell_back:true
@@ -335,14 +303,13 @@ let run_in t ~tr ?(strategy = Native_materialized)
         | Error err' -> raise (Xquery.Errors.Error err')
       end
 
-let run_query_report t ?clock ?strategy ?optimizations ?limits ?fault_at
-    ?fallback ?context (q : Xquery.Ast.query) =
+let run_query_report t ?clock ?strategy ?limits ?fault_at ?fallback ?context
+    (q : Xquery.Ast.query) =
   let tr = Obs.Trace.make ?clock () in
   Obs.Trace.enter tr "query";
-  run_in t ~tr ?strategy ?optimizations ?limits ?fault_at ?fallback ?context q
+  run_in t ~tr ?strategy ?limits ?fault_at ?fallback ?context q
 
-let run_report t ?clock ?strategy ?optimizations ?limits ?fault_at ?fallback
-    ?context src =
+let run_report t ?clock ?strategy ?limits ?fault_at ?fallback ?context src =
   let tr = Obs.Trace.make ?clock () in
   Obs.Trace.enter tr "query";
   match
@@ -350,13 +317,10 @@ let run_report t ?clock ?strategy ?optimizations ?limits ?fault_at ?fallback
   with
   | Error err -> raise (Xquery.Errors.Error err)
   | Ok q ->
-      run_in t ~tr ?strategy ?optimizations ?limits ?fault_at ?fallback
-        ?context q
+      run_in t ~tr ?strategy ?limits ?fault_at ?fallback ?context q
 
-let run t ?clock ?strategy ?optimizations ?limits ?fault_at ?fallback ?context
-    src =
-  (run_report t ?clock ?strategy ?optimizations ?limits ?fault_at ?fallback
-     ?context src)
+let run t ?clock ?strategy ?limits ?fault_at ?fallback ?context src =
+  (run_report t ?clock ?strategy ?limits ?fault_at ?fallback ?context src)
     .value
 
 (* Show the plain XQuery the GalaTex translation produces (Section 3.2.2). *)

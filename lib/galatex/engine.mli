@@ -23,14 +23,6 @@ type strategy =
 
 val strategy_name : strategy -> string
 
-type optimizations = {
-  pushdown : bool;  (** Figure 6(a) selection pushdown *)
-  or_short_circuit : bool;  (** Figure 6(b) FTOr -> XQuery or *)
-}
-
-val no_optimizations : optimizations
-val all_optimizations : optimizations
-
 type t
 
 (** {1 Construction} *)
@@ -162,20 +154,18 @@ type report = {
           degradation counter, not just this run's *)
   trace : Obs.Trace.span;
       (** the run's span tree, rooted at ["query"]: ["parse"] (when the run
-          started from source text), ["rewrite"] (when optimizations were
-          requested), ["translate"] (Translated strategy), ["eval"] with
+          started from source text), ["translate"] (Translated strategy), ["eval"] with
           nested ["ft_eval"] / ["ft_stream"] spans per ftcontains dispatch.
           A fallback leaves both attempts' spans under the same root. *)
   counters : Xquery.Limits.counters;
       (** snapshot of this run's observability counters (materializations,
-          postings read, rewrite firings, full-text dispatches) *)
+          postings read, full-text dispatches) *)
 }
 
 val run_report :
   t ->
   ?clock:Obs.Clock.t ->
   ?strategy:strategy ->
-  ?optimizations:optimizations ->
   ?limits:Xquery.Limits.t ->
   ?fault_at:int ->
   ?fallback:bool ->
@@ -191,8 +181,8 @@ val run_report :
 
     [context] selects the document whose root is the initial context node
     (default: the first indexed document); [fn:collection()] always
-    returns all indexed documents.  Defaults: [Native_materialized], no
-    optimizations, {!Xquery.Limits.defaults}, fallback enabled.
+    returns all indexed documents.  Defaults: [Native_materialized],
+    {!Xquery.Limits.defaults}, fallback enabled.
 
     [fault_at n] arms deterministic fault injection (a raw internal
     failure at eval step [n]) — the boundary converts it to [GTLX0005] or
@@ -210,7 +200,6 @@ val run_query_report :
   t ->
   ?clock:Obs.Clock.t ->
   ?strategy:strategy ->
-  ?optimizations:optimizations ->
   ?limits:Xquery.Limits.t ->
   ?fault_at:int ->
   ?fallback:bool ->
@@ -225,7 +214,6 @@ val run :
   t ->
   ?clock:Obs.Clock.t ->
   ?strategy:strategy ->
-  ?optimizations:optimizations ->
   ?limits:Xquery.Limits.t ->
   ?fault_at:int ->
   ?fallback:bool ->

@@ -99,15 +99,28 @@ let words_matches ?g ?within ~query_pos ~weight words =
         (fun acc u -> Ft_ops.ft_or acc (unit_ms u))
         All_matches.empty units
 
+(* Every operator output is an AllMatches construction point: bound it,
+   and account it — the materialized side of the Section 4 comparison. *)
+let counted g am =
+  let n = All_matches.size am in
+  Xquery.Limits.check_matches g n;
+  Xquery.Limits.count_materialized g n;
+  am
+
 (* Number the Ft_words leaves left to right (the "1", "2" arguments of the
-   paper's translated FTWordsSelectionAny calls). *)
-let all_matches ?within ?(approximate = false) ?(leaves = fresh_leaves ()) env
-    ~eval ctx selection =
+   paper's translated FTWordsSelectionAny calls).
+
+   With [stop_at site], a top-level FTOr chain (under any [with] options)
+   is evaluated one disjunct at a time, left to right, and stops at the
+   first whose matches satisfy [site]: a union only adds matches, so the
+   verdict is already known.  The caller checks [lazy_or] first. *)
+let all_matches ?within ?(approximate = false) ?(leaves = fresh_leaves ())
+    ?stop_at env ~eval ctx selection =
   let g = ctx.Xquery.Context.governor in
   let counter = ref 0 in
   let rec go outer_options selection =
-    let am =
-      match selection with
+    counted g
+      (match selection with
       | Ft_words { source; anyall; options; weight } ->
           incr counter;
           let query_pos = !counter in
@@ -175,16 +188,54 @@ let all_matches ?within ?(approximate = false) ?(leaves = fresh_leaves ()) env
       | Ft_scope (a, kind) -> Ft_ops.ft_scope kind (go outer_options a)
       | Ft_times (a, range) ->
           Ft_ops.ft_times (eval_range ~eval ctx range) (go outer_options a)
-      | Ft_content (a, anchor) -> Ft_ops.ft_content anchor (go outer_options a)
-    in
-    (* every operator output is an AllMatches construction point: bound it,
-       and account it — the materialized side of the Section 4 comparison *)
-    let n = All_matches.size am in
-    Xquery.Limits.check_matches g n;
-    Xquery.Limits.count_materialized g n;
-    am
+      | Ft_content (a, anchor) -> Ft_ops.ft_content anchor (go outer_options a))
   in
-  go Match_options.defaults selection
+  match stop_at with
+  | None -> go Match_options.defaults selection
+  | Some site ->
+      let rec first_satisfying outer_options selection =
+        match selection with
+        | Ft_with_options (inner, options) ->
+            counted g
+              (first_satisfying
+                 (Match_options.resolve_with ~outer:outer_options options)
+                 inner)
+        | Ft_or (a, b) ->
+            let va = first_satisfying outer_options a in
+            (* no matches satisfy nothing, and skip the check's closure *)
+            if
+              va.All_matches.matches <> []
+              && Ft_ops.site_satisfies ~includes_inside:true env site va
+            then va
+            else counted g (Ft_ops.ft_or va (first_satisfying outer_options b))
+        | _ -> go outer_options selection
+      in
+      first_satisfying Match_options.defaults selection
+
+(* A selection [all_matches ~stop_at] may cut short: a top-level FTOr
+   without content anchors, which FTOr would carry to every match of the
+   union (so a skipped disjunct's anchor could reject the other's). *)
+let lazy_or selection =
+  let rec top_or = function
+    | Ft_with_options (a, _) -> top_or a
+    | Ft_or _ -> true
+    | _ -> false
+  in
+  let rec has_anchor = function
+    | Ft_words _ -> false
+    | Ft_content _ -> true
+    | Ft_and (a, b) | Ft_or (a, b) | Ft_mild_not (a, b) ->
+        has_anchor a || has_anchor b
+    | Ft_unary_not a
+    | Ft_ordered a
+    | Ft_window (a, _, _)
+    | Ft_distance (a, _, _)
+    | Ft_scope (a, _)
+    | Ft_times (a, _)
+    | Ft_with_options (a, _) ->
+        has_anchor a
+  in
+  top_or selection && not (has_anchor selection)
 
 (* the evaluation context, located, for source-level filtering *)
 let context_filter env nodes = Some (Ft_ops.within_sites (Ft_ops.sites env nodes))
@@ -229,10 +280,14 @@ let handler env : Xquery.Context.ft_handler =
           (Score.scores env (nodes_of context_nodes) am));
     Xquery.Context.handle_each =
       (fun ~eval ctx ~per_node nodes selection verdict ->
+        let cut_short = verdict = Xquery.Context.Contains && lazy_or selection in
         each_node env ~per_node nodes (fun ~leaves ~within site ->
             (* a node of no indexed document reads no entries, but its
                selection is still evaluated (weights, counters) *)
-            let am = all_matches ~within ~leaves env ~eval ctx selection in
+            let stop_at = if cut_short then site else None in
+            let am =
+              all_matches ~within ~leaves ?stop_at env ~eval ctx selection
+            in
             match (verdict, site) with
             | Xquery.Context.Contains, None -> Xquery.Value.Boolean false
             | Xquery.Context.Contains, Some site ->

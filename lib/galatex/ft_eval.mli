@@ -68,6 +68,7 @@ val all_matches :
   ?within:Ft_ops.within ->
   ?approximate:bool ->
   ?leaves:leaves ->
+  ?stop_at:Ft_ops.site ->
   Env.t ->
   eval:eval_callback ->
   Xquery.Context.t ->
@@ -77,7 +78,14 @@ val all_matches :
     leaves are numbered left-to-right (queryPos), ranges/weights evaluated
     through [eval].  [approximate] switches distance/window to the
     Section 3.3 approximate variants.  [leaves] (default: fresh) carries
-    compiled leaves from one evaluation of the selection to the next. *)
+    compiled leaves from one evaluation of the selection to the next.
+
+    [stop_at site] evaluates a top-level FTOr chain's disjuncts left to
+    right and stops at the first whose matches satisfy [site] (includes
+    read inside it).  For a selection without content anchors, the
+    result satisfies [site] exactly when the whole union would: FTOr
+    carries every operand's anchors to every match of the union.
+    Skipped disjuncts evaluate none of their embedded expressions. *)
 
 val each_node :
   Env.t ->

@@ -6,7 +6,7 @@
     the clock is monotonic (both {!Clock.real} and {!Clock.manual} are). *)
 
 type span = {
-  name : string;  (** phase name: ["query"], ["parse"], ["rewrite"], ... *)
+  name : string;  (** phase name: ["query"], ["parse"], ["eval"], ... *)
   start : float;  (** clock value on entry *)
   mutable finish : float;  (** clock value on exit; [nan] while open *)
   mutable children : span list;  (** in execution order once closed *)

@@ -14,7 +14,6 @@ type merge = Merge_concat | Merge_sum | Merge_topk of int
 type query_request = {
   query : string;
   strategy : Galatex.Engine.strategy;
-  optimize : bool;
   fallback : bool;
   context : string option;
   limits : Xquery.Limits.t;
@@ -38,12 +37,11 @@ type request =
   | Demote of { d_epoch : int; d_primary : string }
 
 let query_request ?(strategy = Galatex.Engine.Native_materialized)
-    ?(optimize = false) ?(fallback = true) ?context
+    ?(fallback = true) ?context
     ?(limits =
       { Xquery.Limits.max_steps = None; max_depth = None; max_matches = None;
         timeout = None }) ?fault_at ?deadline_left ?merge query =
-  { query; strategy; optimize; fallback; context; limits; fault_at;
-    deadline_left; merge }
+  { query; strategy; fallback; context; limits; fault_at; deadline_left; merge }
 
 let strategy_tag = function
   | Galatex.Engine.Translated -> 0
@@ -125,7 +123,8 @@ let encode_request req =
       put_u8 b (Char.code 'Q');
       put_str b q.query;
       put_u8 b (strategy_tag q.strategy);
-      put_bool b q.optimize;
+      (* the retired optimize flag: old daemons read it, so it stays *)
+      put_bool b false;
       put_bool b q.fallback;
       put_opt put_str b q.context;
       put_opt put_u32 b q.limits.Xquery.Limits.max_steps;
@@ -165,7 +164,8 @@ let decode_request data =
       | 'Q' ->
           let query = get_str r in
           let strategy = strategy_of_tag (get_u8 r) in
-          let optimize = get_bool r in
+          (* the retired optimize flag: an old client's 1 is served plain *)
+          ignore (get_bool r : bool);
           let fallback = get_bool r in
           let context = get_opt get_str r in
           let max_steps = get_opt get_u32 r in
@@ -178,7 +178,7 @@ let decode_request data =
           let limits = { Xquery.Limits.max_steps; max_depth; max_matches; timeout } in
           ( "query",
             Query
-              { query; strategy; optimize; fallback; context; limits; fault_at;
+              { query; strategy; fallback; context; limits; fault_at;
                 deadline_left; merge } )
       | c -> malformed "unknown request tag %C" c
     in

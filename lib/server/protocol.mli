@@ -18,7 +18,6 @@ type merge = Merge_concat | Merge_sum | Merge_topk of int
 type query_request = {
   query : string;  (** XQuery Full-Text source text *)
   strategy : Galatex.Engine.strategy;
-  optimize : bool;  (** enable the Section 4.1 rewritings *)
   fallback : bool;  (** graceful degradation to the reference path *)
   context : string option;  (** document uri supplying the context node *)
   limits : Xquery.Limits.t;
@@ -86,13 +85,14 @@ type request =
           [d_epoch] exists.  Rejected with [GTLX0013] when [d_epoch] is
           not beyond the node's own epoch.  Answered with {!Health_reply}. *)
 
-val query_request : ?strategy:Galatex.Engine.strategy -> ?optimize:bool ->
-  ?fallback:bool -> ?context:string -> ?limits:Xquery.Limits.t ->
-  ?fault_at:int -> ?deadline_left:float -> ?merge:merge -> string ->
-  query_request
-(** Defaults: materialized strategy, no optimizations, fallback on, no
-    explicit limits (the server's own defaults apply), no deadline
-    propagation, router-decided merge. *)
+val query_request : ?strategy:Galatex.Engine.strategy -> ?fallback:bool ->
+  ?context:string -> ?limits:Xquery.Limits.t -> ?fault_at:int ->
+  ?deadline_left:float -> ?merge:merge -> string -> query_request
+(** Defaults: materialized strategy, fallback on, no explicit limits (the
+    server's own defaults apply), no deadline propagation, router-decided
+    merge.  The encoding keeps the byte of the retired optimize flag after
+    the strategy tag: it is written as 0, and a 1 from an old client
+    decodes and is ignored. *)
 
 (** {1 Responses} *)
 
@@ -159,7 +159,7 @@ type compact_reply = {
 
 type slow_entry = {
   s_query : string;  (** query source text *)
-  s_strategy : string;  (** strategy key, e.g. ["pipelined+O"] *)
+  s_strategy : string;  (** strategy key, e.g. ["pipelined"] *)
   s_duration_ms : float;
   s_unix_time : float;  (** server clock when the query finished *)
   s_steps : int;  (** eval steps the run consumed *)

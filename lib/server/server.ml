@@ -143,15 +143,13 @@ type t = {
   engine_counters : Obs.Metrics.t;
       (** engine-run counter totals, accumulated per report *)
   histograms : (string * Obs.Histogram.t) list;
-      (** per-(strategy, optimize) latency histograms, pre-created so the
-          request path only ever reads this list *)
+      (** per-strategy latency histograms, pre-created so the request
+          path only ever reads this list *)
   slowlog : Protocol.slow_entry Obs.Ring.t;
 }
 
 (* all strategy keys a request can carry — histogram labels are bounded *)
-let strategy_keys =
-  [ "translated"; "materialized"; "pipelined";
-    "translated+O"; "materialized+O"; "pipelined+O" ]
+let strategy_keys = [ "translated"; "materialized"; "pipelined" ]
 
 let locked t f = Mutex.protect t.lock f
 
@@ -187,11 +185,10 @@ let effective_limits cfg (rl : Xquery.Limits.t) =
   }
 
 let optimized (q : Protocol.query_request) =
-  q.Protocol.strategy <> Galatex.Engine.Native_materialized || q.Protocol.optimize
+  q.Protocol.strategy <> Galatex.Engine.Native_materialized
 
 let strategy_key (q : Protocol.query_request) =
-  let base = Galatex.Engine.strategy_name q.Protocol.strategy in
-  if q.Protocol.optimize then base ^ "+O" else base
+  Galatex.Engine.strategy_name q.Protocol.strategy
 
 (* Latency, engine-counter and slow-query accounting around one Query
    request.  Runs on both the success and the failure path: a failing
@@ -240,19 +237,15 @@ let eval_query t (q : Protocol.query_request) =
     if optimized q then Breaker.route t.breaker (strategy_key q)
     else Breaker.Run
   in
-  let strategy, optimizations, fault_at =
+  let strategy, fault_at =
     match decision with
     | Breaker.Bypass ->
         (* tripped: serve on the reference path.  The injected eval fault
            (if any) targets the requested strategy's run; a bypassed
            request runs clean — that bypass is exactly the protection. *)
         Atomic.incr t.breaker_bypassed;
-        (Galatex.Engine.Native_materialized, Galatex.Engine.no_optimizations, None)
-    | Breaker.Run | Breaker.Probe ->
-        ( q.Protocol.strategy,
-          (if q.Protocol.optimize then Galatex.Engine.all_optimizations
-           else Galatex.Engine.no_optimizations),
-          q.Protocol.fault_at )
+        (Galatex.Engine.Native_materialized, None)
+    | Breaker.Run | Breaker.Probe -> (q.Protocol.strategy, q.Protocol.fault_at)
   in
   let record ok =
     match decision with
@@ -261,7 +254,7 @@ let eval_query t (q : Protocol.query_request) =
     | Breaker.Bypass -> ()
   in
   match
-    Galatex.Engine.run_report engine ~strategy ~optimizations ~limits ?fault_at
+    Galatex.Engine.run_report engine ~strategy ~limits ?fault_at
       ~fallback:q.Protocol.fallback ?context:q.Protocol.context q.Protocol.query
   with
   | report ->

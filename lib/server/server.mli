@@ -157,7 +157,7 @@ val metrics_text : t -> string
     [galatex_<name>_total] / gauge, engine observability counters summed
     over all runs as [galatex_engine_<name>_total], and
     [galatex_query_duration_seconds] histograms labelled by strategy key
-    ([materialized], [pipelined+O], ...). *)
+    ([translated], [materialized], [pipelined]). *)
 
 val slowlog_entries : t -> Protocol.slow_entry list
 (** The slow-query ring (also served as {!Protocol.Slowlog}): queries

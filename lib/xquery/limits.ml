@@ -30,7 +30,7 @@ let default_max_depth = 10_000
 let defaults = { unlimited with max_depth = Some default_max_depth }
 
 (* Per-run observability counters.  They piggyback on the governor because
-   every hook site (operator outputs, posting reads, rewrite application)
+   every hook site (operator outputs, posting reads, handler dispatches)
    already holds it for limit checks — so a hook is one plain-int
    increment on an already-touched path.  A governor belongs to one run on
    one thread; cross-request aggregation (atomics) is the serving layer's
@@ -43,9 +43,6 @@ type counters = {
   mutable postings_read : int;
       (** inverted-list entries read at the leaves: the context documents'
           runs of each word, before node and option filtering *)
-  mutable pushdown_fired : int;  (** Figure 6(a) rewrites that changed the plan *)
-  mutable or_short_circuit_fired : int;
-      (** Figure 6(b) rewrites that changed the plan *)
   mutable ft_dispatches : int;  (** calls of the full-text handler *)
 }
 
@@ -53,8 +50,6 @@ let fresh_counters () =
   {
     allmatches_materialized = 0;
     postings_read = 0;
-    pushdown_fired = 0;
-    or_short_circuit_fired = 0;
     ft_dispatches = 0;
   }
 
@@ -62,8 +57,6 @@ let copy_counters c =
   {
     allmatches_materialized = c.allmatches_materialized;
     postings_read = c.postings_read;
-    pushdown_fired = c.pushdown_fired;
-    or_short_circuit_fired = c.or_short_circuit_fired;
     ft_dispatches = c.ft_dispatches;
   }
 
@@ -71,8 +64,6 @@ let counters_to_list c =
   [
     ("allmatches_materialized", c.allmatches_materialized);
     ("postings_read", c.postings_read);
-    ("pushdown_fired", c.pushdown_fired);
-    ("or_short_circuit_fired", c.or_short_circuit_fired);
     ("ft_dispatches", c.ft_dispatches);
   ]
 
@@ -116,12 +107,6 @@ let count_materialized g n =
   g.counters.allmatches_materialized <- g.counters.allmatches_materialized + n
 
 let count_postings g n = g.counters.postings_read <- g.counters.postings_read + n
-
-let count_pushdown g =
-  g.counters.pushdown_fired <- g.counters.pushdown_fired + 1
-
-let count_or_short_circuit g =
-  g.counters.or_short_circuit_fired <- g.counters.or_short_circuit_fired + 1
 
 let count_ft_dispatch g =
   g.counters.ft_dispatches <- g.counters.ft_dispatches + 1

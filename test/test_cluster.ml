@@ -914,8 +914,6 @@ let server_families =
     ("galatex_follow_primary_up", "gauge");
     ("galatex_engine_allmatches_materialized_total", "counter");
     ("galatex_engine_postings_read_total", "counter");
-    ("galatex_engine_pushdown_fired_total", "counter");
-    ("galatex_engine_or_short_circuit_fired_total", "counter");
     ("galatex_engine_ft_dispatches_total", "counter");
     ("galatex_query_duration_seconds", "histogram") ]
 

@@ -117,11 +117,38 @@ let gen_selection =
         (1, Occurs_at_most (0, 2)); (1, Same_sentence); (2, Anchor);
       ])
 
+(* A top-level FTOr stops at the first disjunct that satisfies the node,
+   unless an anchor sits anywhere below it: FTOr checks every operand's
+   anchors against every match of the union.  Its disjuncts here carry
+   anchors, negations, occurrence counts and weights, and the chain may
+   sit under match options. *)
+let gen_top_or =
+  let disjunct =
+    Ft_gen.(
+      selection ~depth:1 ~words:Test_strategies.vocab
+        ~options:[ ""; " weight 0.5"; " with stemming"; " case sensitive" ]
+        ~leaf_weight:2
+        [
+          (1, And); (1, Not); (1, Occurs (1, 3)); (1, Occurs_at_most (0, 1));
+          (1, Window (2, 10)); (2, Anchor);
+        ])
+  in
+  QCheck2.Gen.(
+    map3
+      (fun chain options wrap ->
+        let chain = String.concat " || " chain in
+        if wrap then Printf.sprintf "(%s) %s" chain options else chain)
+      (list_size (int_range 2 3) disjunct)
+      (oneofl [ "with stemming"; "case insensitive" ])
+      bool)
+
 let prop_batched_equals_per_node =
   QCheck2.Test.make
-    ~name:"batched full-text dispatch equals per-node evaluation" ~count:40
+    ~name:"batched full-text dispatch equals per-node evaluation" ~count:60
     ~print:(fun (ctx, sel) -> ctx ^ " " ^ sel)
-    QCheck2.Gen.(pair Test_strategies.gen_context gen_selection)
+    QCheck2.Gen.(
+      pair Test_strategies.gen_context
+        (frequency [ (2, gen_selection); (1, gen_top_or) ]))
     (fun (ctx, sel) ->
       let eng = Lazy.force engine in
       List.for_all

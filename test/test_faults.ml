@@ -14,18 +14,16 @@ open Galatex
 
 let engine = lazy (Corpus.Usecases.engine ())
 
-(* A query that exercises parsing, FLWOR, paths and both full-text
-   expressions, so injection points cover every evaluation layer. *)
+(* A query that exercises parsing, FLWOR, paths, a batched predicate (whose
+   top-level FTOr stops at the first satisfying disjunct) and a per-node
+   ftcontains, so injection points cover every evaluation layer. *)
 let query =
-  {|for $b in collection()//book
+  {|for $b in collection()//book[. ftcontains "software" || "usability"]
     where $b ftcontains "usability" || "software"
     return string($b/@number)|}
 
 let baseline strategy =
-  let r =
-    Engine.run_report (Lazy.force engine) ~strategy
-      ~optimizations:Engine.all_optimizations query
-  in
+  let r = Engine.run_report (Lazy.force engine) ~strategy query in
   Alcotest.(check bool) "baseline does not fall back" false r.Engine.fell_back;
   r
 
@@ -43,8 +41,7 @@ let test_sweep_fallback () =
     (fun n ->
       match
         Engine.run_report (Lazy.force engine) ~strategy:Engine.Native_pipelined
-          ~optimizations:Engine.all_optimizations ~fault_at:n ~fallback:true
-          query
+          ~fault_at:n ~fallback:true query
       with
       | r ->
           Alcotest.(check bool)
@@ -79,8 +76,7 @@ let test_sweep_no_fallback () =
     (fun n ->
       match
         Engine.run_report (Lazy.force engine) ~strategy:Engine.Native_pipelined
-          ~optimizations:Engine.all_optimizations ~fault_at:n ~fallback:false
-          query
+          ~fault_at:n ~fallback:false query
       with
       | _ -> Alcotest.failf "fault@%d: expected an error" n
       | exception Xquery.Errors.Error e ->

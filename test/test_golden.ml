@@ -15,7 +15,9 @@
    A digest that changes means existing files or peers no longer
    interoperate: bump the format version instead of the digest.  The
    Figure 1 snapshots of format versions 1 and 2 are committed under
-   [fixtures/fig1-v1] and [fixtures/fig1-v2] and must still load. *)
+   [fixtures/fig1-v1] and [fixtures/fig1-v2] and must still load, and the
+   first request as older builds encoded it, with the retired optimize
+   flag set, must still decode and be served. *)
 
 open Ftindex
 module P = Galatex_server.Protocol
@@ -31,13 +33,14 @@ let limits =
   { Xquery.Limits.max_steps = Some 1000; max_depth = Some 64;
     max_matches = Some 5000; timeout = Some 2.5 }
 
+let first_query = "for $b in //book[. ftcontains \"usability\"] return $b"
+
 let requests =
   [
     P.Query
-      (P.query_request ~strategy:Galatex.Engine.Native_pipelined ~optimize:true
+      (P.query_request ~strategy:Galatex.Engine.Native_pipelined
          ~fallback:false ~context:"fig1.xml" ~limits ~fault_at:17
-         ~deadline_left:0.75 ~merge:(P.Merge_topk 10)
-         "for $b in //book[. ftcontains \"usability\"] return $b");
+         ~deadline_left:0.75 ~merge:(P.Merge_topk 10) first_query);
     P.Query (P.query_request "count(//p)");
     P.Stats;
     P.Update
@@ -119,6 +122,69 @@ let responses =
     P.Snapshot_reply
       { sn_generation = 4; sn_manifest_crc = 1; sn_files = []; sn_data = None };
   ]
+
+(* The first request as builds with the optimize flag encoded it: the
+   byte after the strategy tag (02, pipelined) is that flag, set to 01. *)
+let optimize_frame =
+  "5134000000666f7220246220696e202f2f626f6f6b5b2e206674636f6e7461696e73\
+   202275736162696c697479225d2072657475726e2024620201000108000000666967\
+   312e786d6c01e803000001400000000188130000010000000000000440011100000001\
+   000000000000e83f01020a000000"
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let test_optimize_frame_decodes () =
+  let old = of_hex optimize_frame in
+  let current = P.encode_request (List.hd requests) in
+  (match P.decode_request old with
+  | Ok req ->
+      Alcotest.(check bool) "decodes to the first request" true
+        (req = List.hd requests)
+  | Error reason -> Alcotest.failf "old frame refused: %s" reason);
+  (* this build writes the flag as 0 and changes no other byte; the flag
+     follows the tag, the query (u32 length, bytes) and the strategy *)
+  let flag = 1 + 4 + String.length first_query + 1 in
+  Alcotest.(check int) "same length" (String.length old) (String.length current);
+  Alcotest.(check (list (pair int (pair char char))))
+    "only the flag differs"
+    [ (flag, ('\001', '\000')) ]
+    (List.filter_map
+       (fun i ->
+         if old.[i] <> current.[i] then Some (i, (old.[i], current.[i]))
+         else None)
+       (List.init (String.length old) Fun.id))
+
+(* A daemon answers the old frame exactly as it answers the same request
+   without the flag. *)
+let test_optimize_frame_served () =
+  Test_store.with_dir (fun dir ->
+      Store.save ~dir (Corpus.Fig1.index ());
+      let socket_path = dir ^ ".sock" in
+      let server =
+        Galatex_server.Server.start
+          (Galatex_server.Server.default_config ~index_dir:dir ~socket_path)
+      in
+      Fun.protect
+        ~finally:(fun () -> Galatex_server.Server.stop server)
+        (fun () ->
+          let ask payload =
+            let fd = Galatex_server.Netio.connect socket_path in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                Galatex_server.Netio.write_frame fd payload;
+                match Galatex_server.Netio.read_frame fd with
+                | Ok reply -> P.decode_response reply
+                | Error reason -> Alcotest.failf "no reply: %s" reason)
+          in
+          let old = ask (of_hex optimize_frame) in
+          let plain = ask (P.encode_request (List.hd requests)) in
+          (match old with
+          | Ok (P.Value { items = [ _ ]; _ }) -> ()
+          | _ -> Alcotest.fail "the old frame is not answered with one book");
+          Alcotest.(check bool) "the plain answer" true (old = plain)))
 
 let wal_ops =
   [
@@ -210,8 +276,12 @@ let test_directory_rewritten f () =
 
 let tests =
   [
-    pinned "protocol requests" "2f71bcca4dc2ce9fb02169f047a7de49" (fun () ->
+    pinned "protocol requests" "2cb09b887a67732362b9305c6c0be267" (fun () ->
         List.map P.encode_request requests);
+    Alcotest.test_case "optimize-flag request decodes" `Quick
+      test_optimize_frame_decodes;
+    Alcotest.test_case "optimize-flag request served plain" `Quick
+      test_optimize_frame_served;
     pinned "protocol responses" "b1bcecaa7265adf0100d9ea3168ce76b" (fun () ->
         List.map P.encode_response responses);
     pinned "shipped WAL records" "92fc8f86b27450f9d2bcee61abe9541f" (fun () ->

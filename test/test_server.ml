@@ -151,7 +151,7 @@ let open_gate g =
 let test_protocol_roundtrip () =
   let q =
     Protocol.query_request ~strategy:Galatex.Engine.Native_pipelined
-      ~optimize:true ~fallback:false ~context:"a.xml"
+      ~fallback:false ~context:"a.xml"
       ~limits:
         { Xquery.Limits.max_steps = Some 100; max_depth = None;
           max_matches = Some 7; timeout = Some 1.5 }
@@ -875,26 +875,22 @@ let test_chaos () =
         Mutex.unlock failures_lock
       in
       (* a storm of clients: injected eval faults at assorted steps across
-         every strategy/optimization/fallback combination, interleaved
+         every strategy/fallback combination, interleaved
          with torn connections and malformed frames *)
       let well_formed =
         List.concat_map
           (fun strategy ->
             List.concat_map
-              (fun optimize ->
-                List.concat_map
-                  (fun fallback ->
-                    List.map
-                      (fun fault_at -> (strategy, optimize, fallback, fault_at))
-                      [ None; Some 1; Some 5; Some 50 ])
-                  [ true; false ])
+              (fun fallback ->
+                List.map
+                  (fun fault_at -> (strategy, fallback, fault_at))
+                  [ None; Some 1; Some 5; Some 50 ])
               [ true; false ])
           strategies
       in
-      let client (strategy, optimize, fallback, fault_at) =
+      let client (strategy, fallback, fault_at) =
         let q =
-          Protocol.query_request ~strategy ~optimize ~fallback ?fault_at
-            title_query
+          Protocol.query_request ~strategy ~fallback ?fault_at title_query
         in
         match Client.request ~socket_path:sock (Protocol.Query q) with
         | Ok (Protocol.Value _) | Ok (Protocol.Failure _) ->

@@ -52,41 +52,47 @@ let fixed_queries =
 
 let test_fixed_queries () = List.iter check_agree fixed_queries
 
-(* --- optimizations preserve IO accounting --- *)
+(* --- the FTOr short-circuit keeps IO accounting honest --- *)
 
-(* Result-identical runs must read the same postings.  Pushdown only
-   reorders filters above the FTWords leaves, so it may not change
-   [postings_read] at all; or-short-circuit rewrites FTOr into XQuery's
-   lazy [or], so it may legitimately read {e fewer} postings — never
-   more. *)
-let postings_read ~optimizations src =
+(* Result-identical runs must read the same postings.  A predicate's
+   top-level FTOr stops at the first disjunct that satisfies the node, so
+   the batched predicate may read fewer postings than the same selection
+   asked of each node alone in a where clause, which evaluates the whole
+   union — never more. *)
+let postings_read src =
   let report =
     Engine.run_report (Lazy.force engine) ~strategy:Engine.Native_materialized
-      ~optimizations src
+      src
   in
   report.Engine.counters.Xquery.Limits.postings_read
 
 let test_postings_read_stable () =
   List.iter
     (fun src ->
-      let plain = postings_read ~optimizations:Engine.no_optimizations src in
-      let again = postings_read ~optimizations:Engine.no_optimizations src in
-      let pushed =
-        postings_read
-          ~optimizations:{ Engine.pushdown = true; or_short_circuit = false }
-          src
-      in
-      let all = postings_read ~optimizations:Engine.all_optimizations src in
       Alcotest.(check int)
         (Printf.sprintf "repeated runs read identical postings: %s" src)
-        plain again;
-      Alcotest.(check int)
-        (Printf.sprintf "pushdown reads identical postings: %s" src)
-        plain pushed;
-      if not (all <= plain) then
-        Alcotest.failf
-          "all optimizations read more postings (%d > %d) on %s" all plain src)
-    fixed_queries
+        (postings_read src) (postings_read src))
+    fixed_queries;
+  List.iter
+    (fun (ctx, sel) ->
+      let lazy_or =
+        postings_read
+          (Printf.sprintf "count(collection()%s[. ftcontains %s])" ctx sel)
+      in
+      let whole =
+        postings_read
+          (Printf.sprintf
+             "count(for $n in collection()%s where $n ftcontains %s return $n)"
+             ctx sel)
+      in
+      if not (lazy_or <= whole) then
+        Alcotest.failf "the short-circuit read more postings (%d > %d) on %s"
+          lazy_or whole sel)
+    [
+      ("//p", {|"usability" || "databases"|});
+      ("//book", {|"software" || ("usability" && "testing" window 5 words)|});
+      ("//chapter", {|("nosuchword" || "users" || "quality") with stemming|});
+    ]
 
 (* A context node reads only its own document's postings, so scanning
    every book of a corpus reads postings in proportion to the corpus, not

@@ -268,16 +268,17 @@ let slice_by label a node_dewey =
 
 let slice run node_dewey = slice_by Posting.node run node_dewey
 
-let prepend_mapped f run acc (lo, hi) =
+let prepend_mapped ~read f run acc (lo, hi) =
+  read := !read + (hi - lo);
   let acc = ref acc in
   for i = hi - 1 downto lo do
     acc := f run.(i) :: !acc
   done;
   !acc
 
-let map_within run node_deweys f tail =
+let map_within ~read run node_deweys f tail =
   match node_deweys with
-  | [ d ] -> prepend_mapped f run tail (slice run d)
+  | [ d ] -> prepend_mapped ~read f run tail (slice run d)
   | _ ->
       (* nested or repeated context nodes give overlapping slices: merge
          them so every entry is read once, in position order *)
@@ -288,9 +289,10 @@ let map_within run node_deweys f tail =
              | (l, h) :: rest when lo <= h -> (l, Int.max h hi) :: rest
              | _ -> (lo, hi) :: acc)
            []
-      |> List.fold_left (prepend_mapped f run) tail
+      |> List.fold_left (prepend_mapped ~read f run) tail
 
-let run_within run node_deweys = map_within run node_deweys Fun.id []
+let run_within run node_deweys =
+  map_within ~read:(ref 0) run node_deweys Fun.id []
 
 let postings_in t ~doc ~node_dewey word =
   run_within (postings_of_doc t ~doc word) [ node_dewey ]

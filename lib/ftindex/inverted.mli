@@ -79,14 +79,17 @@ val idf : t -> string -> float
     statistics: the factor {!scorer} shares across the word's runs. *)
 
 val map_within :
+  read:int ref ->
   run -> Xmlkit.Dewey.t list -> (Posting.t -> 'a) -> 'a list -> 'a list
-(** [map_within run nodes f tail] is [f] of every entry of [run] inside any
-    of [nodes] (nodes of the run's document), each entry once, in position
-    order, in front of [tail]: two binary searches per node, and for a
-    single node no allocation beyond the result and the slice bounds. *)
+(** [map_within ~read run nodes f tail] is [f] of every entry of [run]
+    inside any of [nodes] (nodes of the run's document), each entry once,
+    in position order, in front of [tail]: two binary searches per node,
+    and for a single node no allocation beyond the result and the slice
+    bounds.  It adds the number of entries it read, the slices' total, to
+    [read]. *)
 
 val run_within : run -> Xmlkit.Dewey.t list -> Posting.t list
-(** [map_within run nodes Fun.id []]. *)
+(** [map_within] into a fresh list, the count dropped. *)
 
 val distinct_words : t -> string list
 (** Sorted distinct-word list ("list_distinct_words.xml" in the paper). *)

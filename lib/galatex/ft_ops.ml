@@ -79,13 +79,13 @@ let by_position entries =
   List.stable_sort (fun (a, _) (b, _) -> Ftindex.Posting.compare_pos a b) entries
 
 (* One key's entries in one context document, each paired with its run's
-   one score, in front of [tail]; [read] counts the run. *)
+   one score, in front of [tail]; [read] counts the entries inside the
+   context nodes, the slices of the run that are actually read. *)
 let key_entries read (site, deweys) (runs, idf) tail =
   match Ftindex.Inverted.Doc_map.find site.doc runs with
   | run ->
-      read := !read + Array.length run;
       let score = run_score ~max_tf:site.max_tf ~idf run in
-      Ftindex.Inverted.map_within run deweys (fun p -> (p, score)) tail
+      Ftindex.Inverted.map_within ~read run deweys (fun p -> (p, score)) tail
   | exception Not_found -> tail
 
 let rec within_entries read key_runs = function
@@ -121,9 +121,10 @@ let posting_entries ?g ?within expansion =
     | None -> all_entries read expansion.Match_options.stats key_runs
     | Some within -> within_entries read key_runs within
   in
-  (* the observability hook: every entry of the runs this leaf read (the
-     context documents' runs, or whole lists without a context), counted
-     before node/option filtering — the paper's IO-side cost *)
+  (* the observability hook: every entry this leaf read (the slices of
+     the context documents' runs inside the context nodes, or whole lists
+     without a context), counted before option filtering — the paper's
+     IO-side cost *)
   (match g with
   | Some g -> Xquery.Limits.count_postings g !read
   | None -> ());
@@ -735,19 +736,36 @@ let rec all_inside index site = function
    leaves within the node alone, and the operators only combine, drop or
    flip entries the leaves read), so only the excludes and the anchors
    need the check. *)
-let satisfies ?(includes_inside = false) env site anchors m =
+let satisfies_match includes_inside env site anchors m =
   let index = Env.index env in
   (includes_inside || all_inside index site m.includes)
   && (not (any_inside index site m.excludes))
   && anchors_ok index site anchors m
 
-(* Matches a node satisfies — used both by FTContains (non-empty?) and by
-   per-node scoring. *)
-let site_matches ?includes_inside env site a =
-  List.filter (satisfies ?includes_inside env site a.anchors) a.matches
+let satisfies ?(includes_inside = false) env site anchors m =
+  satisfies_match includes_inside env site anchors m
 
-let site_satisfies ?includes_inside env site a =
-  List.exists (satisfies ?includes_inside env site a.anchors) a.matches
+(* Matches a node satisfies — used both by FTContains (non-empty?) and by
+   per-node scoring.  Direct walks over the matches, which allocate no
+   closure per call. *)
+let rec satisfying inside env site anchors = function
+  | [] -> []
+  | m :: rest ->
+      if satisfies_match inside env site anchors m then
+        m :: satisfying inside env site anchors rest
+      else satisfying inside env site anchors rest
+
+let rec any_satisfying inside env site anchors = function
+  | [] -> false
+  | m :: rest ->
+      satisfies_match inside env site anchors m
+      || any_satisfying inside env site anchors rest
+
+let site_matches ?(includes_inside = false) env site a =
+  satisfying includes_inside env site a.anchors a.matches
+
+let site_satisfies ?(includes_inside = false) env site a =
+  any_satisfying includes_inside env site a.anchors a.matches
 
 let matches_for_node env node a =
   match locate env node with

@@ -2,7 +2,10 @@
    and then [seal]ed, which sets parent links and assigns, in one pre-order
    pass: a tree identifier, pre-order positions (document order), and Dewey
    labels.  XQuery element constructors build fresh trees, so every node
-   belongs to exactly one sealed tree and node comparison is (tree, order). *)
+   belongs to exactly one sealed tree and node comparison is (tree, order).
+   Sealing a document also builds its name index: the descendant elements
+   by name and processing instructions by target, each group in document
+   order, stored on the document node so it lives and dies with the tree. *)
 
 type t = {
   mutable parent : t option;
@@ -13,7 +16,11 @@ type t = {
 }
 
 and kind =
-  | Document of { uri : string option; mutable dchildren : t list }
+  | Document of {
+      uri : string option;
+      mutable dchildren : t list;
+      mutable names : names;
+    }
   | Element of {
       name : string;
       mutable attributes : t list;
@@ -24,12 +31,19 @@ and kind =
   | Comment of string
   | Pi of { target : string; pcontent : string }
 
+(* [lists.(i)] and [arrays.(i)] hold the nodes named [keys.(i)] in
+   document order, the list to hand out whole, the array to slice; [keys]
+   is sorted *)
+and names = { keys : string array; lists : t list array; arrays : t array array }
+
+let no_names = { keys = [||]; lists = [||]; arrays = [||] }
 let next_tree_id = ref 0
 
 let unsealed kind =
   { parent = None; tree_id = -1; order = -1; dewey = Dewey.root; kind }
 
-let document ?uri children = unsealed (Document { uri; dchildren = children })
+let document ?uri children =
+  unsealed (Document { uri; dchildren = children; names = no_names })
 
 let element ?(attributes = []) name children =
   unsealed (Element { name; attributes; children })
@@ -57,10 +71,28 @@ let name n =
   | Pi p -> Some p.target
   | Document _ | Text _ | Comment _ -> None
 
+(* The groups of a name table, each reversed into document order, sorted
+   by name. *)
+let names_of table =
+  let groups =
+    Hashtbl.fold (fun name rev acc -> (name, rev) :: acc) table []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let lists = List.map (fun (_, rev) -> List.rev rev) groups in
+  {
+    keys = Array.of_list (List.map fst groups);
+    lists = Array.of_list lists;
+    arrays = Array.of_list (List.map Array.of_list lists);
+  }
+
 let seal root =
   incr next_tree_id;
   let tree_id = !next_tree_id in
   let counter = ref 0 in
+  (* a document's name table, filled in pre-order, newest first *)
+  let table =
+    match root.kind with Document _ -> Some (Hashtbl.create 16) | _ -> None
+  in
   let stamp node parent dewey =
     node.parent <- parent;
     node.tree_id <- tree_id;
@@ -68,8 +100,16 @@ let seal root =
     incr counter;
     node.dewey <- dewey
   in
+  let record node =
+    match (table, node.kind) with
+    | Some table, (Element { name; _ } | Pi { target = name; _ }) ->
+        let rev = Option.value (Hashtbl.find_opt table name) ~default:[] in
+        Hashtbl.replace table name (node :: rev)
+    | _ -> ()
+  in
   let rec walk node parent dewey =
     stamp node parent dewey;
+    record node;
     (* Attributes share their element's Dewey label: the paper's TokenInfo
        identifiers only label tree nodes, and attribute text is not indexed. *)
     List.iter (fun attr -> stamp attr (Some node) dewey) (attributes node);
@@ -77,12 +117,13 @@ let seal root =
       (fun i child -> walk child (Some node) (Dewey.child dewey (i + 1)))
       (children node)
   in
-  (match root.kind with
-  | Document _ ->
+  (match (root.kind, table) with
+  | Document d, Some table ->
       (* The document node and its root element both carry label "1", as in
          the paper's Figure 5(a) where the outermost element is "1". *)
       stamp root None Dewey.root;
-      List.iter (fun c -> walk c (Some root) Dewey.root) (children root)
+      List.iter (fun c -> walk c (Some root) Dewey.root) d.dchildren;
+      d.names <- names_of table
   | _ -> walk root None Dewey.root);
   root
 
@@ -126,6 +167,53 @@ let filter_descendants keep n =
         if keep c then c :: acc else acc
   in
   siblings [] (children n)
+
+(* The pre-order position of the last node of [n]'s subtree, attributes
+   aside (they come before the children). *)
+let rec last_order n =
+  let rec last = function [ c ] -> c | _ :: rest -> last rest | [] -> n in
+  match children n with [] -> n.order | kids -> last_order (last kids)
+
+(* The first index of [a], sorted by pre-order position, whose node comes
+   after position [o]. *)
+let first_after a o =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if a.(mid).order <= o then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
+let rec find_key keys name lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let c = String.compare keys.(mid) name in
+    if c = 0 then mid
+    else if c < 0 then find_key keys name (mid + 1) hi
+    else find_key keys name lo mid
+
+(* The kept nodes of [a.(lo) .. a.(hi - 1)], consed from the right. *)
+let rec kept keep a lo i acc =
+  if i < lo then acc
+  else kept keep a lo (i - 1) (if keep a.(i) then a.(i) :: acc else acc)
+
+let filter_named_descendants keep name n =
+  match root n with
+  | { kind = Document { names; _ }; _ } as doc when names != no_names -> (
+      match find_key names.keys name 0 (Array.length names.keys) with
+      | -1 -> []
+      | k ->
+          if doc == n then
+            let all = names.lists.(k) in
+            if List.for_all keep all then all else List.filter keep all
+          else
+            let a = names.arrays.(k) in
+            kept keep a (first_after a n.order)
+              (first_after a (last_order n) - 1)
+              [])
+  | _ -> filter_descendants keep n
 
 let descendants n = filter_descendants (fun _ -> true) n
 let descendants_or_self n = n :: descendants n

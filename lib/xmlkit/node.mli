@@ -6,8 +6,15 @@
 
 type t
 
+type names
+(** A document's name index (see {!seal}). *)
+
 type kind =
-  | Document of { uri : string option; mutable dchildren : t list }
+  | Document of {
+      uri : string option;
+      mutable dchildren : t list;
+      mutable names : names;
+    }
   | Element of {
       name : string;
       mutable attributes : t list;
@@ -30,7 +37,10 @@ val pi : string -> string -> t
 val seal : t -> t
 (** Stamp the tree rooted here with a fresh tree id, pre-order positions and
     Dewey labels.  Returns its argument.  A document node and its root
-    element share the Dewey label "1" (paper, Figure 5(a)). *)
+    element share the Dewey label "1" (paper, Figure 5(a)).  Sealing a
+    document node also records, in the same pass, its descendant elements
+    by name and processing instructions by target, each group in document
+    order: the name index {!filter_named_descendants} reads. *)
 
 val is_sealed : t -> bool
 
@@ -51,6 +61,14 @@ val descendants_or_self : t -> t list
 val filter_descendants : (t -> bool) -> t -> t list
 (** The descendants (attributes excluded) that satisfy the predicate, in
     document order, from one walk that allocates only the result. *)
+
+val filter_named_descendants : (t -> bool) -> string -> t -> t list
+(** [filter_named_descendants keep name n] is [filter_descendants keep n]
+    for a [keep] that holds only of elements named [name] and processing
+    instructions with target [name].  In a tree sealed from a document node
+    it reads the document's name index instead of walking: the whole group
+    from the document node, the slice inside [n]'s pre-order range from any
+    other node.  Other trees are walked. *)
 
 val attribute_value : t -> string -> string option
 

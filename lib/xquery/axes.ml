@@ -91,7 +91,13 @@ let node_test (test : Ast.node_test) n =
       _ ) ->
       false
 
+(* A descendant step by name reads the document's name index
+   ([Node.filter_named_descendants]); "*", kind tests and the other axes
+   walk. *)
 let step_nodes axis test n =
-  match axis with
-  | Ast.Descendant -> Node.filter_descendants (node_test test) n
+  match (axis, test) with
+  | Ast.Descendant, (Ast.Name_test name | Ast.Kind_element (Some name))
+    when not (String.equal name "*") ->
+      Node.filter_named_descendants (node_test test) name n
+  | Ast.Descendant, _ -> Node.filter_descendants (node_test test) n
   | _ -> List.filter (node_test test) (apply axis n)

@@ -36,9 +36,10 @@ type counters = {
           One unit for both, so the paper's Section 4 claim (pipelined <=
           materialized) is directly comparable — and property-tested. *)
   mutable postings_read : int;
-      (** inverted-list entries read at FTWords leaves: every entry of the
-          context documents' runs of each word (the whole list without a
-          context), counted before node and option filtering *)
+      (** inverted-list entries read at FTWords leaves: the entries of
+          the context documents' runs of each word inside the context
+          nodes (the whole list without a context), counted before option
+          filtering *)
   mutable ft_dispatches : int;
       (** calls of the full-text handler: one per [ftcontains] or
           [ft:score] evaluated alone, one per batch the evaluator hands

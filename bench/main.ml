@@ -313,7 +313,7 @@ let fig6a () =
 
 (* Figure 6(b)'s plan, written by hand as XQuery's lazy [or] of two
    ftcontains, against the served FTOr predicate, which stops at the first
-   disjunct that satisfies the node (Ft_eval.all_matches ~stop_at).  The
+   disjunct that satisfies the node (the per-node kernel's early exit).  The
    two forms alternate, [rounds] of [runs] each, so drift on a shared
    machine lands on both. *)
 let fig6b () =
@@ -449,7 +449,9 @@ let fig7 () =
   Harness.row
     "  (the Section 4 claim: materializing every intermediate AllMatches is\n\
     \   the bottleneck; pipelining with the early-exit loop touches a tiny\n\
-    \   prefix of the match space)\n";
+    \   prefix of the match space.  The materialized strategy's per-node\n\
+    \   kernel stops at the first satisfying match too, so its column counts\n\
+    \   the leaves' matches, which it still materializes)\n";
   let index = fig7_corpus 16 in
   let eng = Galatex.Engine.of_index index in
   let query = Printf.sprintf "count(collection()//book[. ftcontains %s])" sel in
@@ -890,6 +892,7 @@ let n1_navigation () =
     [
       ("/book", "count(collection()/book)");
       ("//book", "count(collection()//book)");
+      ("/book//p", "count(collection()/book//p)");
       ( "//book[ftcontains]",
         Printf.sprintf "count(collection()//book[. ftcontains %s])" sel );
       ( "//p[ftcontains]",
@@ -901,6 +904,16 @@ let n1_navigation () =
         Printf.sprintf
           {|count(collection()//book[. ftcontains "%s" && "%s" window 14 words])|}
           be pe );
+      ( "//book[distance]",
+        Printf.sprintf
+          {|count(collection()//book[. ftcontains "%s" && "%s" distance at most 8 words])|}
+          be pe );
+      (* a word ANDed with itself, as scan-large's window template draws
+         it when its two words coincide: every occurrence pairs with
+         every other *)
+      ( "//book[self-AND]",
+        {|count(collection()//book[. ftcontains "sa" && "sa" window 14 words])|}
+      );
       ( "//book[FTOr]",
         Printf.sprintf
           {|count(collection()//book[. ftcontains "%s" || ("%s" && "%s" window 5 words)])|}
@@ -1209,6 +1222,91 @@ let c1_router_cost () =
         (List.nth (List.sort compare rows) (rounds / 2))
         !failures)
 
+(* ---------------------------------------------------------------- W1 *)
+
+(* A perfbench workload's schedule replayed in process: its corpus, its
+   queries and update batches, each event at its due time, so each query
+   meets the caches a paced daemon's evaluation meets.  Per query family,
+   the process CPU (Sys.time) and minor-heap words of the evaluation alone:
+   no protocol, no queueing, one engine however many shards the workload
+   has.  Quieter than daemon pairs for sizing an evaluation change. *)
+let w1_replay params =
+  let workload, seed, seconds =
+    match params with
+    | [] -> ("scan-large", 1, 8.0)
+    | [ w ] -> (w, 1, 8.0)
+    | [ w; s ] -> (w, int_of_string s, 8.0)
+    | w :: s :: secs :: _ -> (w, int_of_string s, float_of_string secs)
+  in
+  match Perfbench_core.Gen.find workload with
+  | None -> Printf.eprintf "W1: unknown workload %s\n" workload
+  | Some w ->
+      Harness.section
+        (Printf.sprintf
+           "W1: perfbench %s, seed %d, %.0f s of its schedule replayed in \
+            process"
+           workload seed seconds);
+      let eng =
+        ref (Galatex.Engine.of_strings (Perfbench_core.Gen.corpus w ~seed))
+      in
+      let events, _ = Perfbench_core.Gen.inputs w ~seed ~seconds in
+      let families = Perfbench_core.Gen.families in
+      let cpu = Hashtbl.create 3 and words = Hashtbl.create 3 in
+      let record family ms kw =
+        Hashtbl.replace cpu family
+          (ms :: Option.value ~default:[] (Hashtbl.find_opt cpu family));
+        Hashtbl.replace words family
+          (kw +. Option.value ~default:0.0 (Hashtbl.find_opt words family))
+      in
+      let start = Unix.gettimeofday () in
+      Array.iter
+        (fun { Perfbench_core.Gen.due_ms; op } ->
+          let wait = start +. (due_ms /. 1000.0) -. Unix.gettimeofday () in
+          if wait > 0.0 then Unix.sleepf wait;
+          match op with
+          | Perfbench_core.Gen.Query q ->
+              let c0 = Sys.time () and w0 = Gc.minor_words () in
+              ignore
+                (Sys.opaque_identity
+                   (Galatex.Engine.run !eng
+                      ~strategy:Galatex.Engine.Native_materialized
+                      q.Perfbench_core.Gen.text));
+              let w1 = Gc.minor_words () and c1 = Sys.time () in
+              record q.Perfbench_core.Gen.family
+                ((c1 -. c0) *. 1000.0)
+                ((w1 -. w0) /. 1000.0)
+          | Perfbench_core.Gen.Update ops ->
+              eng := List.fold_left Galatex.Engine.apply_update !eng ops)
+        events;
+      Harness.row "  %-8s %8s %12s %12s %10s\n" "family" "queries"
+        "cpu ms/q" "median ms" "kw/q";
+      let row label samples kw =
+        let n = List.length samples in
+        if n > 0 then begin
+          let sorted = Array.of_list samples in
+          Array.sort Float.compare sorted;
+          Harness.row "  %-8s %8d %12.3f %12.3f %10.1f\n" label n
+            (List.fold_left ( +. ) 0.0 samples /. float_of_int n)
+            sorted.(n / 2)
+            (kw /. float_of_int n)
+        end
+      in
+      List.iter
+        (fun f ->
+          row
+            (Perfbench_core.Gen.family_name f)
+            (Option.value ~default:[] (Hashtbl.find_opt cpu f))
+            (Option.value ~default:0.0 (Hashtbl.find_opt words f)))
+        families;
+      row "all"
+        (List.concat_map
+           (fun f -> Option.value ~default:[] (Hashtbl.find_opt cpu f))
+           families)
+        (List.fold_left
+           (fun acc f ->
+             acc +. Option.value ~default:0.0 (Hashtbl.find_opt words f))
+           0.0 families)
+
 (* ---------------------------------------------------------------- main *)
 
 let experiments =
@@ -1219,11 +1317,16 @@ let experiments =
     ("A1", a1_expansion_cache); ("A2", a2_translated_decomposition);
     ("R1", r1_governance); ("R2", r2_cold_start); ("N1", n1_navigation);
     ("U1", u1_updates); ("C1", c1_router_cost);
+    ("W1", fun () -> w1_replay []);
   ]
 
+(* "W1 [WORKLOAD [SEED [SECONDS]]]" takes the rest of the command line *)
 let () =
   let requested =
     match Array.to_list Sys.argv with
+    | _ :: "W1" :: params ->
+        w1_replay params;
+        []
     | _ :: (_ :: _ as ids) -> ids
     | _ -> List.map fst experiments
   in

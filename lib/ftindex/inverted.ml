@@ -261,14 +261,24 @@ let rec past_inside label a node_dewey lo hi =
       past_inside label a node_dewey (mid + 1) hi
     else past_inside label a node_dewey lo mid
 
+(* The bounds of a node's slice.  Every label of a document lies inside
+   the root label, which the document node and its root element carry:
+   their slice is the whole array, found with no search. *)
+let slice_start label a node_dewey =
+  if Dewey.is_root node_dewey then 0
+  else past_before label a node_dewey 0 (Array.length a)
+
+let slice_stop label a node_dewey lo =
+  if Dewey.is_root node_dewey then Array.length a
+  else past_inside label a node_dewey lo (Array.length a)
+
 let slice_by label a node_dewey =
-  let n = Array.length a in
-  let lo = past_before label a node_dewey 0 n in
-  (lo, past_inside label a node_dewey lo n)
+  let lo = slice_start label a node_dewey in
+  (lo, slice_stop label a node_dewey lo)
 
 let slice run node_dewey = slice_by Posting.node run node_dewey
 
-let prepend_mapped ~read f run acc (lo, hi) =
+let prepend_slice ~read f run acc lo hi =
   read := !read + (hi - lo);
   let acc = ref acc in
   for i = hi - 1 downto lo do
@@ -276,9 +286,13 @@ let prepend_mapped ~read f run acc (lo, hi) =
   done;
   !acc
 
+let map_node ~read run node_dewey f tail =
+  let lo = slice_start Posting.node run node_dewey in
+  prepend_slice ~read f run tail lo (slice_stop Posting.node run node_dewey lo)
+
 let map_within ~read run node_deweys f tail =
   match node_deweys with
-  | [ d ] -> prepend_mapped ~read f run tail (slice run d)
+  | [ d ] -> map_node ~read run d f tail
   | _ ->
       (* nested or repeated context nodes give overlapping slices: merge
          them so every entry is read once, in position order *)
@@ -289,7 +303,9 @@ let map_within ~read run node_deweys f tail =
              | (l, h) :: rest when lo <= h -> (l, Int.max h hi) :: rest
              | _ -> (lo, hi) :: acc)
            []
-      |> List.fold_left (prepend_mapped ~read f run) tail
+      |> List.fold_left
+           (fun acc (lo, hi) -> prepend_slice ~read f run acc lo hi)
+           tail
 
 let run_within run node_deweys =
   map_within ~read:(ref 0) run node_deweys Fun.id []
@@ -300,13 +316,15 @@ let postings_in t ~doc ~node_dewey word =
 (* The document a (sealed) node belongs to: its root's tree id finds the
    candidates, physical identity decides (a constructed tree, or the old
    root of a replaced document, is no indexed document). *)
+let rec doc_with_root root = function
+  | [] -> None
+  | (uri, droot) :: rest ->
+      if Node.equal droot root then Some uri else doc_with_root root rest
+
 let doc_of_node t node =
   let root = Node.root node in
   match Int_map.find (Node.tree_id root) t.roots with
-  | docs ->
-      List.find_map
-        (fun (uri, droot) -> if Node.equal droot root then Some uri else None)
-        docs
+  | docs -> doc_with_root root docs
   | exception Not_found -> None
 
 let tokens_of_doc t ~doc =

@@ -84,9 +84,14 @@ val map_within :
 (** [map_within ~read run nodes f tail] is [f] of every entry of [run]
     inside any of [nodes] (nodes of the run's document), each entry once,
     in position order, in front of [tail]: two binary searches per node,
-    and for a single node no allocation beyond the result and the slice
-    bounds.  It adds the number of entries it read, the slices' total, to
-    [read]. *)
+    none for a node labelled {!Xmlkit.Dewey.root}, whose slice is the
+    whole run; for a single node no allocation beyond the result.  It adds the number of entries it read, the slices'
+    total, to [read]. *)
+
+val map_node :
+  read:int ref ->
+  run -> Xmlkit.Dewey.t -> (Posting.t -> 'a) -> 'a list -> 'a list
+(** [map_within] for one node, with no list of nodes to build. *)
 
 val run_within : run -> Xmlkit.Dewey.t list -> Posting.t list
 (** [map_within] into a fresh list, the count dropped. *)

@@ -31,29 +31,20 @@ val source_phrases :
 
 type words = {
   conjunctive : bool;  (** FTAnd of the units, else FTOr *)
-  units : Match_options.expansion list list;
+  units : Ft_ops.phrase list;
       (** each searched phrase (or single word) as
           {!Ft_ops.phrase_expansions} *)
 }
 (** An FTWords leaf compiled against the index: its phrases tokenized by
     its any/all mode, every token expanded. *)
 
-type leaves
-(** The compiled leaves of one handler call, by leaf number. *)
-
-val fresh_leaves : unit -> leaves
-
-val leaf_words :
-  leaves ->
+val compile_words :
   Env.t ->
-  outer_options:Match_options.resolved ->
-  query_pos:int ->
-  Xquery.Ast.ft_match_option list ->
+  Match_options.resolved ->
   Xquery.Ast.ft_anyall ->
   string list ->
   words
-(** Leaf [query_pos] compiled for these phrases: the earlier compilation
-    when the phrases are the same, else a new one (which replaces it). *)
+(** An FTWords leaf's phrases compiled under its resolved options. *)
 
 val context_filter : Env.t -> Xmlkit.Node.t list -> Ft_ops.within option
 (** The evaluation context, located and grouped by document, for
@@ -67,8 +58,6 @@ val nodes_of : Xquery.Value.t -> Xmlkit.Node.t list
 val all_matches :
   ?within:Ft_ops.within ->
   ?approximate:bool ->
-  ?leaves:leaves ->
-  ?stop_at:Ft_ops.site ->
   Env.t ->
   eval:eval_callback ->
   Xquery.Context.t ->
@@ -77,27 +66,15 @@ val all_matches :
 (** Evaluate a selection: match options propagate outside-in to the leaves,
     leaves are numbered left-to-right (queryPos), ranges/weights evaluated
     through [eval].  [approximate] switches distance/window to the
-    Section 3.3 approximate variants.  [leaves] (default: fresh) carries
-    compiled leaves from one evaluation of the selection to the next.
-
-    [stop_at site] evaluates a top-level FTOr chain's disjuncts left to
-    right and stops at the first whose matches satisfy [site] (includes
-    read inside it).  For a selection without content anchors, the
-    result satisfies [site] exactly when the whole union would: FTOr
-    carries every operand's anchors to every match of the union.
-    Skipped disjuncts evaluate none of their embedded expressions. *)
-
-val each_node :
-  Env.t ->
-  per_node:(unit -> unit) ->
-  Xquery.Value.t ->
-  (leaves:leaves -> within:Ft_ops.within -> Ft_ops.site option -> Xquery.Value.item) ->
-  Xquery.Value.t
-(** The shape of every strategy's [handle_each]: call [per_node], then
-    the verdict for one node, located once ({!Ft_ops.locate}), for each
-    node in order, sharing one {!leaves}.  The verdict evaluates the
-    selection [within] that node alone. *)
+    Section 3.3 approximate variants.  [within] restricts the leaves'
+    reads to the evaluation context (default: every document). *)
 
 val handler : Env.t -> Xquery.Context.ft_handler
 (** The ftcontains / ft:score handler installed for the materialized
-    strategy. *)
+    strategy.  Its [handle_each] compiles the selection once per call and
+    evaluates each node alone: a [Contains] verdict stops at the first
+    match that satisfies the node, reading an FTAnd's right operand only
+    once its left one has matched; a [Score] verdict, and a selection
+    with a content anchor, build every match of the node.  Each node
+    ticks the steps its own evaluation of the embedded expressions
+    would take. *)

@@ -10,9 +10,10 @@
                 of the allowed span the match uses)
      FTNegation / FTOrdered / FTScope / FTTimes   scores unchanged
 
-   Every operator consumes and produces whole AllMatches values — this is
-   the materializing strategy whose cost Section 4 analyzes; Ft_stream
-   implements the pipelined alternative. *)
+   The operators here work on one match at a time (FTAnd's pair, the
+   position filters) or on whole AllMatches values (the blocking
+   FTUnaryNot, FTMildNot and FTTimes); Ft_eval composes them into the
+   materialized strategy, Ft_stream into the pipelined one. *)
 
 open All_matches
 
@@ -25,6 +26,12 @@ type range =
 type unit_ = Words | Sentences | Paragraphs
 
 let clamp_score s = if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else s
+
+(* A weight outside [0,1] is err:FTDY0016, under every strategy. *)
+let check_weight w =
+  if w < 0.0 || w > 1.0 then
+    Xquery.Errors.raise_error Xquery.Errors.FTDY0016 "weight %g outside [0,1]" w
+  else w
 
 (* --- context sites --- *)
 
@@ -79,24 +86,33 @@ let by_position entries =
   List.stable_sort (fun (a, _) (b, _) -> Ftindex.Posting.compare_pos a b) entries
 
 (* One key's entries in one context document, each paired with its run's
-   one score, in front of [tail]; [read] counts the entries inside the
-   context nodes, the slices of the run that are actually read. *)
-let key_entries read (site, deweys) (runs, idf) tail =
+   one score, in front of [tail]: inside the context nodes [deweys], or
+   inside the site's own node when there are none.  [read] counts the
+   entries inside the context nodes, the slices of the run that are
+   actually read. *)
+let key_entries read site deweys (runs, idf) tail =
   match Ftindex.Inverted.Doc_map.find site.doc runs with
-  | run ->
+  | run -> (
       let score = run_score ~max_tf:site.max_tf ~idf run in
-      Ftindex.Inverted.map_within ~read run deweys (fun p -> (p, score)) tail
+      let entry p = (p, score) in
+      match deweys with
+      | [] -> Ftindex.Inverted.map_node ~read run site.dewey entry tail
+      | deweys -> Ftindex.Inverted.map_within ~read run deweys entry tail)
   | exception Not_found -> tail
+
+(* The entries of [key_runs] in one context document, in position
+   order. *)
+let doc_entries read site deweys key_runs tail =
+  match key_runs with
+  | [ key ] -> key_entries read site deweys key tail
+  | keys ->
+      by_position (List.fold_right (key_entries read site deweys) keys [])
+      @ tail
 
 let rec within_entries read key_runs = function
   | [] -> []
-  | context_doc :: rest -> (
-      let tail = within_entries read key_runs rest in
-      match key_runs with
-      | [ key ] -> key_entries read context_doc key tail
-      | keys ->
-          by_position (List.fold_right (key_entries read context_doc) keys [])
-          @ tail)
+  | (site, deweys) :: rest ->
+      doc_entries read site deweys key_runs (within_entries read key_runs rest)
 
 (* Without a context: every document's whole run of every key. *)
 let all_entries read stats key_runs =
@@ -113,23 +129,26 @@ let all_entries read stats key_runs =
   | [ key ] -> whole key []
   | keys -> by_position (List.fold_right whole keys [])
 
-let posting_entries ?g ?within expansion =
-  let read = ref 0 in
-  let key_runs = expansion.Match_options.key_runs in
-  let entries =
-    match within with
-    | None -> all_entries read expansion.Match_options.stats key_runs
-    | Some within -> within_entries read key_runs within
-  in
-  (* the observability hook: every entry this leaf read (the slices of
-     the context documents' runs inside the context nodes, or whole lists
-     without a context), counted before option filtering — the paper's
-     IO-side cost *)
-  (match g with
-  | Some g -> Xquery.Limits.count_postings g !read
-  | None -> ());
-  if expansion.Match_options.accepts_all then entries
-  else List.filter (fun (p, _) -> expansion.Match_options.accept p) entries
+type scope = Node of site | Context of within | Everywhere
+
+let posting_entries g scope expansion =
+  match expansion.Match_options.key_runs with
+  | [] -> []
+  | keys ->
+      let read = ref 0 in
+      let entries =
+        match scope with
+        | Node site -> doc_entries read site [] keys []
+        | Context within -> within_entries read keys within
+        | Everywhere -> all_entries read expansion.Match_options.stats keys
+      in
+      (* the observability hook: every entry this leaf read (the slices of
+         the context documents' runs inside the context nodes, or whole
+         lists without a context), counted before option filtering — the
+         paper's IO-side cost *)
+      Xquery.Limits.count_postings g !read;
+      if expansion.Match_options.accepts_all then entries
+      else List.filter (fun (p, _) -> expansion.Match_options.accept p) entries
 
 (* The index of the entry at ([doc], [pos]) in [entries], which ascend by
    (document, position), or -1. *)
@@ -172,44 +191,55 @@ let join_phrase first followers =
         (Ftindex.Posting.abs_pos p0) followers)
     first
 
-(* Occurrences of a phrase, given as its tokens' expansions: tokens must
-   appear consecutively; tokens that are stop words (under the active
-   stop-word list) are dropped and allow a corresponding gap between the
-   surviving tokens (the paper: distance and window "skip stop words when
-   specified"). *)
-let phrase_occurrences ?g ?within expansions =
-  (* surviving tokens with the number of dropped stop tokens preceding them *)
-  let survivors =
-    let rec walk gap = function
-      | [] -> []
-      | e :: rest ->
-          if e.Match_options.is_stop then walk (gap + 1) rest
-          else (gap, e) :: walk 0 rest
-    in
-    walk 0 expansions
-  in
-  match survivors with
+(* A phrase compiled against the index: its tokens that are not stop
+   words (under the active stop-word list), in phrase order, each with the
+   number of dropped stop tokens before it.  Dropped tokens allow a
+   corresponding gap between the surviving tokens (the paper: distance and
+   window "skip stop words when specified"). *)
+type phrase = (int * Match_options.expansion) list
+
+let rec survivors gap = function
   | [] -> []
-  | [ (_, only) ] -> List.map (fun e -> [ e ]) (posting_entries ?g ?within only)
-  | (_, first) :: rest ->
-      let first_postings = posting_entries ?g ?within first in
-      let followers =
-        List.map
-          (fun (gap, e) ->
-            (gap, Array.of_list (posting_entries ?g ?within e)))
-          rest
-      in
-      join_phrase first_postings followers
+  | e :: rest ->
+      if e.Match_options.is_stop then survivors (gap + 1) rest
+      else (gap, e) :: survivors 0 rest
+
+(* a phrase needs every token: the first token with no entries in the
+   scope ends the reads *)
+let rec read_followers g scope first acc = function
+  | [] -> join_phrase first (List.rev acc)
+  | (gap, e) :: more -> (
+      match posting_entries g scope e with
+      | [] -> []
+      | entries ->
+          let acc = (gap, Array.of_list entries) :: acc in
+          read_followers g scope first acc more)
+
+let rec singletons = function [] -> [] | e :: rest -> [ e ] :: singletons rest
+
+(* Occurrences of a phrase: its tokens at consecutive positions, up to
+   the allowed gaps. *)
+let phrase_occurrences g scope (phrase : phrase) =
+  match phrase with
+  | [] -> []
+  | [ (_, only) ] -> singletons (posting_entries g scope only)
+  | (_, first) :: rest -> (
+      match posting_entries g scope first with
+      | [] -> []
+      | first -> read_followers g scope first [] rest)
 
 (* A phrase occurrence's positions ascend within one document, so they are
    already the sorted include list. *)
+(* The score of a leaf's match: the product of its positions' scores
+   [base], weighted. *)
+let leaf_score ~weight base =
+  clamp_score
+    (match weight with None -> base | Some w -> clamp_score (base *. w))
+
 let match_of_postings ~query_pos ~weight postings =
   let includes = List.map (fun (p, _) -> entry ~query_pos p) postings in
   let base = List.fold_left (fun acc (_, score) -> acc *. score) 1.0 postings in
-  let score =
-    match weight with None -> base | Some w -> clamp_score (base *. w)
-  in
-  { includes; excludes = []; score = clamp_score score }
+  { includes; excludes = []; score = leaf_score ~weight base }
 
 (* Phrase tokenization: under the wildcards / special-characters options
    the pattern characters are part of the token, so the phrase splits on
@@ -223,20 +253,45 @@ let phrase_tokens resolved phrase =
     |> List.filter (( <> ) "")
   else Tokenize.Segmenter.words_of_phrase phrase
 
-(* A phrase compiled against the index: its tokens' expansions, in
-   phrase order. *)
 let phrase_expansions env resolved phrase =
-  List.map (Match_options.expand env resolved) (phrase_tokens resolved phrase)
+  phrase_tokens resolved phrase
+  |> List.map (Match_options.expand env resolved)
+  |> survivors 0
 
-(* One phrase's expansions -> AllMatches with one Match per occurrence. *)
-let phrase_matches ?g ?within ~query_pos ~weight expansions =
-  phrase_occurrences ?g ?within expansions
-  |> List.map (match_of_postings ~query_pos ~weight)
+(* One phrase -> one Match per occurrence. *)
+let rec matches_of ~query_pos ~weight = function
+  | [] -> []
+  | o :: rest ->
+      let m = match_of_postings ~query_pos ~weight o in
+      m :: matches_of ~query_pos ~weight rest
+
+(* A one-token phrase of one key, read inside one node: a match per entry
+   of the node's slice, each scored as [match_of_postings] scores a
+   one-position occurrence, with no occurrence list built. *)
+let run_matches g site ~query_pos ~weight (runs, idf) =
+  match Ftindex.Inverted.Doc_map.find site.doc runs with
+  | run ->
+      let score =
+        leaf_score ~weight (run_score ~max_tf:site.max_tf ~idf run)
+      in
+      let read = ref 0 in
+      let ms =
+        Ftindex.Inverted.map_node ~read run site.dewey
+          (fun p -> { includes = [ entry ~query_pos p ]; excludes = []; score })
+          []
+      in
+      Xquery.Limits.count_postings g !read;
+      ms
+  | exception Not_found -> []
+
+let phrase_matches g scope ~query_pos ~weight phrase =
+  match (scope, phrase) with
+  | ( Node site,
+      [ (_, { Match_options.key_runs = [ key ]; accepts_all = true; _ }) ] ) ->
+      run_matches g site ~query_pos ~weight key
+  | _ -> matches_of ~query_pos ~weight (phrase_occurrences g scope phrase)
 
 (* --- Boolean connectives --- *)
-
-let ft_or a b =
-  { matches = a.matches @ b.matches; anchors = a.anchors @ b.anchors }
 
 (* One match of a conjunction: both include lists are sorted, so a stable
    merge gives the sorted include list. *)
@@ -246,12 +301,6 @@ let and_match ma mb =
     excludes = ma.excludes @ mb.excludes;
     score = clamp_score (ma.score *. mb.score);
   }
-
-let ft_and a b =
-  let matches =
-    List.concat_map (fun ma -> List.map (and_match ma) b.matches) a.matches
-  in
-  { matches; anchors = a.anchors @ b.anchors }
 
 (* DNF negation: choose one entry from every match and flip its polarity.
    No matches (false) negates to one empty match (true); an empty match
@@ -338,8 +387,6 @@ let ordered_ok m =
                 <= Ftindex.Posting.abs_pos e2.posting))
         m.includes)
     m.includes
-
-let ft_ordered a = { a with matches = List.filter ordered_ok a.matches }
 
 let in_range range v =
   match range with
@@ -457,9 +504,6 @@ let distance_match ?(counting = plain_counting) range unit_ m =
               score = clamp_score (m.score *. damping);
             }
 
-let ft_distance ?counting range unit_ a =
-  { a with matches = List.filter_map (distance_match ?counting range unit_) a.matches }
-
 (* The smallest and largest unit position of a non-empty entry list, and
    its counted span. *)
 let unit_extent c unit_ = function
@@ -500,9 +544,6 @@ let window_match ?(counting = plain_counting) n unit_ m =
               score = clamp_score (m.score *. damping);
             }
         else None
-
-let ft_window ?counting n unit_ a =
-  { a with matches = List.filter_map (window_match ?counting n unit_) a.matches }
 
 (* Approximate matching (the closing direction of Section 3.3: "if two
    matches do not satisfy a distance, they might be returned with a lower
@@ -552,18 +593,6 @@ let window_match_approx ?(counting = plain_counting) n unit_ m =
           }
       end
 
-let ft_distance_approx ?counting range unit_ a =
-  {
-    a with
-    matches = List.filter_map (distance_match_approx ?counting range unit_) a.matches;
-  }
-
-let ft_window_approx ?counting n unit_ a =
-  {
-    a with
-    matches = List.filter_map (window_match_approx ?counting n unit_) a.matches;
-  }
-
 (* FTScope: same/different sentence or paragraph across all includes. *)
 let scope_ok kind m =
   (
@@ -591,8 +620,6 @@ let scope_ok kind m =
           distinct sorted
   in
   ok m)
-
-let ft_scope kind a = { a with matches = List.filter (scope_ok kind) a.matches }
 
 (* FTTimes ("occurs <range> times"): combine occurrences.  Because a node's
    contained positions form a contiguous run in document order (Dewey
@@ -686,9 +713,6 @@ let ft_times range a =
     else matches
   in
   { a with matches }
-
-(* FTContent anchors are recorded and checked per node at FTContains time. *)
-let ft_content anchor a = { a with anchors = anchor :: a.anchors }
 
 (* --- FTContains (paper Section 3.2.3.1, satisfiesMatch) --- *)
 

@@ -13,6 +13,10 @@ type unit_ = Words | Sentences | Paragraphs
 val clamp_score : float -> float
 (** Clamp into (0,1] (epsilon at the bottom). *)
 
+val check_weight : float -> float
+(** An FTWords weight, unchanged.
+    @raise Xquery.Errors.Error ([FTDY0016]) outside [0, 1]. *)
+
 (** {1 Word counting (the paper's wordDistance abstract function)} *)
 
 type counting
@@ -63,21 +67,34 @@ val phrase_tokens : Match_options.resolved -> string -> string list
 (** Tokenize a search phrase; under wildcards / special characters the
     pattern characters stay inside the tokens (whitespace split only). *)
 
-val phrase_expansions :
-  Env.t -> Match_options.resolved -> string -> Match_options.expansion list
-(** A phrase compiled against the index: {!phrase_tokens}, each expanded
-    under the options ({!Match_options.expand}). *)
+type phrase = (int * Match_options.expansion) list
+(** A search phrase compiled against the index: its tokens that are not
+    stop words (under the active stop-word list), in phrase order, each
+    expanded under the options ({!Match_options.expand}) and paired with
+    the number of dropped stop tokens before it, which the phrase allows
+    as a gap. *)
+
+val phrase_expansions : Env.t -> Match_options.resolved -> string -> phrase
+(** {!phrase_tokens}, each expanded, stop words dropped. *)
+
+type scope =
+  | Node of site  (** one located context node *)
+  | Context of within  (** the located context nodes, by document *)
+  | Everywhere  (** no context: every document's whole runs *)
+(** Where a leaf reads its entries. *)
 
 val phrase_occurrences :
-  ?g:Xquery.Limits.governor ->
-  ?within:within ->
-  Match_options.expansion list ->
+  Xquery.Limits.governor ->
+  scope ->
+  phrase ->
   (Ftindex.Posting.t * float) list list
-(** All occurrences of a phrase given as {!phrase_expansions}
-    (consecutive positions; dropped stop tokens allow gaps), each position
-    with its Section 3.3 score.  [within] restricts positions to the
-    evaluation context, like the paper's getTokenInfo.  [g] accounts every
-    inverted-list entry read (before filtering) as [postings_read]. *)
+(** All occurrences of a phrase (consecutive positions; dropped stop
+    tokens allow gaps), each position
+    with its Section 3.3 score.  The [scope] restricts positions to the
+    evaluation context, like the paper's getTokenInfo.  The governor
+    accounts every inverted-list entry read (before filtering) as
+    [postings_read]; the reads stop at the first token with no entries in
+    the scope. *)
 
 val join_phrase :
   (Ftindex.Posting.t * float) list ->
@@ -94,18 +111,15 @@ val match_of_postings :
   All_matches.match_
 
 val phrase_matches :
-  ?g:Xquery.Limits.governor ->
-  ?within:within ->
+  Xquery.Limits.governor ->
+  scope ->
   query_pos:int ->
   weight:float option ->
-  Match_options.expansion list ->
+  phrase ->
   All_matches.match_ list
-(** One Match per occurrence of a phrase given as {!phrase_expansions}. *)
+(** One Match per occurrence of a phrase. *)
 
 (** {1 Boolean connectives} *)
-
-val ft_or : All_matches.t -> All_matches.t -> All_matches.t
-val ft_and : All_matches.t -> All_matches.t -> All_matches.t
 
 val and_match : All_matches.match_ -> All_matches.match_ -> All_matches.match_
 (** One match of a conjunction: merged includes, both sides' excludes, the
@@ -120,21 +134,16 @@ val ft_mild_not : All_matches.t -> All_matches.t -> All_matches.t
 (** {1 Position filters} *)
 
 val ordered_ok : All_matches.match_ -> bool
-val ft_ordered : All_matches.t -> All_matches.t
 
 val distance_match :
   ?counting:counting -> range -> unit_ -> All_matches.match_ ->
   All_matches.match_ option
 
-val ft_distance : ?counting:counting -> range -> unit_ -> All_matches.t -> All_matches.t
-
 val window_match :
   ?counting:counting -> int -> unit_ -> All_matches.match_ ->
   All_matches.match_ option
 
-val ft_window : ?counting:counting -> int -> unit_ -> All_matches.t -> All_matches.t
 val scope_ok : Xquery.Ast.ft_scope_kind -> All_matches.match_ -> bool
-val ft_scope : Xquery.Ast.ft_scope_kind -> All_matches.t -> All_matches.t
 
 val ft_times : range -> All_matches.t -> All_matches.t
 (** "occurs ... times" via consecutive windows of occurrences (a node's
@@ -143,8 +152,6 @@ val ft_times : range -> All_matches.t -> All_matches.t
     match's occurrence key is its first include in (document, position)
     order: matches are grouped by the key's document and windowed in key
     position order, ties keeping input order. *)
-
-val ft_content : Xquery.Ast.ft_anchor -> All_matches.t -> All_matches.t
 
 (** {1 Approximate variants (Section 3.3's closing direction)} *)
 
@@ -155,13 +162,7 @@ val distance_match_approx :
 val window_match_approx :
   ?counting:counting -> int -> unit_ -> All_matches.match_ ->
   All_matches.match_ option
-
-val ft_distance_approx :
-  ?counting:counting -> range -> unit_ -> All_matches.t -> All_matches.t
-(** Keep failing matches with a score penalized by how far they miss. *)
-
-val ft_window_approx :
-  ?counting:counting -> int -> unit_ -> All_matches.t -> All_matches.t
+(** Keep a failing match with a score penalized by how far it misses. *)
 
 (** {1 FTContains (satisfiesMatch)} *)
 

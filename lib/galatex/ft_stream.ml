@@ -31,12 +31,12 @@ let to_all_matches s =
 
 (* --- FTWords, lazily over the leading token's postings --- *)
 
-let words_stream ?g ?within ~query_pos ~weight (words : Ft_eval.words) =
+let words_stream g scope ~query_pos ~weight (words : Ft_eval.words) =
   (* The phrase extension machinery of Ft_ops is reused; only the iteration
      over occurrences is lazy.  Expansion (vocabulary scan) happens on
      compilation, like GalaTex's inverted-list reads. *)
   let unit_seq expansions =
-    List.to_seq (Ft_ops.phrase_occurrences ?g ?within expansions)
+    List.to_seq (Ft_ops.phrase_occurrences g scope expansions)
     |> Seq.map (Ft_ops.match_of_postings ~query_pos ~weight)
   in
   let parts = List.map unit_seq words.units in
@@ -126,9 +126,27 @@ let apply_ignore env ignored s =
 
 (* --- evaluation of a selection into a stream --- *)
 
-let rec eval_stream ?within ~leaves env ~eval ctx ~outer_options counter
+(* The compiled leaves of one evaluation, by leaf number, each with the
+   phrases it was compiled from.  A call that evaluates its selection for
+   many nodes compiles each leaf once; a leaf whose phrases differ from the
+   last compilation's is compiled again.  The materialized strategy
+   compiles a whole plan once per call instead (Ft_eval.compile); this
+   cache goes when the pipelined strategy does (ROADMAP item 12). *)
+type leaves = (int * (string list * Ft_eval.words)) list ref
+
+let leaf_words (leaves : leaves) env ~outer_options ~query_pos options anyall phrases =
+  match List.assoc query_pos !leaves with
+  | compiled_from, words when List.equal String.equal compiled_from phrases ->
+      words
+  | _ | (exception Not_found) ->
+      let resolved = Match_options.resolve_with ~outer:outer_options options in
+      let words = Ft_eval.compile_words env resolved anyall phrases in
+      leaves := (query_pos, (phrases, words)) :: !leaves;
+      words
+
+let rec eval_stream scope ~leaves env ~eval ctx ~outer_options counter
     selection =
-  let recur = eval_stream ?within ~leaves env ~eval ctx in
+  let recur = eval_stream scope ~leaves env ~eval ctx in
   match selection with
   | Ft_words { source; anyall; options; weight } ->
       incr counter;
@@ -137,10 +155,10 @@ let rec eval_stream ?within ~leaves env ~eval ctx ~outer_options counter
       let phrases = Ft_eval.source_phrases ~eval ctx source in
       {
         seq =
-          words_stream ~g:ctx.Xquery.Context.governor ?within ~query_pos
+          words_stream ctx.Xquery.Context.governor scope ~query_pos
             ~weight
-            (Ft_eval.leaf_words leaves env ~outer_options ~query_pos options
-               anyall phrases);
+            (leaf_words leaves env ~outer_options ~query_pos options anyall
+               phrases);
         anchors = [];
         pulled = 0;
       }
@@ -179,9 +197,9 @@ let rec eval_stream ?within ~leaves env ~eval ctx ~outer_options counter
       ft_times (Ft_eval.eval_range ~eval ctx range) (recur ~outer_options counter a)
   | Ft_content (a, anchor) -> ft_content anchor (recur ~outer_options counter a)
 
-let stream ?within ?(leaves = Ft_eval.fresh_leaves ()) env ~eval ctx selection =
+let stream_in scope ~leaves env ~eval ctx selection =
   let s =
-    eval_stream ?within ~leaves env ~eval ctx
+    eval_stream scope ~leaves env ~eval ctx
       ~outer_options:Match_options.defaults (ref 0) selection
   in
   (* pipelining never materializes whole AllMatches, so the governed —
@@ -203,6 +221,9 @@ let stream ?within ?(leaves = Ft_eval.fresh_leaves ()) env ~eval ctx selection =
         s.seq;
   }
 
+let stream ?(scope = Ft_ops.Everywhere) env ~eval ctx selection =
+  stream_in scope ~leaves:(ref []) env ~eval ctx selection
+
 (* --- consumers --- *)
 
 (* FTContains with early exit: the first satisfying (match, site) pair ends
@@ -218,12 +239,33 @@ let contains env nodes s = contains_at env (Ft_ops.sites env nodes) s
 
 (* --- the Context.ft_handler for the pipelined strategy --- *)
 
+(* [handle_each]: [verdict ~leaves ~scope site] evaluates the selection
+   for one node alone, as [handle_contains] / [handle_score] would; each
+   node is located once, and the leaves are compiled once for all the
+   nodes. *)
+let each_node env ~per_node nodes verdict =
+  let leaves = ref [] in
+  List.map
+    (fun n ->
+      per_node ();
+      let site = Ft_ops.locate env n in
+      let scope =
+        match site with
+        | Some site -> Ft_ops.Node site
+        | None -> Ft_ops.Context []
+      in
+      verdict ~leaves ~scope site)
+    (Ft_eval.nodes_of nodes)
+
 let handler env : Xquery.Context.ft_handler =
   {
     Xquery.Context.handle_contains =
       (fun ~eval ctx context_nodes selection ignored ->
         let sites = Ft_ops.sites env (Ft_eval.nodes_of context_nodes) in
-        let s = stream ~within:(Ft_ops.within_sites sites) env ~eval ctx selection in
+        let s =
+          stream ~scope:(Ft_ops.Context (Ft_ops.within_sites sites)) env ~eval
+            ctx selection
+        in
         let s =
           match ignored with
           | None -> s
@@ -234,16 +276,19 @@ let handler env : Xquery.Context.ft_handler =
       (fun ~eval ctx context_nodes selection ->
         (* scoring needs all matches (the Section 4.2 tension between
            pipelining and scoring): materialize *)
-        let within = Ft_eval.context_filter env (Ft_eval.nodes_of context_nodes) in
-        let s = stream ?within env ~eval ctx selection in
+        let sites = Ft_ops.sites env (Ft_eval.nodes_of context_nodes) in
+        let s =
+          stream ~scope:(Ft_ops.Context (Ft_ops.within_sites sites)) env ~eval
+            ctx selection
+        in
         let am = to_all_matches s in
         List.map
           (fun sc -> Xquery.Value.Double sc)
           (Score.scores env (Ft_eval.nodes_of context_nodes) am));
     Xquery.Context.handle_each =
       (fun ~eval ctx ~per_node nodes selection verdict ->
-        Ft_eval.each_node env ~per_node nodes (fun ~leaves ~within site ->
-            let s = stream ~within ~leaves env ~eval ctx selection in
+        each_node env ~per_node nodes (fun ~leaves ~scope site ->
+            let s = stream_in scope ~leaves env ~eval ctx selection in
             match (verdict, site) with
             | Xquery.Context.Contains, _ ->
                 Xquery.Value.Boolean

@@ -13,15 +13,15 @@ val of_matches : All_matches.match_ list -> stream
 val to_all_matches : stream -> All_matches.t
 
 val stream :
-  ?within:Ft_ops.within ->
-  ?leaves:Ft_eval.leaves ->
+  ?scope:Ft_ops.scope ->
   Env.t ->
   eval:Ft_eval.eval_callback ->
   Xquery.Context.t ->
   Xquery.Ast.ft_selection ->
   stream
 (** Build the lazy match stream for a selection (nothing is evaluated until
-    a consumer pulls).  [leaves] as in {!Ft_eval.all_matches}. *)
+    a consumer pulls).  The leaves read in [scope] (default: every
+    document). *)
 
 val contains : Env.t -> Xmlkit.Node.t list -> stream -> bool
 (** The early-exit FTContains loop: stops at the first (match, node) pair

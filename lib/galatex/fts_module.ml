@@ -644,6 +644,11 @@ let register_primitives ctx env =
     | [ Xquery.Value.Node n ] :: _ -> n
     | _ -> Xquery.Context.dynamic_error "expected a single node argument"
   in
+  reg "fts:checkWeight" 1 (fun _ args ->
+      match args with
+      | [ w ] ->
+          Xquery.Value.double (Ft_ops.check_weight (Xquery.Value.to_number w))
+      | _ -> Xquery.Context.dynamic_error "fts:checkWeight expects one number");
   reg "fts:deweyOf" 1 (fun _ args ->
       Xquery.Value.string (Dewey.to_string (Node.dewey (node_arg args))));
   reg "fts:docOf" 1 (fun _ args ->

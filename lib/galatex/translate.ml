@@ -115,7 +115,9 @@ let rec translate_selection ~translate_expr ~ctx_var ~counter ~outer sel =
         | Ft_expr e -> translate_expr e
       in
       let weight_expr =
-        match weight with Some w -> translate_expr w | None -> Literal_double 1.0
+        match weight with
+        | Some w -> call "fts:checkWeight" [ translate_expr w ]
+        | None -> Literal_double 1.0
       in
       call "fts:FTWordsSelection"
         [

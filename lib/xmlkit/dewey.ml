@@ -7,6 +7,7 @@
 type t = int list
 
 let root : t = [ 1 ]
+let is_root = function [ 1 ] -> true | _ -> false
 
 let of_list steps =
   if steps = [] then invalid_arg "Dewey.of_list: empty label";

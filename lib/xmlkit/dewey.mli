@@ -8,6 +8,10 @@ type t
 val root : t
 (** The label of the document root element, ["1"]. *)
 
+val is_root : t -> bool
+(** [is_root d] iff [d] is {!root}: the label contains every label of its
+    document. *)
+
 val of_list : int list -> t
 (** [of_list steps] builds a label from 1-based child ranks.
     @raise Invalid_argument on an empty list or a non-positive step. *)

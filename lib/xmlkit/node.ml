@@ -171,19 +171,23 @@ let filter_descendants keep n =
 (* The pre-order position of the last node of [n]'s subtree, attributes
    aside (they come before the children). *)
 let rec last_order n =
-  let rec last = function [ c ] -> c | _ :: rest -> last rest | [] -> n in
-  match children n with [] -> n.order | kids -> last_order (last kids)
+  match children n with [] -> n.order | kids -> last_order (last_child kids)
 
-(* The first index of [a], sorted by pre-order position, whose node comes
-   after position [o]. *)
-let first_after a o =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if a.(mid).order <= o then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length a)
+and last_child = function
+  | [ c ] -> c
+  | _ :: rest -> last_child rest
+  | [] -> assert false
+
+(* The first index of [a.(lo) .. a.(hi - 1)], sorted by pre-order
+   position, whose node comes after position [o]. *)
+let rec first_after_in a o lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if a.(mid).order <= o then first_after_in a o (mid + 1) hi
+    else first_after_in a o lo mid
+
+let first_after a o = first_after_in a o 0 (Array.length a)
 
 let rec find_key keys name lo hi =
   if lo >= hi then -1
@@ -194,26 +198,35 @@ let rec find_key keys name lo hi =
     else if c < 0 then find_key keys name (mid + 1) hi
     else find_key keys name lo mid
 
-(* The kept nodes of [a.(lo) .. a.(hi - 1)], consed from the right. *)
-let rec kept keep a lo i acc =
+(* [f] folded from the right over the kept nodes of [a.(lo) .. a.(i)]. *)
+let rec fold_kept keep f a lo i acc =
   if i < lo then acc
-  else kept keep a lo (i - 1) (if keep a.(i) then a.(i) :: acc else acc)
+  else fold_kept keep f a lo (i - 1) (if keep a.(i) then f a.(i) acc else acc)
 
-let filter_named_descendants keep name n =
+let fold_named_descendants keep name f n init =
   match root n with
   | { kind = Document { names; _ }; _ } as doc when names != no_names -> (
       match find_key names.keys name 0 (Array.length names.keys) with
+      | -1 -> init
+      | k ->
+          let a = names.arrays.(k) in
+          if doc == n then fold_kept keep f a 0 (Array.length a - 1) init
+          else
+            fold_kept keep f a (first_after a n.order)
+              (first_after a (last_order n) - 1)
+              init)
+  | _ -> List.fold_right f (filter_descendants keep n) init
+
+let filter_named_descendants keep name n =
+  match n with
+  | { kind = Document { names; _ }; _ } when names != no_names -> (
+      (* the document's whole group, handed out as stored *)
+      match find_key names.keys name 0 (Array.length names.keys) with
       | -1 -> []
       | k ->
-          if doc == n then
-            let all = names.lists.(k) in
-            if List.for_all keep all then all else List.filter keep all
-          else
-            let a = names.arrays.(k) in
-            kept keep a (first_after a n.order)
-              (first_after a (last_order n) - 1)
-              [])
-  | _ -> filter_descendants keep n
+          let all = names.lists.(k) in
+          if List.for_all keep all then all else List.filter keep all)
+  | _ -> fold_named_descendants keep name List.cons n []
 
 let descendants n = filter_descendants (fun _ -> true) n
 let descendants_or_self n = n :: descendants n

@@ -70,6 +70,12 @@ val filter_named_descendants : (t -> bool) -> string -> t -> t list
     from the document node, the slice inside [n]'s pre-order range from any
     other node.  Other trees are walked. *)
 
+val fold_named_descendants :
+  (t -> bool) -> string -> (t -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_named_descendants keep name f n init] folds [f] from the right
+    over [filter_named_descendants keep name n], building no list of its
+    own: [f x1 (f x2 (... (f xk init)))]. *)
+
 val attribute_value : t -> string -> string option
 
 (** {1 Identity and order} *)

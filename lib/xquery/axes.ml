@@ -101,3 +101,16 @@ let step_nodes axis test n =
       Node.filter_named_descendants (node_test test) name n
   | Ast.Descendant, _ -> Node.filter_descendants (node_test test) n
   | _ -> List.filter (node_test test) (apply axis n)
+
+let cons_item n items = Value.Node n :: items
+
+let step_items axis test =
+  let keep = node_test test in
+  match (axis, test) with
+  | Ast.Descendant, (Ast.Name_test name | Ast.Kind_element (Some name))
+    when not (String.equal name "*") ->
+      fun n tail -> Node.fold_named_descendants keep name cons_item n tail
+  | Ast.Child, _ ->
+      let cons_kept n items = if keep n then Value.Node n :: items else items in
+      fun n tail -> List.fold_right cons_kept (Node.children n) tail
+  | _ -> fun n tail -> List.fold_right cons_item (step_nodes axis test n) tail

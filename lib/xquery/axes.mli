@@ -10,6 +10,13 @@ val step_nodes : Ast.axis -> Ast.node_test -> Xmlkit.Node.t -> Xmlkit.Node.t lis
 (** [apply] filtered by the node test (predicates are the evaluator's
     job). *)
 
+val step_items :
+  Ast.axis -> Ast.node_test -> Xmlkit.Node.t -> Value.t -> Value.t
+(** [step_items axis test n tail] is [step_nodes axis test n] as items, in
+    front of [tail]; a child step, or a descendant step by name, builds no
+    node list on the way.  Apply it to the axis and test once for all the
+    context nodes of a step. *)
+
 (** Individual axes, exposed for tests. *)
 
 val child : Xmlkit.Node.t -> Xmlkit.Node.t list

@@ -326,16 +326,22 @@ and eval_path ctx root steps =
     | Some Root -> eval ctx Root
     | Some e -> eval ctx e
   in
-  let apply_step input (step : step) =
+  let rec all_non_positional = function
+    | [] -> true
+    | p :: rest -> non_positional ctx p && all_non_positional rest
+  in
+  let apply_step input axis (step : step) =
     let nodes = Value.nodes_of "path step" input in
-    let select n = Value.of_nodes (Axes.step_nodes step.axis step.test n) in
+    let select n = Value.of_nodes (Axes.step_nodes axis step.test n) in
     let filter selected =
       List.fold_left (eval_predicate ctx) selected step.predicates
     in
-    if List.for_all (non_positional ctx) step.predicates then
+    if all_non_positional step.predicates then
       (* no predicate sees a node's position among its context node's
-         selection: filter the step's whole selection at once *)
-      filter (Value.document_order_dedup (List.concat_map select nodes))
+         selection: filter the step's whole selection at once, built in
+         one pass from the last context node back *)
+      let items = Axes.step_items axis step.test in
+      filter (Value.document_order_dedup (List.fold_right items nodes []))
     else
       let results = List.concat_map (fun n -> filter (select n)) nodes in
       if Value.is_all_nodes results then Value.document_order_dedup results
@@ -348,9 +354,9 @@ and eval_path ctx root steps =
     | { axis = Descendant_or_self; test = Kind_node; predicates = [] }
       :: ({ axis = Child; predicates; _ } as next)
       :: rest
-      when List.for_all (non_positional ctx) predicates ->
-        go (apply_step input { next with axis = Descendant }) rest
-    | step :: rest -> go (apply_step input step) rest
+      when all_non_positional predicates ->
+        go (apply_step input Descendant next) rest
+    | step :: rest -> go (apply_step input step.axis step) rest
   in
   go initial steps
 

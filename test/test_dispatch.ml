@@ -61,9 +61,10 @@ let test_dispatch_counts () =
     (Printf.sprintf {|count(collection()//chapter[. ftcontains "%s"])|} w)
 
 (* The per-node kernel allocates what a node matches, not a fixed toll of
-   closures and copies: minor words per book of the two batched forms at
-   50 books, each bound about 1.5x what the kernel needs (258 and 380
-   words).  Minor-word counts are exact, so the bounds are deterministic. *)
+   closures and copies: minor words per book of the batched forms at 50
+   books, each bound about 1.5x what the kernel needs (158, 286, 82 and
+   277 words; 45.8 for the step alone).  Minor-word counts are exact, so
+   the bounds are deterministic. *)
 let test_batched_allocation () =
   let eng = Engine.create (perfbench_books 50) in
   let be = Corpus.Vocab.word_for_rank 12 and pe = Corpus.Vocab.word_for_rank 20 in
@@ -85,11 +86,16 @@ let test_batched_allocation () =
       Alcotest.failf "%s: %.0f minor words per book (limit %.0f)" label got
         bound
   in
-  check "phrase filter" 390.0
+  check "phrase filter" 240.0
     (Printf.sprintf {|count(collection()//book[. ftcontains "%s %s"])|} be pe);
-  check "ranked FLWOR" 570.0
+  check "ranked FLWOR" 430.0
     (Printf.sprintf
        {|subsequence(for $b in collection()//book let $s := ft:score($b, "%s %s") where $s > 0 order by $s descending return concat(string($s), " ", string($b/@id)), 1, 10)|}
+       be pe);
+  check "absent word" 125.0 {|count(collection()//book[. ftcontains "qqqzzz"])|};
+  check "window" 415.0
+    (Printf.sprintf
+       {|count(collection()//book[. ftcontains "%s" && "%s" window 14 words])|}
        be pe)
 
 (* --- the batched forms equal per-node forms --- *)
@@ -142,13 +148,76 @@ let gen_top_or =
       (oneofl [ "with stemming"; "case insensitive" ])
       bool)
 
+(* The per-node kernel stops reading an FTAnd or a phrase once an
+   earlier operand has no entries in the node, and stops enumerating at
+   the first match that satisfies it: FTAnd, window, distance, ordered
+   and scope over an operand that is empty in the node (an absent word,
+   or a phrase whose later token is absent), and a word ANDed with
+   itself. *)
+let gen_empty_operand =
+  let open QCheck2.Gen in
+  let sub =
+    Ft_gen.selection ~depth:1 ~words:Test_strategies.vocab ~options:[ "" ]
+      ~leaf_weight:3
+      [ (1, And); (1, Or); (1, Not) ]
+  in
+  let empty =
+    oneofl
+      [ {|"nosuchword"|}; {|"usability nosuchword"|}; {|"nosuchword testing"|} ]
+  in
+  let conjunction =
+    oneof
+      [
+        map2 (Printf.sprintf "(%s && %s)") empty sub;
+        map2 (Printf.sprintf "(%s && %s)") sub empty;
+        map
+          (fun w -> Printf.sprintf {|("%s" && "%s")|} w w)
+          (oneofl Test_strategies.vocab);
+      ]
+  in
+  map3
+    (fun filter conj n ->
+      match filter with
+      | 0 -> conj
+      | 1 -> Printf.sprintf "(%s window %d words)" conj n
+      | 2 -> Printf.sprintf "(%s distance at most %d words)" conj n
+      | 3 -> Printf.sprintf "(%s ordered)" conj
+      | _ -> Printf.sprintf "(%s same sentence)" conj)
+    (int_range 0 4) conjunction (int_range 1 15)
+
+(* Selections that require no word: a node holding none of their words
+   can satisfy them, so no node may be skipped for lack of entries. *)
+let gen_no_required_word =
+  let open QCheck2.Gen in
+  let word = oneofl Test_strategies.vocab in
+  let sub =
+    Ft_gen.selection ~depth:1 ~words:Test_strategies.vocab ~options:[ "" ]
+      ~leaf_weight:3
+      [ (1, And); (1, Window (2, 10)) ]
+  in
+  oneof
+    [
+      map (Printf.sprintf {|(! "%s")|}) word;
+      map2 (Printf.sprintf {|("%s" occurs at most %d times)|}) word (int_range 0 2);
+      map (Printf.sprintf {|("%s" occurs exactly 0 times)|}) word;
+      map2 (Printf.sprintf {|(%s || ! "%s")|}) sub word;
+      map2 (Printf.sprintf {|(! "%s" || %s)|}) word sub;
+      map2 (Printf.sprintf {|((%s || ! "%s") window 12 words)|}) sub word;
+    ]
+
 let prop_batched_equals_per_node =
   QCheck2.Test.make
-    ~name:"batched full-text dispatch equals per-node evaluation" ~count:60
+    ~name:"batched full-text dispatch equals per-node evaluation" ~count:100
     ~print:(fun (ctx, sel) -> ctx ^ " " ^ sel)
     QCheck2.Gen.(
       pair Test_strategies.gen_context
-        (frequency [ (2, gen_selection); (1, gen_top_or) ]))
+        (frequency
+           [
+             (2, gen_selection);
+             (1, gen_top_or);
+             (1, gen_empty_operand);
+             (1, gen_no_required_word);
+           ]))
     (fun (ctx, sel) ->
       let eng = Lazy.force engine in
       List.for_all

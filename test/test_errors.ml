@@ -53,6 +53,33 @@ let error_table =
 let test_error_table () =
   List.iter (fun (name, src, expected) -> expect_code name expected src) error_table
 
+(* A weight outside [0,1] is FTDY0016 under every strategy, wherever the
+   weighted leaf sits: alone, behind a disjunct that already satisfies
+   every node, or behind a conjunct that no node satisfies. *)
+let test_weight_every_strategy () =
+  let eng =
+    Engine.of_strings
+      [ ("w.xml", "<doc><p>alpha beta</p><p>alpha gamma</p></doc>") ]
+  in
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun sel ->
+          let src = Printf.sprintf "count(//p[. ftcontains %s])" sel in
+          let name = Engine.strategy_name strategy ^ ": " ^ src in
+          match Engine.run eng ~strategy src with
+          | exception Xquery.Errors.Error e ->
+              Alcotest.check code name Xquery.Errors.FTDY0016 e.Xquery.Errors.code
+          | v ->
+              Alcotest.failf "%s: expected FTDY0016, got [%s]" name
+                (Xquery.Value.to_display_string v))
+        [
+          {|"alpha" weight 2.0|};
+          {|"alpha" || ("beta" weight 2.0)|};
+          {|"qqq" && ("beta" weight 2.0)|};
+        ])
+    [ Engine.Native_materialized; Engine.Translated; Engine.Native_pipelined ]
+
 (* --- resource limits: each limit has its own code and terminates the
    query promptly instead of hanging / OOMing --- *)
 
@@ -95,10 +122,47 @@ let test_materialization_limit () =
     "small query under cap" "10"
     (Xquery.Value.to_display_string (run ~limits "count(1 to 10)"))
 
+(* One paragraph holding [n] occurrences of each of [words], interleaved. *)
+let repeated_words n words =
+  let tokens = List.concat (List.init n (fun _ -> words)) in
+  Engine.of_strings
+    [ ("r.xml", "<doc><p>" ^ String.concat " " tokens ^ "</p></doc>") ]
+
+let expect_code_in eng ?limits name expected src =
+  match Engine.run eng ?limits src with
+  | exception Xquery.Errors.Error e ->
+      Alcotest.check code name expected e.Xquery.Errors.code
+  | v ->
+      Alcotest.failf "%s: expected %s, got value [%s]" name
+        (Xquery.Errors.code_string expected)
+        (Xquery.Value.to_display_string v)
+
+(* A node's verdict pairs FTAnd matches one at a time and stops at the
+   first pair that satisfies it; a filter that rejects every pair still
+   builds as many pairs as the cross product holds, and meets the cap. *)
+let test_enumerated_pairs_capped () =
+  let eng = repeated_words 4 [ "alpha"; "beta" ] in
+  let limits =
+    { Xquery.Limits.defaults with Xquery.Limits.max_matches = Some 10 }
+  in
+  expect_code_in eng ~limits "every pair rejected" Xquery.Errors.GTLX0003
+    {|count(//p[. ftcontains ("alpha" && "beta") distance exactly 100 words])|};
+  Alcotest.(check string)
+    "first pair satisfies" "1"
+    (Xquery.Value.to_display_string
+       (Engine.run eng ~limits
+          {|count(//p[. ftcontains ("alpha" && "beta") distance at most 1 words])|}))
+
 let test_timeout () =
   let limits = { Xquery.Limits.defaults with Xquery.Limits.timeout = Some 0.0 } in
   expect_code ~limits "expired deadline" Xquery.Errors.GTLX0004
-    "sum(for $i in 1 to 100000 return $i)"
+    "sum(for $i in 1 to 100000 return $i)";
+  (* 300^3 pairs, none kept, and no step between them: the deadline is
+     met inside one node's verdict *)
+  expect_code_in (repeated_words 300 [ "alpha"; "beta"; "gamma" ])
+    ~limits:{ Xquery.Limits.defaults with Xquery.Limits.timeout = Some 0.2 }
+    "deadline inside a verdict" Xquery.Errors.GTLX0004
+    {|count(//p[. ftcontains ("alpha" && "beta" && "gamma") distance exactly 100000 words])|}
 
 let test_limits_do_not_leak_between_runs () =
   (* each run gets a fresh governor: spending the budget once must not
@@ -160,10 +224,14 @@ let test_error_classes () =
 let tests =
   [
     Alcotest.test_case "error-code table" `Quick test_error_table;
+    Alcotest.test_case "weight outside [0,1] under every strategy" `Quick
+      test_weight_every_strategy;
     Alcotest.test_case "step budget (GTLX0001)" `Quick test_step_budget;
     Alcotest.test_case "recursion depth (GTLX0002)" `Quick test_recursion_depth;
     Alcotest.test_case "materialization (GTLX0003)" `Quick
       test_materialization_limit;
+    Alcotest.test_case "enumerated FTAnd pairs capped (GTLX0003)" `Quick
+      test_enumerated_pairs_capped;
     Alcotest.test_case "timeout (GTLX0004)" `Quick test_timeout;
     Alcotest.test_case "fresh governor per run" `Quick
       test_limits_do_not_leak_between_runs;

@@ -1,4 +1,4 @@
-(* The experiment harness: one section per paper artifact (Figures 1-7,
+(* The experiment harness: one section per paper artifact (Figures 1-6,
    Table 1) plus the Section 3.3/4.x claims (S1, S4), per the experiment
    index in DESIGN.md.  Each section regenerates the paper's artifact or
    measures its performance claim and prints the series; a Bechamel
@@ -126,11 +126,10 @@ let fig3 () =
   let eng = Lazy.force fig1_engine in
   let am_and =
     Galatex.Engine.selection_all_matches eng {|"usability" && "software"|}
-      ~context_nodes:()
   in
   let am_dist =
     Galatex.Engine.selection_all_matches eng
-      {|"usability" && "software" distance at most 10 words|} ~context_nodes:()
+      {|"usability" && "software" distance at most 10 words|}
   in
   Harness.row "  after FTAnd:      %d matches (paper: 6)\n"
     (Galatex.All_matches.size am_and);
@@ -144,12 +143,11 @@ let fig3 () =
          Test.make ~name:"FTAnd"
            (Harness.staged (fun () ->
                 Galatex.Engine.selection_all_matches eng
-                  {|"usability" && "software"|} ~context_nodes:()));
+                  {|"usability" && "software"|}));
          Test.make ~name:"FTAnd+FTDistance"
            (Harness.staged (fun () ->
                 Galatex.Engine.selection_all_matches eng
-                  {|"usability" && "software" distance at most 10 words|}
-                  ~context_nodes:()));
+                  {|"usability" && "software" distance at most 10 words|}));
        ])
 
 (* ---------------------------------------------------------------- F4 *)
@@ -188,7 +186,6 @@ let fig4 () =
   let env = Galatex.Engine.env engine in
   let am =
     Galatex.Engine.selection_all_matches engine {|"usability" && "testing"|}
-      ~context_nodes:()
   in
   let ps =
     List.concat_map
@@ -229,7 +226,6 @@ let fig5 () =
   Harness.subsection "(c) AllMatches for \"usability\" with stemming";
   let am =
     Galatex.Engine.selection_all_matches eng {|"usability" with stemming|}
-      ~context_nodes:()
   in
   Harness.row "%s\n" (Xmlkit.Printer.pretty (Galatex.All_matches.to_xml am))
 
@@ -286,7 +282,7 @@ let fig6a () =
     (fun frac ->
       let eng = pushdown_corpus ~in_order_fraction:frac ~seed:100 in
       let eval src =
-        Galatex.Engine.selection_all_matches eng src ~context_nodes:()
+        Galatex.Engine.selection_all_matches eng src
       in
       let into_distance = Galatex.All_matches.size (eval {|"alphaterm" && "betaterm"|}) in
       let into_distance_pushed =
@@ -307,7 +303,7 @@ let fig6a () =
     \   by 35-50x; wall time is dominated by building the FTAnd product that\n\
     \   both plans share, so the size reduction -- the Section 4\n\
     \   materialization metric -- is the primary win, and it feeds the\n\
-    \   pipelined strategy where the filters fuse)\n"
+    \   per-node early exit, where the filters run one match at a time)\n"
 
 (* ---------------------------------------------------------------- F6b *)
 
@@ -392,82 +388,6 @@ let fig6b () =
     \   one misses, and keeps one handler call per step; the hand-written\n\
     \   or pays two calls per book)\n"
 
-(* ---------------------------------------------------------------- F7 *)
-
-let fig7_corpus doc_count =
-  Corpus.Generator.index_books
-    {
-      Corpus.Generator.default_profile with
-      Corpus.Generator.seed = 500;
-      doc_count;
-      sections_per_doc = 3;
-      paras_per_section = 4;
-      words_per_para = 40;
-      vocab_size = 150 (* mid-rank words are frequent enough for big AllMatches *);
-    }
-
-let fig7 () =
-  Harness.section
-    "F7 (Figure 7 / Section 4.1): pipelined vs materialized evaluation";
-  Harness.row
-    "  docs   AllMatches      matches pulled    time          time       speedup\n";
-  Harness.row
-    "         materialized    (pipelined)       materialized  pipelined\n";
-  let sel = {|"ra" && "sa" window 14 words|} in
-  List.iter
-    (fun doc_count ->
-      let index = fig7_corpus doc_count in
-      let eng = Galatex.Engine.of_index index in
-      let query =
-        Printf.sprintf "count(collection()//book[. ftcontains %s])" sel
-      in
-      (* counts come from the engine's own instrumentation: both strategies
-         charge [allmatches_materialized] — the materialized plan per
-         AllMatches entry built, the pipelined plan per match pulled — so
-         the two columns are the Section 4 comparison, measured in-band *)
-      let report ~strategy = Galatex.Engine.run_report eng ~strategy query in
-      let mat = report ~strategy:Galatex.Engine.Native_materialized in
-      let pipe = report ~strategy:Galatex.Engine.Native_pipelined in
-      let t_mat =
-        Harness.time_ms (fun () ->
-            report ~strategy:Galatex.Engine.Native_materialized)
-      in
-      let t_pipe =
-        Harness.time_ms (fun () ->
-            report ~strategy:Galatex.Engine.Native_pipelined)
-      in
-      let count (r : Galatex.Engine.report) =
-        r.Galatex.Engine.counters.Xquery.Limits.allmatches_materialized
-      in
-      assert (
-        Xquery.Value.to_display_string mat.Galatex.Engine.value
-        = Xquery.Value.to_display_string pipe.Galatex.Engine.value);
-      Harness.row "  %4d   %12d   %15d   %9.2fms   %8.2fms   %7.1fx\n" doc_count
-        (count mat) (count pipe) t_mat t_pipe
-        (t_mat /. Float.max 0.001 t_pipe))
-    [ 4; 8; 16; 32 ];
-  Harness.row
-    "  (the Section 4 claim: materializing every intermediate AllMatches is\n\
-    \   the bottleneck; pipelining with the early-exit loop touches a tiny\n\
-    \   prefix of the match space.  The materialized strategy's per-node\n\
-    \   kernel stops at the first satisfying match too, so its column counts\n\
-    \   the leaves' matches, which it still materializes)\n";
-  let index = fig7_corpus 16 in
-  let eng = Galatex.Engine.of_index index in
-  let query = Printf.sprintf "count(collection()//book[. ftcontains %s])" sel in
-  Harness.run_bechamel
-    (Test.make_grouped ~name:"F7" ~fmt:"%s %s"
-       [
-         Test.make ~name:"materialized"
-           (Harness.staged (fun () ->
-                Galatex.Engine.run eng
-                  ~strategy:Galatex.Engine.Native_materialized query));
-         Test.make ~name:"pipelined"
-           (Harness.staged (fun () ->
-                Galatex.Engine.run eng ~strategy:Galatex.Engine.Native_pipelined
-                  query));
-       ])
-
 (* ---------------------------------------------------------------- T1 *)
 
 let table1 () =
@@ -535,7 +455,7 @@ let s1_scoring () =
   let checks = ref 0 and failures = ref 0 in
   List.iter
     (fun src ->
-      let am = Galatex.Engine.selection_all_matches eng src ~context_nodes:() in
+      let am = Galatex.Engine.selection_all_matches eng src in
       List.iter
         (fun d ->
           incr checks;
@@ -551,13 +471,11 @@ let s1_scoring () =
   let b1 = List.hd docs in
   let s_low =
     Galatex.Score.node_score env b1
-      (Galatex.Engine.selection_all_matches eng {|"usability" weight 0.1|}
-         ~context_nodes:())
+      (Galatex.Engine.selection_all_matches eng {|"usability" weight 0.1|})
   in
   let s_high =
     Galatex.Score.node_score env b1
-      (Galatex.Engine.selection_all_matches eng {|"usability" weight 0.9|}
-         ~context_nodes:())
+      (Galatex.Engine.selection_all_matches eng {|"usability" weight 0.9|})
   in
   Harness.row
     "  requirement (ii) monotone in relevance: weight 0.9 scores %.4f > weight 0.1 scores %.4f: %b\n"
@@ -569,7 +487,7 @@ let s1_scoring () =
 
 let s4_strategies () =
   Harness.section
-    "S4 (Section 3/4): the three evaluation strategies — equivalence and cost";
+    "S4 (Section 3/4): the two evaluation strategies — equivalence and cost";
   let engine = Corpus.Usecases.engine () in
   let queries =
     List.map
@@ -580,7 +498,6 @@ let s4_strategies () =
     [
       ("translated (paper)", Galatex.Engine.Translated);
       ("native materialized", Galatex.Engine.Native_materialized);
-      ("native pipelined", Galatex.Engine.Native_pipelined);
     ]
   in
   List.iter
@@ -727,14 +644,14 @@ let r1_governance () =
             ())
   in
   Harness.row "  10^8-tuple FLWOR bomb stopped by GTLX0003 in: %8.2f ms\n" t_bomb;
-  (* fault-injection battery: every optimized run degrades gracefully *)
+  (* fault-injection battery: every translated run degrades gracefully *)
   let before = Galatex.Engine.fallback_count engine in
   let absorbed = ref 0 and structured = ref 0 in
   List.iter
     (fun q ->
       match
         Galatex.Engine.run_report engine
-          ~strategy:Galatex.Engine.Native_pipelined ~fault_at:25 ~fallback:true
+          ~strategy:Galatex.Engine.Translated ~fault_at:25 ~fallback:true
           q
       with
       | r -> if r.Galatex.Engine.fell_back then incr absorbed
@@ -1312,7 +1229,7 @@ let w1_replay params =
 let experiments =
   [
     ("F1", fig1); ("F2", fig2); ("F3", fig3); ("F4", fig4); ("F5", fig5);
-    ("F6a", fig6a); ("F6b", fig6b); ("F7", fig7); ("T1", table1);
+    ("F6a", fig6a); ("F6b", fig6b); ("T1", table1);
     ("S1", s1_scoring); ("S4", s4_strategies);
     ("A1", a1_expansion_cache); ("A2", a2_translated_decomposition);
     ("R1", r1_governance); ("R2", r2_cold_start); ("N1", n1_navigation);

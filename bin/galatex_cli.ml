@@ -43,7 +43,6 @@ let strategy_arg =
     [
       ("translated", Galatex.Engine.Translated);
       ("materialized", Galatex.Engine.Native_materialized);
-      ("pipelined", Galatex.Engine.Native_pipelined);
     ]
   in
   Arg.(
@@ -51,8 +50,8 @@ let strategy_arg =
     & opt (enum strategies) Galatex.Engine.Native_materialized
     & info [ "s"; "strategy" ] ~docv:"STRATEGY"
         ~doc:
-          "Evaluation strategy: $(b,translated) (the paper's all-XQuery path),
-           $(b,materialized) or $(b,pipelined).")
+          "Evaluation strategy: $(b,translated) (the paper's all-XQuery path)
+           or $(b,materialized) (native operators).")
 
 let query_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:"The query text.")
@@ -99,8 +98,8 @@ let no_fallback_arg =
     value & flag
     & info [ "no-fallback" ]
         ~doc:
-          "Disable graceful degradation: surface internal errors of
-           optimized strategies instead of retrying on the reference
+          "Disable graceful degradation: surface internal errors of the
+           translated strategy instead of retrying on the reference
            materialized path.")
 
 let limits_of ~max_steps ~max_depth ~max_matches ~timeout : Xquery.Limits.t =

@@ -54,7 +54,6 @@ let () =
   let env = Galatex.Engine.env engine in
   let am =
     Galatex.Engine.selection_all_matches engine {|"immigrant status"|}
-      ~context_nodes:()
   in
   let actions =
     List.concat_map

@@ -55,7 +55,7 @@ let () =
   (* 6. the AllMatches value behind a selection (Figure 3) *)
   let am =
     Galatex.Engine.selection_all_matches engine
-      {|"usability" && "testing"|} ~context_nodes:()
+      {|"usability" && "testing"|}
   in
   Printf.printf "\nAllMatches for \"usability\" && \"testing\": %d matches\n"
     (Galatex.All_matches.size am);

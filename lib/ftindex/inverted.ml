@@ -12,8 +12,8 @@ open Xmlkit
      Dewey (document) order, so the entries a node contains are contiguous.
      No other document is touched.
    - Documents iterate in uri order, so [postings] returns the whole list
-     sorted by (document, absolute position) — the order the pipelined
-     operators of Section 4.1 sort-merge on — whatever the indexing order.
+     sorted by (document, absolute position), whatever the indexing
+     order.
    - Runs are never mutated after they are built, and every table is a
      persistent map, so adding or removing a document allocates O(words in
      the document x log V) and successive index versions (live updates)

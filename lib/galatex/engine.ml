@@ -1,33 +1,32 @@
 open Xmlkit
 
 (* The GalaTex engine façade (paper Figure 4): index a corpus, compile
-   XQuery Full-Text queries, and evaluate them under one of three
+   XQuery Full-Text queries, and evaluate them under one of two
    strategies:
 
    - [Translated]: the paper's architecture — the query is translated into
      plain XQuery calling the fts library module (itself written in XQuery)
      over XML inverted lists (Section 3.2.2).  Complete, conformant, slow.
    - [Native_materialized]: the same AllMatches semantics implemented as
-     native operators materializing every intermediate AllMatches — the
-     engine-integration step Section 4 calls for, without pipelining.
-   - [Native_pipelined]: Section 4.1's pipelined evaluation, streaming
-     matches instead of materializing them.
+     native operators — the engine-integration step Section 4 calls for.
+     Each node is evaluated alone, and an ftcontains verdict stops at the
+     node's first satisfying match: Section 4.1's early-exit FTContains
+     loop, materializing only the leaves and the blocking operators.
 
    Every run is resource-governed: a Limits.governor accounts eval steps,
    recursion depth, materialization and wall-clock time, and the engine
    boundary guarantees that the only exceptions escaping [run] /
    [run_report] / [run_query_report] are structured [Xquery.Errors.Error]
    values.
-   When an optimized strategy (pipelined or translated) dies on
-   an *internal* error, [run_report] can degrade gracefully to the
-   reference materialized path and record that it did. *)
+   When the translated strategy dies on an *internal* error,
+   [run_report] can degrade gracefully to the reference materialized
+   path and record that it did. *)
 
-type strategy = Translated | Native_materialized | Native_pipelined
+type strategy = Translated | Native_materialized
 
 let strategy_name = function
   | Translated -> "translated"
   | Native_materialized -> "materialized"
-  | Native_pipelined -> "pipelined"
 
 type report = {
   value : Xquery.Value.t;
@@ -223,12 +222,6 @@ let attempt t ~tr ~governor ~strategy ?context (q : Xquery.Ast.query) =
     register_collection t ctx;
     focus_context t ?context ctx
   in
-  let native name handler =
-    Xquery.Eval.setup_context ~prepare ~governor
-      ~resolve_doc:(Fts_module.make_resolver t.env)
-      ~ft:(traced_handler tr name (handler t.env))
-      q
-  in
   let ctx, body =
     match strategy with
     | Translated ->
@@ -238,8 +231,12 @@ let attempt t ~tr ~governor ~strategy ?context (q : Xquery.Ast.query) =
         in
         ( Fts_module.setup_context ~governor ~prepare t.env translated,
           translated.Xquery.Ast.body )
-    | Native_materialized -> (native "ft_eval" Ft_eval.handler, q.Xquery.Ast.body)
-    | Native_pipelined -> (native "ft_stream" Ft_stream.handler, q.Xquery.Ast.body)
+    | Native_materialized ->
+        ( Xquery.Eval.setup_context ~prepare ~governor
+            ~resolve_doc:(Fts_module.make_resolver t.env)
+            ~ft:(traced_handler tr "ft_eval" (Ft_eval.handler t.env))
+            q,
+          q.Xquery.Ast.body )
   in
   Obs.Trace.with_span tr "eval" (fun () -> Xquery.Eval.eval ctx body)
 
@@ -327,9 +324,9 @@ let run t ?clock ?strategy ?limits ?fault_at ?fallback ?context src =
 let translate_to_text src =
   Xquery.Printer.query_to_string (Translate.translate_query (parse src))
 
-(* Evaluate just an FTSelection against explicit context nodes — used by
+(* Evaluate just an FTSelection over the whole corpus — used by
    examples, tests and benches that work below full queries. *)
-let selection_all_matches ?approximate t selection_src ~context_nodes:_ =
+let selection_all_matches ?approximate t selection_src =
   let q = parse (". ftcontains " ^ selection_src) in
   match q.Xquery.Ast.body with
   | Xquery.Ast.Ft_contains { selection; _ } ->

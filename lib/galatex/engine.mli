@@ -1,5 +1,5 @@
 (** The GalaTex engine façade (paper Figure 4): index a corpus, compile and
-    evaluate XQuery Full-Text queries under one of three strategies, inside
+    evaluate XQuery Full-Text queries under one of two strategies, inside
     a resource-governed boundary.
 
     The boundary guarantee: the only exception {!run}, {!run_report} and
@@ -15,11 +15,9 @@ type strategy =
           module (itself XQuery) and XML inverted lists — complete,
           conformant, slow (Section 3.2) *)
   | Native_materialized
-      (** the same AllMatches semantics as native operators, every
-          intermediate AllMatches materialized *)
-  | Native_pipelined
-      (** Section 4.1: matches stream through the operator tree; FTContains
-          exits at the first satisfying match *)
+      (** the same AllMatches semantics as native operators, each node
+          evaluated alone; an ftcontains verdict exits at the node's first
+          satisfying match (Section 4.1's early exit) *)
 
 val strategy_name : strategy -> string
 
@@ -143,8 +141,8 @@ val parse : string -> Xquery.Ast.query
 type report = {
   value : Xquery.Value.t;
   strategy_used : strategy;  (** the strategy that produced [value] *)
-  fell_back : bool;  (** an optimized strategy failed internally and the
-                         reference materialized path answered instead *)
+  fell_back : bool;  (** the translated strategy failed internally and
+                         the reference materialized path answered instead *)
   fallback_error : Xquery.Errors.t option;
       (** the internal error that triggered the fallback *)
   steps : int;  (** eval steps consumed by the whole run *)
@@ -155,7 +153,7 @@ type report = {
   trace : Obs.Trace.span;
       (** the run's span tree, rooted at ["query"]: ["parse"] (when the run
           started from source text), ["translate"] (Translated strategy), ["eval"] with
-          nested ["ft_eval"] / ["ft_stream"] spans per ftcontains dispatch.
+          nested ["ft_eval"] spans per ftcontains dispatch.
           A fallback leaves both attempts' spans under the same root. *)
   counters : Xquery.Limits.counters;
       (** snapshot of this run's observability counters (materializations,
@@ -188,8 +186,8 @@ val run_report :
     failure at eval step [n]) — the boundary converts it to [GTLX0005] or
     absorbs it via fallback; used by the robustness tests.
 
-    [fallback] (default [true]): when an optimized strategy (anything
-    other than plain [Native_materialized]) raises an {e internal} error,
+    [fallback] (default [true]): when the [Translated] strategy raises an
+    {e internal} error,
     re-run on the reference materialized path under the same governor and
     record the degradation.  User errors (dynamic / type) and resource
     limits never trigger fallback.
@@ -226,7 +224,7 @@ val translate_to_text : string -> string
 (** The plain XQuery the Section 3.2.2 translation produces, as text. *)
 
 val selection_all_matches :
-  ?approximate:bool -> t -> string -> context_nodes:unit -> All_matches.t
+  ?approximate:bool -> t -> string -> All_matches.t
 (** Evaluate one FTSelection (source text) to its AllMatches over the whole
     corpus — the building block examples, tests and benches use.
     [approximate] enables the Section 3.3 approximate-matching extension for

@@ -1,8 +1,8 @@
 open Xquery.Ast
 
-(* Native (materialized) evaluation of FTSelection trees over AllMatches —
-   the engine behind the Native_materialized strategy and the semantic
-   reference the other strategies are tested against.
+(* Native evaluation of FTSelection trees over AllMatches — the engine
+   behind the Native_materialized strategy and the semantic reference the
+   translated strategy is tested against.
 
    Match options are propagated outside-in to the Ft_words leaves, and each
    leaf receives its relative position in the query (queryPos), which
@@ -20,10 +20,8 @@ type eval_callback = Xquery.Context.t -> expr -> Xquery.Value.t
 let eval_int ~(eval : eval_callback) ctx e =
   int_of_float (Xquery.Value.to_number (eval ctx e))
 
-let eval_float ~(eval : eval_callback) ctx e = Xquery.Value.to_number (eval ctx e)
-
 let eval_weight ~(eval : eval_callback) ctx e =
-  Ft_ops.check_weight (eval_float ~eval ctx e)
+  Ft_ops.check_weight (Xquery.Value.to_number (eval ctx e))
 
 let eval_range ~eval ctx = function
   | Exactly e -> Ft_ops.Exactly (eval_int ~eval ctx e)

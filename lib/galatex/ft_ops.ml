@@ -13,7 +13,7 @@
    The operators here work on one match at a time (FTAnd's pair, the
    position filters) or on whole AllMatches values (the blocking
    FTUnaryNot, FTMildNot and FTTimes); Ft_eval composes them into the
-   materialized strategy, Ft_stream into the pipelined one. *)
+   native strategy. *)
 
 open All_matches
 

@@ -1,6 +1,7 @@
 (** Materialized semantics of every FTSelection on AllMatches (paper Section
-    3.2.3.1) with the Section 3.3 score formulas.  {!Ft_stream} reuses the
-    per-match functions for the pipelined strategy. *)
+    3.2.3.1) with the Section 3.3 score formulas.  {!Ft_eval} runs its
+    plans over the per-match functions, one match at a time where a
+    node's verdict can stop early. *)
 
 type range =
   | Exactly of int
@@ -83,19 +84,6 @@ type scope =
   | Everywhere  (** no context: every document's whole runs *)
 (** Where a leaf reads its entries. *)
 
-val phrase_occurrences :
-  Xquery.Limits.governor ->
-  scope ->
-  phrase ->
-  (Ftindex.Posting.t * float) list list
-(** All occurrences of a phrase (consecutive positions; dropped stop
-    tokens allow gaps), each position
-    with its Section 3.3 score.  The [scope] restricts positions to the
-    evaluation context, like the paper's getTokenInfo.  The governor
-    accounts every inverted-list entry read (before filtering) as
-    [postings_read]; the reads stop at the first token with no entries in
-    the scope. *)
-
 val join_phrase :
   (Ftindex.Posting.t * float) list ->
   (int * (Ftindex.Posting.t * float) array) list ->
@@ -106,10 +94,6 @@ val join_phrase :
     same document (the nearest wins).  Each [entries] ascends by (document,
     position); the join binary-searches it. *)
 
-val match_of_postings :
-  query_pos:int -> weight:float option -> (Ftindex.Posting.t * float) list ->
-  All_matches.match_
-
 val phrase_matches :
   Xquery.Limits.governor ->
   scope ->
@@ -117,7 +101,12 @@ val phrase_matches :
   weight:float option ->
   phrase ->
   All_matches.match_ list
-(** One Match per occurrence of a phrase. *)
+(** One Match per occurrence of a phrase (consecutive positions; dropped
+    stop tokens allow gaps), scored by the Section 3.3 scores of its
+    positions.  The [scope] restricts positions to the evaluation context,
+    like the paper's getTokenInfo.  The governor accounts every
+    inverted-list entry read (before filtering) as [postings_read]; the
+    reads stop at the first token with no entries in the scope. *)
 
 (** {1 Boolean connectives} *)
 
@@ -189,10 +178,6 @@ val node_satisfies : Env.t -> Xmlkit.Node.t -> All_matches.t -> bool
 
 val ft_contains : Env.t -> site list -> All_matches.t -> bool
 (** Some site satisfies some match. *)
-
-val ignore_filter :
-  Env.t -> Xmlkit.Node.t list -> All_matches.match_ -> All_matches.match_ option
-(** The FTIgnoreOption for one match, the ignored nodes located once. *)
 
 val apply_ignore : Env.t -> Xmlkit.Node.t list -> All_matches.t -> All_matches.t
 (** The FTIgnoreOption: drop matches relying on positions inside ignored

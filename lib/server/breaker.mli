@@ -1,12 +1,12 @@
 (** Per-strategy circuit breakers for the query daemon.
 
-    PR 1 gave each request graceful degradation: an optimized strategy
-    that dies on an internal error falls back to the reference
-    materialized path, once, inside that request.  Under sustained load a
+    Each request degrades gracefully: the translated strategy, when it
+    dies on an internal error, falls back to the reference materialized
+    path, once, inside that request.  Under sustained load a
     systematically-broken strategy would pay that doubled work on every
     request; the breaker notices {e consecutive} internal-error fallbacks
-    per optimized strategy and trips, routing subsequent requests straight
-    to the reference path, then probes the strategy again after a cooldown
+    per strategy and trips, routing subsequent requests straight to the
+    reference path, then probes the strategy again after a cooldown
     {e measured in requests} (not wall clock, so tests are deterministic).
 
     State machine per strategy key:
@@ -32,7 +32,7 @@ type decision =
   | Bypass  (** tripped: evaluate on the reference materialized path *)
 
 val route : t -> string -> decision
-(** Routing decision for a request wanting optimized strategy [key];
+(** Routing decision for a request wanting strategy [key];
     advances the open-state cooldown.  Call {!record} with the outcome
     whenever this returned [Run] or [Probe]. *)
 

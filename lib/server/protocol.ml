@@ -46,12 +46,10 @@ let query_request ?(strategy = Galatex.Engine.Native_materialized)
 let strategy_tag = function
   | Galatex.Engine.Translated -> 0
   | Galatex.Engine.Native_materialized -> 1
-  | Galatex.Engine.Native_pipelined -> 2
 
 let strategy_of_tag = function
   | 0 -> Galatex.Engine.Translated
   | 1 -> Galatex.Engine.Native_materialized
-  | 2 -> Galatex.Engine.Native_pipelined
   | n -> malformed "unknown strategy tag %d" n
 
 let put_op b (op : Ftindex.Wal.op) =

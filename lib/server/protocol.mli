@@ -92,7 +92,8 @@ val query_request : ?strategy:Galatex.Engine.strategy -> ?fallback:bool ->
     server's own defaults apply), no deadline propagation, router-decided
     merge.  The encoding keeps the byte of the retired optimize flag after
     the strategy tag: it is written as 0, and a 1 from an old client
-    decodes and is ignored. *)
+    decodes and is ignored.  Strategy tag 2 (the retired pipelined
+    strategy) does not decode: the request is malformed. *)
 
 (** {1 Responses} *)
 
@@ -159,7 +160,7 @@ type compact_reply = {
 
 type slow_entry = {
   s_query : string;  (** query source text *)
-  s_strategy : string;  (** strategy key, e.g. ["pipelined"] *)
+  s_strategy : string;  (** strategy key, e.g. ["translated"] *)
   s_duration_ms : float;
   s_unix_time : float;  (** server clock when the query finished *)
   s_steps : int;  (** eval steps the run consumed *)

@@ -149,7 +149,7 @@ type t = {
 }
 
 (* all strategy keys a request can carry — histogram labels are bounded *)
-let strategy_keys = [ "translated"; "materialized"; "pipelined" ]
+let strategy_keys = [ "translated"; "materialized" ]
 
 let locked t f = Mutex.protect t.lock f
 

@@ -17,7 +17,7 @@
 
     Robustness machinery, all deterministic and fault-injectable:
     - {b per-strategy circuit breakers} ({!Breaker}): consecutive
-      internal-error fallbacks trip an optimized strategy to the
+      internal-error fallbacks trip the translated strategy to the
       reference path, with request-counted cooldown and half-open probes;
     - {b hot snapshot reload}: on {!request_reload} (the CLI maps SIGHUP
       to it) or a generation-number change observed by the watcher, the
@@ -157,7 +157,7 @@ val metrics_text : t -> string
     [galatex_<name>_total] / gauge, engine observability counters summed
     over all runs as [galatex_engine_<name>_total], and
     [galatex_query_duration_seconds] histograms labelled by strategy key
-    ([translated], [materialized], [pipelined]). *)
+    ([translated], [materialized]). *)
 
 val slowlog_entries : t -> Protocol.slow_entry list
 (** The slow-query ring (also served as {!Protocol.Slowlog}): queries

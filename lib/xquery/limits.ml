@@ -37,9 +37,8 @@ let defaults = { unlimited with max_depth = Some default_max_depth }
    job. *)
 type counters = {
   mutable allmatches_materialized : int;
-      (** materialized strategy: sum of AllMatches sizes at every operator
-          output; pipelined strategy: matches pulled through the pipeline —
-          the two sides of the paper's Section 4 comparison, in one unit *)
+      (** native strategy: sum of AllMatches sizes at every operator output
+          it materializes *)
   mutable postings_read : int;
       (** inverted-list entries read at the leaves: the context documents'
           runs of each word, before node and option filtering *)

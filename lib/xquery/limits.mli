@@ -31,10 +31,10 @@ val default_max_depth : int
     serving layer aggregates across runs with atomics. *)
 type counters = {
   mutable allmatches_materialized : int;
-      (** materialized strategy: sum of AllMatches sizes at every operator
-          output; pipelined strategy: matches pulled through the pipeline.
-          One unit for both, so the paper's Section 4 claim (pipelined <=
-          materialized) is directly comparable — and property-tested. *)
+      (** native strategy: sum of AllMatches sizes at every operator output
+          it materializes — under a node's early-exit verdict, the leaves'
+          and the blocking operators' (FTUnaryNot, FTMildNot, FTTimes)
+          outputs; the size of the paper's Section 4 bottleneck *)
   mutable postings_read : int;
       (** inverted-list entries read at FTWords leaves: the entries of
           the context documents' runs of each word inside the context

@@ -8,7 +8,7 @@ let engine = lazy (Corpus.Fig1.engine ())
 let env () = Engine.env (Lazy.force engine)
 
 let selection src =
-  Engine.selection_all_matches (Lazy.force engine) src ~context_nodes:()
+  Engine.selection_all_matches (Lazy.force engine) src
 
 let check_int = Alcotest.check Alcotest.int
 let check_bool = Alcotest.check Alcotest.bool

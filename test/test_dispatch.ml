@@ -7,8 +7,8 @@
 
 open Galatex
 
-let dispatches eng ?(strategy = Engine.Native_materialized) q =
-  let r = Engine.run_report eng ~strategy q in
+let dispatches eng q =
+  let r = Engine.run_report eng q in
   (r.Engine.counters.Xquery.Limits.ft_dispatches, r.Engine.value)
 
 (* perfbench's corpus profile *)
@@ -28,10 +28,7 @@ let test_dispatch_counts () =
   let eng = Engine.create (perfbench_books 50) in
   let w = Corpus.Vocab.word_for_rank 12 in
   let expect label n q =
-    List.iter
-      (fun strategy ->
-        Alcotest.(check int) label n (fst (dispatches eng ~strategy q)))
-      [ Engine.Native_materialized; Engine.Native_pipelined ]
+    Alcotest.(check int) label n (fst (dispatches eng q))
   in
   let filter = Printf.sprintf {|count(collection()//book[. ftcontains "%s"])|} w in
   expect "filter: one dispatch" 1 filter;
@@ -220,25 +217,20 @@ let prop_batched_equals_per_node =
            ]))
     (fun (ctx, sel) ->
       let eng = Lazy.force engine in
-      List.for_all
-        (fun strategy ->
-          let agree batched per_node =
-            let n, got = dispatches eng ~strategy batched in
-            n <= 1
-            && List.equal same_item got (Engine.run eng ~strategy per_node)
-          in
-          agree
-            (Printf.sprintf "collection()%s[. ftcontains %s]" ctx sel)
-            (Printf.sprintf
-               "for $n in collection()%s where $n ftcontains %s return $n" ctx
-               sel)
-          && agree
-               (Printf.sprintf
-                  "for $b in collection()%s let $s := ft:score($b, %s) return $s"
-                  ctx sel)
-               (Printf.sprintf
-                  "for $b in collection()%s return ft:score($b, %s)" ctx sel))
-        [ Engine.Native_materialized; Engine.Native_pipelined ])
+      let agree batched per_node =
+        let n, got = dispatches eng batched in
+        n <= 1 && List.equal same_item got (Engine.run eng per_node)
+      in
+      agree
+        (Printf.sprintf "collection()%s[. ftcontains %s]" ctx sel)
+        (Printf.sprintf
+           "for $n in collection()%s where $n ftcontains %s return $n" ctx sel)
+      && agree
+           (Printf.sprintf
+              "for $b in collection()%s let $s := ft:score($b, %s) return $s"
+              ctx sel)
+           (Printf.sprintf "for $b in collection()%s return ft:score($b, %s)"
+              ctx sel))
 
 let tests =
   [

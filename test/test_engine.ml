@@ -75,7 +75,6 @@ let test_empty_corpus () =
 let test_selection_all_matches_guard () =
   match
     Engine.selection_all_matches (Lazy.force engine) {|"a" madeupsyntax|}
-      ~context_nodes:()
   with
   | exception (Xquery.Parser.Error _ | Invalid_argument _) -> ()
   | _ -> Alcotest.fail "garbage selection must raise"
@@ -100,7 +99,7 @@ let test_prolog_sees_documents () =
       check_string (name ^ ": context item in a prolog variable") "1"
         (run ~strategy
            {|declare variable $v := //book[. ftcontains "usability"]; count($v)|}))
-    [ Engine.Translated; Engine.Native_materialized; Engine.Native_pipelined ]
+    [ Engine.Translated; Engine.Native_materialized ]
 
 let test_segmenter_config_respected () =
   (* index with titles ignored: words in titles are unsearchable *)

@@ -78,7 +78,7 @@ let test_weight_every_strategy () =
           {|"alpha" || ("beta" weight 2.0)|};
           {|"qqq" && ("beta" weight 2.0)|};
         ])
-    [ Engine.Native_materialized; Engine.Translated; Engine.Native_pipelined ]
+    [ Engine.Native_materialized; Engine.Translated ]
 
 (* --- resource limits: each limit has its own code and terminates the
    query promptly instead of hanging / OOMing --- *)

@@ -18,7 +18,6 @@ let engine =
 
 let selection ?approximate src =
   Engine.selection_all_matches ?approximate (Lazy.force engine) src
-    ~context_nodes:()
 
 let size = All_matches.size
 let check_int = Alcotest.check Alcotest.int
@@ -48,7 +47,7 @@ let test_window_skips_stop_words () =
           {|"alpha" && "beta" window 2 words with stop words ("the", "of")|}))
 
 let test_cross_strategy_stop_distance () =
-  (* the translated path uses the fts:wordDistance primitive; all three
+  (* the translated path uses the fts:wordDistance primitive; both
      strategies must agree *)
   let queries =
     [
@@ -64,8 +63,6 @@ let test_cross_strategy_stop_distance () =
           (Engine.run (Lazy.force engine) ~strategy:s q)
       in
       let reference = run Engine.Native_materialized in
-      Alcotest.check Alcotest.string ("pipelined: " ^ q) reference
-        (run Engine.Native_pipelined);
       Alcotest.check Alcotest.string ("translated: " ^ q) reference
         (run Engine.Translated))
     queries

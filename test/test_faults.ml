@@ -3,7 +3,7 @@
    step index and assert that Engine.run_report either
 
      - answers correctly after falling back to the reference materialized
-       strategy (fallback enabled, optimized strategy), or
+       strategy (fallback enabled, translated strategy), or
      - raises a structured Errors.Error with an Internal-class code
        (fallback disabled),
 
@@ -35,12 +35,12 @@ let sweep_points total =
   List.sort_uniq compare (1 :: total :: go 1 [])
 
 let test_sweep_fallback () =
-  let base = baseline Engine.Native_pipelined in
+  let base = baseline Engine.Translated in
   let expected = Xquery.Value.to_display_string base.Engine.value in
   List.iter
     (fun n ->
       match
-        Engine.run_report (Lazy.force engine) ~strategy:Engine.Native_pipelined
+        Engine.run_report (Lazy.force engine) ~strategy:Engine.Translated
           ~fault_at:n ~fallback:true query
       with
       | r ->
@@ -71,11 +71,11 @@ let test_sweep_fallback () =
 let test_sweep_no_fallback () =
   (* without fallback every injected fault must surface as a structured
      internal error — never a raw exception *)
-  let base = baseline Engine.Native_pipelined in
+  let base = baseline Engine.Translated in
   List.iter
     (fun n ->
       match
-        Engine.run_report (Lazy.force engine) ~strategy:Engine.Native_pipelined
+        Engine.run_report (Lazy.force engine) ~strategy:Engine.Translated
           ~fault_at:n ~fallback:false query
       with
       | _ -> Alcotest.failf "fault@%d: expected an error" n
@@ -116,7 +116,7 @@ let test_fallback_counter () =
   let eng = Corpus.Usecases.engine () in
   Alcotest.(check int) "fresh engine" 0 (Engine.fallback_count eng);
   ignore
-    (Engine.run_report eng ~strategy:Engine.Native_pipelined ~fault_at:5
+    (Engine.run_report eng ~strategy:Engine.Translated ~fault_at:5
        ~fallback:true query);
   Alcotest.(check int) "one degradation" 1 (Engine.fallback_count eng)
 

@@ -15,9 +15,11 @@
    A digest that changes means existing files or peers no longer
    interoperate: bump the format version instead of the digest.  The
    Figure 1 snapshots of format versions 1 and 2 are committed under
-   [fixtures/fig1-v1] and [fixtures/fig1-v2] and must still load, and the
+   [fixtures/fig1-v1] and [fixtures/fig1-v2] and must still load.  The
    first request as older builds encoded it, with the retired optimize
-   flag set, must still decode and be served. *)
+   flag set, must still decode and be served; the same frame asking for
+   the retired pipelined strategy must be refused with a structured
+   error. *)
 
 open Ftindex
 module P = Galatex_server.Protocol
@@ -38,7 +40,7 @@ let first_query = "for $b in //book[. ftcontains \"usability\"] return $b"
 let requests =
   [
     P.Query
-      (P.query_request ~strategy:Galatex.Engine.Native_pipelined
+      (P.query_request ~strategy:Galatex.Engine.Native_materialized
          ~fallback:false ~context:"fig1.xml" ~limits ~fault_at:17
          ~deadline_left:0.75 ~merge:(P.Merge_topk 10) first_query);
     P.Query (P.query_request "count(//p)");
@@ -123,8 +125,9 @@ let responses =
       { sn_generation = 4; sn_manifest_crc = 1; sn_files = []; sn_data = None };
   ]
 
-(* The first request as builds with the optimize flag encoded it: the
-   byte after the strategy tag (02, pipelined) is that flag, set to 01. *)
+(* The first request as builds with the optimize flag and the pipelined
+   strategy encoded it: the strategy tag is 02 (pipelined), and the byte
+   after it is the flag, set to 01. *)
 let optimize_frame =
   "5134000000666f7220246220696e202f2f626f6f6b5b2e206674636f6e7461696e73\
    202275736162696c697479225d2072657475726e2024620201000108000000666967\
@@ -135,17 +138,26 @@ let of_hex h =
   String.init (String.length h / 2) (fun i ->
       Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
+(* the strategy tag follows the request tag and the query (u32 length,
+   bytes); the flag follows the strategy tag *)
+let strategy_at = 1 + 4 + String.length first_query
+let flag = strategy_at + 1
+
+(* The committed frame with its strategy tag set to 01 (materialized). *)
+let materialized_frame () =
+  let b = Bytes.of_string (of_hex optimize_frame) in
+  Bytes.set b strategy_at '\001';
+  Bytes.to_string b
+
 let test_optimize_frame_decodes () =
-  let old = of_hex optimize_frame in
+  let old = materialized_frame () in
   let current = P.encode_request (List.hd requests) in
   (match P.decode_request old with
   | Ok req ->
       Alcotest.(check bool) "decodes to the first request" true
         (req = List.hd requests)
   | Error reason -> Alcotest.failf "old frame refused: %s" reason);
-  (* this build writes the flag as 0 and changes no other byte; the flag
-     follows the tag, the query (u32 length, bytes) and the strategy *)
-  let flag = 1 + 4 + String.length first_query + 1 in
+  (* this build writes the flag as 0 and changes no other byte *)
   Alcotest.(check int) "same length" (String.length old) (String.length current);
   Alcotest.(check (list (pair int (pair char char))))
     "only the flag differs"
@@ -156,9 +168,9 @@ let test_optimize_frame_decodes () =
          else None)
        (List.init (String.length old) Fun.id))
 
-(* A daemon answers the old frame exactly as it answers the same request
-   without the flag. *)
-let test_optimize_frame_served () =
+(* [f ask] against a daemon over the Figure 1 snapshot, where [ask]
+   sends one raw frame and decodes the reply. *)
+let with_daemon f =
   Test_store.with_dir (fun dir ->
       Store.save ~dir (Corpus.Fig1.index ());
       let socket_path = dir ^ ".sock" in
@@ -179,12 +191,35 @@ let test_optimize_frame_served () =
                 | Ok reply -> P.decode_response reply
                 | Error reason -> Alcotest.failf "no reply: %s" reason)
           in
-          let old = ask (of_hex optimize_frame) in
-          let plain = ask (P.encode_request (List.hd requests)) in
-          (match old with
-          | Ok (P.Value { items = [ _ ]; _ }) -> ()
-          | _ -> Alcotest.fail "the old frame is not answered with one book");
-          Alcotest.(check bool) "the plain answer" true (old = plain)))
+          f ask))
+
+(* A daemon answers the old frame exactly as it answers the same request
+   without the flag. *)
+let test_optimize_frame_served () =
+  with_daemon (fun ask ->
+      let old = ask (materialized_frame ()) in
+      let plain = ask (P.encode_request (List.hd requests)) in
+      (match old with
+      | Ok (P.Value { items = [ _ ]; _ }) -> ()
+      | _ -> Alcotest.fail "the old frame is not answered with one book");
+      Alcotest.(check bool) "the plain answer" true (old = plain))
+
+(* Strategy tag 02 no longer decodes, and a daemon answers the frame with
+   a structured static error instead of dropping the connection. *)
+let test_pipelined_frame_refused () =
+  let reason = "unknown strategy tag 2" in
+  (match P.decode_request (of_hex optimize_frame) with
+  | Error r -> Alcotest.(check string) "decoder refuses tag 2" reason r
+  | Ok _ -> Alcotest.fail "a tag-2 frame decoded");
+  with_daemon (fun ask ->
+      match ask (of_hex optimize_frame) with
+      | Ok (P.Failure f) ->
+          Alcotest.(check (pair string string))
+            "structured refusal"
+            ("err:XPST0003", "malformed request: " ^ reason)
+            (f.P.code, f.P.message)
+      | Ok _ -> Alcotest.fail "a tag-2 frame was answered"
+      | Error r -> Alcotest.failf "undecodable reply: %s" r)
 
 let wal_ops =
   [
@@ -276,12 +311,14 @@ let test_directory_rewritten f () =
 
 let tests =
   [
-    pinned "protocol requests" "2cb09b887a67732362b9305c6c0be267" (fun () ->
+    pinned "protocol requests" "10d08a83ac32dfa47f666926df62e367" (fun () ->
         List.map P.encode_request requests);
     Alcotest.test_case "optimize-flag request decodes" `Quick
       test_optimize_frame_decodes;
     Alcotest.test_case "optimize-flag request served plain" `Quick
       test_optimize_frame_served;
+    Alcotest.test_case "pipelined strategy tag refused" `Quick
+      test_pipelined_frame_refused;
     pinned "protocol responses" "b1bcecaa7265adf0100d9ea3168ce76b" (fun () ->
         List.map P.encode_response responses);
     pinned "shipped WAL records" "92fc8f86b27450f9d2bcee61abe9541f" (fun () ->

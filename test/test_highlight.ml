@@ -11,7 +11,7 @@ let doc () =
        Corpus.Fig1.uri)
 
 let am src =
-  Engine.selection_all_matches (Lazy.force engine) src ~context_nodes:()
+  Engine.selection_all_matches (Lazy.force engine) src
 
 let count_hl tag node =
   List.length

@@ -1,7 +1,6 @@
-(* Observability: the span recorder, the engine's counter semantics, and
-   the Section 4 pipelined <= materialized property.  Every timing
-   assertion runs under an injected Obs.Clock.manual — no wall-clock
-   sleeps, no tolerance windows. *)
+(* Observability: the span recorder and the engine's counter semantics.
+   Every timing assertion runs under an injected Obs.Clock.manual — no
+   wall-clock sleeps, no tolerance windows. *)
 
 open Galatex
 
@@ -155,7 +154,7 @@ let test_counters_non_negative () =
             (Printf.sprintf "non-negative counters: %s" src)
             true
             (all_non_negative (counters_of ~strategy src)))
-        [ Engine.Native_materialized; Engine.Native_pipelined; Engine.Translated ])
+        [ Engine.Native_materialized; Engine.Translated ])
     queries
 
 (* A counter snapshot is per-run; the serving layer's aggregation across
@@ -190,31 +189,6 @@ let prop_metrics_additive =
               (fun acc (k, v) -> if k = name then acc + v else acc)
               0 adds)
         [ "a"; "b"; "c" ])
-
-(* --- Section 4: pipelined <= materialized -------------------------- *)
-
-let vocab =
-  [ "usability"; "testing"; "software"; "databases"; "quality"; "product";
-    "experts"; "users"; "relational"; "nosuchword" ]
-
-let gen_selection =
-  Ft_gen.(
-    selection ~words:vocab ~options:[ "" ] ~leaf_weight:3
-      [ (2, And); (2, Or); (1, Window (2, 20)); (1, Distance (1, 15)); (1, Ordered) ])
-
-let gen_context = QCheck2.Gen.oneofl [ "//book"; "//p"; "//chapter"; "//title" ]
-
-let prop_pipelined_materializes_no_more =
-  QCheck2.Test.make
-    ~name:"pipelined materializes no more than materialized (Section 4)"
-    ~count:40
-    QCheck2.Gen.(pair gen_context gen_selection)
-    (fun (ctx, sel) ->
-      let src = Printf.sprintf "count(collection()%s[. ftcontains %s])" ctx sel in
-      let mat = counters_of ~strategy:Engine.Native_materialized src in
-      let pipe = counters_of ~strategy:Engine.Native_pipelined src in
-      pipe.Xquery.Limits.allmatches_materialized
-      <= mat.Xquery.Limits.allmatches_materialized)
 
 (* --- histograms and the ring --------------------------------------- *)
 
@@ -263,7 +237,6 @@ let tests =
     Alcotest.test_case "counters are additive across requests" `Quick
       test_counters_additive;
     QCheck_alcotest.to_alcotest prop_metrics_additive;
-    QCheck_alcotest.to_alcotest prop_pipelined_materializes_no_more;
     QCheck_alcotest.to_alcotest prop_histogram_cumulative;
     QCheck_alcotest.to_alcotest prop_ring_newest_first;
   ]

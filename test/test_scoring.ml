@@ -10,7 +10,7 @@ let books () =
   List.map snd (Ftindex.Inverted.documents (Engine.index (Lazy.force engine)))
 
 let selection src =
-  Engine.selection_all_matches (Lazy.force engine) src ~context_nodes:()
+  Engine.selection_all_matches (Lazy.force engine) src
 
 let score_of node src = Score.node_score (env ()) node (selection src)
 

@@ -6,7 +6,7 @@
    2. admission control sheds excess load with GTLX0009 (queue depth +
       retry-after hint) instead of queueing unboundedly, and the client's
       jittered backoff turns a shed into a served retry;
-   3. a systematically-failing optimized strategy trips its circuit
+   3. a systematically-failing translated strategy trips its circuit
       breaker: requests bypass to the reference path, a half-open probe
       re-tests it after a request-counted cooldown;
    4. SIGHUP-style reload swaps snapshots atomically off the request path,
@@ -150,7 +150,7 @@ let open_gate g =
 
 let test_protocol_roundtrip () =
   let q =
-    Protocol.query_request ~strategy:Galatex.Engine.Native_pipelined
+    Protocol.query_request ~strategy:Galatex.Engine.Translated
       ~fallback:false ~context:"a.xml"
       ~limits:
         { Xquery.Limits.max_steps = Some 100; max_depth = None;
@@ -347,7 +347,7 @@ let test_protocol_roundtrip () =
 
 let test_breaker_state_machine () =
   let b = Breaker.create ~threshold:3 ~cooldown:2 in
-  let key = "pipelined" in
+  let key = "translated" in
   for _ = 1 to 2 do
     Alcotest.(check bool) "closed runs" true (Breaker.route b key = Breaker.Run);
     Breaker.record b key ~ok:false
@@ -385,7 +385,7 @@ let test_breaker_half_open_single_probe () =
   let threads = 8 in
   for round = 1 to 20 do
     let b = Breaker.create ~threshold:1 ~cooldown:1 in
-    let key = "pipelined" in
+    let key = "translated" in
     ignore (Breaker.route b key);
     Breaker.record b key ~ok:false;
     (* Open 1: one bypassed request brings it to half-open *)
@@ -593,17 +593,17 @@ let test_breaker_lifecycle () =
     ()
     (fun _dir sock t ->
       let send ?fault_at () =
-        ok_value "pipelined request"
+        ok_value "translated request"
           (Client.request ~socket_path:sock
              (Protocol.Query
                 (Protocol.query_request
-                   ~strategy:Galatex.Engine.Native_pipelined ?fault_at
+                   ~strategy:Galatex.Engine.Translated ?fault_at
                    title_query)))
       in
       let state () =
         match
           List.find_opt
-            (fun b -> b.Protocol.b_strategy = "pipelined")
+            (fun b -> b.Protocol.b_strategy = "translated")
             (Server.stats t).Protocol.breakers
         with
         | Some b -> b.Protocol.b_state
@@ -641,11 +641,11 @@ let test_breaker_lifecycle () =
       ignore (send ~fault_at:1 ());
       let v = send () in
       Alcotest.(check bool) "good probe" false v.Protocol.fell_back;
-      Alcotest.(check string) "probe ran the strategy" "pipelined"
+      Alcotest.(check string) "probe ran the strategy" "translated"
         v.Protocol.strategy_used;
       Alcotest.(check string) "closed again" "closed" (state ());
       let v = send () in
-      Alcotest.(check string) "serving on pipelined again" "pipelined"
+      Alcotest.(check string) "serving on translated again" "translated"
         v.Protocol.strategy_used)
 
 (* ------------------------------------------------------------------ *)
@@ -717,7 +717,7 @@ let test_counters_survive_reload () =
       let ask ?fault_at () =
         Client.request ~socket_path:sock
           (Protocol.Query
-             (Protocol.query_request ~strategy:Galatex.Engine.Native_pipelined
+             (Protocol.query_request ~strategy:Galatex.Engine.Translated
                 ?fault_at title_query))
       in
       ignore (ok_value "plain query" (ask ()));
@@ -731,7 +731,7 @@ let test_counters_survive_reload () =
       in
       Alcotest.(check bool) "histogram populated before reload" true
         (contains
-           {|galatex_query_duration_seconds_count{strategy="pipelined"} 2|}
+           {|galatex_query_duration_seconds_count{strategy="translated"} 2|}
            (histogram_count ()));
       save_corpus ~dir corpus_v2;
       Server.request_reload t;
@@ -741,7 +741,7 @@ let test_counters_survive_reload () =
         (stat t "fallbacks_total");
       Alcotest.(check bool) "histogram carried across the swap" true
         (contains
-           {|galatex_query_duration_seconds_count{strategy="pipelined"} 2|}
+           {|galatex_query_duration_seconds_count{strategy="translated"} 2|}
            (histogram_count ()));
       (* and the carried cells keep counting, they are not frozen copies *)
       ignore (ok_value "fallback after reload" (ask ~fault_at:1 ()));
@@ -749,7 +749,7 @@ let test_counters_survive_reload () =
       Alcotest.(check int) "fallbacks keep counting" 2 (stat t "fallbacks_total");
       Alcotest.(check bool) "histogram keeps counting" true
         (contains
-           {|galatex_query_duration_seconds_count{strategy="pipelined"} 3|}
+           {|galatex_query_duration_seconds_count{strategy="translated"} 3|}
            (histogram_count ())))
 
 (* Metrics exposition and the slow-query log, under the injected manual
@@ -786,7 +786,7 @@ let test_metrics_and_slowlog () =
           "galatex_engine_postings_read_total";
           {|galatex_query_duration_seconds_count{strategy="materialized"} 1|};
           {|galatex_query_duration_seconds_bucket{strategy="materialized",le="+Inf"} 1|};
-          {|galatex_query_duration_seconds_count{strategy="pipelined"} 0|};
+          {|galatex_query_duration_seconds_count{strategy="translated"} 0|};
         ];
       match Client.slowlog ~socket_path:sock () with
       | Error reason -> Alcotest.failf "slowlog: %s" reason
@@ -863,7 +863,6 @@ let test_chaos () =
         [
           Galatex.Engine.Translated;
           Galatex.Engine.Native_materialized;
-          Galatex.Engine.Native_pipelined;
         ]
       in
       let structured = Atomic.make 0 in
@@ -964,7 +963,7 @@ let test_engine_fallback_counter_threadsafe () =
             for _ = 1 to per_thread do
               match
                 Galatex.Engine.run_report engine
-                  ~strategy:Galatex.Engine.Native_pipelined ~fault_at:1
+                  ~strategy:Galatex.Engine.Translated ~fault_at:1
                   title_query
               with
               | r -> if not r.Galatex.Engine.fell_back then Atomic.incr errors

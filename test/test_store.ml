@@ -665,10 +665,10 @@ let test_run_report_exposes_fallbacks_total () =
   let engine = Galatex.Engine.of_strings corpus_sources in
   let r = Galatex.Engine.run_report engine usecase_query in
   Alcotest.(check int) "no degradations yet" 0 r.Galatex.Engine.fallbacks_total;
-  (* force one degradation via the step-fault injector on the pipelined
+  (* force one degradation via the step-fault injector on the translated
      strategy, then observe the engine-wide counter in the next report *)
   let r2 =
-    Galatex.Engine.run_report engine ~strategy:Galatex.Engine.Native_pipelined
+    Galatex.Engine.run_report engine ~strategy:Galatex.Engine.Translated
       ~fault_at:3 ~fallback:true usecase_query
   in
   Alcotest.(check bool) "fell back" true r2.Galatex.Engine.fell_back;

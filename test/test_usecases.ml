@@ -1,4 +1,4 @@
-(* The use-case catalogue (the paper's conformance surface) under all three
+(* The use-case catalogue (the paper's conformance surface) under both
    evaluation strategies. *)
 
 let engine = lazy (Corpus.Usecases.engine ())
@@ -38,6 +38,5 @@ let tests =
   :: List.map strategy_tests
        [
          ("materialized", Galatex.Engine.Native_materialized);
-         ("pipelined", Galatex.Engine.Native_pipelined);
          ("translated", Galatex.Engine.Translated);
        ]

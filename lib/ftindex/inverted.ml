@@ -276,42 +276,18 @@ let slice_by label a node_dewey =
   let lo = slice_start label a node_dewey in
   (lo, slice_stop label a node_dewey lo)
 
-let slice run node_dewey = slice_by Posting.node run node_dewey
-
-let prepend_slice ~read f run acc lo hi =
+let map_node ~read run node_dewey f tail =
+  let lo = slice_start Posting.node run node_dewey in
+  let hi = slice_stop Posting.node run node_dewey lo in
   read := !read + (hi - lo);
-  let acc = ref acc in
+  let acc = ref tail in
   for i = hi - 1 downto lo do
     acc := f run.(i) :: !acc
   done;
   !acc
 
-let map_node ~read run node_dewey f tail =
-  let lo = slice_start Posting.node run node_dewey in
-  prepend_slice ~read f run tail lo (slice_stop Posting.node run node_dewey lo)
-
-let map_within ~read run node_deweys f tail =
-  match node_deweys with
-  | [ d ] -> map_node ~read run d f tail
-  | _ ->
-      (* nested or repeated context nodes give overlapping slices: merge
-         them so every entry is read once, in position order *)
-      List.sort compare (List.map (slice run) node_deweys)
-      |> List.fold_left
-           (fun acc (lo, hi) ->
-             match acc with
-             | (l, h) :: rest when lo <= h -> (l, Int.max h hi) :: rest
-             | _ -> (lo, hi) :: acc)
-           []
-      |> List.fold_left
-           (fun acc (lo, hi) -> prepend_slice ~read f run acc lo hi)
-           tail
-
-let run_within run node_deweys =
-  map_within ~read:(ref 0) run node_deweys Fun.id []
-
 let postings_in t ~doc ~node_dewey word =
-  run_within (postings_of_doc t ~doc word) [ node_dewey ]
+  map_node ~read:(ref 0) (postings_of_doc t ~doc word) node_dewey Fun.id []
 
 (* The document a (sealed) node belongs to: its root's tree id finds the
    candidates, physical identity decides (a constructed tree, or the old

@@ -78,23 +78,15 @@ val idf : t -> string -> float
 (** {!Stats.idf_norm} of a word (case-folded) under this version's
     statistics: the factor {!scorer} shares across the word's runs. *)
 
-val map_within :
-  read:int ref ->
-  run -> Xmlkit.Dewey.t list -> (Posting.t -> 'a) -> 'a list -> 'a list
-(** [map_within ~read run nodes f tail] is [f] of every entry of [run]
-    inside any of [nodes] (nodes of the run's document), each entry once,
-    in position order, in front of [tail]: two binary searches per node,
-    none for a node labelled {!Xmlkit.Dewey.root}, whose slice is the
-    whole run; for a single node no allocation beyond the result.  It adds the number of entries it read, the slices'
-    total, to [read]. *)
-
 val map_node :
   read:int ref ->
   run -> Xmlkit.Dewey.t -> (Posting.t -> 'a) -> 'a list -> 'a list
-(** [map_within] for one node, with no list of nodes to build. *)
-
-val run_within : run -> Xmlkit.Dewey.t list -> Posting.t list
-(** [map_within] into a fresh list, the count dropped. *)
+(** [map_node ~read run node f tail] is [f] of every entry of [run] inside
+    [node] (a node of the run's document), in position order, in front of
+    [tail]: two binary searches, none for a node labelled
+    {!Xmlkit.Dewey.root}, whose slice is the whole run, and no allocation
+    beyond the result.  It adds the number of entries it read, the
+    slice's length, to [read]. *)
 
 val distinct_words : t -> string list
 (** Sorted distinct-word list ("list_distinct_words.xml" in the paper). *)

@@ -24,8 +24,6 @@ type match_ = {
 
 type t = { matches : match_ list; anchors : Xquery.Ast.ft_anchor list }
 
-let empty = { matches = []; anchors = [] }
-
 let entry ?(query_pos = 1) posting = { query_pos; posting }
 
 let sort_entries entries =
@@ -47,11 +45,6 @@ let make_match ?(excludes = []) ?(score = 1.0) includes =
 let of_matches matches = { matches; anchors = [] }
 
 let size t = List.length t.matches
-
-let total_entries t =
-  List.fold_left
-    (fun acc m -> acc + List.length m.includes + List.length m.excludes)
-    0 t.matches
 
 (* Two matches are solution-equivalent when they assert the same include and
    exclude positions (ignoring scores and query positions). *)
@@ -164,16 +157,3 @@ let of_xml node =
           (String.split_on_char ' ' s |> List.filter (( <> ) ""))
   in
   { matches; anchors }
-
-let pp_entry ppf e =
-  Fmt.pf ppf "%s@%d" (Ftindex.Posting.word e.posting)
-    (Ftindex.Posting.abs_pos e.posting)
-
-let pp_match ppf m =
-  Fmt.pf ppf "{inc=[%a] exc=[%a] s=%.3f}"
-    Fmt.(list ~sep:(any ",") pp_entry)
-    m.includes
-    Fmt.(list ~sep:(any ",") pp_entry)
-    m.excludes m.score
-
-let pp ppf t = Fmt.pf ppf "AllMatches[%a]" Fmt.(list ~sep:(any "; ") pp_match) t.matches

@@ -22,9 +22,6 @@ type t = {
       (** pending FTContent anchors, checked per node at FTContains time *)
 }
 
-val empty : t
-(** No matches: the always-false AllMatches. *)
-
 val entry : ?query_pos:int -> Ftindex.Posting.t -> entry
 
 val sort_entries : entry list -> entry list
@@ -42,9 +39,6 @@ val of_matches : match_ list -> t
 val size : t -> int
 (** Number of matches — the materialization metric of Section 4. *)
 
-val total_entries : t -> int
-(** Total include + exclude entries across all matches. *)
-
 val equal_solutions : t -> t -> bool
 (** Same solution sets: equal include/exclude position multisets per match,
     ignoring scores and match order.  Used by round-trip and
@@ -59,6 +53,3 @@ val to_xml : t -> Xmlkit.Node.t
 val of_xml : Xmlkit.Node.t -> t
 (** Inverse of {!to_xml}; also accepts AllMatches produced by the XQuery
     fts module.  @raise Invalid_argument on malformed input. *)
-
-val pp : t Fmt.t
-val pp_match : match_ Fmt.t

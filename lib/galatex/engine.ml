@@ -196,23 +196,11 @@ let parse = Xquery.Parser.parse_query
 (* Wrap an ft handler so every ftcontains / ft:score dispatch records a
    nested span — this is where the strategies actually diverge, so it is
    the span users look at first. *)
-let traced_handler tr name (h : Xquery.Context.ft_handler) =
-  {
-    Xquery.Context.handle_contains =
-      (fun ~eval ctx context_nodes selection ignored ->
-        Obs.Trace.with_span tr name (fun () ->
-            h.Xquery.Context.handle_contains ~eval ctx context_nodes selection
-              ignored));
-    Xquery.Context.handle_score =
-      (fun ~eval ctx context_nodes selection ->
-        Obs.Trace.with_span tr name (fun () ->
-            h.Xquery.Context.handle_score ~eval ctx context_nodes selection));
-    Xquery.Context.handle_each =
-      (fun ~eval ctx ~per_node nodes selection verdict ->
-        Obs.Trace.with_span tr name (fun () ->
-            h.Xquery.Context.handle_each ~eval ctx ~per_node nodes selection
-              verdict));
-  }
+let traced_handler tr name (h : Xquery.Context.ft_handler) :
+    Xquery.Context.ft_handler =
+ fun ~eval ctx ~per_node ~ignored nodes selection verdict ->
+  Obs.Trace.with_span tr name (fun () ->
+      h ~eval ctx ~per_node ~ignored nodes selection verdict)
 
 (* One strategy attempt under a shared governor and trace. *)
 let attempt t ~tr ~governor ~strategy ?context (q : Xquery.Ast.query) =

@@ -12,8 +12,7 @@ open Xquery.Ast
    A selection is first compiled into a plan: its leaves tokenized and
    expanded under their options, its embedded expressions (word sources,
    weights, window/distance/times bounds) evaluated.  The plan is then run
-   over a scope: the whole evaluation context, or one context node after
-   another, compiled once for all of them. *)
+   for one context node after another, compiled once for all of them. *)
 
 type eval_callback = Xquery.Context.t -> expr -> Xquery.Value.t
 
@@ -245,8 +244,6 @@ let leaf_matches g scope ~query_pos ~weight words =
   | units ->
       List.concat_map (Ft_ops.phrase_matches g scope ~query_pos ~weight) units
 
-let of_matches matches = { All_matches.matches; anchors = [] }
-
 (* One match through the position filter of an [Ordered], [Window],
    [Distance] or [Scope] plan: kept (with its damped score), or dropped. *)
 let filtered plan (m : All_matches.match_) =
@@ -284,8 +281,8 @@ let rec materialize g scope plan =
         match materialize g scope a with
         | [] -> []
         | ma ->
-            (Ft_ops.ft_mild_not (of_matches ma)
-               (of_matches (materialize g scope b)))
+            (Ft_ops.ft_mild_not (All_matches.of_matches ma)
+               (All_matches.of_matches (materialize g scope b)))
               .All_matches.matches)
     | Unary_not a ->
         let ma = materialize g scope a in
@@ -302,14 +299,14 @@ let rec materialize g scope plan =
                Xquery.Limits.check_product g acc (max 1 choices);
                acc * max 1 choices)
              1 ma);
-        (Ft_ops.ft_unary_not (of_matches ma)).All_matches.matches
+        (Ft_ops.ft_unary_not (All_matches.of_matches ma)).All_matches.matches
     | Ordered input
     | Scope (input, _)
     | Window { input; _ }
     | Distance { input; _ } ->
         List.filter_map (filtered plan) (materialize g scope input)
     | Times (a, range) ->
-        (Ft_ops.ft_times range (of_matches (materialize g scope a)))
+        (Ft_ops.ft_times range (All_matches.of_matches (materialize g scope a)))
           .All_matches.matches
     | Content a -> materialize g scope a)
 
@@ -394,18 +391,15 @@ and pair_each g env scope site p ma right k =
       push g env scope site (Ft_ops.and_match ma mb) k
       || pair_each g env scope site p ma rest k
 
-let all_matches ?within ?approximate env ~eval ctx selection =
+(* Every match of a selection in [scope]: one located node, or, by
+   default, every document's whole runs. *)
+let all_matches ?(scope = Ft_ops.Everywhere) ?approximate env ~eval ctx
+    selection =
   let c = compile ?approximate env ~eval ctx selection in
-  let scope =
-    match within with None -> Ft_ops.Everywhere | Some w -> Ft_ops.Context w
-  in
   {
     All_matches.matches = materialize ctx.Xquery.Context.governor scope c.plan;
     anchors = c.anchors;
   }
-
-(* the evaluation context, located, for source-level filtering *)
-let context_filter env nodes = Some (Ft_ops.within_sites (Ft_ops.sites env nodes))
 
 (* --- the Context.ft_handler for the native materialized strategy --- *)
 
@@ -416,21 +410,30 @@ let no = Xquery.Value.Boolean false
 let zero = Xquery.Value.Double 0.0
 
 (* One node's verdict from a plan compiled once, the node located as
-   [site].  It ticks what evaluating the selection for the node alone
-   would: the steps of the embedded expressions that evaluation reaches.
-   A top-level FTOr chain stops at the first disjunct that satisfies the
-   node, so a later disjunct's steps are ticked only when it is reached. *)
-let verdict_at env g c verdict site =
+   [site]; [without] is the [without content] filter, if any.  It ticks
+   what evaluating the selection for the node alone would: the steps of
+   the embedded expressions that evaluation reaches.  A top-level FTOr
+   chain stops at the first disjunct that satisfies the node, so a later
+   disjunct's steps are ticked only when it is reached. *)
+let verdict_at env g c ~without verdict site =
   let scope = Ft_ops.Node site in
-  if verdict = Xquery.Context.Contains && not c.anchored then begin
+  if
+    verdict = Xquery.Context.Contains
+    && (not c.anchored)
+    && Option.is_none without
+  then begin
     ticks g c.first_steps;
     if exists g env scope site c.plan Verdict then yes else no
   end
   else begin
     ticks g c.steps;
-    let am =
-      { All_matches.matches = materialize g scope c.plan; anchors = c.anchors }
+    let matches = materialize g scope c.plan in
+    let matches =
+      match without with
+      | None -> matches
+      | Some keep -> List.filter_map keep matches
     in
+    let am = { All_matches.matches; anchors = c.anchors } in
     match verdict with
     | Xquery.Context.Contains ->
         if Ft_ops.site_satisfies ~includes_inside:true env site am then yes
@@ -448,7 +451,7 @@ type located = {
 let to_node = Xquery.Value.to_node "ftcontains evaluation context"
 
 (* [per_node], then the verdict, for each of [nodes] in order. *)
-let verdicts env g ~per_node c verdict nodes =
+let verdicts env g ~per_node c ~without verdict nodes =
   let first = Xmlkit.Node.root (to_node (List.hd nodes)) in
   let last = { root = first; site = Ft_ops.locate env first } in
   let rec go = function
@@ -464,7 +467,7 @@ let verdicts env g ~per_node c verdict nodes =
         let v =
           match last.site with
           | Some site ->
-              verdict_at env g c verdict
+              verdict_at env g c ~without verdict
                 { site with Ft_ops.dewey = Xmlkit.Node.dewey n }
           | None ->
               (* a node of no indexed document reads no entries *)
@@ -476,40 +479,22 @@ let verdicts env g ~per_node c verdict nodes =
   go nodes
 
 let handler env : Xquery.Context.ft_handler =
-  {
-    Xquery.Context.handle_contains =
-      (fun ~eval ctx context_nodes selection ignored ->
-        let sites = Ft_ops.sites env (nodes_of context_nodes) in
-        let am =
-          all_matches ~within:(Ft_ops.within_sites sites) env ~eval ctx selection
-        in
-        let am =
-          match ignored with
-          | None -> am
-          | Some ig -> Ft_ops.apply_ignore env (nodes_of ig) am
-        in
-        Xquery.Value.boolean (Ft_ops.ft_contains env sites am));
-    Xquery.Context.handle_score =
-      (fun ~eval ctx context_nodes selection ->
-        let within = context_filter env (nodes_of context_nodes) in
-        let am = all_matches ?within env ~eval ctx selection in
-        List.map
-          (fun s -> Xquery.Value.Double s)
-          (Score.scores env (nodes_of context_nodes) am));
-    Xquery.Context.handle_each =
-      (fun ~eval ctx ~per_node nodes selection verdict ->
-        match nodes with
-        | [] -> []
-        | _ ->
-            if not (Xquery.Value.is_all_nodes nodes) then
-              ignore (nodes_of nodes);
-            let g = ctx.Xquery.Context.governor in
-            (* the selection means the same for every node: compile it once,
-               its embedded expressions' steps measured on a governor of
-               their own and ticked per node *)
-            let quiet =
-              { ctx with Xquery.Context.governor = Xquery.Limits.ungoverned () }
-            in
-            let c = compile env ~eval quiet selection in
-            verdicts env g ~per_node c verdict nodes);
-  }
+ fun ~eval ctx ~per_node ~ignored nodes selection verdict ->
+  match nodes with
+  | [] -> []
+  | _ ->
+      if not (Xquery.Value.is_all_nodes nodes) then ignore (nodes_of nodes);
+      let without =
+        Option.map (fun ig -> Ft_ops.ignore_filter env (nodes_of ig)) ignored
+      in
+      let g = ctx.Xquery.Context.governor in
+      (* the selection means the same for every node: compile it once,
+         under every limit of the run, its embedded expressions' steps
+         measured off the run's count and ticked per node *)
+      let c =
+        Xquery.Limits.measure g (fun m ->
+            compile env ~eval
+              { ctx with Xquery.Context.governor = m }
+              selection)
+      in
+      verdicts env g ~per_node c ~without verdict nodes

@@ -52,32 +52,7 @@ let locate env node =
           dewey = Xmlkit.Node.dewey node;
         }
 
-let sites env nodes = List.filter_map (locate env) nodes
-
 (* --- FTWords --- *)
-
-(* The evaluation context as the leaves read it: its documents in uri
-   order, each as one of its sites with the Dewey labels of all its
-   context nodes.  Like the paper's getTokenInfo, positions outside every
-   context node are dropped at the source — they could never satisfy an
-   FTContains/ft:score over that context, so this is semantics-preserving
-   and avoids materializing irrelevant matches.  Only the context
-   documents' runs are read, and each entry is checked against its own
-   document's context nodes alone. *)
-type within = (site * Xmlkit.Dewey.t list) list
-
-let within_sites = function
-  | [ site ] -> [ (site, [ site.dewey ]) ]
-  | sites ->
-      List.stable_sort (fun a b -> String.compare a.doc b.doc) sites
-      |> List.fold_left
-           (fun acc site ->
-             match acc with
-             | (first, deweys) :: rest when String.equal first.doc site.doc ->
-                 (first, site.dewey :: deweys) :: rest
-             | _ -> (site, [ site.dewey ]) :: acc)
-           []
-      |> List.rev
 
 let run_score ~max_tf ~idf run =
   Ftindex.Stats.tf_idf ~max_tf ~tf:(Array.length run) ~idf
@@ -85,34 +60,23 @@ let run_score ~max_tf ~idf run =
 let by_position entries =
   List.stable_sort (fun (a, _) (b, _) -> Ftindex.Posting.compare_pos a b) entries
 
-(* One key's entries in one context document, each paired with its run's
-   one score, in front of [tail]: inside the context nodes [deweys], or
-   inside the site's own node when there are none.  [read] counts the
-   entries inside the context nodes, the slices of the run that are
-   actually read. *)
-let key_entries read site deweys (runs, idf) tail =
+(* One key's entries inside a context node, each paired with its run's
+   one score, in front of [tail].  Like the paper's getTokenInfo,
+   positions outside the node are dropped at the source: only the node's
+   document's run is read, and of it only the node's slice, which [read]
+   counts. *)
+let key_entries read site (runs, idf) tail =
   match Ftindex.Inverted.Doc_map.find site.doc runs with
-  | run -> (
+  | run ->
       let score = run_score ~max_tf:site.max_tf ~idf run in
-      let entry p = (p, score) in
-      match deweys with
-      | [] -> Ftindex.Inverted.map_node ~read run site.dewey entry tail
-      | deweys -> Ftindex.Inverted.map_within ~read run deweys entry tail)
+      Ftindex.Inverted.map_node ~read run site.dewey (fun p -> (p, score)) tail
   | exception Not_found -> tail
 
-(* The entries of [key_runs] in one context document, in position
-   order. *)
-let doc_entries read site deweys key_runs tail =
+(* The entries of [key_runs] inside a context node, in position order. *)
+let node_entries read site key_runs =
   match key_runs with
-  | [ key ] -> key_entries read site deweys key tail
-  | keys ->
-      by_position (List.fold_right (key_entries read site deweys) keys [])
-      @ tail
-
-let rec within_entries read key_runs = function
-  | [] -> []
-  | (site, deweys) :: rest ->
-      doc_entries read site deweys key_runs (within_entries read key_runs rest)
+  | [ key ] -> key_entries read site key []
+  | keys -> by_position (List.fold_right (key_entries read site) keys [])
 
 (* Without a context: every document's whole run of every key. *)
 let all_entries read stats key_runs =
@@ -129,7 +93,7 @@ let all_entries read stats key_runs =
   | [ key ] -> whole key []
   | keys -> by_position (List.fold_right whole keys [])
 
-type scope = Node of site | Context of within | Everywhere
+type scope = Node of site | Everywhere
 
 let posting_entries g scope expansion =
   match expansion.Match_options.key_runs with
@@ -138,14 +102,13 @@ let posting_entries g scope expansion =
       let read = ref 0 in
       let entries =
         match scope with
-        | Node site -> doc_entries read site [] keys []
-        | Context within -> within_entries read keys within
+        | Node site -> node_entries read site keys
         | Everywhere -> all_entries read expansion.Match_options.stats keys
       in
-      (* the observability hook: every entry this leaf read (the slices of
-         the context documents' runs inside the context nodes, or whole
-         lists without a context), counted before option filtering — the
-         paper's IO-side cost *)
+      (* the observability hook: every entry this leaf read (the slice of
+         the context node's document's run inside the node, or whole lists
+         without a context), counted before option filtering — the paper's
+         IO-side cost *)
       Xquery.Limits.count_postings g !read;
       if expansion.Match_options.accepts_all then entries
       else List.filter (fun (p, _) -> expansion.Match_options.accept p) entries
@@ -801,14 +764,12 @@ let node_satisfies env node a =
   | None -> false
   | Some site -> site_satisfies env site a
 
-let ft_contains env sites a = List.exists (fun s -> site_satisfies env s a) sites
-
 (* The FTIgnoreOption ("without content Expr"): positions inside ignored
    subtrees may not contribute to matches.  Matches relying on an ignored
    include are dropped; excludes inside ignored subtrees are waived. *)
 let ignore_filter env ignored_nodes =
   let index = Env.index env in
-  let ignored_sites = sites env ignored_nodes in
+  let ignored_sites = List.filter_map (locate env) ignored_nodes in
   let ignored e =
     List.exists
       (fun site ->
@@ -819,6 +780,3 @@ let ignore_filter env ignored_nodes =
   fun m ->
     if List.exists ignored m.includes then None
     else Some { m with excludes = List.filter (fun e -> not (ignored e)) m.excludes }
-
-let apply_ignore env ignored_nodes a =
-  { a with matches = List.filter_map (ignore_filter env ignored_nodes) a.matches }

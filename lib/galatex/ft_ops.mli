@@ -11,9 +11,6 @@ type range =
 
 type unit_ = Words | Sentences | Paragraphs
 
-val clamp_score : float -> float
-(** Clamp into (0,1] (epsilon at the bottom). *)
-
 val check_weight : float -> float
 (** An FTWords weight, unchanged.
     @raise Xquery.Errors.Error ([FTDY0016]) outside [0, 1]. *)
@@ -23,9 +20,6 @@ val check_weight : float -> float
 type counting
 (** How words-unit distances and spans are counted: with an active stop-word
     list they skip stop words (Section 3.2.3.2). *)
-
-val plain_counting : counting
-(** Count every word. *)
 
 val counting : ?stops:Tokenize.Stopwords.Set.t -> Env.t -> counting
 
@@ -51,18 +45,7 @@ val locate : Env.t -> Xmlkit.Node.t -> site option
 (** [None] for a node of no indexed document (a constructed tree, or a
     replaced document's old root). *)
 
-val sites : Env.t -> Xmlkit.Node.t list -> site list
-(** The nodes that {!locate} resolves, in order. *)
-
 (** {1 FTWords} *)
-
-type within = (site * Xmlkit.Dewey.t list) list
-(** An evaluation context as the leaves read it: its documents in uri
-    order, each as one of its sites with the Dewey labels of all its
-    context nodes. *)
-
-val within_sites : site list -> within
-(** Group sites by document. *)
 
 val phrase_tokens : Match_options.resolved -> string -> string list
 (** Tokenize a search phrase; under wildcards / special characters the
@@ -80,7 +63,6 @@ val phrase_expansions : Env.t -> Match_options.resolved -> string -> phrase
 
 type scope =
   | Node of site  (** one located context node *)
-  | Context of within  (** the located context nodes, by document *)
   | Everywhere  (** no context: every document's whole runs *)
 (** Where a leaf reads its entries. *)
 
@@ -103,8 +85,8 @@ val phrase_matches :
   All_matches.match_ list
 (** One Match per occurrence of a phrase (consecutive positions; dropped
     stop tokens allow gaps), scored by the Section 3.3 scores of its
-    positions.  The [scope] restricts positions to the evaluation context,
-    like the paper's getTokenInfo.  The governor accounts every
+    positions.  The [scope] restricts positions to the context node, like
+    the paper's getTokenInfo.  The governor accounts every
     inverted-list entry read (before filtering) as [postings_read]; the
     reads stop at the first token with no entries in the scope. *)
 
@@ -166,8 +148,7 @@ val satisfies :
     exclude inside it, anchors hold.  With [includes_inside] (default
     false) the caller vouches that every include lies inside the node —
     true when the selection was evaluated within that node alone
-    ([within_sites [site]]) — and only excludes and anchors are
-    checked. *)
+    ([Node site]) — and only excludes and anchors are checked. *)
 
 val site_matches :
   ?includes_inside:bool -> Env.t -> site -> All_matches.t -> All_matches.match_ list
@@ -176,12 +157,8 @@ val site_satisfies : ?includes_inside:bool -> Env.t -> site -> All_matches.t -> 
 val matches_for_node : Env.t -> Xmlkit.Node.t -> All_matches.t -> All_matches.match_ list
 val node_satisfies : Env.t -> Xmlkit.Node.t -> All_matches.t -> bool
 
-val ft_contains : Env.t -> site list -> All_matches.t -> bool
-(** Some site satisfies some match. *)
-
-val apply_ignore : Env.t -> Xmlkit.Node.t list -> All_matches.t -> All_matches.t
-(** The FTIgnoreOption: drop matches relying on positions inside ignored
-    subtrees; waive excludes there. *)
-
-val in_range : range -> int -> bool
-val unit_pos : unit_ -> All_matches.entry -> int
+val ignore_filter :
+  Env.t -> Xmlkit.Node.t list -> All_matches.match_ -> All_matches.match_ option
+(** The FTIgnoreOption ([without content]) given the ignored nodes: drop a
+    match relying on a position inside an ignored subtree; waive its
+    excludes there. *)

@@ -52,8 +52,6 @@ let apply_option resolved = function
   | Opt_thesaurus t -> { resolved with thesaurus = t }
   | Opt_language l -> { resolved with language = l }
 
-let resolve options = List.fold_left apply_option defaults options
-
 (* Options are propagated outside-in: outer Ft_with_options wrappers apply
    first, inner (per-words) options override (paper Section 3.2.2: explicit
    "with stemming" overrides an outer "without stemming"). *)

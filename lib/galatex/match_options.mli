@@ -18,9 +18,6 @@ val defaults : resolved
     insensitive, no stemming / wildcards / special characters / stop words /
     thesaurus, English. *)
 
-val resolve : Xquery.Ast.ft_match_option list -> resolved
-(** Apply options over the defaults, in order. *)
-
 val resolve_with :
   outer:resolved -> Xquery.Ast.ft_match_option list -> resolved
 (** Apply options over an enclosing scope; inner options override outer ones

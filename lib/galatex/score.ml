@@ -22,8 +22,6 @@ let node_score env node am =
   | None -> 0.0
   | Some site -> site_score env site am
 
-let scores env nodes am = List.map (fun n -> node_score env n am) nodes
-
 (* The two W3C scoring requirements (Section 2.2): used by tests and the S1
    experiment. *)
 let requirement_zero_iff_no_match env node am =

@@ -13,9 +13,6 @@ val site_score :
 val node_score : Env.t -> Xmlkit.Node.t -> All_matches.t -> float
 (** 0.0 when the node satisfies no match, otherwise in (0,1]. *)
 
-val scores : Env.t -> Xmlkit.Node.t list -> All_matches.t -> float list
-(** One score per context node, in order — the ft:score result. *)
-
 val requirement_zero_iff_no_match : Env.t -> Xmlkit.Node.t -> All_matches.t -> bool
 (** W3C scoring requirement (i), checked for one node. *)
 

@@ -5,8 +5,10 @@ open Xquery.Ast
    XQuery function calls, giving a plain XQuery query that the (full-text
    unaware) engine evaluates against the fts library module:
 
-   - the evaluation context is bound to a fresh variable so it is evaluated
-     once and shared by all FTWordsSelection calls;
+   - each node of the evaluation context is bound in turn to a fresh
+     variable shared by all FTWordsSelection calls, and evaluated alone:
+     [E ftcontains S] is [some] node of [E] satisfying [S] (XQuery Full
+     Text's FTContainsExpr), and [ft:score(E, S)] is each node's score;
    - match options are resolved (defaults + outer scoping + per-words
      overrides) at translation time and propagated into each
      fts:FTWordsSelection call as an FTMatchOptions descriptor string;
@@ -198,7 +200,7 @@ let rec translate_expr e =
         | None -> call "fts:FTContains" [ Var ctx_var; am ]
         | Some ig -> call "fts:FTContainsWithIgnore" [ Var ctx_var; am; t ig ]
       in
-      Flwor ([ Let_clause { var = ctx_var; value = t context } ], contains_call)
+      Quantified (Some_q, [ (ctx_var, t context) ], contains_call)
   | Ft_score (context, selection) ->
       let ctx_var = fresh_ctx_var () in
       let counter = ref 0 in
@@ -206,9 +208,10 @@ let rec translate_expr e =
         translate_selection ~translate_expr:t ~ctx_var ~counter
           ~outer:Match_options.defaults selection
       in
-      Flwor
-        ( [ Let_clause { var = ctx_var; value = t context } ],
-          call "fts:FTScore" [ Var ctx_var; am ] )
+      let each =
+        For_clause { var = ctx_var; positional = None; source = t context }
+      in
+      Flwor ([ each ], call "fts:FTScore" [ Var ctx_var; am ])
   (* structural recursion *)
   | Literal_string _ | Literal_integer _ | Literal_double _ | Var _
   | Context_item | Root ->

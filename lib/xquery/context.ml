@@ -28,46 +28,30 @@ and func =
   | Builtin of (t -> Value.t list -> Value.t)
   | User of Ast.function_def
 
-and ft_handler = {
-  handle_contains :
-    eval:(t -> Ast.expr -> Value.t) ->
-    t ->
-    Value.t ->
-    Ast.ft_selection ->
-    Value.t option ->
-    Value.t;
-      (** evaluation-context nodes, selection, optional ignored nodes ->
-          boolean value *)
-  handle_score :
-    eval:(t -> Ast.expr -> Value.t) ->
-    t ->
-    Value.t ->
-    Ast.ft_selection ->
-    Value.t;
-      (** context nodes, selection -> one double per context node *)
-  handle_each :
-    eval:(t -> Ast.expr -> Value.t) ->
-    t ->
-    per_node:(unit -> unit) ->
-    Value.t ->
-    Ast.ft_selection ->
-    ft_verdict ->
-    Value.t;
-      (** nodes, selection -> one verdict per node: the boolean
-          [n ftcontains S] or the double [ft:score(n, S)], each node
-          evaluated alone exactly as [handle_contains] / [handle_score]
-          evaluate it.  This is how the evaluator hands over a whole
-          path step's predicate [E[. ftcontains S]], or the items of
-          [for $v in E let $s := ft:score($v, S)], in one call instead of
-          one call per node.  It does so only when every expression
-          embedded in [S] is a literal or a reference to a variable other
-          than [$v], so [S] means the same for every node and the handler
-          may tokenize and expand its words once.  [per_node] is called
-          before each node's evaluation: it ticks the governor as
-          evaluating the [ftcontains] / [ft:score] expression and its
-          context expression would, keeping step budgets and fault
-          injection where per-node evaluation puts them. *)
-}
+and ft_handler =
+  eval:(t -> Ast.expr -> Value.t) ->
+  t ->
+  per_node:(unit -> unit) ->
+  ignored:Value.t option ->
+  Value.t ->
+  Ast.ft_selection ->
+  ft_verdict ->
+  Value.t
+(** nodes, selection -> one verdict per node: the boolean [n ftcontains S]
+    (without content [ignored], when given) or the double
+    [ft:score(n, S)], each node evaluated alone.  A multi-node
+    [E ftcontains S] is [exists] over the verdicts and [ft:score(E, S)]
+    their list, as XQuery Full Text's [some] over the search context
+    says.  The selection is evaluated once, in the given context, for all
+    the nodes: so the evaluator also hands over a whole path step's
+    predicate [E[. ftcontains S]], or the items of
+    [for $v in E let $s := ft:score($v, S)], in one call instead of one
+    call per node, when every expression embedded in [S] is a literal or
+    a reference to a variable other than [$v].  [per_node] is called
+    before each node's evaluation: it ticks the governor as evaluating
+    the [ftcontains] / [ft:score] expression and its context expression
+    would, keeping step budgets and fault injection where per-node
+    evaluation puts them. *)
 
 and ft_verdict = Contains | Score
 

@@ -64,7 +64,7 @@ let non_positional ctx pred =
 (* A selection whose embedded expressions are all literals or references
    to variables other than [except] means the same for every context
    node: one handler call may evaluate it for a whole sequence of nodes
-   ({!Context.ft_handler} [handle_each]). *)
+   ({!Context.ft_handler}). *)
 let node_independent ?except selection =
   not
     (Ast.exists_in_selection
@@ -79,6 +79,13 @@ let node_independent ?except selection =
 let per_node_ticks g () =
   Limits.tick g;
   Limits.tick g
+
+let ft_handler ctx what =
+  match ctx.Context.ft with
+  | Some h -> h
+  | None ->
+      Errors.raise_error Errors.GTLX0005 "%s: no full-text handler installed"
+        what
 
 let rec eval (ctx : Context.t) (e : expr) : Value.t =
   Limits.tick ctx.Context.governor;
@@ -155,25 +162,25 @@ let rec eval (ctx : Context.t) (e : expr) : Value.t =
       in
       Value.of_nodes [ Node.seal (Node.text value) ]
   | Ft_contains { context; selection; ignore_nodes } -> (
-      match ctx.Context.ft with
-      | None ->
-          Errors.raise_error Errors.GTLX0005
-            "ftcontains: no full-text handler installed"
-      | Some h ->
-          let nodes = eval ctx context in
+      let h = ft_handler ctx "ftcontains" in
+      match eval ctx context with
+      | [] -> Value.boolean false
+      | nodes ->
           let ignored = Option.map (eval ctx) ignore_nodes in
           Limits.count_ft_dispatch ctx.Context.governor;
-          h.Context.handle_contains ~eval ctx nodes selection ignored)
+          Value.boolean
+            (List.exists
+               (fun verdict -> ebv [ verdict ])
+               (h ~eval ctx ~per_node:ignore ~ignored nodes selection
+                  Context.Contains)))
   | Ft_score (context, selection) -> (
-      match ctx.Context.ft with
-      | None ->
-          Errors.raise_error Errors.GTLX0005
-            "ft:score: no full-text handler installed"
-      | Some h ->
-          let nodes = eval ctx context in
+      let h = ft_handler ctx "ft:score" in
+      match eval ctx context with
+      | [] -> []
+      | nodes ->
           Limits.count_ft_dispatch ctx.Context.governor;
-          h.Context.handle_score ~eval ctx nodes selection)
-
+          h ~eval ctx ~per_node:ignore ~ignored:None nodes selection
+            Context.Score)
 and cmp_op : comparison_op -> Value.comparison = function
   | Eq -> Value.Eq
   | Ne -> Value.Ne
@@ -273,9 +280,8 @@ and eval_flwor ctx clauses body =
           | [] -> []
           | _ ->
               Limits.count_ft_dispatch governor;
-              h.Context.handle_each ~eval tctx
-                ~per_node:(per_node_ticks governor) items selection
-                Context.Score
+              h ~eval tctx ~per_node:(per_node_ticks governor) ~ignored:None
+                items selection Context.Score
         in
         List.map2
           (fun item score ->
@@ -373,7 +379,7 @@ and eval_predicate ctx (input : Value.t) pred =
       let g = ctx.Context.governor in
       Limits.count_ft_dispatch g;
       let verdicts =
-        h.Context.handle_each ~eval ctx ~per_node:(per_node_ticks g) input
+        h ~eval ctx ~per_node:(per_node_ticks g) ~ignored:None input
           selection Context.Contains
       in
       let rec keep items verdicts =
@@ -382,7 +388,7 @@ and eval_predicate ctx (input : Value.t) pred =
             if ebv [ verdict ] then item :: keep items verdicts
             else keep items verdicts
         | [], [] -> []
-        | _ -> invalid_arg "handle_each: one verdict per node"
+        | _ -> invalid_arg "ft_handler: one verdict per node"
       in
       keep input verdicts
   | _ ->

@@ -98,6 +98,17 @@ let governor ?(fault_at = -1) (limits : t) =
 
 let ungoverned () = governor defaults
 
+(* A copy that starts where [g] stands: its limits, deadline, step count,
+   recursion depth and counters (the same record), with no fault armed.
+   Work run on it is held to every limit of [g] while it runs, but its
+   steps stay off [g]: the caller measures them and ticks them on [g]
+   where they belong. *)
+let measure g f =
+  let m = { g with fault_at = -1 } in
+  Fun.protect
+    ~finally:(fun () -> g.peak_matches <- max g.peak_matches m.peak_matches)
+    (fun () -> f m)
+
 let steps g = g.steps
 let peak_matches g = g.peak_matches
 let counters g = g.counters

@@ -64,6 +64,14 @@ val governor : ?fault_at:int -> t -> governor
 val ungoverned : unit -> governor
 (** [governor defaults]. *)
 
+val measure : governor -> (governor -> 'a) -> 'a
+(** [measure g f] runs [f] on a governor that starts where [g] stands:
+    [g]'s limits, deadline, step count and recursion depth, and [g]'s
+    counters themselves, with no fault armed.  [f] is held to every limit
+    of [g] while it runs, but the steps it takes are not ticked on [g]:
+    the caller reads them off the governor it was given and ticks them on
+    [g] where they belong.  [g]'s peak materialization takes in [f]'s. *)
+
 val steps : governor -> int
 (** Eval steps consumed so far. *)
 

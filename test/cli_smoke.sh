@@ -47,6 +47,17 @@ grep -q 'err:FODC0002' err.txt || { echo "FAIL: FODC0002 not reported" >&2; fail
 expect_exit "malformed XML is static (XPST0003)" 1 $?
 grep -q 'err:XPST0003' err.txt || { echo "FAIL: XPST0003 not reported" >&2; fails=$((fails+1)); }
 
+# --- the sequence law: a context of several nodes means "some" of its
+# --- nodes, under each strategy ---
+cat > shelf.xml <<'EOF'
+<shelf><p>c c b d</p><p>d a b a</p><p>b b c b</p><p>d a c</p></shelf>
+EOF
+for strategy in translated materialized; do
+  out=$("$GX" query -d shelf.xml -s "$strategy" '(//p) ftcontains (("b" && "c") occurs at least 2 times)')
+  expect_exit "sequence law, $strategy" 0 $?
+  [ "$out" = "true" ] || { echo "FAIL: sequence law, $strategy: $out" >&2; fails=$((fails+1)); }
+done
+
 # --- persisted index lifecycle ---
 "$GX" index -d a.xml -d b.xml --output snap >/dev/null
 expect_exit "index --output" 0 $?

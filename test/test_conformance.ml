@@ -32,7 +32,7 @@ let book_node () =
     (Ftindex.Inverted.document_root (Engine.index (Lazy.force engine))
        Corpus.Fig1.uri)
 
-(* native evaluation restricted to the book context, like the translated
+(* native evaluation within the book node alone, like the translated
    plan's $evalCtx *)
 let native_all_matches sel_src =
   let q = Xquery.Parser.parse_query (". ftcontains " ^ sel_src) in
@@ -40,8 +40,9 @@ let native_all_matches sel_src =
   | Ft_contains { selection; _ } ->
       let resolve_doc = Fts_module.make_resolver (env ()) in
       let ctx = Xquery.Eval.setup_context ~resolve_doc q in
-      let within = Ft_eval.context_filter (env ()) [ book_node () ] in
-      Ft_eval.all_matches ?within (env ()) ~eval:Xquery.Eval.eval ctx selection
+      let site = Option.get (Ft_ops.locate (env ()) (book_node ())) in
+      Ft_eval.all_matches ~scope:(Ft_ops.Node site) (env ())
+        ~eval:Xquery.Eval.eval ctx selection
   | _ -> assert false
 
 (* the same selection through the XQuery fts module: translate, pull out the
@@ -53,7 +54,8 @@ let xquery_all_matches sel_src =
   in
   let tq = Translate.translate_query q in
   match tq.body with
-  | Flwor ([ Let_clause { var; value } ], Call ("fts:FTContains", [ Var _; am_expr ]))
+  | Quantified
+      (Some_q, [ (var, value) ], Call ("fts:FTContains", [ Var _; am_expr ]))
     ->
       let ctx = Fts_module.setup_context (env ()) tq in
       let ctx_value = Xquery.Eval.eval ctx value in

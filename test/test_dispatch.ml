@@ -55,7 +55,17 @@ let test_dispatch_counts () =
   expect "positional variable: one per book" 50
     {|count(for $b at $i in collection()//book let $s := ft:score($b, {string($i)}) return $s)|};
   expect "no books: no dispatch" 0
-    (Printf.sprintf {|count(collection()//chapter[. ftcontains "%s"])|} w)
+    (Printf.sprintf {|count(collection()//chapter[. ftcontains "%s"])|} w);
+  expect "a full-text call inside a word source: counted" 2
+    (Printf.sprintf
+       {|(collection()//book)[1] ftcontains {if ((collection()//book)[2] ftcontains "%s") then "%s" else "zzz"}|}
+       w w);
+  expect "ftcontains over many books: one dispatch" 1
+    (Printf.sprintf {|(collection()//book) ftcontains "%s"|} w);
+  expect "ft:score of many books: one dispatch" 1
+    (Printf.sprintf {|ft:score(collection()//book, "%s")|} w);
+  expect "empty context: no dispatch" 0
+    (Printf.sprintf {|(collection()//chapter) ftcontains "%s"|} w)
 
 (* The per-node kernel allocates what a node matches, not a fixed toll of
    closures and copies: minor words per book of the batched forms at 50

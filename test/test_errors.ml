@@ -164,6 +164,49 @@ let test_timeout () =
     "deadline inside a verdict" Xquery.Errors.GTLX0004
     {|count(//p[. ftcontains ("alpha" && "beta" && "gamma") distance exactly 100000 words])|}
 
+(* The expressions embedded in a full-text selection run under the run's
+   limits while they run, not only in the steps counted afterwards: a word
+   source that spends the step budget or the deadline before it reaches an
+   error of its own stops with the limit's code, and recursion through
+   nested word sources counts against the depth cap. *)
+let test_embedded_expression_limits () =
+  let eng =
+    Engine.of_strings
+      [ ("w.xml", "<doc><p>alpha beta</p><p>alpha gamma</p></doc>") ]
+  in
+  let doubling =
+    "declare function local:f($n) { if ($n = 0) then 1 else local:f($n - 1) \
+     + local:f($n - 1) }; "
+  in
+  let spent n =
+    Printf.sprintf
+      {|%scount(//p[. ftcontains {if (local:f(%d) > 0) then string(exactly-one((1, 2))) else "alpha"}])|}
+      doubling n
+  in
+  List.iter
+    (fun strategy ->
+      let expect limits name expected src =
+        let name = Engine.strategy_name strategy ^ ": " ^ name in
+        match Engine.run eng ~strategy ~limits src with
+        | exception Xquery.Errors.Error e ->
+            Alcotest.check code name expected e.Xquery.Errors.code
+        | v ->
+            Alcotest.failf "%s: expected %s, got value [%s]" name
+              (Xquery.Errors.code_string expected)
+              (Xquery.Value.to_display_string v)
+      in
+      expect
+        { Xquery.Limits.defaults with Xquery.Limits.max_steps = Some 5000 }
+        "word source over the step budget" Xquery.Errors.GTLX0001 (spent 12);
+      expect
+        { Xquery.Limits.defaults with Xquery.Limits.timeout = Some 0.05 }
+        "word source past the deadline" Xquery.Errors.GTLX0004 (spent 22);
+      expect
+        { Xquery.Limits.defaults with Xquery.Limits.max_depth = Some 10 }
+        "recursion through nested word sources" Xquery.Errors.GTLX0002
+        {|declare function local:r($n) { if ($n = 0) then "alpha" else if ((collection()//p)[1] ftcontains {local:r($n - 1)}) then "alpha" else "beta" }; local:r(50)|})
+    [ Engine.Native_materialized; Engine.Translated ]
+
 let test_limits_do_not_leak_between_runs () =
   (* each run gets a fresh governor: spending the budget once must not
      poison the next run *)
@@ -233,6 +276,8 @@ let tests =
     Alcotest.test_case "enumerated FTAnd pairs capped (GTLX0003)" `Quick
       test_enumerated_pairs_capped;
     Alcotest.test_case "timeout (GTLX0004)" `Quick test_timeout;
+    Alcotest.test_case "limits inside a full-text selection" `Quick
+      test_embedded_expression_limits;
     Alcotest.test_case "fresh governor per run" `Quick
       test_limits_do_not_leak_between_runs;
     Alcotest.test_case "error classes" `Quick test_error_classes;

@@ -315,25 +315,7 @@ let prop_per_document_access =
                         && Array.to_list (Inverted.postings_of_doc idx ~doc w)
                            = List.filter (fun p -> p.Posting.doc = doc) all)
                       words)
-               nodes
-             (* several context nodes at once: nested, repeated (the
-                document node and its element share a label) and adjacent
-                (sibling texts) *)
-             && List.for_all
-                  (fun group ->
-                    let deweys = List.map Xmlkit.Node.dewey group in
-                    List.for_all
-                      (fun w ->
-                        let run = Inverted.postings_of_doc idx ~doc w in
-                        Inverted.run_within run deweys
-                        = List.filter
-                            (fun p ->
-                              List.exists
-                                (fun d -> Xmlkit.Dewey.contains d (Posting.node p))
-                                deweys)
-                            (Array.to_list run))
-                      words)
-                  [ nodes; List.filter Xmlkit.Node.is_text nodes ])
+               nodes)
            (Inverted.documents idx)
       && List.for_all
            (fun n -> Inverted.doc_of_node idx n = None)

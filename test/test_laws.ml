@@ -5,7 +5,9 @@
    random shelf satisfy [//p[. ftcontains S]] for two selections that
    must mean the same, under every strategy.  A subset law A ⊆ B is
    checked as the equivalence [A || B ≡ B]: a node satisfies an FTOr of
-   anchor-free operands exactly when it satisfies one of them. *)
+   anchor-free operands exactly when it satisfies one of them.  The
+   sequence law compares a multi-node context with its nodes one at a
+   time. *)
 
 open Galatex
 
@@ -239,10 +241,184 @@ let prop_score_zero_iff_unsatisfied =
                      s)))
         strategies)
 
+(* --- the sequence law --- *)
+
+(* XQuery Full Text defines [E ftcontains S] as [some] item of the search
+   context [E] satisfying [S], and [ft:score(E, S)] as one score per item:
+   a context of several nodes means what its nodes mean one at a time. *)
+
+(* A context of paragraphs: all of them, or some picked by index, in any
+   order and with repeats (an index past the last paragraph picks none). *)
+let gen_context =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, return "collection()//p");
+        ( 3,
+          map
+            (fun ks ->
+              Printf.sprintf "(%s)"
+                (String.concat ", "
+                   (List.map (Printf.sprintf "collection()//p[%d]") ks)))
+            (list_size (int_range 1 4) (int_range 1 5)) );
+      ])
+
+(* Over several nodes at once, a conjunction pairs words of different
+   nodes, and counting or negating those pairs is what breaks the law: a
+   third of the cases count a conjunction, and a third conjoin a negated
+   phrase.  [!] never negates a conjunction (see [gen_negatable]). *)
+let gen_sequence_selection =
+  let sel depth =
+    Ft_gen.(
+      selection ~depth ~words:vocab ~options:[ ""; " with stemming" ]
+        ~leaf_weight:2
+        [
+          (3, And); (1, Or); (2, Not); (1, Ordered); (1, Window (1, 5));
+          (2, Occurs (1, 2)); (1, Occurs_at_most (0, 1)); (1, Anchor);
+        ])
+  in
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, sel 2);
+        ( 1,
+          map3
+            (fun (a, b) kind n ->
+              Printf.sprintf "((%s && %s) occurs %s %d times)" a b kind n)
+            (pair (sel 0) (sel 0))
+            (oneofl [ "at least"; "exactly"; "at most" ])
+            (int_range 1 2) );
+        ( 1,
+          map3
+            (Printf.sprintf "(%s && ! \"%s %s\")")
+            (sel 1) (oneofl vocab) (oneofl vocab) );
+      ])
+
+let display eng strategy q =
+  Xquery.Value.to_display_string (Engine.run eng ~strategy q)
+
+(* [ctx ftcontains S], then [rest] (a [without content] clause, say), is
+   the [some] form under every strategy *)
+let contains_law ?(rest = "") shelf ctx s =
+  let eng = shelf_engine shelf in
+  List.for_all
+    (fun strategy ->
+      String.equal
+        (display eng strategy (Printf.sprintf "%s ftcontains %s%s" ctx s rest))
+        (display eng strategy
+           (Printf.sprintf "some $n in %s satisfies $n ftcontains %s%s" ctx s
+              rest)))
+    strategies
+
+let score_law shelf ctx s =
+  let eng = shelf_engine shelf in
+  List.for_all
+    (fun strategy ->
+      Test_strategies.same_scores
+        (Test_strategies.scores ~engine:eng
+           (Printf.sprintf "ft:score(%s, %s)" ctx s)
+           strategy)
+        (Test_strategies.scores ~engine:eng
+           (Printf.sprintf "for $n in %s return ft:score($n, %s)" ctx s)
+           strategy))
+    strategies
+
+let print_context_case (shelf, ctx, s) = print_case (shelf, [ ctx; s ])
+
+let prop_sequence_contains =
+  QCheck2.Test.make ~name:"E ftcontains S is some node of E satisfying S"
+    ~count:60 ~print:print_context_case
+    QCheck2.Gen.(triple gen_shelf gen_context gen_sequence_selection)
+    (fun (shelf, ctx, s) -> contains_law shelf ctx s)
+
+let prop_sequence_score =
+  QCheck2.Test.make ~name:"ft:score(E, S) is each node's ft:score" ~count:60
+    ~print:print_context_case
+    QCheck2.Gen.(triple gen_shelf gen_context gen_sequence_selection)
+    (fun (shelf, ctx, s) -> score_law shelf ctx s)
+
+(* [without content] takes its ignored nodes from the outer context, so
+   both forms ignore the same paragraph *)
+let prop_sequence_without_content =
+  QCheck2.Test.make ~name:"E ftcontains S without content I follows the law"
+    ~count:40
+    ~print:(fun ((shelf, ctx, s), k) ->
+      print_context_case (shelf, ctx, Printf.sprintf "%s without //p[%d]" s k))
+    QCheck2.Gen.(
+      pair
+        (triple gen_shelf gen_context gen_sequence_selection)
+        (int_range 1 5))
+    (fun ((shelf, ctx, s), k) ->
+      contains_law
+        ~rest:(Printf.sprintf " without content collection()//p[%d]" k)
+        shelf ctx s)
+
+(* Two shelves on which evaluating the paragraphs together, not one at a
+   time, answers otherwise: a count, and a negation, over pairs of words
+   from different paragraphs. *)
+let test_sequence_shelves () =
+  let counted =
+    shelf_engine
+      "<shelf><p>c c b d</p><p>d a b a</p><p>b b c b</p><p>d a c</p></shelf>"
+  and negated =
+    shelf_engine
+      "<shelf><p>c x a b y c c</p><p>c gamma delta</p><p>alpha gamma \
+       c</p><p>c</p><p>zeta c</p></shelf>"
+  in
+  List.iter
+    (fun strategy ->
+      let name = Engine.strategy_name strategy in
+      Alcotest.(check string)
+        (name ^ ": a count over the paragraphs at once")
+        "true"
+        (display counted strategy
+           {|(//p) ftcontains (("b" && "c") occurs at least 2 times)|});
+      Alcotest.(check (list (float 1e-9)))
+        (name ^ ": a negation over the paragraphs at once")
+        [ 0.0; 0.642857142857; 0.642857142857; 0.0; 0.0 ]
+        (Test_strategies.scores ~engine:negated
+           {|ft:score(//p, "gamma" && !("a b"))|} strategy))
+    strategies
+
+(* An empty context compiles nothing; a node of no indexed document (a
+   constructed tree) satisfies nothing and scores 0, alone or beside an
+   indexed node. *)
+let test_degenerate_contexts () =
+  let shelf = "<shelf><p>a b</p><p>c</p></shelf>" in
+  let eng = shelf_engine shelf in
+  List.iter
+    (fun strategy ->
+      let name = Engine.strategy_name strategy in
+      let check label expected q =
+        Alcotest.(check string) (name ^ ": " ^ label) expected
+          (display eng strategy q)
+      in
+      check "empty context" "false" {|() ftcontains "a"|};
+      check "empty context, no score" "0" {|count(ft:score((), "a"))|};
+      check "constructed node" "false" {|<p>a b</p> ftcontains "a"|};
+      check "constructed node's score" "0" {|ft:score(<p>a b</p>, "a")|};
+      check "constructed beside indexed" "true"
+        {|(<p>a b</p>, collection()//p) ftcontains "a"|})
+    strategies;
+  List.iter
+    (fun ctx ->
+      Alcotest.(check bool) (ctx ^ ": ft:score follows the law") true
+        (score_law shelf ctx {|"a"|});
+      Alcotest.(check bool) (ctx ^ ": ftcontains follows the law") true
+        (contains_law shelf ctx {|"c"|}))
+    [ "()"; "<p>a b</p>"; "(<p>a b</p>, collection()//p)" ]
+
 let tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_filters_distribute; prop_or_commutes; prop_or_associates;
       prop_or_idempotent; prop_window_monotone; prop_distance_monotone;
       prop_occurs_monotone; prop_ordered_within_unordered;
       prop_stemming_widens; prop_not_complements;
-      prop_score_zero_iff_unsatisfied ]
+      prop_score_zero_iff_unsatisfied; prop_sequence_contains;
+      prop_sequence_score; prop_sequence_without_content ]
+  @ [
+      Alcotest.test_case "the sequence law on its two shelves" `Quick
+        test_sequence_shelves;
+      Alcotest.test_case "empty and constructed contexts" `Quick
+        test_degenerate_contexts;
+    ]

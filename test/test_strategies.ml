@@ -154,19 +154,20 @@ let scores ~engine query strategy =
     (function Xquery.Value.Double d -> d | _ -> nan)
     (Engine.run engine ~strategy query)
 
+(* The same scores, in order.  Summation order differs across
+   strategies, so comparison needs a relative component on top of the
+   absolute floor. *)
+let same_scores got reference =
+  let close a b =
+    Float.abs (a -. b)
+    <= 1e-9 +. (1e-6 *. Float.max (Float.abs a) (Float.abs b))
+  in
+  List.length got = List.length reference && List.for_all2 close got reference
+
 let scores_agree ?(engine = Lazy.force engine) query =
   let reference = scores ~engine query Engine.Native_materialized in
   List.for_all
-    (fun (_, strategy) ->
-      let got = scores ~engine query strategy in
-      (* summation order differs across strategies, so comparison needs
-         a relative component on top of the absolute floor *)
-      let close a b =
-        Float.abs (a -. b)
-        <= 1e-9 +. (1e-6 *. Float.max (Float.abs a) (Float.abs b))
-      in
-      List.length got = List.length reference
-      && List.for_all2 close got reference)
+    (fun (_, strategy) -> same_scores (scores ~engine query strategy) reference)
     strategies
 
 let prop_scores_agree =
@@ -175,12 +176,10 @@ let prop_scores_agree =
       scores_agree
         (Printf.sprintf "for $b in collection()//book return ft:score($b, %s)" sel))
 
-(* One evaluation context over every document at once, so a match can
-   take its includes from different documents: the count and negation
-   operators must then group and order occurrences the same way on every
-   strategy.  Three one-book documents hold the words at different counts,
-   small enough that the translated path answers hundreds of queries in
-   well under a second. *)
+(* One evaluation context over the nodes of every document, each node
+   evaluated alone under every strategy.  Three one-book documents hold
+   the words at different counts, small enough that the translated path
+   answers hundreds of queries in well under a second. *)
 let spread =
   lazy
     (Engine.of_strings
@@ -201,8 +200,7 @@ let gen_spread_selection =
           (2, Occurs_exactly (0, 2)); (2, Occurs_at_most (0, 2));
         ])
   in
-  (* half the cases count a conjunction of two words: its matches pair
-     occurrences across documents *)
+  (* half the cases count a conjunction of two words *)
   let counted_pair =
     QCheck2.Gen.(
       map3

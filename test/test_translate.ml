@@ -1,6 +1,7 @@
 (* The GalaTex translation (paper Section 3.2.2): ftcontains / ft:score
-   become fts:* compositions, the evaluation context is let-bound, match
-   options propagate with override, and the output contains no full-text
+   become fts:* compositions, each node of the evaluation context is bound
+   in turn ([some] for ftcontains, [for] for ft:score), match options
+   propagate with override, and the output contains no full-text
    constructs. *)
 
 open Galatex
@@ -121,30 +122,32 @@ let test_running_example_shape () =
       | _ -> Alcotest.fail "FTWordsSelection argument shape")
   | other -> Alcotest.failf "expected 2 FTWordsSelection calls, got %d" (List.length other)
 
+let is_ctx_var var = String.length var > 8 && String.sub var 0 8 = "fts_ctx_"
+
 let test_context_bound_once () =
   let q = translate running_example in
-  (* one let-binding introduces the evaluation context *)
-  let rec count_lets e acc =
+  (* one "some" binding ranges over the evaluation context's nodes *)
+  let rec count_somes e acc =
     let acc =
       match e with
-      | Flwor (clauses, _) ->
-          acc
-          + List.length
-              (List.filter
-                 (function
-                   | Let_clause { var; _ } ->
-                       String.length var > 8 && String.sub var 0 8 = "fts_ctx_"
-                   | _ -> false)
-                 clauses)
+      | Quantified (Some_q, bindings, _) ->
+          acc + List.length (List.filter (fun (v, _) -> is_ctx_var v) bindings)
       | _ -> acc
     in
-    fold_sub count_lets e acc
+    fold_sub count_somes e acc
   in
-  Alcotest.check Alcotest.int "one context binding" 1 (count_lets q.body 0)
+  Alcotest.check Alcotest.int "one context binding" 1 (count_somes q.body 0)
 
 let test_score_translation () =
   let q = translate {|ft:score(//book, "x")|} in
-  check_bool "uses fts:FTScore" true (find_calls "fts:FTScore" q.body [] <> [])
+  check_bool "uses fts:FTScore" true (find_calls "fts:FTScore" q.body [] <> []);
+  (* one score per context node: a "for" over the context's nodes *)
+  match q.body with
+  | Flwor
+      ( [ For_clause { var; positional = None; _ } ],
+        Call ("fts:FTScore", Var v :: _) ) ->
+      check_bool "for binds the context node" true (is_ctx_var var && var = v)
+  | _ -> Alcotest.fail "ft:score translation shape"
 
 let test_ignore_translation () =
   let q = translate {|//a ftcontains "w" without content .//title|} in

@@ -4,10 +4,8 @@ open Xmlkit
    solutions of a full-text selection, viewed as a DNF formula.  Each Match
    is a disjunct; each StringInclude is the proposition "the context node
    contains this position", each StringExclude the proposition "it does
-   not".  Matches additionally carry the probabilistic score of Section 3.3
-   and any pending content anchors (at start / at end / entire content),
-   which can only be checked against a concrete context node at FTContains
-   time. *)
+   not".  Matches additionally carry the probabilistic score of Section
+   3.3. *)
 
 type entry = {
   query_pos : int;
@@ -22,7 +20,7 @@ type match_ = {
   score : float;  (** in (0,1] *)
 }
 
-type t = { matches : match_ list; anchors : Xquery.Ast.ft_anchor list }
+type t = match_ list
 
 let entry ?(query_pos = 1) posting = { query_pos; posting }
 
@@ -42,9 +40,7 @@ let rec merge_entries a b =
 let make_match ?(excludes = []) ?(score = 1.0) includes =
   { includes = sort_entries includes; excludes; score }
 
-let of_matches matches = { matches; anchors = [] }
-
-let size t = List.length t.matches
+let size = List.length
 
 (* Two matches are solution-equivalent when they assert the same include and
    exclude positions (ignoring scores and query positions). *)
@@ -58,8 +54,8 @@ let match_key m =
     List.sort compare (List.map entry_key m.excludes) )
 
 let equal_solutions a b =
-  let keys t = List.sort compare (List.map match_key t.matches) in
-  keys a = keys b && a.anchors = b.anchors
+  let keys t = List.sort compare (List.map match_key t) in
+  keys a = keys b
 
 (* --- XML externalization (the DTD of Section 3.1.2 / Figure 5(c)) --- *)
 
@@ -74,29 +70,8 @@ let match_element m =
     (List.map (entry_element "fts:StringInclude") m.includes
     @ List.map (entry_element "fts:StringExclude") m.excludes)
 
-let anchor_string = function
-  | Xquery.Ast.At_start -> "at-start"
-  | Xquery.Ast.At_end -> "at-end"
-  | Xquery.Ast.Entire_content -> "entire-content"
-
-let anchor_of_string = function
-  | "at-start" -> Some Xquery.Ast.At_start
-  | "at-end" -> Some Xquery.Ast.At_end
-  | "entire-content" -> Some Xquery.Ast.Entire_content
-  | _ -> None
-
 let to_xml t =
-  let attributes =
-    match t.anchors with
-    | [] -> []
-    | anchors ->
-        [
-          Node.attribute "anchors"
-            (String.concat " " (List.map anchor_string anchors));
-        ]
-  in
-  Node.seal
-    (Node.element ~attributes "fts:AllMatches" (List.map match_element t.matches))
+  Node.seal (Node.element "fts:AllMatches" (List.map match_element t))
 
 let entry_of_element node =
   let query_pos =
@@ -142,18 +117,7 @@ let of_xml node =
     | Some e -> e
     | None -> invalid_arg "AllMatches.of_xml: no fts:AllMatches element"
   in
-  let matches =
-    List.filter_map
-      (fun c ->
-        if Node.name c = Some "fts:Match" then Some (match_of_element c)
-        else None)
-      (Node.children root)
-  in
-  let anchors =
-    match Node.attribute_value root "anchors" with
-    | None -> []
-    | Some s ->
-        List.filter_map anchor_of_string
-          (String.split_on_char ' ' s |> List.filter (( <> ) ""))
-  in
-  { matches; anchors }
+  List.filter_map
+    (fun c ->
+      if Node.name c = Some "fts:Match" then Some (match_of_element c) else None)
+    (Node.children root)

@@ -16,11 +16,10 @@ type match_ = {
   score : float;  (** Section 3.3 probabilistic score, in (0,1] *)
 }
 
-type t = {
-  matches : match_ list;
-  anchors : Xquery.Ast.ft_anchor list;
-      (** pending FTContent anchors, checked per node at FTContains time *)
-}
+type t = match_ list
+(** The disjuncts, and nothing else: a content anchor ([at start], [at
+    end], [entire content]) is applied while the selection is evaluated,
+    as a filter on its operand's matches at the search context. *)
 
 val entry : ?query_pos:int -> Ftindex.Posting.t -> entry
 
@@ -34,8 +33,6 @@ val merge_entries : entry list -> entry list -> entry list
 val make_match : ?excludes:entry list -> ?score:float -> entry list -> match_
 (** Build a match; includes are sorted. [score] defaults to 1.0. *)
 
-val of_matches : match_ list -> t
-
 val size : t -> int
 (** Number of matches — the materialization metric of Section 4. *)
 
@@ -48,7 +45,7 @@ val equal_solutions : t -> t -> bool
 
 val to_xml : t -> Xmlkit.Node.t
 (** A sealed [fts:AllMatches] element conforming to the paper's DTD, with
-    full-precision scores and an [anchors] attribute when anchors exist. *)
+    full-precision scores. *)
 
 val of_xml : Xmlkit.Node.t -> t
 (** Inverse of {!to_xml}; also accepts AllMatches produced by the XQuery

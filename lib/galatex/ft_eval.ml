@@ -93,14 +93,10 @@ type plan =
     }
   | Scope of plan * ft_scope_kind
   | Times of plan * Ft_ops.range
-  | Content of plan
+  | Content of plan * ft_anchor
 
 type compiled = {
   plan : plan;
-  anchors : ft_anchor list;
-      (** the content anchors the selection's AllMatches carries: FTOr and
-          FTAnd append both operands', FTMildNot keeps its left operand's *)
-  anchored : bool;  (** some [at start] / [at end] / [entire content] *)
   steps : int;  (** the steps all its embedded expressions take *)
   first_steps : int;
       (** of those, the steps before the top-level FTOr chain's second
@@ -114,7 +110,7 @@ type compiled = {
    translated FTWordsSelectionAny calls). *)
 let compile ?(approximate = false) env ~eval ctx selection =
   let g = ctx.Xquery.Context.governor in
-  let counter = ref 0 and anchored = ref false and deferred = ref 0 in
+  let counter = ref 0 and deferred = ref 0 in
   let start = Xquery.Limits.steps g in
   let rec go outer selection =
     match selection with
@@ -125,78 +121,59 @@ let compile ?(approximate = false) env ~eval ctx selection =
         let phrases = source_phrases ~eval ctx source in
         let resolved = Match_options.resolve_with ~outer options in
         let words = compile_words env resolved anyall phrases in
-        (Leaf { words; query_pos; weight }, [])
+        Leaf { words; query_pos; weight }
     | Ft_with_options (inner, options) ->
         go (Match_options.resolve_with ~outer options) inner
     | Ft_and (a, b) ->
-        let pa, aa = go outer a in
-        let pb, ab = go outer b in
-        (And (pa, pb), aa @ ab)
+        let pa = go outer a in
+        And (pa, go outer b)
     | Ft_or (a, b) ->
-        let pa, aa = go outer a in
-        let pb, ab = go outer b in
-        (Or (pa, pb, 0), aa @ ab)
+        let pa = go outer a in
+        Or (pa, go outer b, 0)
     | Ft_mild_not (a, b) ->
-        let pa, aa = go outer a in
-        let pb, _ = go outer b in
-        (Mild_not (pa, pb), aa)
-    | Ft_unary_not a ->
-        let pa, aa = go outer a in
-        (Unary_not pa, aa)
-    | Ft_ordered a ->
-        let pa, aa = go outer a in
-        (Ordered pa, aa)
+        let pa = go outer a in
+        Mild_not (pa, go outer b)
+    | Ft_unary_not a -> Unary_not (go outer a)
+    | Ft_ordered a -> Ordered (go outer a)
     | Ft_window (a, n, u) ->
-        let input, aa = go outer a in
+        let input = go outer a in
         let n = eval_int ~eval ctx n in
         let counting =
           Ft_ops.counting ?stops:outer.Match_options.stop_words env
         in
-        (Window { input; n; unit_ = eval_unit u; counting; approximate }, aa)
+        Window { input; n; unit_ = eval_unit u; counting; approximate }
     | Ft_distance (a, range, u) ->
-        let input, aa = go outer a in
+        let input = go outer a in
         let range = eval_range ~eval ctx range in
         let counting =
           Ft_ops.counting ?stops:outer.Match_options.stop_words env
         in
-        ( Distance { input; range; unit_ = eval_unit u; counting; approximate },
-          aa )
-    | Ft_scope (a, kind) ->
-        let pa, aa = go outer a in
-        (Scope (pa, kind), aa)
+        Distance { input; range; unit_ = eval_unit u; counting; approximate }
+    | Ft_scope (a, kind) -> Scope (go outer a, kind)
     | Ft_times (a, range) ->
-        let pa, aa = go outer a in
-        (Times (pa, eval_range ~eval ctx range), aa)
-    | Ft_content (a, anchor) ->
-        anchored := true;
-        let pa, aa = go outer a in
-        (Content pa, anchor :: aa)
+        let pa = go outer a in
+        Times (pa, eval_range ~eval ctx range)
+    | Ft_content (a, anchor) -> Content (go outer a, anchor)
   in
   (* the top-level FTOr chain: each right operand's steps are deferred *)
   let rec chain outer = function
     | Ft_with_options (inner, options) ->
         chain (Match_options.resolve_with ~outer options) inner
     | Ft_or (a, b) ->
-        let pa, aa = chain outer a in
+        let pa = chain outer a in
         let before = Xquery.Limits.steps g and deferred_before = !deferred in
-        let pb, ab = chain outer b in
+        let pb = chain outer b in
         (* the right operand's own steps, less those deferred inside it *)
         let steps =
           Xquery.Limits.steps g - before - (!deferred - deferred_before)
         in
         deferred := !deferred + steps;
-        (Or (pa, pb, steps), aa @ ab)
+        Or (pa, pb, steps)
     | selection -> go outer selection
   in
-  let plan, anchors = chain Match_options.defaults selection in
+  let plan = chain Match_options.defaults selection in
   let steps = Xquery.Limits.steps g - start in
-  {
-    plan;
-    anchors;
-    anchored = !anchored;
-    steps;
-    first_steps = (if !anchored then steps else steps - !deferred);
-  }
+  { plan; steps; first_steps = steps - !deferred }
 
 (* --- running a plan --- *)
 
@@ -244,12 +221,23 @@ let leaf_matches g scope ~query_pos ~weight words =
   | units ->
       List.concat_map (Ft_ops.phrase_matches g scope ~query_pos ~weight) units
 
-(* One match through the position filter of an [Ordered], [Window],
-   [Distance] or [Scope] plan: kept (with its damped score), or dropped. *)
-let filtered plan (m : All_matches.match_) =
+(* An anchor holds against the search context's extent: with no context
+   there is nothing to hold against. *)
+let no_context () =
+  invalid_arg "Ft_eval.all_matches: a content anchor needs a search context"
+
+(* One match through the per-match filter of an [Ordered], [Window],
+   [Distance], [Scope] or [Content] plan in [scope]: kept (with its damped
+   score), or dropped. *)
+let filtered env scope plan (m : All_matches.match_) =
   match plan with
   | Ordered _ -> if Ft_ops.ordered_ok m then Some m else None
   | Scope (_, kind) -> if Ft_ops.scope_ok kind m then Some m else None
+  | Content (_, anchor) -> (
+      match scope with
+      | Ft_ops.Node site ->
+          if Ft_ops.anchor_ok env site anchor m then Some m else None
+      | Ft_ops.Everywhere -> no_context ())
   | Window { n; unit_; counting; approximate; _ } ->
       if approximate then Ft_ops.window_match_approx ~counting n unit_ m
       else Ft_ops.window_match ~counting n unit_ m
@@ -259,33 +247,30 @@ let filtered plan (m : All_matches.match_) =
   | _ -> Some m
 
 (* Every match of [plan] in [scope], each operator's output counted. *)
-let rec materialize g scope plan =
+let rec materialize g env scope plan =
   counted g
     (match plan with
     | Leaf { words; query_pos; weight } ->
         leaf_matches g scope ~query_pos ~weight words
     | And (a, b) -> (
-        match materialize g scope a with
+        match materialize g env scope a with
         (* no matches on the left: the right operand is not read *)
         | [] -> []
         | ma ->
-            let mb = materialize g scope b in
+            let mb = materialize g env scope b in
             (* the FTAnd cross product is the materialization bomb Section
                4 analyzes — refuse it before building it *)
             Xquery.Limits.check_product g (List.length ma) (List.length mb);
             and_all ma mb)
     | Or (a, b, _) ->
-        let ma = materialize g scope a in
-        ma @ materialize g scope b
+        let ma = materialize g env scope a in
+        ma @ materialize g env scope b
     | Mild_not (a, b) -> (
-        match materialize g scope a with
+        match materialize g env scope a with
         | [] -> []
-        | ma ->
-            (Ft_ops.ft_mild_not (All_matches.of_matches ma)
-               (All_matches.of_matches (materialize g scope b)))
-              .All_matches.matches)
+        | ma -> Ft_ops.ft_mild_not ma (materialize g env scope b))
     | Unary_not a ->
-        let ma = materialize g scope a in
+        let ma = materialize g env scope a in
         (* DNF negation yields one match per choice of entry from every
            input match: the output size is the product of the entry
            counts *)
@@ -299,24 +284,22 @@ let rec materialize g scope plan =
                Xquery.Limits.check_product g acc (max 1 choices);
                acc * max 1 choices)
              1 ma);
-        (Ft_ops.ft_unary_not (All_matches.of_matches ma)).All_matches.matches
+        Ft_ops.ft_unary_not ma
     | Ordered input
     | Scope (input, _)
     | Window { input; _ }
-    | Distance { input; _ } ->
-        List.filter_map (filtered plan) (materialize g scope input)
-    | Times (a, range) ->
-        (Ft_ops.ft_times range (All_matches.of_matches (materialize g scope a)))
-          .All_matches.matches
-    | Content a -> materialize g scope a)
+    | Distance { input; _ }
+    | Content (input, _) ->
+        List.filter_map (filtered env scope plan) (materialize g env scope input)
+    | Times (a, range) -> Ft_ops.ft_times range (materialize g env scope a))
 
 (* The rest of an enumeration for one node: what becomes of each match a
    sub-plan yields on the way to the verdict. *)
 type cont =
   | Verdict  (** the node is satisfied unless an exclude lies inside it *)
   | Filter of plan * cont
-      (** the position filter of this [Ordered], [Window], [Distance] or
-          [Scope] plan *)
+      (** the per-match filter of this [Ordered], [Window], [Distance],
+          [Scope] or [Content] plan *)
   | Pair of pair * cont  (** the left operand's match, with each right one *)
 
 and pair = {
@@ -330,7 +313,7 @@ and pair = {
 
 (* Does a match of [plan] in [site] (read as [scope]) carry through [k] to
    satisfy the node?  Enumeration stops at the first that does: through
-   FTAnd, FTOr and the position filters one match at a time, an FTAnd's
+   FTAnd, FTOr and the per-match filters one match at a time, an FTAnd's
    right operand read once, and only once its left one has yielded a
    match.  Leaves and the blocking operators (FTUnaryNot, FTMildNot,
    FTTimes) materialize.  The pairs an FTAnd builds tick no steps, so they
@@ -354,10 +337,11 @@ let rec exists g env scope site plan k =
   | Ordered input
   | Scope (input, _)
   | Window { input; _ }
-  | Distance { input; _ } ->
+  | Distance { input; _ }
+  | Content (input, _) ->
       exists g env scope site input (Filter (plan, k))
-  | Mild_not _ | Unary_not _ | Times _ | Content _ ->
-      exists_in g env scope site (materialize g scope plan) k
+  | Mild_not _ | Unary_not _ | Times _ ->
+      exists_in g env scope site (materialize g env scope plan) k
 
 and exists_in g env scope site ms k =
   match ms with
@@ -365,9 +349,9 @@ and exists_in g env scope site ms k =
   | m :: rest -> push g env scope site m k || exists_in g env scope site rest k
 
 and push g env scope site (m : All_matches.match_) = function
-  | Verdict -> Ft_ops.satisfies ~includes_inside:true env site [] m
+  | Verdict -> Ft_ops.satisfies ~includes_inside:true env site m
   | Filter (plan, k) -> (
-      match filtered plan m with
+      match filtered env scope plan m with
       | Some m -> push g env scope site m k
       | None -> false)
   | Pair (p, k) ->
@@ -375,7 +359,7 @@ and push g env scope site (m : All_matches.match_) = function
         match p.right_matches with
         | Some ms -> ms
         | None ->
-            let ms = materialize g scope p.right in
+            let ms = materialize g env scope p.right in
             p.right_matches <- Some ms;
             ms
       in
@@ -391,15 +375,26 @@ and pair_each g env scope site p ma right k =
       push g env scope site (Ft_ops.and_match ma mb) k
       || pair_each g env scope site p ma rest k
 
+let rec anchored = function
+  | Ft_content _ -> true
+  | Ft_words _ -> false
+  | Ft_and (a, b) | Ft_or (a, b) | Ft_mild_not (a, b) -> anchored a || anchored b
+  | Ft_unary_not a
+  | Ft_ordered a
+  | Ft_window (a, _, _)
+  | Ft_distance (a, _, _)
+  | Ft_scope (a, _)
+  | Ft_times (a, _)
+  | Ft_with_options (a, _) ->
+      anchored a
+
 (* Every match of a selection in [scope]: one located node, or, by
    default, every document's whole runs. *)
 let all_matches ?(scope = Ft_ops.Everywhere) ?approximate env ~eval ctx
     selection =
+  if scope = Ft_ops.Everywhere && anchored selection then no_context ();
   let c = compile ?approximate env ~eval ctx selection in
-  {
-    All_matches.matches = materialize ctx.Xquery.Context.governor scope c.plan;
-    anchors = c.anchors;
-  }
+  materialize ctx.Xquery.Context.governor env scope c.plan
 
 (* --- the Context.ft_handler for the native materialized strategy --- *)
 
@@ -417,23 +412,18 @@ let zero = Xquery.Value.Double 0.0
    disjunct's steps are ticked only when it is reached. *)
 let verdict_at env g c ~without verdict site =
   let scope = Ft_ops.Node site in
-  if
-    verdict = Xquery.Context.Contains
-    && (not c.anchored)
-    && Option.is_none without
-  then begin
+  if verdict = Xquery.Context.Contains && Option.is_none without then begin
     ticks g c.first_steps;
     if exists g env scope site c.plan Verdict then yes else no
   end
   else begin
     ticks g c.steps;
-    let matches = materialize g scope c.plan in
-    let matches =
+    let matches = materialize g env scope c.plan in
+    let am =
       match without with
       | None -> matches
       | Some keep -> List.filter_map keep matches
     in
-    let am = { All_matches.matches; anchors = c.anchors } in
     match verdict with
     | Xquery.Context.Contains ->
         if Ft_ops.site_satisfies ~includes_inside:true env site am then yes

@@ -18,7 +18,11 @@ val all_matches :
     leaves are numbered left-to-right (queryPos), ranges/weights evaluated
     through [eval].  [approximate] switches distance/window to the
     Section 3.3 approximate variants.  [scope] restricts the leaves'
-    reads to one located node (default: every document). *)
+    reads to one located node (default: every document).  A content
+    anchor keeps those matches of its operand whose includes start, end
+    or span that node's tokens.
+    @raise Invalid_argument for a selection with a content anchor under
+    the default [scope]: an anchor needs a search context. *)
 
 val handler : Env.t -> Xquery.Context.ft_handler
 (** The ftcontains / ft:score handler installed for the materialized
@@ -26,6 +30,5 @@ val handler : Env.t -> Xquery.Context.ft_handler
     node alone: a [Contains] verdict stops at the first match that
     satisfies the node, reading an FTAnd's right operand only once its
     left one has matched; a [Score] verdict, and a selection with a
-    content anchor or a [without content] filter, build every match of
-    the node.  Each node ticks the steps its own evaluation of the
+    [without content] filter, build every match of the node.  Each node ticks the steps its own evaluation of the
     embedded expressions would take. *)

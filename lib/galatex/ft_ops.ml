@@ -8,10 +8,11 @@
                 applies when composing per-node answer scores, Score module)
      FTDistance / FTWindow   s' = s * f with f in (0,1] (damping by how much
                 of the allowed span the match uses)
-     FTNegation / FTOrdered / FTScope / FTTimes   scores unchanged
+     FTNegation / FTOrdered / FTScope / FTTimes / FTContent
+                scores unchanged
 
    The operators here work on one match at a time (FTAnd's pair, the
-   position filters) or on whole AllMatches values (the blocking
+   per-match filters) or on whole AllMatches values (the blocking
    FTUnaryNot, FTMildNot and FTTimes); Ft_eval composes them into the
    native strategy. *)
 
@@ -284,13 +285,9 @@ let ft_unary_not a =
                 | `Exclude e -> (inc, e :: exc))
               (flip_choices m))
           acc)
-      [ ([], []) ] a.matches
+      [ ([], []) ] a
   in
-  {
-    matches =
-      List.map (fun (inc, exc) -> make_match ~excludes:exc inc) matches;
-    anchors = a.anchors;
-  }
+  List.map (fun (inc, exc) -> make_match ~excludes:exc inc) matches
 
 (* Mild not ("A not in B"): keep a match of A unless one of its include
    positions is part of a match of B. *)
@@ -304,21 +301,16 @@ let ft_mild_not a b =
             (e.posting.Ftindex.Posting.doc, Ftindex.Posting.abs_pos e.posting)
             ())
         m.includes)
-    b.matches;
-  {
-    a with
-    matches =
-      List.filter
-        (fun m ->
-          not
-            (List.exists
-               (fun e ->
-                 Hashtbl.mem b_positions
-                   ( e.posting.Ftindex.Posting.doc,
-                     Ftindex.Posting.abs_pos e.posting ))
-               m.includes))
-        a.matches;
-  }
+    b;
+  List.filter
+    (fun m ->
+      not
+        (List.exists
+           (fun e ->
+             Hashtbl.mem b_positions
+               (e.posting.Ftindex.Posting.doc, Ftindex.Posting.abs_pos e.posting))
+           m.includes))
+    a
 
 (* --- position filters --- *)
 
@@ -615,7 +607,7 @@ let ft_times range a =
           let doc = e.posting.Ftindex.Posting.doc in
           let prev = Option.value ~default:[] (Hashtbl.find_opt by_doc doc) in
           Hashtbl.replace by_doc doc (m :: prev))
-    a.matches;
+    a;
   let windows ms =
     (* [by_doc] accumulates by prepending, so [List.rev] restores input
        order; the sort must then be stable so ties on the first position
@@ -666,24 +658,22 @@ let ft_times range a =
   (* The zero-occurrence case cannot be a per-document window: "exactly 0"
      must exclude occurrences from every document an answer node could be
      in, and "at least 0" is trivially true. *)
-  let matches =
-    if lo = 0 then
-      match hi with
-      | None -> make_match [] :: matches
-      | Some _ ->
-          let all_includes = List.concat_map (fun m -> m.includes) a.matches in
-          make_match ~excludes:all_includes [] :: matches
-    else matches
-  in
-  { a with matches }
+  if lo = 0 then
+    match hi with
+    | None -> make_match [] :: matches
+    | Some _ ->
+        let all_includes = List.concat_map (fun m -> m.includes) a in
+        make_match ~excludes:all_includes [] :: matches
+  else matches
 
-(* --- FTContains (paper Section 3.2.3.1, satisfiesMatch) --- *)
+(* --- FTContent --- *)
 
-let anchors_ok index site anchors m =
-  anchors = []
-  ||
+(* The match's include extent starts, ends or spans the search context's
+   token extent.  A match with no include is anchored nowhere. *)
+let anchor_ok env site anchor m =
   match
-    ( Ftindex.Inverted.node_extent index ~doc:site.doc ~node_dewey:site.dewey,
+    ( Ftindex.Inverted.node_extent (Env.index env) ~doc:site.doc
+        ~node_dewey:site.dewey,
       m.includes )
   with
   | None, _ | _, [] -> false
@@ -696,12 +686,12 @@ let anchors_ok index site anchors m =
       in
       let p = Ftindex.Posting.abs_pos e.posting in
       let lo, hi = bounds p p rest in
-      List.for_all
-        (function
-          | Xquery.Ast.At_start -> lo = first
-          | Xquery.Ast.At_end -> hi = last
-          | Xquery.Ast.Entire_content -> lo = first && hi = last)
-        anchors
+      match anchor with
+      | Xquery.Ast.At_start -> lo = first
+      | Xquery.Ast.At_end -> hi = last
+      | Xquery.Ast.Entire_content -> lo = first && hi = last
+
+(* --- FTContains (paper Section 3.2.3.1, satisfiesMatch) --- *)
 
 let rec any_inside index site = function
   | [] -> false
@@ -718,41 +708,38 @@ let rec all_inside index site = function
       && all_inside index site rest
 
 (* satisfiesMatch against one located node: every include inside it, no
-   exclude inside it, the anchors hold.  [includes_inside] says every
-   include was read inside this very node (the per-node path reads its
-   leaves within the node alone, and the operators only combine, drop or
-   flip entries the leaves read), so only the excludes and the anchors
-   need the check. *)
-let satisfies_match includes_inside env site anchors m =
+   exclude inside it.  [includes_inside] says every include was read
+   inside this very node (the per-node path reads its leaves within the
+   node alone, and the operators only combine, drop or flip entries the
+   leaves read), so only the excludes need the check. *)
+let satisfies_match includes_inside env site m =
   let index = Env.index env in
   (includes_inside || all_inside index site m.includes)
-  && (not (any_inside index site m.excludes))
-  && anchors_ok index site anchors m
+  && not (any_inside index site m.excludes)
 
-let satisfies ?(includes_inside = false) env site anchors m =
-  satisfies_match includes_inside env site anchors m
+let satisfies ?(includes_inside = false) env site m =
+  satisfies_match includes_inside env site m
 
 (* Matches a node satisfies — used both by FTContains (non-empty?) and by
    per-node scoring.  Direct walks over the matches, which allocate no
    closure per call. *)
-let rec satisfying inside env site anchors = function
+let rec satisfying inside env site = function
   | [] -> []
   | m :: rest ->
-      if satisfies_match inside env site anchors m then
-        m :: satisfying inside env site anchors rest
-      else satisfying inside env site anchors rest
+      if satisfies_match inside env site m then
+        m :: satisfying inside env site rest
+      else satisfying inside env site rest
 
-let rec any_satisfying inside env site anchors = function
+let rec any_satisfying inside env site = function
   | [] -> false
   | m :: rest ->
-      satisfies_match inside env site anchors m
-      || any_satisfying inside env site anchors rest
+      satisfies_match inside env site m || any_satisfying inside env site rest
 
 let site_matches ?(includes_inside = false) env site a =
-  satisfying includes_inside env site a.anchors a.matches
+  satisfying includes_inside env site a
 
 let site_satisfies ?(includes_inside = false) env site a =
-  any_satisfying includes_inside env site a.anchors a.matches
+  any_satisfying includes_inside env site a
 
 let matches_for_node env node a =
   match locate env node with

@@ -135,20 +135,25 @@ val window_match_approx :
   All_matches.match_ option
 (** Keep a failing match with a score penalized by how far it misses. *)
 
+(** {1 FTContent} *)
+
+val anchor_ok : Env.t -> site -> Xquery.Ast.ft_anchor -> All_matches.match_ -> bool
+(** Does the match pass the anchor at the search context [site]: its
+    first include (in position order) is the node's first token for [at
+    start], its last include the node's last token for [at end], both for
+    [entire content]?  A match with no include passes none.  The per-match
+    filter behind FTContent, applied to the matches of the anchored
+    operand. *)
+
 (** {1 FTContains (satisfiesMatch)} *)
 
 val satisfies :
-  ?includes_inside:bool ->
-  Env.t ->
-  site ->
-  Xquery.Ast.ft_anchor list ->
-  All_matches.match_ ->
-  bool
-(** [satisfies env site anchors m]: every include inside the node, no
-    exclude inside it, anchors hold.  With [includes_inside] (default
-    false) the caller vouches that every include lies inside the node —
-    true when the selection was evaluated within that node alone
-    ([Node site]) — and only excludes and anchors are checked. *)
+  ?includes_inside:bool -> Env.t -> site -> All_matches.match_ -> bool
+(** [satisfies env site m]: every include inside the node, no exclude
+    inside it.  With [includes_inside] (default false) the caller vouches
+    that every include lies inside the node — true when the selection was
+    evaluated within that node alone ([Node site]) — and only excludes are
+    checked. *)
 
 val site_matches :
   ?includes_inside:bool -> Env.t -> site -> All_matches.t -> All_matches.match_ list

@@ -246,12 +246,8 @@ declare function fts:FTWordsSelection($evalCtx as element()*, $phrases,
 
 (: ===== Boolean connectives ===== :)
 
-declare function fts:mergedAnchors($a as element(), $b as element()) as xs:string {
-  fn:normalize-space(fn:concat(fn:string($a/@anchors), " ", fn:string($b/@anchors)))
-};
-
 declare function fts:FTAnd($a as element(), $b as element()) as element() {
-  <fts:AllMatches anchors="{fts:mergedAnchors($a, $b)}">{
+  <fts:AllMatches>{
     for $m1 in $a/fts:Match, $m2 in $b/fts:Match
     return <fts:Match score="{number($m1/@score) * number($m2/@score)}">{
       $m1/*, $m2/*
@@ -260,7 +256,7 @@ declare function fts:FTAnd($a as element(), $b as element()) as element() {
 };
 
 declare function fts:FTOr($a as element(), $b as element()) as element() {
-  <fts:AllMatches anchors="{fts:mergedAnchors($a, $b)}">{
+  <fts:AllMatches>{
     $a/fts:Match, $b/fts:Match
   }</fts:AllMatches>
 };
@@ -280,13 +276,13 @@ declare function fts:negateMatches($ms as element()*) as element()* {
 };
 
 declare function fts:FTUnaryNot($a as element()) as element() {
-  <fts:AllMatches anchors="{fn:string($a/@anchors)}">{
+  <fts:AllMatches>{
     fts:negateMatches($a/fts:Match)
   }</fts:AllMatches>
 };
 
 declare function fts:FTMildNot($a as element(), $b as element()) as element() {
-  <fts:AllMatches anchors="{fn:string($a/@anchors)}">{
+  <fts:AllMatches>{
     for $m in $a/fts:Match
     where fn:not(
       some $e in $m/fts:StringInclude/fts:TokenInfo satisfies
@@ -300,7 +296,7 @@ declare function fts:FTMildNot($a as element(), $b as element()) as element() {
 (: ===== position filters ===== :)
 
 declare function fts:FTOrdered($a as element()) as element() {
-  <fts:AllMatches anchors="{fn:string($a/@anchors)}">{
+  <fts:AllMatches>{
     for $m in $a/fts:Match
     where every $e1 in $m/fts:StringInclude satisfies
           every $e2 in $m/fts:StringInclude satisfies
@@ -369,7 +365,7 @@ declare function fts:FTDistanceRange($lo as xs:integer, $hi as xs:integer,
                                      $unit as xs:string, $a as element(),
                                      $mo as xs:string)
     as element() {
-  <fts:AllMatches anchors="{fn:string($a/@anchors)}">{
+  <fts:AllMatches>{
     for $m in $a/fts:Match
     let $sorted := fts:sortedIncludes($m)
     where count($sorted) < 2
@@ -418,7 +414,7 @@ declare function fts:span($sorted as element()*, $unit as xs:string,
 
 declare function fts:FTWindow($n as xs:integer, $unit as xs:string,
                               $a as element(), $mo as xs:string) as element() {
-  <fts:AllMatches anchors="{fn:string($a/@anchors)}">{
+  <fts:AllMatches>{
     for $m in $a/fts:Match
     let $sorted := fts:sortedIncludes($m)
     where count($sorted) = 0
@@ -436,7 +432,7 @@ declare function fts:FTWindow($n as xs:integer, $unit as xs:string,
 };
 
 declare function fts:FTScope($kind as xs:string, $a as element()) as element() {
-  <fts:AllMatches anchors="{fn:string($a/@anchors)}">{
+  <fts:AllMatches>{
     for $m in $a/fts:Match
     let $ids := for $e in $m/fts:StringInclude
                 return (if (fn:contains($kind, "sentence"))
@@ -501,7 +497,7 @@ declare function fts:firstInclude($m as element()) as element()? {
    upper bound". :)
 declare function fts:FTTimesImpl($lo as xs:integer, $hi as xs:integer,
                                  $a as element()) as element() {
-  <fts:AllMatches anchors="{fn:string($a/@anchors)}">{
+  <fts:AllMatches>{
     (: the zero-occurrence case spans all documents :)
     (if ($lo = 0) then
        (if ($hi < 0) then <fts:Match score="1"/>
@@ -544,45 +540,34 @@ declare function fts:FTTimesFromTo($lo as xs:integer, $hi as xs:integer,
   fts:FTTimesImpl(max((0, $lo)), $hi, $a)
 };
 
-(: ===== FTContent anchors ===== :)
+(: ===== FTContent ===== :)
 
-declare function fts:FTContent($anchor as xs:string, $a as element()) as element() {
-  <fts:AllMatches anchors="{fn:normalize-space(fn:concat(fn:string($a/@anchors), ' ', $anchor))}">{
-    $a/fts:Match
+(: the matches of $a whose includes start ($anchor = "at start"), end
+   ("at end") or span ("entire content") the tokens of the search context
+   $node; a match with no include is anchored nowhere :)
+declare function fts:FTContent($anchor as xs:string, $node as element(),
+                               $a as element()) as element() {
+  <fts:AllMatches>{
+    for $m in $a/fts:Match
+    let $positions := for $e in $m/fts:StringInclude/fts:TokenInfo
+                      return number($e/@absPos)
+    where fn:exists($positions)
+      and ($anchor = "at end" or min($positions) = fts:nodeFirstPos($node))
+      and ($anchor = "at start" or max($positions) = fts:nodeLastPos($node))
+    return $m
   }</fts:AllMatches>
 };
 
 (: ===== FTContains (satisfiesMatch, Section 3.2.3.1) ===== :)
 
-declare function fts:anchorsOk($node as element(), $m as element(),
-                               $anchors as xs:string) as xs:boolean {
-  if ($anchors = "") then fn:true()
-  else
-    let $positions := for $e in $m/fts:StringInclude/fts:TokenInfo
-                      return number($e/@absPos)
-    return
-      if (fn:empty($positions)) then fn:false()
-      else
-        let $lo := min($positions)
-        let $hi := max($positions)
-        return
-          (fn:not(fn:contains($anchors, "at-start")) or $lo = fts:nodeFirstPos($node))
-          and (fn:not(fn:contains($anchors, "at-end")) or $hi = fts:nodeLastPos($node))
-          and (fn:not(fn:contains($anchors, "entire-content"))
-               or ($lo = fts:nodeFirstPos($node) and $hi = fts:nodeLastPos($node)))
-};
-
-declare function fts:satisfiesMatch($node as element(), $m as element(),
-                                    $anchors as xs:string) as xs:boolean {
+declare function fts:satisfiesMatch($node as element(), $m as element()) as xs:boolean {
   (every $e in $m/fts:StringInclude/fts:TokenInfo satisfies fts:posInNode($node, $e))
   and (every $e in $m/fts:StringExclude/fts:TokenInfo
        satisfies fn:not(fts:posInNode($node, $e)))
-  and fts:anchorsOk($node, $m, $anchors)
 };
 
 declare function fts:nodeSatisfies($node as element(), $am as element()) as xs:boolean {
-  some $m in $am/fts:Match
-  satisfies fts:satisfiesMatch($node, $m, fn:string($am/@anchors))
+  some $m in $am/fts:Match satisfies fts:satisfiesMatch($node, $m)
 };
 
 declare function fts:FTContains($evalCtx as element()*, $am as element()) as xs:boolean {
@@ -596,7 +581,7 @@ declare function fts:inIgnored($e as element(), $ignored as element()*) as xs:bo
 };
 
 declare function fts:applyIgnore($am as element(), $ignored as element()*) as element() {
-  <fts:AllMatches anchors="{fn:string($am/@anchors)}">{
+  <fts:AllMatches>{
     for $m in $am/fts:Match
     where fn:not(some $e in $m/fts:StringInclude/fts:TokenInfo
                  satisfies fts:inIgnored($e, $ignored))
@@ -625,7 +610,7 @@ declare function fts:noisyOr($scores as xs:double*) as xs:double {
 
 declare function fts:nodeScore($node as element(), $am as element()) as xs:double {
   let $scores := for $m in $am/fts:Match
-                 where fts:satisfiesMatch($node, $m, fn:string($am/@anchors))
+                 where fts:satisfiesMatch($node, $m)
                  return number($m/@score)
   return if (fn:empty($scores)) then 0e0 else fts:clampScore(fts:noisyOr($scores))
 };

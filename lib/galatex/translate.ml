@@ -21,9 +21,10 @@ let fresh_ctx_var =
     incr n;
     Printf.sprintf "fts_ctx_%d" !n
 
-(* FTMatchOptions descriptor: a stable, human-readable encoding the XQuery
-   module tests with fn:contains (the paper passes
-   fts:FTMatchOptions("with stemming") values the same way). *)
+(* FTMatchOptions descriptor: a stable, human-readable ["key=value|..."]
+   encoding the XQuery module tests with fn:contains (the paper passes
+   fts:FTMatchOptions("with stemming") values the same way); it embeds
+   explicit stop-word lists. *)
 let options_descriptor (r : Match_options.resolved) =
   let case =
     match r.case with
@@ -66,10 +67,6 @@ let options_descriptor (r : Match_options.resolved) =
       "language=" ^ r.language;
     ]
 
-(* kept as an alias: the descriptor itself now embeds explicit lists *)
-let options_descriptor_with_list (r : Match_options.resolved) _options =
-  options_descriptor r
-
 let anyall_string = function
   | Ft_any -> "any"
   | Ft_all -> "all"
@@ -88,12 +85,10 @@ let scope_string = function
   | Different_sentence -> "different sentence"
   | Different_paragraph -> "different paragraph"
 
-(* hyphenated so several anchors can live in one whitespace-separated
-   attribute on the XML AllMatches representation *)
 let anchor_string = function
-  | At_start -> "at-start"
-  | At_end -> "at-end"
-  | Entire_content -> "entire-content"
+  | At_start -> "at start"
+  | At_end -> "at end"
+  | Entire_content -> "entire content"
 
 let call name args = Call (name, args)
 let str s = Literal_string s
@@ -110,7 +105,7 @@ let rec translate_selection ~translate_expr ~ctx_var ~counter ~outer sel =
   | Ft_words { source; anyall; options; weight } ->
       incr counter;
       let resolved = Match_options.resolve_with ~outer options in
-      let all_opts = options_descriptor_with_list resolved options in
+      let all_opts = options_descriptor resolved in
       let source_expr =
         match source with
         | Ft_literal s -> str s
@@ -182,9 +177,15 @@ let rec translate_selection ~translate_expr ~ctx_var ~counter ~outer sel =
           call "fts:FTTimesFromTo"
             [ translate_expr lo; translate_expr hi; recur ~outer a ])
   | Ft_content (a, anchor) ->
-      call "fts:FTContent" [ str (anchor_string anchor); recur ~outer a ]
+      (* the anchor filters its operand's matches against the node *)
+      call "fts:FTContent"
+        [ str (anchor_string anchor); Var ctx_var; recur ~outer a ]
 
-(* Rewrite a whole expression tree, replacing the two full-text constructs. *)
+(* Rewrite a whole expression tree, replacing the two full-text constructs:
+   each node of an evaluation context is bound in turn by [some] (for
+   ftcontains) or [for] (for ft:score), match options are resolved per
+   FTWords leaf into descriptor strings, and leaves are numbered
+   left-to-right for FTOrdered. *)
 let rec translate_expr e =
   let t = translate_expr in
   match e with

@@ -3,24 +3,9 @@
     function calls, yielding a plain XQuery query for the full-text-unaware
     engine. *)
 
-val translate_expr : Xquery.Ast.expr -> Xquery.Ast.expr
-(** Structural rewrite of one expression: evaluation contexts are let-bound
-    once, match options resolved per FTWords leaf into descriptor strings,
-    leaves numbered left-to-right for FTOrdered. *)
-
 val translate_query : Xquery.Ast.query -> Xquery.Ast.query
 (** Translate body, function bodies and global variables. *)
 
 val has_fulltext : Xquery.Ast.expr -> bool
 (** Does the expression still contain ftcontains / ft:score?  False on every
     translator output (tested). *)
-
-val options_descriptor : Match_options.resolved -> string
-(** The FTMatchOptions value passed to fts:* calls: a ["key=value|..."]
-    string the XQuery module inspects with fn:contains; embeds explicit
-    stop-word lists. *)
-
-val anyall_string : Xquery.Ast.ft_anyall -> string
-val unit_string : Xquery.Ast.ft_unit -> string
-val scope_string : Xquery.Ast.ft_scope_kind -> string
-val anchor_string : Xquery.Ast.ft_anchor -> string

@@ -58,6 +58,24 @@ for strategy in translated materialized; do
   [ "$out" = "true" ] || { echo "FAIL: sequence law, $strategy: $out" >&2; fails=$((fails+1)); }
 done
 
+# --- a content anchor filters the matches of its own operand, through
+# --- FTOr, FTAnd and negation alike, under each strategy ---
+cat > anchors.xml <<'EOF'
+<shelf><p>c a b</p></shelf>
+EOF
+for strategy in translated materialized; do
+  while IFS='|' read -r want sel; do
+    out=$("$GX" query -d anchors.xml -s "$strategy" "count(//p[. ftcontains $sel])")
+    expect_exit "anchor $sel, $strategy" 0 $?
+    [ "$out" = "$want" ] || { echo "FAIL: anchor $sel, $strategy: $out, want $want" >&2; fails=$((fails+1)); }
+  done <<'EOF'
+1|("a" at start) || "b"
+1|("c" at start) || ("b" at end)
+1|!("a" at start)
+0|("a" at end) && "b"
+EOF
+done
+
 # --- persisted index lifecycle ---
 "$GX" index -d a.xml -d b.xml --output snap >/dev/null
 expect_exit "index --output" 0 $?

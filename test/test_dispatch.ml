@@ -131,10 +131,9 @@ let gen_selection =
       ])
 
 (* A top-level FTOr stops at the first disjunct that satisfies the node,
-   unless an anchor sits anywhere below it: FTOr checks every operand's
-   anchors against every match of the union.  Its disjuncts here carry
-   anchors, negations, occurrence counts and weights, and the chain may
-   sit under match options. *)
+   anchored or not: an anchor filters the matches of its own operand.  Its
+   disjuncts here carry anchors, negations, occurrence counts and weights,
+   and the chain may sit under match options. *)
 let gen_top_or =
   let disjunct =
     Ft_gen.(
@@ -242,10 +241,30 @@ let prop_batched_equals_per_node =
            (Printf.sprintf "for $b in collection()%s return ft:score($b, %s)"
               ctx sel))
 
+(* An anchored disjunct that satisfies the node ends the enumeration: the
+   postings of the disjunct after it are never read. *)
+let test_anchored_or_exits_early () =
+  let eng = Engine.of_strings [ ("p.xml", "<p>a b</p>") ] in
+  let read sel =
+    let r =
+      Engine.run_report eng ~strategy:Engine.Native_materialized
+        (Printf.sprintf "count(//p[. ftcontains %s])" sel)
+    in
+    ( Xquery.Value.to_display_string r.Engine.value,
+      r.Engine.counters.Xquery.Limits.postings_read )
+  in
+  let answer, alone = read {|("a" at start)|} in
+  Alcotest.(check string) "the anchored disjunct alone" "1" answer;
+  Alcotest.(check (pair string int))
+    "no posting of the second disjunct is read" ("1", alone)
+    (read {|("a" at start) || "b"|})
+
 let tests =
   [
     Alcotest.test_case "one full-text dispatch per step" `Quick
       test_dispatch_counts;
+    Alcotest.test_case "an anchored FTOr disjunct exits early" `Quick
+      test_anchored_or_exits_early;
     Alcotest.test_case "batched kernel allocation per book" `Quick
       test_batched_allocation;
     QCheck_alcotest.to_alcotest prop_batched_equals_per_node;

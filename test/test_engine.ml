@@ -79,6 +79,15 @@ let test_selection_all_matches_guard () =
   | exception (Xquery.Parser.Error _ | Invalid_argument _) -> ()
   | _ -> Alcotest.fail "garbage selection must raise"
 
+(* An anchor holds against a search context, and the whole corpus is
+   none. *)
+let test_selection_all_matches_anchor () =
+  match
+    Engine.selection_all_matches (Lazy.force engine) {|"usability" at start|}
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an anchored selection over the corpus must raise"
+
 let test_strategies_share_resolver () =
   (* the translated path can read the corpus AND the generated documents *)
   check_string "fn:doc in translated strategy" "3"
@@ -131,6 +140,8 @@ let tests =
     Alcotest.test_case "invalid weight" `Quick test_ft_error_on_bad_weight;
     Alcotest.test_case "empty corpus" `Quick test_empty_corpus;
     Alcotest.test_case "selection parse guard" `Quick test_selection_all_matches_guard;
+    Alcotest.test_case "anchored selection needs a context" `Quick
+      test_selection_all_matches_anchor;
     Alcotest.test_case "resolver in translated strategy" `Quick
       test_strategies_share_resolver;
     Alcotest.test_case "prolog variables see the documents" `Quick

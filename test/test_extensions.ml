@@ -85,7 +85,7 @@ let test_approximate_keeps_near_misses () =
   in
   check_int "strict drops the miss" 0 (size strict);
   check_int "approximate keeps it" 1 (size approx);
-  let m = List.hd approx.All_matches.matches in
+  let m = List.hd approx in
   check_bool "penalized score in (0,1)" true
     (m.All_matches.score > 0.0 && m.All_matches.score < 1.0)
 
@@ -93,7 +93,7 @@ let test_approximate_scores_rank_by_closeness () =
   (* beta is closer to alpha than epsilon is to delta — under the same
      failing bound, the closer pair keeps the higher score *)
   let score src =
-    match (selection ~approximate:true src).All_matches.matches with
+    match selection ~approximate:true src with
     | [ m ] -> m.All_matches.score
     | ms -> Alcotest.failf "expected one match, got %d" (List.length ms)
   in
@@ -112,7 +112,7 @@ let test_approximate_satisfying_matches_unchanged () =
     (fun (a : All_matches.match_) (b : All_matches.match_) ->
       Alcotest.check (Alcotest.float 1e-12) "same score" a.All_matches.score
         b.All_matches.score)
-    strict.All_matches.matches approx.All_matches.matches
+    strict approx
 
 let test_approximate_window () =
   let strict = selection {|"alpha" && "gamma" window 2 words|} in

@@ -4,10 +4,11 @@
    catches a bug they both make.  Most laws compare which paragraphs of a
    random shelf satisfy [//p[. ftcontains S]] for two selections that
    must mean the same, under every strategy.  A subset law A ⊆ B is
-   checked as the equivalence [A || B ≡ B]: a node satisfies an FTOr of
-   anchor-free operands exactly when it satisfies one of them.  The
-   sequence law compares a multi-node context with its nodes one at a
-   time. *)
+   checked as the equivalence [A || B ≡ B]: a node satisfies an FTOr
+   exactly when it satisfies one of its operands, anchored or not, since
+   an anchor filters the matches of its own operand only.  The
+   connective laws say so directly, node by node.  The sequence law
+   compares a multi-node context with its nodes one at a time. *)
 
 open Galatex
 
@@ -29,8 +30,8 @@ let gen_shelf_of words =
 
 let gen_shelf = gen_shelf_of vocab
 
-(* The operands: no anchors, which FTOr carries across its operands (a
-   separate, recorded divergence), and no top-level FTOr of their own. *)
+(* The operands: content anchors among the operators, and no top-level
+   FTOr of their own. *)
 let gen_selection =
   Ft_gen.(
     selection ~depth:1 ~words:vocab ~options:[ ""; " with stemming" ]
@@ -38,6 +39,7 @@ let gen_selection =
       [
         (2, And); (1, Or); (1, Not); (1, Ordered); (1, Window (1, 5));
         (1, Distance (0, 3)); (1, Occurs (1, 2)); (1, Occurs_at_most (0, 1));
+        (1, Anchor);
       ])
 
 (* The per-match filters pushing a filter below FTOr relies on. *)
@@ -120,6 +122,44 @@ let prop_or_idempotent =
   law "FTOr is idempotent on satisfaction" ~count:100
     QCheck2.Gen.(map (fun a -> [ a; Printf.sprintf "%s || %s" a a ]) gen_selection)
 
+let prop_and_commutes =
+  law "FTAnd is commutative on satisfaction" ~count:100
+    QCheck2.Gen.(
+      map2
+        (fun a b -> [ Printf.sprintf "%s && %s" a b; Printf.sprintf "%s && %s" b a ])
+        gen_selection gen_selection)
+
+let prop_and_associates =
+  law "FTAnd is associative on satisfaction" ~count:100
+    QCheck2.Gen.(
+      map3
+        (fun a b c ->
+          [
+            Printf.sprintf "(%s && %s) && %s" a b c;
+            Printf.sprintf "%s && (%s && %s)" a b c;
+          ])
+        gen_selection gen_selection gen_selection)
+
+(* --- the connectives, node by node --- *)
+
+(* A node satisfies [S && T] exactly when it satisfies both, and [S || T]
+   exactly when it satisfies either: whatever anchors S and T hold. *)
+let connective name ft xq =
+  QCheck2.Test.make ~name ~count:100 ~print:print_case
+    QCheck2.Gen.(
+      pair gen_shelf
+        (map2
+           (fun a b ->
+             [
+               Printf.sprintf ". ftcontains (%s %s %s)" a ft b;
+               Printf.sprintf "(. ftcontains %s) %s (. ftcontains %s)" a xq b;
+             ])
+           gen_selection gen_selection))
+    (fun (shelf, preds) -> equivalent shelf preds)
+
+let prop_and_is_and = connective "S && T is S and T, node by node" "&&" "and"
+let prop_or_is_or = connective "S || T is S or T, node by node" "||" "or"
+
 (* --- monotone in the bound --- *)
 
 let prop_window_monotone =
@@ -176,7 +216,8 @@ let prop_stemming_widens =
 
 (* --- negation --- *)
 
-(* The operands of [!]: no FTAnd and no count under it.  The translated
+(* The operands of [!]: no FTAnd and no count under it, anchors allowed.
+   The translated
    strategy's FTUnaryNot builds one match per choice of an entry from
    every input match, and an FTAnd's cross product makes that choice
    space explode: [!("b" with stemming && "b")] over [<p>b. b b a b</p>]
@@ -185,7 +226,10 @@ let gen_negatable =
   Ft_gen.(
     selection ~depth:1 ~words:vocab ~options:[ ""; " with stemming" ]
       ~leaf_weight:3
-      [ (1, Or); (1, Not); (1, Ordered); (1, Window (1, 5)); (1, Distance (0, 3)) ])
+      [
+        (1, Or); (1, Not); (1, Ordered); (1, Window (1, 5));
+        (1, Distance (0, 3)); (1, Anchor);
+      ])
 
 let prop_not_complements =
   QCheck2.Test.make ~name:"! S is the complement of S on satisfaction"
@@ -415,7 +459,9 @@ let tests =
       prop_occurs_monotone; prop_ordered_within_unordered;
       prop_stemming_widens; prop_not_complements;
       prop_score_zero_iff_unsatisfied; prop_sequence_contains;
-      prop_sequence_score; prop_sequence_without_content ]
+      prop_sequence_score; prop_sequence_without_content;
+      prop_and_commutes; prop_and_associates; prop_and_is_and;
+      prop_or_is_or ]
   @ [
       Alcotest.test_case "the sequence law on its two shelves" `Quick
         test_sequence_shelves;

@@ -50,7 +50,7 @@ let test_ftand_product_formula () =
   let am_d = selection {|"declarative"|} in
   let am_and = selection {|"heuristic" && "declarative"|} in
   match
-    (am_u.All_matches.matches, am_d.All_matches.matches, am_and.All_matches.matches)
+    (am_u, am_d, am_and)
   with
   | [ mu ], [ md ], [ mand ] ->
       checkf "s3 = s1 * s2"
@@ -61,7 +61,7 @@ let test_ftand_product_formula () =
 let test_ftor_keeps_scores () =
   let am_u = selection {|"heuristic"|} in
   let am_or = selection {|"heuristic" || "nosuchword"|} in
-  match (am_u.All_matches.matches, am_or.All_matches.matches) with
+  match (am_u, am_or) with
   | [ mu ], [ mor ] -> checkf "score kept" mu.All_matches.score mor.All_matches.score
   | _ -> Alcotest.fail "expected single matches"
 
@@ -90,7 +90,7 @@ let test_distance_damping () =
   (* tighter matches score at least as high under the damping formula *)
   let wide = selection {|"usability" && "testing" distance at most 50 words|} in
   let result_scores am =
-    List.map (fun (m : All_matches.match_) -> m.All_matches.score) am.All_matches.matches
+    List.map (fun (m : All_matches.match_) -> m.All_matches.score) am
   in
   List.iter
     (fun s -> check_bool "damped score in (0,1]" true (s > 0.0 && s <= 1.0))
